@@ -3,8 +3,8 @@
 ``Forge`` exposes the whole operation surface — documents, blobs, views,
 cursors, streams, models, events, tasks, plans, master — with one lock
 serializing mutations, so composite operations (a stream trigger advancing
-its watermark and enqueueing a task, a completion committing outputs and a
-notification) are atomic both in memory and on disk.
+its watermark and enqueueing a task, a completion committing its outputs
+with its task record) are atomic both in memory and on disk.
 
 The wire server hosts a ``Forge``; ``forge.wire.client.ForgeClient`` mirrors
 this surface method-for-method so callers cannot tell the transports apart.
@@ -224,6 +224,11 @@ class Forge:
         with self._lock:
             self.workflow.heartbeat(task_id, agent_id, lease_ttl_ms)
 
+    def write_outputs(self, task_id: str, agent_id: str,
+                      outputs: list[Document]) -> list[str]:
+        with self._lock:
+            return self.workflow.write_outputs(task_id, agent_id, outputs)
+
     def write_output(self, task_id: str, agent_id: str, index: int, payload,
                      label: str | None = None, tags: dict | None = None) -> str:
         with self._lock:
@@ -232,10 +237,11 @@ class Forge:
 
     def complete_task(self, task_id: str, agent_id: str, outcome: str,
                       message: str | None = None,
-                      output_keys: tuple[str, ...] = ()) -> None:
+                      output_keys: tuple[str, ...] = (), *,
+                      outputs: list[Document] = ()) -> None:
         with self._lock:
             self.workflow.complete_task(task_id, agent_id, outcome, message,
-                                        output_keys)
+                                        output_keys, outputs=outputs)
 
     def submit_plan(self, plan_doc: dict) -> str:
         with self._lock:
@@ -250,8 +256,8 @@ class Forge:
 
     def master_step(self, master_id: str,
                     lease_ttl_ms: int = DEFAULT_LEASE_TTL_MS) -> dict:
-        """One master cycle: consume notifications / advance plans, then drive
-        every stream controller."""
+        """One master cycle: advance the plans whose tasks changed status, then
+        drive every stream controller."""
         with self._lock:
             actions = self.workflow.master_step(master_id, lease_ttl_ms)
             if actions.get("busy"):

@@ -21,6 +21,10 @@ CODEC_ZLIB = 1  # the project-standard lossless codec
 MAX_KEY_BYTES = 4096
 MAX_TAGS = 64
 
+# largest request or response payload the wire carries; it lives here, below
+# both the wire and the workflow, because task outputs are batched to fit it
+MAX_PAYLOAD = 16 * 1024 * 1024
+
 
 @dataclass(frozen=True)
 class BlobPointer:

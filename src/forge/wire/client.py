@@ -20,6 +20,7 @@ from forge.store.records import decode_document, encode_document
 from forge.store.types import Document, blob_id_for, ceil_div, checksum_of
 from forge.tensorio import decode_tensors, encode_tensors
 from forge.wire import protocol as P
+from forge.workflow import output_document
 
 ENV_ADDR = "FORGE_ADDR"
 RETRY_ATTEMPTS = 3
@@ -306,24 +307,28 @@ class ForgeClient:
         self._call(P.OP_HEARTBEAT, {"task_id": task_id, "agent_id": agent_id,
                                     "lease_ttl_ms": lease_ttl_ms})
 
+    def write_outputs(self, task_id: str, agent_id: str,
+                      outputs: list[Document]) -> list[str]:
+        head, _ = self._call(P.OP_WRITE_OUTPUT,
+                             {"task_id": task_id, "agent_id": agent_id,
+                              "count": len(outputs)},
+                             P.pack_documents(outputs))
+        return head["keys"]
+
     def write_output(self, task_id: str, agent_id: str, index: int, payload,
                      label: str | None = None, tags: dict | None = None) -> str:
-        head = {"task_id": task_id, "agent_id": agent_id, "index": index,
-                "label": label, "tags": tags or {}, "pointer": None}
-        tail = b""
-        if isinstance(payload, BlobPointer):
-            head["pointer"] = P.pointer_to_dict(payload)
-        else:
-            tail = payload
-        resp, _ = self._call(P.OP_WRITE_OUTPUT, head, tail)
-        return resp["key"]
+        doc = output_document(task_id, index, payload, label, tags)
+        return self.write_outputs(task_id, agent_id, [doc])[0]
 
     def complete_task(self, task_id: str, agent_id: str, outcome: str,
                       message: str | None = None,
-                      output_keys: tuple[str, ...] = ()) -> None:
+                      output_keys: tuple[str, ...] = (), *,
+                      outputs: list[Document] = ()) -> None:
         self._call(P.OP_COMPLETE_TASK, {"task_id": task_id, "agent_id": agent_id,
                                         "outcome": outcome, "message": message,
-                                        "output_keys": list(output_keys)})
+                                        "output_keys": list(output_keys),
+                                        "count": len(outputs)},
+                   P.pack_documents(outputs))
 
     def submit_plan(self, plan_doc: dict) -> str:
         head, _ = self._call(P.OP_SUBMIT_PLAN, {"plan": plan_doc})

@@ -25,9 +25,9 @@ from forge.errors import FrameTooLarge, ProtocolError
 from forge.models import ModelEvent, ModelRecord, ModelVersion
 from forge.store import BlobPointer, Document, ScanCursor
 from forge.store.records import decode_document_at, encode_document
+from forge.store.types import MAX_PAYLOAD
 from forge.workflow import Task
 
-MAX_PAYLOAD = 16 * 1024 * 1024
 HEADER = struct.Struct("<IQB")
 HEADER_SIZE = HEADER.size
 

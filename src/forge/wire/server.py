@@ -348,15 +348,15 @@ def _h_heartbeat(s, head, tail):
 
 
 def _h_write_output(s, head, tail):
-    payload = P.pointer_from_dict(head["pointer"]) if head.get("pointer") else tail
-    key = s.engine.write_output(head["task_id"], head["agent_id"], head["index"],
-                                payload, head.get("label"), head.get("tags") or {})
-    return {"key": key}, b""
+    keys = s.engine.write_outputs(head["task_id"], head["agent_id"],
+                                  P.unpack_documents(tail, head["count"]))
+    return {"keys": keys}, b""
 
 
 def _h_complete_task(s, head, tail):
     s.engine.complete_task(head["task_id"], head["agent_id"], head["outcome"],
-                           head.get("message"), tuple(head.get("output_keys", ())))
+                           head.get("message"), tuple(head.get("output_keys", ())),
+                           outputs=P.unpack_documents(tail, head.get("count", 0)))
     return {}, b""
 
 

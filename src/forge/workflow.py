@@ -3,15 +3,20 @@
 Tasks are identified by their 3-tuple (input dataset, model, output dataset)
 plus an explicit id, queued durably in the store, and pulled by agents under
 time-bounded leases; an expired lease makes the task claimable again, so a
-dead agent's work is replayed automatically. Completion appends a message to
-a persisted notification queue consumed by the singleton master, which
-advances plan DAGs. The master persists its consumer offset atomically with
-the effects of the messages it consumed, so a crash-restarted master never
-loses or double-applies a notification.
+dead agent's work is replayed automatically. The singleton master advances
+plan DAGs. It recomputes each plan's state from the task table, so a step is
+idempotent and a crash-restarted master simply steps again. In memory it
+keeps the set of plans whose tasks changed status since its last step (every
+plan after open) and visits only those.
 
 Task outputs are staged documents committed atomically with the completion
 record (see store docs), which keeps at-least-once execution observationally
-exactly-once.
+exactly-once. Staging is fenced by lease: each attempt stages under its own
+group, ``task_id#replays.attempts``, and its completion commits that group
+alone, so outputs a failed attempt left behind never surface. Agents buffer
+outputs and send them with the completion, so a task's outputs and its
+completion record are one log frame; a buffer that would pass
+OUTPUT_FLUSH_BYTES is staged ahead.
 """
 
 from __future__ import annotations
@@ -19,6 +24,7 @@ from __future__ import annotations
 import json
 import threading
 import time
+from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 
 from forge.clock import Clock
@@ -36,11 +42,10 @@ from forge.faults import KillPoint, kill_point
 from forge.query import TagScalar
 from forge.store import Document, PutOp, Store
 from forge.store.store import CommitGroupOp
-from forge.store.types import validate_tags
+from forge.store.types import MAX_PAYLOAD, validate_tags
 
 TASK_PREFIX = "__sys/task/"
 PLAN_PREFIX = "__sys/plan/"
-NOTIFY_PREFIX = "__sys/notify/"
 MASTER_KEY = "__sys/master"
 
 PENDING = "pending"
@@ -59,6 +64,10 @@ TASK_KINDS = (KIND_TRAIN, KIND_USER_FN)
 DEFAULT_MAX_ATTEMPTS = 3
 DEFAULT_LEASE_TTL_MS = 30_000
 MIN_LEASE_TTL_MS = 1_000
+
+# an agent stages its buffered outputs ahead of the completion once they would
+# pass this size, so every batch fits one wire frame with room to spare
+OUTPUT_FLUSH_BYTES = MAX_PAYLOAD // 2
 
 
 @dataclass(frozen=True)
@@ -80,6 +89,7 @@ class Task:
     submitted_at: int = 0
     last_error: str | None = None
     output_keys: tuple[str, ...] = ()
+    replays: int = 0  # operator revivals; with attempts, names the staging group
 
     def to_dict(self) -> dict:
         d = self.__dict__.copy()
@@ -107,6 +117,20 @@ def _json_doc(key: str, payload: dict) -> Document:
     return Document(key=key, payload=json.dumps(payload, sort_keys=True).encode())
 
 
+def output_document(task_id: str, index: int, payload, label: str | None = None,
+                    tags: dict | None = None) -> Document:
+    """A task's ``index``-th output, under the key ``{task_id}/{index:06d}``."""
+    return Document(key=f"{task_id}/{index:06d}", payload=payload, label=label,
+                    tags=dict(tags or {}))
+
+
+def _check_output_key(task_id: str, key: str) -> None:
+    prefix, _, index = key.rpartition("/")
+    if prefix != task_id or len(index) < 6 or not (index.isascii() and index.isdigit()):
+        raise InvalidArgument(
+            f"output key {key!r} is outside the task's namespace {task_id}/NNNNNN")
+
+
 class WorkflowManager:
     """Owns the in-memory task/plan tables mirroring the persisted queue.
 
@@ -121,23 +145,42 @@ class WorkflowManager:
         self._model_exists = model_exists
         self.tasks: dict[str, Task] = {}
         self.plans: dict[str, Plan] = {}
-        self._notify_next = 0
+        self._live: set[str] = set()  # ids of pending and leased tasks
+        self._dirty: set[str] = set()  # plans with a task status change since the last step
+        # completions since the last step, reported as its consumed / ok_applied
+        self._completions = 0
+        self._ok_completions = 0
         self._rebuild()
 
     def _rebuild(self) -> None:
         for key in self.store.keys_with_prefix(TASK_PREFIX):
-            task = Task.from_dict(json.loads(self.store.get(key).payload.decode()))
-            self.tasks[task.task_id] = task
+            self._track(Task.from_dict(json.loads(self.store.get(key).payload.decode())))
         for key in self.store.keys_with_prefix(PLAN_PREFIX):
             meta = json.loads(self.store.get(key).payload.decode())
             self.plans[meta["plan_id"]] = Plan(plan_id=meta["plan_id"],
                                                task_ids=tuple(meta["task_ids"]),
                                                status=meta["status"],
                                                submitted_at=meta["submitted_at"])
-        notes = self.store.keys_with_prefix(NOTIFY_PREFIX)
-        self._notify_next = int(notes[-1].rsplit("/", 1)[1]) + 1 if notes else 0
+        self._dirty = set(self.plans)
 
     # -- helpers ----------------------------------------------------------
+
+    def _track(self, task: Task) -> None:
+        """Install a task's new state in the table, the live set and the
+        dirty plans."""
+        old = self.tasks.get(task.task_id)
+        self.tasks[task.task_id] = task
+        if task.status in (PENDING, LEASED):
+            self._live.add(task.task_id)
+        else:
+            self._live.discard(task.task_id)
+        if task.plan_id is not None and (old is None or old.status != task.status):
+            self._dirty.add(task.plan_id)
+
+    def _commit(self, ops: list, tasks: Sequence[Task] = ()) -> None:
+        self.store.apply_ops(ops)
+        for task in tasks:
+            self._track(task)
 
     def _task_op(self, task: Task, *, exists: bool) -> PutOp:
         return PutOp(_json_doc(TASK_PREFIX + task.task_id, task.to_dict()), replace=exists)
@@ -146,10 +189,6 @@ class WorkflowManager:
         payload = {"plan_id": plan.plan_id, "task_ids": list(plan.task_ids),
                    "status": plan.status, "submitted_at": plan.submitted_at}
         return PutOp(_json_doc(PLAN_PREFIX + plan.plan_id, payload), replace=exists)
-
-    def _notify_op(self, payload: dict) -> PutOp:
-        key = f"{NOTIFY_PREFIX}{self._notify_next:012d}"
-        return PutOp(_json_doc(key, payload))
 
     def _validate_task_fields(self, kind, input_dataset, model_key, output_dataset, params):
         if kind not in TASK_KINDS:
@@ -178,17 +217,16 @@ class WorkflowManager:
 
     def submit_task(self, **kwargs) -> str:
         """Durable enqueue; resubmitting an existing task_id is a no-op."""
-        task_id = kwargs.get("task_id") or self._generate_id(kwargs)
+        task_id = kwargs.get("task_id") or self._generate_id()
         kwargs["task_id"] = task_id
         if task_id in self.tasks:
             return task_id
         task = self.build_task(**kwargs)
-        self.store.apply_ops([self._task_op(task, exists=False)])
-        self.tasks[task_id] = task
+        self._commit([self._task_op(task, exists=False)], [task])
         return task_id
 
     @staticmethod
-    def _generate_id(kwargs) -> str:
+    def _generate_id() -> str:
         import uuid
 
         return "t-" + uuid.uuid4().hex[:16]
@@ -204,17 +242,19 @@ class WorkflowManager:
         return task, [self._task_op(task, exists=False)]
 
     def register_task(self, task: Task) -> None:
-        self.tasks[task.task_id] = task
+        self._track(task)
 
     # -- leases ----------------------------------------------------------------
 
     def lease_task(self, agent_id: str, lease_ttl_ms: int,
                    kinds: list[str] | None = None) -> Task | None:
-        """Atomically claim the oldest dispatchable task, or None."""
+        """Atomically claim the oldest dispatchable task, or None. Only live
+        (pending or leased) tasks are considered."""
         if lease_ttl_ms < MIN_LEASE_TTL_MS:
             raise InvalidArgument(f"lease ttl must be >= {MIN_LEASE_TTL_MS} ms")
         now = self.clock.now_ms()
-        ordered = sorted(self.tasks.values(), key=lambda t: (t.submitted_at, t.task_id))
+        ordered = sorted((self.tasks[tid] for tid in self._live),
+                         key=lambda t: (t.submitted_at, t.task_id))
         ops: list[PutOp] = []
         newly_dead: list[Task] = []
         chosen: Task | None = None
@@ -236,11 +276,7 @@ class WorkflowManager:
             ops.append(self._task_op(chosen, exists=True))
             break
         if ops:
-            self.store.apply_ops(ops)
-            for dead in newly_dead:
-                self.tasks[dead.task_id] = dead
-            if chosen is not None:
-                self.tasks[chosen.task_id] = chosen
+            self._commit(ops, newly_dead + ([chosen] if chosen is not None else []))
         return chosen
 
     def _current_lease(self, task_id: str, agent_id: str) -> Task:
@@ -257,44 +293,63 @@ class WorkflowManager:
     def heartbeat(self, task_id: str, agent_id: str, lease_ttl_ms: int) -> None:
         task = self._current_lease(task_id, agent_id)
         extended = replace(task, lease_until=self.clock.now_ms() + lease_ttl_ms)
-        self.store.apply_ops([self._task_op(extended, exists=True)])
-        self.tasks[task_id] = extended
+        self._commit([self._task_op(extended, exists=True)], [extended])
 
     # -- outputs and completion -------------------------------------------------
 
+    @staticmethod
+    def _stage_group(task: Task) -> str:
+        # attempts restart at 0 after a replay, so the replay count keeps
+        # every lease's group distinct
+        return f"{task.task_id}#{task.replays}.{task.attempts}"
+
+    def _stage_ops(self, task: Task, outputs: Sequence[Document]) -> list[PutOp]:
+        group = self._stage_group(task)
+        ops = []
+        for doc in outputs:
+            _check_output_key(task.task_id, doc.key)
+            # a key no reader sees is new or was staged by an attempt that never
+            # committed, which this attempt may overwrite; a visible key is not
+            ops.append(PutOp(doc, replace=not self.store.exists(doc.key), group=group))
+        return ops
+
+    def write_outputs(self, task_id: str, agent_id: str,
+                      outputs: Sequence[Document]) -> list[str]:
+        """Stage output documents in one frame; invisible until the task
+        completes. Keys must be ``{task_id}/NNNNNN``."""
+        task = self._current_lease(task_id, agent_id)
+        self.store.apply_ops(self._stage_ops(task, outputs))
+        return [doc.key for doc in outputs]
+
     def write_output(self, task_id: str, agent_id: str, index: int, payload,
                      label: str | None, tags: dict) -> str:
-        """Stage one output document; invisible until the task completes."""
-        self._current_lease(task_id, agent_id)
-        key = f"{task_id}/{index:06d}"
-        doc = Document(key=key, payload=payload, label=label, tags=dict(tags or {}))
-        self.store.apply_ops([PutOp(doc, group=task_id)])
-        return key
+        """Stage one output document: a one-element ``write_outputs``."""
+        doc = output_document(task_id, index, payload, label, tags)
+        return self.write_outputs(task_id, agent_id, [doc])[0]
 
     def complete_task(self, task_id: str, agent_id: str, outcome: str,
                       message: str | None = None,
-                      output_keys: tuple[str, ...] = ()) -> None:
+                      output_keys: tuple[str, ...] = (), *,
+                      outputs: Sequence[Document] = ()) -> None:
+        """Record an attempt's outcome. ``ok`` stages ``outputs`` and commits
+        them, with what this attempt staged before, in the frame of the
+        completion record; ``error`` discards them."""
         if outcome not in ("ok", "error"):
             raise InvalidArgument("outcome must be 'ok' or 'error'")
         task = self._current_lease(task_id, agent_id)
-        now = self.clock.now_ms()
         if outcome == "ok":
             done = replace(task, status=COMPLETED, lease_holder=None, lease_until=0,
                            output_keys=tuple(output_keys), last_error=None)
-            note = {"task_id": task_id, "agent_id": agent_id, "outcome": "ok",
-                    "output_keys": list(output_keys), "at": now}
-            ops = [self._task_op(done, exists=True), CommitGroupOp(task_id),
-                   self._notify_op(note)]
+            ops = self._stage_ops(task, outputs) + [
+                self._task_op(done, exists=True), CommitGroupOp(self._stage_group(task))]
         else:
             exhausted = task.attempts >= task.max_attempts
             done = replace(task, status=DEAD if exhausted else PENDING,
                            lease_holder=None, lease_until=0, last_error=message)
-            note = {"task_id": task_id, "agent_id": agent_id, "outcome": "error",
-                    "error": message, "output_keys": [], "at": now}
-            ops = [self._task_op(done, exists=True), self._notify_op(note)]
-        self.store.apply_ops(ops)
-        self.tasks[task_id] = done
-        self._notify_next += 1
+            ops = [self._task_op(done, exists=True)]
+        self._commit(ops, [done])
+        self._completions += 1
+        self._ok_completions += outcome == "ok"
 
     # -- plans ---------------------------------------------------------------
 
@@ -309,10 +364,8 @@ class WorkflowManager:
                     submitted_at=self.clock.now_ms())
         ops = [self._plan_op(plan, exists=False)]
         ops.extend(self._task_op(t, exists=False) for t in tasks)
-        self.store.apply_ops(ops)
+        self._commit(ops, tasks)
         self.plans[plan_id] = plan
-        for task in tasks:
-            self.tasks[task.task_id] = task
         return plan_id
 
     def _parse_plan(self, doc: dict) -> tuple[str, list[Task]]:
@@ -402,7 +455,7 @@ class WorkflowManager:
         if task.status != DEAD:
             raise InvalidArgument(f"task {task_id!r} is {task.status}, not dead")
         revived = replace(task, status=PENDING, attempts=0, lease_holder=None,
-                          lease_until=0, last_error=None)
+                          lease_until=0, last_error=None, replays=task.replays + 1)
         ops = [self._task_op(revived, exists=True)]
         plan = self.plans.get(task.plan_id) if task.plan_id else None
         revived_plan = None
@@ -412,45 +465,33 @@ class WorkflowManager:
             if not others_dead:
                 revived_plan = replace(plan, status=PLAN_RUNNING)
                 ops.append(self._plan_op(revived_plan, exists=True))
-        self.store.apply_ops(ops)
-        self.tasks[task_id] = revived
+        self._commit(ops, [revived])
         if revived_plan is not None:
             self.plans[plan.plan_id] = revived_plan
 
     # -- master --------------------------------------------------------------
 
-    def _master_meta(self) -> dict:
-        if self.store.exists(MASTER_KEY):
-            return json.loads(self.store.get(MASTER_KEY).payload.decode())
-        return {"consumed_upto": -1, "holder": None, "until": 0}
-
     def master_step(self, master_id: str, lease_ttl_ms: int = DEFAULT_LEASE_TTL_MS) -> dict:
-        """One scheduling cycle; all effects and the consumer offset commit in
-        one atomic batch. Returns a summary of the actions taken."""
-        kill_point("master.before_consume")
+        """One scheduling cycle over the plans whose tasks changed status since
+        the last step; all effects commit in one atomic batch. Returns a
+        summary of the actions taken."""
+        kill_point("master.before_step")
         now = self.clock.now_ms()
-        meta = self._master_meta()
-        if meta["holder"] not in (None, master_id) and meta["until"] > now:
+        meta = (json.loads(self.store.get(MASTER_KEY).payload.decode())
+                if self.store.exists(MASTER_KEY) else None)
+        if meta is not None and meta["holder"] not in (None, master_id) and meta["until"] > now:
             return {"busy": True, "holder": meta["holder"]}
-        consumed_upto = meta["consumed_upto"]
-        messages = []
-        for key in self.store.keys_with_prefix(NOTIFY_PREFIX):
-            seq = int(key.rsplit("/", 1)[1])
-            if seq > consumed_upto:
-                messages.append((seq, json.loads(self.store.get(key).payload.decode())))
         ops: list = []
-        actions = {"busy": False, "consumed": len(messages), "unblocked": [],
-                   "plans_completed": [], "plans_failed": [], "ok_applied": 0}
-
-        new_tasks: dict[str, Task] = {}
+        actions = {"busy": False, "consumed": self._completions, "unblocked": [],
+                   "plans_completed": [], "plans_failed": [],
+                   "ok_applied": self._ok_completions}
+        new_tasks: list[Task] = []
         new_plans: dict[str, Plan] = {}
-        for _, msg in messages:
-            if msg["outcome"] == "ok":
-                actions["ok_applied"] += 1
 
         # plan bookkeeping is recomputed from the task table, which makes the
         # step idempotent under replay after a crash
-        for plan in self.plans.values():
+        for plan_id in sorted(self._dirty):
+            plan = self.plans[plan_id]
             statuses = {tid: self.tasks[tid].status for tid in plan.task_ids}
             for tid in plan.task_ids:
                 task = self.tasks[tid]
@@ -458,7 +499,7 @@ class WorkflowManager:
                     if all(statuses[d] == COMPLETED for d in task.depends_on):
                         unblocked = replace(task, unblocked=True)
                         ops.append(self._task_op(unblocked, exists=True))
-                        new_tasks[tid] = unblocked
+                        new_tasks.append(unblocked)
                         actions["unblocked"].append(tid)
             if plan.status == PLAN_RUNNING:
                 if any(s == DEAD for s in statuses.values()):
@@ -472,15 +513,18 @@ class WorkflowManager:
                     new_plans[plan.plan_id] = done
                     actions["plans_completed"].append(plan.plan_id)
 
-        new_upto = messages[-1][0] if messages else consumed_upto
-        master_doc = _json_doc(MASTER_KEY, {"consumed_upto": new_upto,
-                                            "holder": master_id,
-                                            "until": now + lease_ttl_ms})
-        ops.append(PutOp(master_doc, replace=self.store.exists(MASTER_KEY)))
+        # the master doc is the master's lease: written with other effects,
+        # or alone once half of the lease has passed, so idle steps write nothing
+        if (ops or meta is None or meta["holder"] != master_id
+                or meta["until"] - now <= lease_ttl_ms // 2):
+            master_doc = _json_doc(MASTER_KEY, {"holder": master_id,
+                                                "until": now + lease_ttl_ms})
+            ops.append(PutOp(master_doc, replace=meta is not None))
         kill_point("master.before_apply")
-        self.store.apply_ops(ops)
-        self.tasks.update(new_tasks)
+        self._commit(ops, new_tasks)
         self.plans.update(new_plans)
+        self._dirty.clear()
+        self._completions = self._ok_completions = 0
         kill_point("master.after_apply")
         return actions
 
@@ -488,24 +532,44 @@ class WorkflowManager:
 # --- long-running loops --------------------------------------------------------
 
 
+def _wire_size_hint(doc: Document) -> int:
+    """About the bytes an output adds to a request, its key in ``output_keys``
+    included; OUTPUT_FLUSH_BYTES leaves half a frame for what this misses."""
+    payload = len(doc.payload) if doc.is_inline else 256
+    tags = sum(len(name) + len(str(value)) + 16 for name, value in doc.tags.items())
+    return payload + 2 * len(doc.key) + len(doc.label or "") + tags + 32
+
+
 class TaskContext:
-    """What a handler gets: the api, its task, and an output-writing helper."""
+    """What a handler gets: the api, its task, and an output-writing helper.
+
+    Outputs are buffered in ``pending`` and sent with the completion; when
+    the buffer would pass OUTPUT_FLUSH_BYTES it is staged first as one batch.
+    """
 
     def __init__(self, api, task: Task, agent_id: str):
         self.api = api
         self.task = task
         self.agent_id = agent_id
         self.output_keys: list[str] = []
+        self.pending: list[Document] = []
+        self._pending_bytes = 0
 
     def param(self, name: str, default=None):
         return self.task.params.get(name, default)
 
     def write_output(self, payload, label: str | None = None,
                      tags: dict | None = None) -> str:
-        key = self.api.write_output(self.task.task_id, self.agent_id,
-                                    len(self.output_keys), payload, label, tags or {})
-        self.output_keys.append(key)
-        return key
+        doc = output_document(self.task.task_id, len(self.output_keys), payload,
+                              label, tags)
+        size = _wire_size_hint(doc)
+        if self.pending and self._pending_bytes + size > OUTPUT_FLUSH_BYTES:
+            self.api.write_outputs(self.task.task_id, self.agent_id, self.pending)
+            self.pending, self._pending_bytes = [], 0
+        self.pending.append(doc)
+        self._pending_bytes += size
+        self.output_keys.append(doc.key)
+        return doc.key
 
     def input_docs(self):
         """Documents of the task's input range (or the whole view), resolved."""
@@ -519,8 +583,9 @@ class TaskContext:
 def run_agent(api, agent_id: str, handlers: dict, kinds: list[str] | None = None,
               poll_interval: float = 0.2, lease_ttl_ms: int = DEFAULT_LEASE_TTL_MS,
               stop: threading.Event | None = None, max_loops: int | None = None) -> None:
-    """Agent loop: lease, heartbeat, execute, complete. Handler failures become
-    error outcomes; only a simulated kill escapes the loop."""
+    """Agent loop: lease, heartbeat, execute, complete. Handler failures, and
+    outputs the completion's commit rejects, become error outcomes; only a
+    simulated kill escapes the loop."""
     stop = stop or threading.Event()
     kinds = kinds if kinds is not None else sorted(handlers)
     loops = 0
@@ -550,24 +615,22 @@ def run_agent(api, agent_id: str, handlers: dict, kinds: list[str] | None = None
             if handler is None:
                 raise InvalidArgument(f"agent has no handler for kind {task.kind!r}")
             handler(ctx)
+            done.set()
+            kill_point("agent.before_complete")
+            api.complete_task(task.task_id, agent_id, "ok",
+                              output_keys=tuple(ctx.output_keys), outputs=ctx.pending)
+            kill_point("agent.after_complete")
         except KillPoint:
-            done.set()
             raise
+        except StaleLease:
+            pass  # lease lost mid-run; another agent owns the replay
         except Exception as exc:
-            done.set()
             try:
                 api.complete_task(task.task_id, agent_id, "error", message=str(exc))
             except StaleLease:
                 pass
-        else:
+        finally:
             done.set()
-            kill_point("agent.before_complete")
-            try:
-                api.complete_task(task.task_id, agent_id, "ok",
-                                  output_keys=tuple(ctx.output_keys))
-            except StaleLease:
-                pass  # lease lost mid-run; another agent owns the replay
-            kill_point("agent.after_complete")
 
 
 def run_master(api, master_id: str, interval: float = 0.2,

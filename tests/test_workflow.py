@@ -1,0 +1,423 @@
+"""Task workflow: leases, plans and the master, staged outputs, restarts and
+kill points. Tests on the ``api`` fixture run in-process and over TCP."""
+
+import json
+import time
+
+import numpy as np
+import pytest
+from conftest import AgentHarness, make_engine
+
+from forge import faults
+from forge.clock import FakeClock
+from forge.engine import Forge
+from forge.errors import DuplicateKey, InvalidArgument, NotFound, StaleLease
+from forge.handlers import DEFAULT_HANDLERS, encode_sample, register_user_fn
+from forge.store import Document
+from forge.store.types import DEFAULT_INLINE_THRESHOLD, MAX_PAYLOAD
+from forge.workflow import (
+    COMPLETED,
+    DEAD,
+    MASTER_KEY,
+    PENDING,
+    output_document,
+    run_agent,
+    run_master,
+    wait_for_plan,
+)
+
+TTL = 5_000
+
+
+def _visible(api, dataset: str) -> list[str]:
+    keys, _ = api.scan(f'dataset = "{dataset}"')
+    return keys
+
+
+def _log_bytes(engine) -> int:
+    return sum(p.stat().st_size for p in engine.store.path.glob("segment-*.log"))
+
+
+def _plan(pid: str, children: int = 2, **root_fields) -> dict:
+    tasks = [{"task_id": f"{pid}-root", "kind": "user_fn", **root_fields}]
+    tasks += [{"task_id": f"{pid}-c{i}", "kind": "user_fn",
+               "depends_on": [f"{pid}-root"]} for i in range(children)]
+    return {"plan_id": pid, "tasks": tasks}
+
+
+def _finish_next(api, outcome: str = "ok") -> str:
+    task = api.lease_task("agent", TTL)
+    assert task is not None
+    api.complete_task(task.task_id, "agent", outcome, message=f"{outcome} outcome")
+    return task.task_id
+
+
+def _reopen(engine, clock) -> Forge:
+    engine.close()
+    return Forge(engine.store.path, clock=clock, fsync=False)
+
+
+class TestLeases:
+    def test_oldest_first_then_by_id_and_never_a_finished_task(self, api, clock):
+        api.submit_task(kind="user_fn", task_id="b")
+        api.submit_task(kind="user_fn", task_id="a")
+        clock.advance(10)
+        api.submit_task(kind="user_fn", task_id="0-later")
+        order = [api.lease_task("agent", TTL).task_id for _ in range(3)]
+        assert order == ["a", "b", "0-later"]
+        assert api.lease_task("agent", TTL) is None
+
+        api.complete_task("a", "agent", "ok")
+        clock.advance(TTL)  # the other two leases expire and are claimable again
+        order = [api.lease_task("other", TTL).task_id for _ in range(2)]
+        assert order == ["b", "0-later"]
+        assert api.lease_task("other", TTL) is None
+        assert api.get_task("a").status == COMPLETED
+
+    def test_expired_leases_exhaust_attempts_to_dead(self, api, clock):
+        api.submit_task(kind="user_fn", task_id="t", max_attempts=2)
+        for attempt in (1, 2):
+            task = api.lease_task(f"agent{attempt}", TTL)
+            assert (task.task_id, task.attempts) == ("t", attempt)
+            clock.advance(TTL)
+        assert api.lease_task("agent3", TTL) is None
+        task = api.get_task("t")
+        assert task.status == DEAD
+        assert task.last_error == "lease expired; attempts exhausted"
+        with pytest.raises(StaleLease):
+            api.complete_task("t", "agent2", "ok")
+
+    def test_kinds_filter_skips_other_kinds(self, api):
+        api.submit_task(kind="user_fn", task_id="u")
+        assert api.lease_task("agent", TTL, ["train"]) is None
+        assert api.lease_task("agent", TTL, ["user_fn"]).task_id == "u"
+
+
+class TestPlans:
+    def test_master_unblocks_then_completes(self, api):
+        api.submit_plan(_plan("p"))
+        assert _finish_next(api) == "p-root"
+        assert api.lease_task("agent", TTL) is None  # children are blocked
+        step = api.master_step("m", TTL)
+        assert step["busy"] is False
+        assert sorted(step["unblocked"]) == ["p-c0", "p-c1"]
+        assert (step["consumed"], step["ok_applied"]) == (1, 1)
+        assert step["plans_completed"] == step["plans_failed"] == []
+
+        assert sorted([_finish_next(api), _finish_next(api)]) == ["p-c0", "p-c1"]
+        step = api.master_step("m", TTL)
+        assert step["plans_completed"] == ["p"]
+        assert api.plan_status("p") == {"plan_id": "p", "status": "completed",
+                                        "tasks": dict.fromkeys(
+                                            ["p-root", "p-c0", "p-c1"], COMPLETED)}
+        idle = api.master_step("m", TTL)
+        assert (idle["unblocked"], idle["plans_completed"], idle["consumed"]) == ([], [], 0)
+
+    def test_dead_task_fails_plan_and_replay_revives_it(self, api):
+        api.submit_plan(_plan("p", max_attempts=1))
+        _finish_next(api, "error")
+        step = api.master_step("m", TTL)
+        assert step["plans_failed"] == ["p"]
+        assert (step["consumed"], step["ok_applied"]) == (1, 0)
+        status = api.plan_status("p")
+        assert status["status"] == "failed"
+        assert status["tasks"] == {"p-root": DEAD, "p-c0": PENDING, "p-c1": PENDING}
+
+        api.replay_task("p-root")
+        assert api.plan_status("p")["status"] == "running"
+        assert api.get_task("p-root").attempts == 0
+        assert _finish_next(api) == "p-root"
+        assert len(api.master_step("m", TTL)["unblocked"]) == 2
+        _finish_next(api)
+        _finish_next(api)
+        assert api.master_step("m", TTL)["plans_completed"] == ["p"]
+
+    def test_same_outcome_after_reopen(self, api, engine, clock):
+        api.submit_plan(_plan("done"))
+        api.submit_plan(_plan("fails", max_attempts=1))
+        api.submit_plan(_plan("open"))
+        for _ in range(3):  # done-root, fails-root, open-root
+            task = api.lease_task("agent", TTL)
+            outcome = "error" if task.task_id == "fails-root" else "ok"
+            api.complete_task(task.task_id, "agent", outcome)
+        api.master_step("m", TTL)
+        _finish_next(api)
+        _finish_next(api)  # done-c0 and done-c1 finish; the master has not seen them
+        before = {pid: api.plan_status(pid) for pid in ("done", "fails", "open")}
+
+        reopened = _reopen(engine, clock)
+        try:
+            assert {pid: reopened.plan_status(pid)
+                    for pid in ("done", "fails", "open")} == before
+            step = reopened.master_step("m", TTL)
+            assert step["plans_completed"] == ["done"]
+            assert step["unblocked"] == step["plans_failed"] == []
+            assert reopened.plan_status("fails")["status"] == "failed"
+            while (task := reopened.lease_task("agent", TTL)) is not None:
+                reopened.complete_task(task.task_id, "agent", "ok")
+            assert reopened.master_step("m", TTL)["plans_completed"] == ["open"]
+        finally:
+            reopened.close()
+
+    def test_store_with_leftover_notify_docs_steps_normally(self, api, engine, clock):
+        api.submit_plan(_plan("p", children=1))
+        _finish_next(api)
+        # what older versions left behind: a notification per completion and a
+        # master doc carrying a consumer offset
+        for seq in range(3):
+            note = {"task_id": "p-root", "outcome": "ok", "output_keys": [], "at": seq}
+            engine.store.put_system(Document(key=f"__sys/notify/{seq:012d}",
+                                              payload=json.dumps(note).encode()))
+        engine.store.put_system(Document(key=MASTER_KEY, payload=json.dumps(
+            {"consumed_upto": 1, "holder": None, "until": 0}).encode()))
+
+        reopened = _reopen(engine, clock)
+        try:
+            assert reopened.master_step("m", TTL)["unblocked"] == ["p-c0"]
+            _finish_next(reopened)
+            assert reopened.master_step("m", TTL)["plans_completed"] == ["p"]
+            assert len(reopened.store.keys_with_prefix("__sys/notify/")) == 3
+        finally:
+            reopened.close()
+
+
+class TestMasterLease:
+    def test_idle_steps_write_nothing_and_the_lease_still_holds(self, api, engine, clock):
+        api.master_step("m1", TTL)
+        size = _log_bytes(engine)
+        for _ in range(100):
+            assert api.master_step("m1", TTL)["busy"] is False
+        assert _log_bytes(engine) == size
+        assert api.master_step("m2", TTL) == {"busy": True, "holder": "m1"}
+
+        clock.advance(TTL // 2)  # half the lease has passed: the next step renews it
+        api.master_step("m1", TTL)
+        assert _log_bytes(engine) > size
+        clock.advance(TTL // 2 + 1)  # past the first lease, inside the renewed one
+        assert api.master_step("m2", TTL)["busy"] is True
+        clock.advance(TTL)
+        assert api.master_step("m2", TTL)["busy"] is False
+
+
+class TestOutputs:
+    def test_invisible_until_completion(self, api):
+        api.submit_task(kind="user_fn", task_id="t", output_dataset="out")
+        api.lease_task("agent", TTL)
+        key0 = api.write_output("t", "agent", 0, b"zero", tags={"dataset": "out"})
+        assert key0 == "t/000000"
+        assert _visible(api, "out") == []
+        with pytest.raises(NotFound):
+            api.get_document(key0)
+        ptr = api.put_blob(b"blob output" * 1000)
+        rest = [output_document("t", 1, b"one", "L", {"dataset": "out"}),
+                output_document("t", 2, ptr, None, {"dataset": "out"})]
+        keys = (key0, "t/000001", "t/000002")
+        api.complete_task("t", "agent", "ok", None, keys, outputs=rest)
+        assert _visible(api, "out") == list(keys)
+        assert api.get_document("t/000001").label == "L"
+        assert api.get_document("t/000002").payload == ptr
+        assert api.get_task("t").output_keys == keys
+
+    def test_discarded_on_error_outcome(self, api):
+        api.submit_task(kind="user_fn", task_id="t")
+        api.lease_task("agent", TTL)
+        api.write_output("t", "agent", 0, b"staged", tags={"dataset": "out"})
+        api.complete_task("t", "agent", "error", "boom",
+                          outputs=[output_document("t", 1, b"riding", None,
+                                                   {"dataset": "out"})])
+        assert _visible(api, "out") == []
+        api.lease_task("agent", TTL)
+        api.complete_task("t", "agent", "ok")
+        assert _visible(api, "out") == []
+
+    def test_failed_attempt_outputs_stay_hidden(self, api):
+        api.submit_task(kind="user_fn", task_id="t")
+        api.lease_task("agent", TTL)
+        for i in range(5):
+            api.write_output("t", "agent", i, b"attempt1", tags={"dataset": "out"})
+        api.complete_task("t", "agent", "error", "first attempt failed")
+
+        api.lease_task("agent", TTL)
+        keys = tuple(api.write_output("t", "agent", i, b"attempt2", tags={"dataset": "out"})
+                     for i in range(2))
+        api.complete_task("t", "agent", "ok", output_keys=keys)
+        assert _visible(api, "out") == list(keys)
+        assert all(api.get_document(k).payload == b"attempt2" for k in keys)
+        assert api.get_task("t").output_keys == keys
+
+    def test_outputs_of_a_dead_attempt_stay_hidden_after_replay(self, api):
+        api.submit_task(kind="user_fn", task_id="t", max_attempts=1)
+        api.lease_task("agent", TTL)
+        for i in range(3):
+            api.write_output("t", "agent", i, b"before", tags={"dataset": "out"})
+        api.complete_task("t", "agent", "error", "died")
+        api.replay_task("t")  # attempts restart at 0: attempt 1 runs again
+        assert api.lease_task("agent", TTL).attempts == 1
+        key = api.write_output("t", "agent", 0, b"after", tags={"dataset": "out"})
+        api.complete_task("t", "agent", "ok", output_keys=(key,))
+        assert _visible(api, "out") == [key]
+        assert api.get_document(key).payload == b"after"
+
+    def test_keys_outside_the_task_namespace_are_rejected(self, api):
+        api.submit_task(kind="user_fn", task_id="t")
+        api.put_document(Document(key="t/000007", payload=b"user", tags={}))
+        api.lease_task("agent", TTL)
+        for key in ("u/000000", "t/00001", "t/abcdef", "t/000000/x"):
+            with pytest.raises(InvalidArgument):
+                api.write_outputs("t", "agent", [Document(key=key, payload=b"x")])
+            with pytest.raises(InvalidArgument):
+                api.complete_task("t", "agent", "ok",
+                                  outputs=[Document(key=key, payload=b"x")])
+        with pytest.raises(DuplicateKey):
+            api.write_output("t", "agent", 7, b"clash", tags={})
+        assert api.get_document("t/000007").payload == b"user"
+        assert api.get_task("t").status == "leased"
+
+    def test_agent_outputs_ride_the_completion(self, api):
+        seen_during_run = []
+
+        def fn(ctx):
+            for i in range(3):
+                ctx.write_output(f"{i}".encode(), tags={"dataset": "out"})
+            seen_during_run.append(_visible(ctx.api, "out"))
+
+        register_user_fn("three", fn)
+        api.submit_task(kind="user_fn", task_id="t", params={"fn": "three"})
+        run_agent(api, "agent", DEFAULT_HANDLERS, max_loops=1, poll_interval=0.0)
+        assert seen_during_run == [[]]
+        assert _visible(api, "out") == ["t/000000", "t/000001", "t/000002"]
+        assert api.get_task("t").status == COMPLETED
+
+    def test_rejected_outputs_fail_the_attempt(self, api):
+        api.put_document(Document(key="t/000000", payload=b"user", tags={}))
+        register_user_fn("clash", lambda ctx: ctx.write_output(b"x"))
+        api.submit_task(kind="user_fn", task_id="t", params={"fn": "clash"},
+                        max_attempts=1)
+        run_agent(api, "agent", DEFAULT_HANDLERS, max_loops=1, poll_interval=0.0)
+        task = api.get_task("t")
+        assert task.status == DEAD
+        assert "already exists" in task.last_error
+
+
+def test_completion_and_its_outputs_are_one_frame(engine, monkeypatch):
+    frames = []
+    original = engine.store._log.append
+    monkeypatch.setattr(engine.store._log, "append",
+                        lambda body: (frames.append(len(body)), original(body)))
+    register_user_fn("many", lambda ctx: [ctx.write_output(b"x" * 100, tags={"dataset": "o"})
+                                          for _ in range(50)])
+    engine.submit_task(kind="user_fn", task_id="t", params={"fn": "many"})
+    frames.clear()
+    run_agent(engine, "agent", DEFAULT_HANDLERS, max_loops=1, poll_interval=0.0)
+    assert len(frames) == 2  # the lease, then outputs + task record + commit
+    assert len(_visible(engine, "o")) == 50
+
+
+def test_outputs_beyond_the_frame_cap_complete_over_tcp(wire_pair):
+    _, _, client = wire_pair
+    size = DEFAULT_INLINE_THRESHOLD
+    count = MAX_PAYLOAD // size + 64
+
+    def big(ctx):
+        for i in range(count):
+            ctx.write_output(i.to_bytes(4, "little") * (size // 4), tags={"dataset": "big"})
+
+    register_user_fn("big", big)
+    client.submit_task(kind="user_fn", task_id="t", params={"fn": "big"})
+    run_agent(client, "agent", DEFAULT_HANDLERS, max_loops=1, poll_interval=0.0)
+    task = client.get_task("t")
+    assert task.status == COMPLETED, task.last_error
+    assert len(task.output_keys) == count
+    visible = _visible(client, "big")
+    assert visible == list(task.output_keys)
+    for i in (0, count // 2, count - 1):
+        assert client.get_document(visible[i]).payload == i.to_bytes(4, "little") * (size // 4)
+
+
+# -- kill points on the completion path ---------------------------------------
+
+MODEL = "m"
+SPEC = {"input_dims": [4], "layers": [
+    {"name": "h", "kind": "dense", "out_units": 3},
+    {"name": "r", "kind": "relu"},
+    {"name": "out", "kind": "dense", "out_units": 2},
+]}
+SAMPLES = 8
+FN_OUTPUTS = 3
+
+
+def _emit(ctx):
+    for i in range(FN_OUTPUTS):
+        ctx.write_output(f"{ctx.task.task_id}:{i}".encode(),
+                         tags={"dataset": ctx.task.output_dataset})
+
+
+def _setup_plan(engine) -> dict:
+    rng = np.random.default_rng(5)
+    engine.register_model(MODEL, SPEC)
+    for i in range(SAMPLES):
+        engine.put_document(Document(key=f"s{i:03d}",
+                                     payload=encode_sample(rng.standard_normal(4)),
+                                     label="0.5,-0.5", tags={"dataset": "train"}))
+    engine.define_view("train", 'dataset = "train"')
+    plan = {"plan_id": "p", "tasks": [
+        {"task_id": "p-train", "kind": "train", "input_dataset": "train",
+         "model": MODEL, "output_dataset": "p-train-out",
+         "params": {"emit": "hidden:r", "seed": 3}}]}
+    plan["tasks"] += [{"task_id": f"p-u{k}", "kind": "user_fn",
+                       "depends_on": ["p-train"], "output_dataset": f"p-u{k}-out",
+                       "params": {"fn": "emit"}} for k in range(2)]
+    engine.submit_plan(plan)
+    return plan
+
+
+def _spawn(harness, engine, suffix):
+    harness.spawn(run_agent, engine, f"agent-{suffix}", DEFAULT_HANDLERS,
+                  poll_interval=0.01, lease_ttl_ms=TTL)
+    harness.spawn(run_master, engine, f"master-{suffix}", interval=0.01,
+                  lease_ttl_ms=TTL)
+
+
+@pytest.mark.parametrize("point,hits", [
+    ("agent.before_complete", 1),  # the train task, after its version is saved
+    ("agent.before_complete", 2),  # the first user_fn task
+    ("master.before_apply", 1),
+    ("master.before_apply", 3),
+])
+def test_kill_then_restart_is_exactly_once(tmp_path, harness, point, hits):
+    clock = FakeClock()
+    engine = make_engine(tmp_path / "store", clock)
+    register_user_fn("emit", _emit)
+    plan = _setup_plan(engine)
+    faults.arm(point, hits)
+    _spawn(harness, engine, "1")
+    deadline = time.monotonic() + 30
+    while not harness.errors and time.monotonic() < deadline:
+        time.sleep(0.01)
+    harness.shutdown()
+    assert [type(e).__name__ for e in harness.errors] == ["KillPoint"]
+    assert not any(t.is_alive() for t in harness.threads)
+    engine.close()
+
+    clock.advance(TTL)  # the dead agent's and master's leases run out
+    engine = Forge(tmp_path / "store", clock=clock, fsync=False)
+    rerun = AgentHarness()
+    try:
+        _spawn(rerun, engine, "2")
+        status = wait_for_plan(engine, "p", timeout=30, poll=0.01)
+        rerun.shutdown()
+        assert rerun.errors == []
+        assert status["status"] == "completed"
+        assert len(engine.list_versions(MODEL)) == 1
+        for task in plan["tasks"]:
+            tid = task["task_id"]
+            want = SAMPLES if task["kind"] == "train" else FN_OUTPUTS
+            keys = [f"{tid}/{i:06d}" for i in range(want)]
+            assert engine.get_task(tid).output_keys == tuple(keys)
+            assert _visible(engine, task["output_dataset"]) == keys
+            if task["kind"] == "user_fn":
+                assert [engine.get_document(k).payload for k in keys] == [
+                    f"{tid}:{i}".encode() for i in range(FN_OUTPUTS)]
+    finally:
+        rerun.shutdown()
+        engine.close()
