@@ -64,7 +64,6 @@ class Trigger:
     task_id: str
     from_key: str
     upto_key: str
-    pending: list[str]
 
 
 def _json_doc(key: str, payload: dict) -> Document:
@@ -228,9 +227,9 @@ class DatasetManager:
                 return None
         upto = pending[-1]
         return Trigger(task_id=stream_task_id(ctl.view_key, ctl.watermark, upto),
-                       from_key=ctl.watermark, upto_key=upto, pending=pending)
+                       from_key=ctl.watermark, upto_key=upto)
 
-    def advance_ops(self, ctl: StreamController, trigger: Trigger) -> tuple[StreamController, PutOp]:
+    def advance_op(self, ctl: StreamController, trigger: Trigger) -> PutOp:
         """Controller replacement op advancing the watermark past a trigger."""
         advanced = replace(ctl, watermark=trigger.upto_key)
-        return advanced, PutOp(self.controller_doc(advanced), replace=True)
+        return PutOp(self.controller_doc(advanced), replace=True)

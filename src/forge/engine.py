@@ -150,7 +150,7 @@ class Forge:
             if trigger is None:
                 self.store.put_system(self.datasets.controller_doc(ctl), replace=True)
                 return None
-            advanced, ctl_op = self.datasets.advance_ops(ctl, trigger)
+            ctl_op = self.datasets.advance_op(ctl, trigger)
             params = {"from_key": trigger.from_key, "upto_key": trigger.upto_key}
             task, task_ops = self.workflow.stream_task_ops(
                 trigger.task_id, ctl.view_key, ctl.model_key, ctl.output_dataset, params)
@@ -173,10 +173,11 @@ class Forge:
         return self.models.list_models()
 
     def save_state(self, model_key: str, step: int, tensors: dict[str, np.ndarray],
-                   metrics: dict | None = None, parent_version: str | None = None):
+                   metrics: dict | None = None, parent_version: str | None = None, *,
+                   events: list[tuple[int, str, float]] = ()):
         with self._lock:
             return self.models.save_state(model_key, step, tensors, metrics,
-                                          parent_version)
+                                          parent_version, events=events)
 
     def load_state(self, model_key: str, selector: str = "latest"):
         return self.models.load_state(model_key, selector)

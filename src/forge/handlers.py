@@ -54,8 +54,8 @@ def _batches(xs: np.ndarray, ts: np.ndarray, batch_size: int):
 
 
 def train_handler(ctx: TaskContext) -> None:
-    """Built-in "train" kind: read the input slice, run SGD, save a version,
-    record loss events, and optionally emit per-sample output documents."""
+    """Built-in "train" kind: read the input slice, run SGD, save a version
+    with its loss events, and optionally emit per-sample output documents."""
     api = ctx.api
     task = ctx.task
     record = api.get_model(task.model_key)
@@ -87,11 +87,9 @@ def train_handler(ctx: TaskContext) -> None:
                                           loss, lr, epochs)
     kill_point("handler.before_save")
     metrics = {"loss": float(events[-1][2])} if events[-1][0] == "loss" else {}
-    version = api.save_state(task.model_key, state.step, nnet.state_tensors(state),
-                             metrics=metrics,
-                             parent_version=init_version if init_version else None)
-    for name, step, value in events:
-        api.record_event(task.model_key, step, name, value)
+    api.save_state(task.model_key, state.step, nnet.state_tensors(state),
+                   metrics=metrics, parent_version=init_version if init_version else None,
+                   events=[(step, name, value) for name, step, value in events])
 
     emit = str(ctx.param("emit", "none"))
     if emit != "none" and docs:

@@ -26,7 +26,7 @@ from forge.errors import (
 )
 from forge.nn import layers as nnlayers
 from forge.query import TagScalar
-from forge.store import BlobPointer, Document, Store
+from forge.store import BlobPointer, Document, PutOp, Store
 from forge.store.types import validate_tags
 from forge.tensorio import decode_tensors, encode_tensors
 
@@ -143,7 +143,11 @@ class ModelStore:
 
     def save_state(self, model_key: str, step: int, tensors: dict[str, np.ndarray],
                    metrics: dict[str, TagScalar] | None = None,
-                   parent_version: str | None = None) -> ModelVersion:
+                   parent_version: str | None = None, *,
+                   events: list[tuple[int, str, float]] = ()) -> ModelVersion:
+        """Save a version; ``events`` are (step, name, value) triples recorded
+        in the same log frame, and only when the version is new, so a
+        replayed save records them once."""
         record = self.get_model(model_key)
         if step < 0:
             raise InvalidArgument("step must be >= 0")
@@ -164,7 +168,8 @@ class ModelStore:
         for name, value in metrics.items():
             tags[_METRIC_TAG + name] = value
         doc = Document(key=key, payload=ptr, label=version_id, tags=tags)
-        self.store.put_system(doc)
+        self.store.apply_ops([PutOp(doc)] + [PutOp(self._event_doc(model_key, *event))
+                                             for event in events])
         return self._version_from_doc(model_key, doc)
 
     def _check_shapes(self, record: ModelRecord, tensors) -> None:
@@ -236,11 +241,14 @@ class ModelStore:
     def record_event(self, model_key: str, step: int, name: str, value: float) -> None:
         if not self.has_model(model_key):
             raise ModelNotFound(f"model {model_key!r} not registered")
+        self.store.put_system(self._event_doc(model_key, step, name, value))
+
+    def _event_doc(self, model_key: str, step: int, name: str, value: float) -> Document:
         seq = self._next_event_seq(model_key)
         payload = {"step": int(step), "name": name, "value": float(value),
                    "at": self.store.clock.now_ms()}
         key = f"{EVENT_PREFIX}{model_key}/{seq:012d}"
-        self.store.put_system(Document(key=key, payload=json.dumps(payload).encode()))
+        return Document(key=key, payload=json.dumps(payload).encode())
 
     def _next_event_seq(self, model_key: str) -> int:
         seq = self._event_seq.get(model_key)

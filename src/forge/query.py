@@ -14,12 +14,19 @@ and int vs float is deliberately a :class:`TypeMismatch` rather than a
 silent coercion. A predicate over a tag absent from a document's tag map is
 false for that document.
 
+:func:`evaluate` raises :class:`TypeMismatch` when a tag holds another
+variant than its predicate's literal. A store scan uses :func:`matches`
+instead, under which such a document simply does not match, so a scan
+returns the same keys with or without a tag index (an index only ever
+holds candidates of the literal's variant).
+
 ``parse(render(q)) == q`` holds for every valid query.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 from forge.errors import InvalidArgument, MixedVariantSet, QuerySyntaxError, TypeMismatch
@@ -38,6 +45,9 @@ OPERATORS = ("=", "!=", "<", "<=", ">", ">=")
 
 _IDENT_START = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
 _IDENT_CONT = _IDENT_START | set("0123456789_./:-")
+
+
+_TYPE_VARIANTS = {str: V_STRING, int: V_INT, float: V_FLOAT, bool: V_BOOL}
 
 
 def variant_of(value: TagScalar) -> int:
@@ -91,6 +101,7 @@ class Predicate:
     op: str
     value: TagScalar | None = None
     values: tuple[TagScalar, ...] | None = None
+    variant: int = field(init=False, repr=False)
 
     def _identity(self):
         if self.op == "IN":
@@ -122,10 +133,8 @@ class Predicate:
             check_tag_value(self.value)
         else:
             raise InvalidArgument(f"unknown operator: {self.op!r}")
-
-    @property
-    def variant(self) -> int:
-        return variant_of(self.values[0] if self.op == "IN" else self.value)
+        object.__setattr__(self, "variant",
+                           variant_of(self.values[0] if self.op == "IN" else self.value))
 
 
 @dataclass(frozen=True)
@@ -140,21 +149,21 @@ class TagQuery:
 MATCH_ALL = TagQuery()
 
 
+_COMPARE = {"=": operator.eq, "!=": operator.ne, "<": operator.lt, "<=": operator.le,
+            ">": operator.gt, ">=": operator.ge}
+
+
 def _holds(pred: Predicate, value: TagScalar) -> bool:
+    """The predicate over a value of its own variant."""
     if pred.op == "IN":
-        return any(value == v for v in pred.values)
-    ref = pred.value
-    if pred.op == "=":
-        return value == ref
-    if pred.op == "!=":
-        return value != ref
-    if pred.op == "<":
-        return value < ref
-    if pred.op == "<=":
-        return value <= ref
-    if pred.op == ">":
-        return value > ref
-    return value >= ref
+        return value in pred.values
+    return _COMPARE[pred.op](value, pred.value)
+
+
+def _variant(value: TagScalar) -> int:
+    """variant_of by exact type first; subclasses take the slow path."""
+    code = _TYPE_VARIANTS.get(type(value))
+    return variant_of(value) if code is None else code
 
 
 def evaluate(query: TagQuery, tags: dict[str, TagScalar]) -> bool:
@@ -171,7 +180,7 @@ def evaluate(query: TagQuery, tags: dict[str, TagScalar]) -> bool:
             result = False
             continue
         value = tags[pred.tag]
-        if variant_of(value) != pred.variant:
+        if _variant(value) != pred.variant:
             if mismatch is None:
                 mismatch = pred
             continue
@@ -183,6 +192,16 @@ def evaluate(query: TagQuery, tags: dict[str, TagScalar]) -> bool:
             f"value with {variant_name(mismatch.variant)} literal"
         )
     return result
+
+
+def matches(query: TagQuery, tags: dict[str, TagScalar]) -> bool:
+    """The scan rule: every predicate's tag is present, holds a value of the
+    literal's variant, and satisfies the predicate. Never raises."""
+    for pred in query.predicates:
+        value = tags.get(pred.tag)  # tag values are never None
+        if value is None or _variant(value) != pred.variant or not _holds(pred, value):
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------

@@ -19,15 +19,28 @@ Staged writes: a document put with a staging ``group`` stays invisible to
 readers until the group is committed (one op, usually inside the same batch
 that records the producing task's completion). That is the commit-marker
 mechanism making task outputs appear all-or-nothing.
+
+Read paths cost O(log n + keys visited). Every key ever put is in exactly
+one of two lists: ``_keys``, sorted, or ``_new_keys``, the keys put since the
+last read, in arrival order. A put appends to ``_new_keys``; the first read
+after it sorts that short run and merges it into ``_keys`` (``list.sort``
+merges the two sorted runs in linear time), so scans start at
+``bisect_right(keys, cursor.last_key)`` and prefix walks at
+``bisect_left(keys, prefix)``. Each index bucket keeps the same pair beside
+its key set, so a one-bucket ``=`` lookup hands its sorted keys to the scan
+without a copy. Compaction and replay start both lists empty and refill
+them once.
 """
 
 from __future__ import annotations
 
+import bisect
 import fcntl
 import os
 import struct
 import threading
 from dataclasses import dataclass
+from operator import itemgetter
 from pathlib import Path
 
 from forge.clock import Clock, SystemClock
@@ -40,7 +53,7 @@ from forge.errors import (
     ReservedKey,
     StoreLocked,
 )
-from forge.query import MATCH_ALL, TagQuery, evaluate, sort_key, variant_of
+from forge.query import TagQuery, matches, sort_key
 from forge.store import log as logio
 from forge.store import records
 from forge.store.blob import BlobStore
@@ -90,6 +103,15 @@ class _State:
         self.arrived_ms = arrived_ms
 
 
+def _merged(keys: list[str], new_keys: list[str]) -> list[str]:
+    """Merge a run of new keys into the sorted list, in place; returns it."""
+    if new_keys:
+        keys += new_keys
+        new_keys.clear()
+        keys.sort()
+    return keys
+
+
 class _Entry:
     """Version chain for one key: list of (seq, state-or-None) in seq order."""
 
@@ -102,14 +124,36 @@ class _Entry:
         return self.versions[-1]
 
     def at(self, snapshot_seq: int) -> _State | None:
-        for seq, state in reversed(self.versions):
-            if seq <= snapshot_seq:
-                return state
-        return None
+        versions = self.versions
+        seq, state = versions[-1]
+        if seq <= snapshot_seq:
+            return state
+        i = bisect.bisect_right(versions, snapshot_seq, key=itemgetter(0))
+        return versions[i - 1][1] if i else None
+
+
+class _Bucket:
+    """The keys indexed under one value: a set, plus the same keys as a
+    sorted list and a run of new ones (see the module docstring)."""
+
+    __slots__ = ("keys", "_sorted", "_new")
+
+    def __init__(self):
+        self.keys: set[str] = set()
+        self._sorted: list[str] = []
+        self._new: list[str] = []
+
+    def add(self, key: str) -> None:
+        if key not in self.keys:
+            self.keys.add(key)
+            self._new.append(key)
+
+    def sorted_keys(self) -> list[str]:
+        return _merged(self._sorted, self._new)
 
 
 class _Index:
-    """Secondary index for one tag: (variant, value) -> set of keys.
+    """Secondary index for one tag: (variant, value) -> bucket of keys.
 
     Entries are added when a document carrying the tag is written and only
     dropped at compaction; scans re-verify candidates, so stale entries can
@@ -119,7 +163,7 @@ class _Index:
     __slots__ = ("by_value", "_sorted", "_dirty")
 
     def __init__(self):
-        self.by_value: dict[tuple, set[str]] = {}
+        self.by_value: dict[tuple, _Bucket] = {}
         self._sorted: list[tuple] = []
         self._dirty = False
 
@@ -127,10 +171,9 @@ class _Index:
         vk = sort_key(value)
         bucket = self.by_value.get(vk)
         if bucket is None:
-            self.by_value[vk] = {key}
+            bucket = self.by_value[vk] = _Bucket()
             self._dirty = True
-        else:
-            bucket.add(key)
+        bucket.add(key)
 
     def sorted_values(self) -> list[tuple]:
         if self._dirty:
@@ -153,8 +196,8 @@ class Store:
         self._indexes: dict[str, _Index] = {}
         self._committed_groups: dict[str, int] = {}  # group -> commit seq
         self._next_seq = 1
-        self._sorted_keys: list[str] = []
-        self._keys_dirty = False
+        self._keys: list[str] = []
+        self._new_keys: list[str] = []
         self._closed = False
 
         manifest = self.path / "MANIFEST"
@@ -246,7 +289,7 @@ class Store:
             entry = self._entries.get(op.doc.key)
             if entry is None:
                 entry = self._entries[op.doc.key] = _Entry()
-                self._keys_dirty = True
+                self._new_keys.append(op.doc.key)
             entry.versions.append((op.seq, _State(op.doc, op.group, op.arrived_ms)))
             self._index_doc(op.doc)
         elif op.op == records.OP_DELETE:
@@ -283,6 +326,8 @@ class Store:
         if entry is None:
             return None
         state = entry.at(snapshot_seq)
+        if state is None or state.group is None:
+            return state
         return state if self._visible(state, snapshot_seq) else None
 
     def snapshot_seq(self) -> int:
@@ -393,19 +438,20 @@ class Store:
         with self._lock:
             return self._state_at(key, self._next_seq - 1) is not None
 
-    def _all_keys_sorted(self) -> list[str]:
-        if self._keys_dirty:
-            self._sorted_keys = sorted(self._entries)
-            self._keys_dirty = False
-        return self._sorted_keys
+    def _sorted_keys(self) -> list[str]:
+        return _merged(self._keys, self._new_keys)
 
     def keys_with_prefix(self, prefix: str) -> list[str]:
         """Visible keys under a prefix, ascending. System keys included."""
         with self._lock:
             snap = self._next_seq - 1
+            keys = self._sorted_keys()
             out = []
-            for key in self._all_keys_sorted():
-                if key.startswith(prefix) and self._state_at(key, snap) is not None:
+            for i in range(bisect.bisect_left(keys, prefix), len(keys)):
+                key = keys[i]
+                if not key.startswith(prefix):
+                    break
+                if self._state_at(key, snap) is not None:
                     out.append(key)
             return out
 
@@ -451,19 +497,22 @@ class Store:
             else:
                 snap = cursor.snapshot_seq
                 after = cursor.last_key
-            candidates = self._candidates(query, snap) if use_index else None
-            keys = candidates if candidates is not None else self._all_keys_sorted()
+            candidates = self._candidates(query) if use_index else None
+            keys = candidates if candidates is not None else self._sorted_keys()
 
             out: list[str] = []
             last = after
             exhausted = True
-            for key in keys:
-                if key <= after or key.startswith(SYSTEM_PREFIX):
+            match_all = query.is_match_all
+            state_at = self._state_at
+            for i in range(bisect.bisect_right(keys, after), len(keys)):
+                key = keys[i]
+                if key.startswith(SYSTEM_PREFIX):
                     continue
-                state = self._state_at(key, snap)
+                state = state_at(key, snap)
                 if state is None:
                     continue
-                if not query.is_match_all and not evaluate(query, state.doc.tags):
+                if not match_all and not matches(query, state.doc.tags):
                     continue
                 if limit is not None and len(out) >= limit:
                     exhausted = False
@@ -474,35 +523,38 @@ class Store:
                 return out, None
             return out, ScanCursor(snapshot_seq=snap, last_key=last)
 
-    def _candidates(self, query: TagQuery, snap: int) -> list[str] | None:
-        """Keys from the best covering index, sorted; None = no usable index."""
-        best: set[str] | None = None
+    def _candidates(self, query: TagQuery) -> list[str] | None:
+        """Keys from the best covering index, sorted; None = no usable index.
+
+        A one-bucket ``=`` lookup returns the bucket's own sorted list, which
+        the caller must not change."""
+        best: list[str] | set[str] | None = None
         for pred in query.predicates:
             index = self._indexes.get(pred.tag)
             if index is None or pred.op == "!=":
                 continue
             if pred.op == "=":
-                bucket = index.by_value.get(sort_key(pred.value), ())
-                found: set[str] = set(bucket)
+                bucket = index.by_value.get(sort_key(pred.value))
+                found = bucket.sorted_keys() if bucket is not None else []
             elif pred.op == "IN":
                 found = set()
                 for v in pred.values:
-                    found |= index.by_value.get(sort_key(v), set())
+                    bucket = index.by_value.get(sort_key(v))
+                    if bucket is not None:
+                        found |= bucket.keys
             else:
                 found = self._range_lookup(index, pred)
             if best is None or len(found) < len(best):
                 best = found
-            if best is not None and not best:
+            if not best:
                 break
-        if best is None:
-            return None
+        if best is None or isinstance(best, list):
+            return best
         return sorted(best)
 
     @staticmethod
     def _range_lookup(index: _Index, pred) -> set[str]:
-        import bisect
-
-        variant = variant_of(pred.value)
+        variant = pred.variant
         values = index.sorted_values()
         lo = bisect.bisect_left(values, (variant,))
         hi = bisect.bisect_left(values, (variant + 1,))
@@ -517,7 +569,7 @@ class Store:
             lo = max(lo, bisect.bisect_left(values, vk, lo, hi))
         found: set[str] = set()
         for i in range(lo, hi):
-            found |= index.by_value[values[i]]
+            found |= index.by_value[values[i]].keys
         return found
 
     # -- blobs ----------------------------------------------------------------
@@ -537,23 +589,25 @@ class Store:
         Drops tombstones and superseded versions, folds committed staging
         groups into plain documents, and garbage-collects unreferenced blob
         chunks. Open scan cursors from before the compaction stay valid
-        because surviving versions keep their sequence numbers.
+        because surviving versions keep their sequence numbers; a folded
+        staged document takes its group's commit seq.
         """
         with self._lock:
             self._log.close()
             number = logio.segment_number(logio.list_segments(self.path)[-1]) + 1
             tmp = self.path / f"segment-{number:06d}.log.tmp"
             live_blobs: set[str] = set()
-            snap = self._next_seq - 1
             with open(tmp, "wb") as f:
                 f.write(logio.frame(records.encode_snapshot_marker(self._next_seq)))
-                for key in sorted(self._entries):
-                    entry = self._entries[key]
-                    seq, state = entry.latest()
+                for key in self._sorted_keys():
+                    seq, state = self._entries[key].latest()
                     if state is None:
                         continue
                     group = state.group
                     if group is not None and group in self._committed_groups:
+                        # folded in at its commit's seq, so that snapshots
+                        # taken before the commit still do not see it
+                        seq = max(seq, self._committed_groups[group])
                         group = None
                     body = records.encode_doc_op(records.OP_PUT, seq, state.arrived_ms,
                                                  group, state.doc)
@@ -566,17 +620,15 @@ class Store:
             for path in logio.list_segments(self.path)[:-1]:
                 path.unlink()
             # rebuild in-memory state to shed history
-            kept_groups = {g: s for g, s in self._committed_groups.items()}
             self._entries = {}
+            # groups committed before compaction were folded in; uncommitted
+            # staged docs keep their group and still need a commit op later
             self._committed_groups = {}
-            self._keys_dirty = True
+            self._keys, self._new_keys = [], []
             next_seq = self._next_seq
             for name in list(self._indexes):
                 self._indexes[name] = _Index()
             self._replay()
             self._next_seq = max(self._next_seq, next_seq)
-            # groups committed before compaction were folded in; uncommitted
-            # staged docs keep their group and still need a commit op later
-            del kept_groups
             self.blobs.collect_garbage(live_blobs)
             self._log = logio.LogWriter(self.path, fsync=self.fsync)

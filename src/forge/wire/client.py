@@ -244,10 +244,11 @@ class ForgeClient:
         return head["models"]
 
     def save_state(self, model_key: str, step: int, tensors, metrics: dict | None = None,
-                   parent_version: str | None = None):
+                   parent_version: str | None = None, *, events=()):
         head, _ = self._call(P.OP_SAVE_STATE,
                              {"model_key": model_key, "step": step, "metrics": metrics,
-                              "parent_version": parent_version},
+                              "parent_version": parent_version,
+                              "events": list(events)},
                              encode_tensors(tensors))
         return P.version_from_dict(head)
 

@@ -286,7 +286,8 @@ def _h_save_state(s, head, tail):
 
     version = s.engine.save_state(head["model_key"], head["step"],
                                   decode_tensors(tail), head.get("metrics"),
-                                  head.get("parent_version"))
+                                  head.get("parent_version"),
+                                  events=head.get("events") or ())
     return P.version_to_dict(version), b""
 
 

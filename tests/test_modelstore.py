@@ -195,3 +195,11 @@ class TestEvents:
             now = len(api.query_events("mlp", step_range=(0, 20)))
             assert now == seen + 1
             seen = now
+
+    def test_events_ride_a_new_version_only(self, api):
+        api.register_model("mlp", MLP)
+        events = [(0, "seed", 3.0), (1, "loss", 0.25)]
+        first = api.save_state("mlp", 1, tensors_for(1), events=events)
+        again = api.save_state("mlp", 1, tensors_for(1), events=events)
+        assert again.version_id == first.version_id
+        assert [(e.step, e.name, e.value) for e in api.query_events("mlp")] == events

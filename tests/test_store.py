@@ -207,6 +207,18 @@ class TestIndexes:
             got = s.scan(parse("step >= 10 AND step < 20"))[0]
             assert got == [f"d{i:03d}" for i in range(10, 20)]
 
+    def test_other_variant_does_not_match_with_or_without_index(self, tmp_path):
+        with make_store(tmp_path / "s", create=True) as s:
+            s.create_index("n")
+            s.put(doc("k1", n=1))
+            s.put(doc("k2", n="one"))
+            s.put(doc("k3", n=2, m="x"))
+            for use_index in (True, False):
+                assert s.scan(parse("n = 1"), use_index=use_index) == (["k1"], None)
+                assert s.scan(parse("n > 0"), use_index=use_index) == (["k1", "k3"], None)
+                assert s.scan(parse("n = 2 AND m = 3"), use_index=use_index) == ([], None)
+                assert s.scan(parse('m = "x"'), use_index=use_index) == (["k3"], None)
+
     @given(st.data())
     @settings(max_examples=60, deadline=None)
     def test_index_scan_equals_linear_scan(self, tmp_path_factory, data):
@@ -464,6 +476,18 @@ class TestCompaction:
             assert s.exists("t/out")
         with make_store(path) as s:
             assert s.exists("t/out")
+
+    def test_compaction_keeps_a_later_commit_out_of_an_older_snapshot(self, tmp_path):
+        with make_store(tmp_path / "s", create=True) as s:
+            s.put(doc("a"))
+            s.put(doc("b"))
+            s.apply_ops([PutOp(doc("t/out"), group="t")])
+            page, cursor = s.scan(MATCH_ALL, limit=1)
+            s.apply_ops([CommitGroupOp("t")])
+            s.compact()
+            assert page + s.scan(MATCH_ALL, cursor)[0] == ["a", "b"]
+            assert s.scan(MATCH_ALL, ScanCursor(cursor.snapshot_seq, ""))[0] == ["a", "b"]
+            assert s.scan(MATCH_ALL)[0] == ["a", "b", "t/out"]
 
     def test_delete_then_compact_removes_key(self, tmp_path):
         with make_store(tmp_path / "s", create=True) as s:

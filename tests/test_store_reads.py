@@ -1,0 +1,237 @@
+"""Store reads: cost guards counted in keys touched (not in time), and a
+property test of paged scans and prefix walks against a brute-force oracle
+under interleaved puts, staged groups, system-key churn and compaction."""
+
+import random
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from forge.clock import FakeClock
+from forge.query import MATCH_ALL, parse
+from forge.store import CommitGroupOp, Document, PutOp, ScanCursor, Store
+from forge.store.store import _Entry
+
+from oracles import brute_force_scan
+
+
+def make_store(path):
+    return Store(path, create=True, clock=FakeClock(), fsync=False)
+
+
+# -- cost guards ------------------------------------------------------------------
+
+class _CountedKey(str):
+    """A document key that counts how often the store orders or prefix-tests
+    it, which is how many times a read touches it."""
+
+    touches = 0
+
+    def __lt__(self, other):
+        _CountedKey.touches += 1
+        return str.__lt__(self, other)
+
+    def __le__(self, other):
+        _CountedKey.touches += 1
+        return str.__le__(self, other)
+
+    def __gt__(self, other):
+        _CountedKey.touches += 1
+        return str.__gt__(self, other)
+
+    def __ge__(self, other):
+        _CountedKey.touches += 1
+        return str.__ge__(self, other)
+
+    def startswith(self, *args):
+        _CountedKey.touches += 1
+        return str.startswith(self, *args)
+
+
+@pytest.fixture
+def state_reads(monkeypatch):
+    """Counts the version-chain lookups reads make, one per key they check."""
+    calls = [0]
+    original = Store._state_at
+
+    def counted(self, key, snapshot_seq):
+        calls[0] += 1
+        return original(self, key, snapshot_seq)
+
+    monkeypatch.setattr(Store, "_state_at", counted)
+    return calls
+
+
+def _counted_store(path, keys, **tags):
+    s = make_store(path)
+    s.create_index("split")
+    for i, key in enumerate(keys):
+        s.put(Document(key=_CountedKey(key), payload=b"", tags={**tags, "w": i}))
+    s.keys_with_prefix("")  # the first read after the puts merges them in
+    return s
+
+
+@pytest.mark.parametrize("query,use_index", [('split = "train"', True),
+                                             ("w >= 0", False)])
+def test_full_paged_walk_touches_each_key_a_bounded_number_of_times(
+        tmp_path, state_reads, query, use_index):
+    n, page = 2000, 50
+    rng = random.Random(3)
+    keys = [f"d{rng.randrange(10**9):09d}" for _ in range(n)]
+    with _counted_store(tmp_path / "s", keys, split="train") as s:
+        s.scan(parse(query), limit=1, use_index=use_index)  # merges the index too
+        state_reads[0] = _CountedKey.touches = 0
+        walked, cursor = [], None
+        while True:
+            got, cursor = s.scan(parse(query), cursor, limit=page, use_index=use_index)
+            walked += got
+            if cursor is None:
+                break
+        assert walked == sorted(set(keys))
+        assert n <= state_reads[0] <= 3 * n
+        # a skip-walk from the first key on every page touches ~n * pages / 2
+        assert _CountedKey.touches <= 3 * n
+
+
+def test_prefix_walk_touches_only_its_range(tmp_path, state_reads):
+    keys = [f"a{i:05d}" for i in range(4997)] + ["m1", "m2", "m3"]
+    with _counted_store(tmp_path / "s", keys) as s:
+        state_reads[0] = _CountedKey.touches = 0
+        assert s.keys_with_prefix("m") == ["m1", "m2", "m3"]
+        assert state_reads[0] == 3
+        # two binary searches plus the three matches and the first non-match
+        assert _CountedKey.touches <= 4 + 2 * (len(keys) - 1).bit_length()
+
+
+def test_version_chain_reads_the_newest_version_at_the_snapshot():
+    entry = _Entry()
+    first, second = object(), object()
+    entry.versions += [(3, first), (5, None), (9, second)]
+    got = {snap: entry.at(snap) for snap in (2, 3, 4, 5, 8, 9, 100)}
+    assert got == {2: None, 3: first, 4: first, 5: None, 8: None, 9: second, 100: second}
+
+
+# -- property test against a brute-force oracle -------------------------------------
+
+QUERIES = [
+    "", "n = 1", "n > 0", "n IN {1, 2}", 'n = "one"', "n != 1", 'c = "a"',
+    'c < "b" AND n >= 1', "n = 2 AND m = 3", "f <= 1.5", "n = true",
+]
+TAG_VALUES = {"n": [0, 1, 2, "one", 1.5, True], "c": ["a", "b", 1], "m": [3, "x"],
+              "f": [0.5, 1.5, 2.5, 1]}
+
+
+class _Model:
+    """What the store must show: visible user docs, staged groups and the
+    visible system keys."""
+
+    def __init__(self):
+        self.visible: dict[str, dict] = {}
+        self.staged: dict[str, dict[str, dict]] = {}
+        self.system: set[str] = set()
+        self.used: set[str] = set()
+
+    def scan(self, query_text):
+        preds = [(p.tag, p.op, p.values if p.op == "IN" else p.value)
+                 for p in parse(query_text).predicates]
+        return brute_force_scan(self.visible, preds)
+
+    def with_prefix(self, prefix):
+        return sorted(k for k in set(self.visible) | self.system if k.startswith(prefix))
+
+
+def _tags(rng):
+    return {tag: rng.choice(values) for tag, values in TAG_VALUES.items()
+            if rng.random() < 0.7}
+
+
+def _key(rng, model):
+    while True:
+        key = f"k{rng.randrange(400):03d}"
+        if key not in model.used:
+            model.used.add(key)
+            return key
+
+
+@given(st.integers(0, 2**32), st.sampled_from([(), ("n",), ("n", "c"), ("c", "f")]))
+@settings(max_examples=60, deadline=None)
+def test_paged_scans_match_the_oracle_under_interleaved_writes(tmp_path_factory, seed,
+                                                               indexes):
+    rng = random.Random(seed)
+    model = _Model()
+    walks = []  # [query, limit, snapshot, cursor, pages so far, expected]
+    path = tmp_path_factory.mktemp("reads") / "s"
+    with make_store(path) as s:
+        for name in indexes:
+            s.create_index(name)
+        for step in range(rng.randrange(20, 120)):
+            action = rng.random()
+            if action < 0.35:
+                key, tags = _key(rng, model), _tags(rng)
+                s.put(Document(key=key, payload=b"", tags=tags))
+                model.visible[key] = tags
+            elif action < 0.45:
+                group = f"g{step}"
+                docs = {_key(rng, model): _tags(rng) for _ in range(rng.randrange(1, 4))}
+                s.apply_ops([PutOp(Document(key=k, payload=b"", tags=t), group=group)
+                             for k, t in docs.items()])
+                model.staged[group] = docs
+            elif action < 0.5 and model.staged:
+                group = rng.choice(sorted(model.staged))
+                s.apply_ops([CommitGroupOp(group)])
+                model.visible.update(model.staged.pop(group))
+            elif action < 0.54 and any(model.staged.values()):
+                # a rerun stages a key again under its own group, often the same doc
+                old = rng.choice(sorted(g for g, docs in model.staged.items() if docs))
+                key = rng.choice(sorted(model.staged[old]))
+                tags = model.staged[old].pop(key)
+                if rng.random() < 0.5:
+                    tags = _tags(rng)
+                s.apply_ops([PutOp(Document(key=key, payload=b"", tags=tags),
+                                   replace=True, group=f"g{step}")])
+                model.staged[f"g{step}"] = {key: tags}
+            elif action < 0.6:
+                key = f"__sys/p/{rng.randrange(6)}"
+                s.put_system(Document(key=key, payload=b"v"), replace=True)
+                model.system.add(key)
+            elif action < 0.64 and model.system:
+                key = rng.choice(sorted(model.system))
+                s.delete_system(key)
+                model.system.discard(key)
+            elif action < 0.68:
+                s.compact()
+            elif action < 0.76:
+                query = rng.choice(QUERIES)
+                expected = model.scan(query)
+                full, more = s.scan(parse(query))
+                assert more is None
+                assert full == expected
+                assert s.scan(parse(query), use_index=False) == (expected, None)
+                walks.append([query, rng.randrange(1, 5), s.snapshot_seq(), None, [],
+                              expected])
+            elif action < 0.82:
+                prefix = rng.choice(["", "k", "k1", "k05", "__sys/", "__sys/p/3", "z"])
+                assert s.keys_with_prefix(prefix) == model.with_prefix(prefix)
+            # advance every open walk by one page
+            for walk in walks:
+                query, limit, snap, cursor, pages, expected = walk
+                if cursor is False:
+                    continue
+                page, cursor = s.scan(parse(query), cursor or ScanCursor(snap, ""),
+                                      limit=limit, use_index=rng.random() < 0.5)
+                assert len(page) <= limit
+                pages += page
+                walk[3] = False if cursor is None else cursor
+        for query, limit, snap, cursor, pages, expected in walks:
+            while cursor is not False:
+                page, cursor = s.scan(parse(query), cursor or ScanCursor(snap, ""),
+                                      limit=limit)
+                pages += page
+                cursor = False if cursor is None else cursor
+            assert pages == expected
+            for use_index in (True, False):
+                assert s.scan(parse(query), ScanCursor(snap, ""),
+                              use_index=use_index) == (expected, None)
+        assert s.scan(MATCH_ALL)[0] == sorted(model.visible)
+

@@ -378,13 +378,8 @@ def _spawn(harness, engine, suffix):
                   lease_ttl_ms=TTL)
 
 
-@pytest.mark.parametrize("point,hits", [
-    ("agent.before_complete", 1),  # the train task, after its version is saved
-    ("agent.before_complete", 2),  # the first user_fn task
-    ("master.before_apply", 1),
-    ("master.before_apply", 3),
-])
-def test_kill_then_restart_is_exactly_once(tmp_path, harness, point, hits):
+def _kill(tmp_path, harness, point, hits) -> tuple[dict, FakeClock]:
+    """Run the plan until the kill point fires, then close the engine."""
     clock = FakeClock()
     engine = make_engine(tmp_path / "store", clock)
     register_user_fn("emit", _emit)
@@ -398,8 +393,18 @@ def test_kill_then_restart_is_exactly_once(tmp_path, harness, point, hits):
     assert [type(e).__name__ for e in harness.errors] == ["KillPoint"]
     assert not any(t.is_alive() for t in harness.threads)
     engine.close()
-
     clock.advance(TTL)  # the dead agent's and master's leases run out
+    return plan, clock
+
+
+@pytest.mark.parametrize("point,hits", [
+    ("agent.before_complete", 1),  # the train task, after its version is saved
+    ("agent.before_complete", 2),  # the first user_fn task
+    ("master.before_apply", 1),
+    ("master.before_apply", 3),
+])
+def test_kill_then_restart_is_exactly_once(tmp_path, harness, point, hits):
+    plan, clock = _kill(tmp_path, harness, point, hits)
     engine = Forge(tmp_path / "store", clock=clock, fsync=False)
     rerun = AgentHarness()
     try:
@@ -418,6 +423,24 @@ def test_kill_then_restart_is_exactly_once(tmp_path, harness, point, hits):
             if task["kind"] == "user_fn":
                 assert [engine.get_document(k).payload for k in keys] == [
                     f"{tid}:{i}".encode() for i in range(FN_OUTPUTS)]
+    finally:
+        rerun.shutdown()
+        engine.close()
+
+
+def test_train_events_are_recorded_once_across_a_kill(tmp_path, harness):
+    """The first attempt saves its version and dies before completing; the
+    rerun finds the version saved and must not record the events again."""
+    _, clock = _kill(tmp_path, harness, "agent.before_complete", 1)
+    engine = Forge(tmp_path / "store", clock=clock, fsync=False)
+    rerun = AgentHarness()
+    try:
+        _spawn(rerun, engine, "2")
+        assert wait_for_plan(engine, "p", timeout=30, poll=0.01)["status"] == "completed"
+        rerun.shutdown()
+        assert rerun.errors == []
+        events = [(e.name, e.step) for e in engine.query_events(MODEL)]
+        assert events == [("seed", 0), ("loss", 1)]
     finally:
         rerun.shutdown()
         engine.close()
