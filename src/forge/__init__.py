@@ -2,7 +2,7 @@
 
 One writable engine process owns a store directory; agents, the master, and
 the CLI reach it either in-process (`forge.engine.Forge`) or over TCP
-(`forge.wire`). See README.md for the tour.
+(`forge.wire`).
 """
 
 __version__ = "0.1.0"

@@ -20,15 +20,16 @@ from forge import __version__
 from forge.errors import ForgeError, QuerySyntaxError
 from forge.store import Document
 from forge.wire import DEFAULT_PORT, ForgeClient
+from forge.wire.protocol import parse_address
 
 
 def _parse_addr(addr: str | None) -> tuple[str | None, int | None]:
     if not addr:
         return None, None
-    host, _, port = addr.rpartition(":")
-    if not port.isdigit():
-        raise click.UsageError(f"--addr must be host:port, got {addr!r}")
-    return host or "127.0.0.1", int(port)
+    try:
+        return parse_address(addr)
+    except ValueError as exc:
+        raise click.UsageError(f"--addr: {exc}") from exc
 
 
 def _client(ctx: click.Context) -> ForgeClient:
@@ -87,11 +88,11 @@ def serve(path, bind, fsync):
     from forge.engine import Forge
     from forge.wire import ForgeServer
 
-    host, _, port = bind.rpartition(":")
+    host, port = _parse_addr(bind)
 
     def go():
         engine = Forge(path, fsync=fsync)
-        server = ForgeServer(engine, host or "127.0.0.1", int(port))
+        server = ForgeServer(engine, host, port)
         click.echo(f"serving {path} on {server.address[0]}:{server.address[1]}")
         stop = threading.Event()
         signal.signal(signal.SIGINT, lambda *a: stop.set())

@@ -6,8 +6,12 @@ serializing mutations, so composite operations (a stream trigger advancing
 its watermark and enqueueing a task, a completion committing its outputs
 with its task record) are atomic both in memory and on disk.
 
-The wire server hosts a ``Forge``; ``forge.wire.client.ForgeClient`` mirrors
-this surface method-for-method so callers cannot tell the transports apart.
+The wire server hosts a ``Forge``. Each row of the op table in
+``forge.wire.protocol`` names one of these methods: the server calls it with
+the request's arguments by name, and ``forge.wire.client.ForgeClient``'s
+method of the same name is built from its signature, so both transports take
+the same arguments and callers cannot tell them apart. ``compact`` and
+``model_cache_stats`` stay local.
 """
 
 from __future__ import annotations

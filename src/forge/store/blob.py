@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import errno
 import os
+import re
 import zlib
 from pathlib import Path
 
@@ -27,6 +28,9 @@ from forge.store.types import (
     ceil_div,
     checksum_of,
 )
+
+
+_BLOB_ID = re.compile(r"[0-9a-f]{32}")  # the form blob_id_for gives
 
 
 def compress_chunk(raw: bytes, codec_id: int) -> bytes:
@@ -59,6 +63,10 @@ class BlobStore:
         root.mkdir(parents=True, exist_ok=True)
 
     def _chunk_path(self, blob_id: str, index: int) -> Path:
+        # ids and indexes can come off the wire: never let them name a path
+        if not (type(blob_id) is str and _BLOB_ID.fullmatch(blob_id)
+                and type(index) is int and index >= 0):
+            raise InvalidArgument(f"no blob chunk {blob_id!r}.{index!r}")
         return self.root / f"{blob_id}.{index}"
 
     def put(self, data: bytes, chunk_size: int, codec_id: int) -> BlobPointer:

@@ -1,7 +1,7 @@
-"""Frame format, opcode table, and payload codecs for the TCP service.
+"""Frame format, op table and value codec of the TCP service.
 
-See PROTOCOL.md at the repository root for the normative byte-level
-description. Summary: every message is
+This docstring and the ``OPS`` table below are the byte-level description
+of the protocol. Every message is
 
     u32 payload-length (LE) | u64 request-id (LE) | u8 opcode-or-status | payload
 
@@ -11,21 +11,37 @@ A payload is a JSON "head" plus an optional binary tail:
 
     u32 json-length (LE) | UTF-8 JSON | tail bytes
 
-Bulk data (documents, tensor containers, blob chunks) rides in the tail;
-blob chunks cross the wire in their stored, compressed form.
+Each row of ``OPS`` names the ``Forge`` method its opcode calls. A request
+head maps that method's parameter names to arguments; a parameter with a
+default may be left out, and a head that names an unknown parameter or
+leaves out a required one is answered with ``invalid_argument``. An ok
+response head is ``{"result": value}``. Heads are plain JSON, except that
+tuples, bytes, queries and the wire's dataclasses travel as objects tagged
+with a ``"$type"`` key (``to_wire``). At most one value per op rides in the
+tail instead of the head: a document, a document list (each one prefixed by
+its u32 length) or a tensor container. An error head is ``{"code",
+"message", "data"}``.
+
+Blob chunks cross the wire in their stored, compressed form, through four
+transfer ops (``BLOB_*``) that are not engine methods.
 """
 
 from __future__ import annotations
 
+import inspect
 import json
 import struct
+from dataclasses import dataclass, field
 
 from forge.dataset import BatchCursor, DatasetView, StreamController
-from forge.errors import FrameTooLarge, ProtocolError
+from forge.engine import Forge
+from forge.errors import ForgeError, FrameTooLarge, InvalidArgument, ProtocolError
 from forge.models import ModelEvent, ModelRecord, ModelVersion
+from forge.query import TagQuery, parse, render
 from forge.store import BlobPointer, Document, ScanCursor
-from forge.store.records import decode_document_at, encode_document
+from forge.store.records import decode_document, decode_document_at, encode_document
 from forge.store.types import MAX_PAYLOAD
+from forge.tensorio import decode_tensors, encode_tensors
 from forge.workflow import Task
 
 HEADER = struct.Struct("<IQB")
@@ -35,61 +51,128 @@ STATUS_OK = 0
 STATUS_ERROR = 1
 STATUS_PROTOCOL_ERROR = 2
 
-# opcode table
-OP_INFO = 0x01
-OP_PUT_DOCUMENT = 0x02
-OP_GET_DOCUMENT = 0x03
-OP_CREATE_INDEX = 0x04
-OP_SCAN = 0x05
-OP_BLOB_PUT_BEGIN = 0x07
-OP_BLOB_PUT_CHUNK = 0x08
-OP_BLOB_PUT_COMMIT = 0x09
-OP_BLOB_GET_CHUNK = 0x0A
-OP_DEFINE_VIEW = 0x10
-OP_GET_VIEW = 0x11
-OP_LIST_VIEWS = 0x12
-OP_OPEN_CURSOR = 0x13
-OP_READ_BATCH = 0x14
-OP_VIEW_SLICE = 0x15
-OP_ATTACH_STREAM = 0x16
-OP_POLL_STREAM = 0x17
-OP_REGISTER_MODEL = 0x20
-OP_GET_MODEL = 0x21
-OP_LIST_MODELS = 0x22
-OP_SAVE_STATE = 0x23
-OP_LOAD_STATE = 0x24
-OP_LIST_VERSIONS = 0x25
-OP_GET_VERSION = 0x26
-OP_RECORD_EVENT = 0x27
-OP_QUERY_EVENTS = 0x28
-OP_SUBMIT_TASK = 0x30
-OP_GET_TASK = 0x31
-OP_LIST_TASKS = 0x32
-OP_LEASE_TASK = 0x33
-OP_HEARTBEAT = 0x34
-OP_WRITE_OUTPUT = 0x35
-OP_COMPLETE_TASK = 0x36
-OP_SUBMIT_PLAN = 0x37
-OP_PLAN_STATUS = 0x38
-OP_MASTER_STEP = 0x39
-OP_REPLAY_TASK = 0x3A
+DEFAULT_HOST = "127.0.0.1"
+DEFAULT_PORT = 7114
 
-# requests safe to retry transparently after a lost connection (pure reads)
-IDEMPOTENT_OPS = frozenset({
-    OP_INFO, OP_GET_DOCUMENT, OP_SCAN, OP_BLOB_GET_CHUNK, OP_GET_VIEW,
-    OP_LIST_VIEWS, OP_GET_MODEL, OP_LIST_MODELS, OP_LOAD_STATE,
-    OP_LIST_VERSIONS, OP_GET_VERSION, OP_QUERY_EVENTS, OP_GET_TASK,
-    OP_LIST_TASKS, OP_PLAN_STATUS,
-})
 
+def parse_address(addr: str) -> tuple[str, int]:
+    """``host:port`` as a (host, port) pair; an empty host means 127.0.0.1."""
+    host, _, port = addr.rpartition(":")
+    if not (port.isascii() and port.isdigit() and int(port) <= 0xFFFF):
+        raise ValueError(f"address must be host:port, got {addr!r}")
+    return host or DEFAULT_HOST, int(port)
+
+
+# --- the op table ------------------------------------------------------------------
+
+# tail slots for a result: the whole result, or the first item of a tuple result
+RESULT = "result"
+RESULT_FIRST = "result[0]"
+
+
+@dataclass
+class Op:
+    """One request type: ``code`` calls the ``Forge`` method ``name``, and the
+    ``ForgeClient`` method of the same name sends it."""
+
+    code: int
+    name: str
+    idempotent: bool = False  # a pure read, resent after a lost connection
+    tail: str | None = None  # what rides in the tail: a parameter, RESULT or RESULT_FIRST
+    codec: str | None = None  # its form there: "doc", "docs" or "tensors"
+    # from the method's signature, read once here
+    positional: tuple[str, ...] = field(init=False, repr=False)
+    names: frozenset[str] = field(init=False, repr=False)
+    required: frozenset[str] = field(init=False, repr=False)
+    tail_param: str | None = field(init=False, repr=False)
+
+    def __post_init__(self):
+        sig = inspect.signature(getattr(Forge, self.name))
+        params = list(sig.parameters.values())[1:]  # after self
+        self.positional = tuple(p.name for p in params if p.kind is p.POSITIONAL_OR_KEYWORD)
+        self.names = frozenset(p.name for p in params)
+        self.required = frozenset(p.name for p in params if p.default is p.empty)
+        self.tail_param = self.tail if self.tail in self.names else None
+
+
+def argument_error(name: str, given, names, required) -> str | None:
+    """What is wrong with passing the argument names ``given`` to ``name``,
+    which takes ``names`` and needs ``required``; None when nothing is."""
+    if given <= names and required <= given:
+        return None
+    problems = []
+    if unknown := sorted(given - names):
+        problems.append(f"unexpected arguments {', '.join(unknown)}")
+    if missing := sorted(required - given):
+        problems.append(f"missing required arguments {', '.join(missing)}")
+    return f"{name}(): {'; '.join(problems)}"
+
+
+OPS = (
+    Op(0x01, "info", idempotent=True),
+    Op(0x02, "put_document", tail="doc", codec="doc"),
+    Op(0x03, "get_document", idempotent=True, tail=RESULT, codec="doc"),
+    Op(0x04, "create_index"),
+    Op(0x05, "scan", idempotent=True),
+    Op(0x10, "define_view"),
+    Op(0x11, "get_view", idempotent=True),
+    Op(0x12, "list_views", idempotent=True),
+    Op(0x13, "open_cursor"),
+    Op(0x14, "read_batch", tail=RESULT_FIRST, codec="docs"),
+    Op(0x15, "view_slice", tail=RESULT, codec="docs"),
+    Op(0x16, "attach_stream"),
+    Op(0x17, "poll_stream"),
+    Op(0x20, "register_model"),
+    Op(0x21, "get_model", idempotent=True),
+    Op(0x22, "list_models", idempotent=True),
+    Op(0x23, "save_state", tail="tensors", codec="tensors"),
+    Op(0x24, "load_state", idempotent=True, tail=RESULT, codec="tensors"),
+    Op(0x25, "list_versions", idempotent=True),
+    Op(0x26, "get_version", idempotent=True),
+    Op(0x27, "record_event"),
+    Op(0x28, "query_events", idempotent=True),
+    Op(0x30, "submit_task"),
+    Op(0x31, "get_task", idempotent=True),
+    Op(0x32, "list_tasks", idempotent=True),
+    Op(0x33, "lease_task"),
+    Op(0x34, "heartbeat"),
+    Op(0x35, "write_outputs", tail="outputs", codec="docs"),
+    Op(0x36, "complete_task", tail="outputs", codec="docs"),
+    Op(0x37, "submit_plan"),
+    Op(0x38, "plan_status", idempotent=True),
+    Op(0x39, "master_step"),
+    Op(0x3A, "replay_task"),
+)
+
+# chunked blob transfer, driven by the client's put_blob and get_blob
+BLOB_PUT_BEGIN = 0x07
+BLOB_PUT_CHUNK = 0x08
+BLOB_PUT_COMMIT = 0x09
+BLOB_GET_CHUNK = 0x0A
+
+IDEMPOTENT = frozenset({op.code for op in OPS if op.idempotent} | {BLOB_GET_CHUNK})
+
+
+# --- frames ------------------------------------------------------------------------
 
 def pack_message(request_id: int, code: int, head: dict, tail: bytes = b"") -> bytes:
-    raw_head = json.dumps(head, sort_keys=True).encode("utf-8")
+    raw_head = _ENCODER.encode(to_wire(head)).encode("utf-8")
     payload_len = 4 + len(raw_head) + len(tail)
     if payload_len > MAX_PAYLOAD:
         raise FrameTooLarge(f"payload of {payload_len} bytes exceeds {MAX_PAYLOAD}")
     return (HEADER.pack(payload_len, request_id, code)
             + struct.pack("<I", len(raw_head)) + raw_head + tail)
+
+
+def recv_exact(sock, n: int) -> bytes:
+    """Exactly ``n`` bytes from the socket; EOFError when the peer closes first."""
+    buf = bytearray()
+    while len(buf) < n:
+        chunk = sock.recv(n - len(buf))
+        if not chunk:
+            raise EOFError("connection closed by peer")
+        buf.extend(chunk)
+    return bytes(buf)
 
 
 def split_payload(payload: bytes) -> tuple[dict, bytes]:
@@ -99,15 +182,17 @@ def split_payload(payload: bytes) -> tuple[dict, bytes]:
     if 4 + head_len > len(payload):
         raise ProtocolError("JSON head overruns payload")
     try:
-        head = json.loads(payload[4:4 + head_len].decode("utf-8"))
+        head = _DECODER.decode(payload[4:4 + head_len].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ProtocolError(f"malformed JSON head: {exc}") from exc
+    except (LookupError, TypeError, ValueError, AttributeError, ForgeError) as exc:
+        raise InvalidArgument(f"malformed tagged value in head: {exc!r}") from exc
     if not isinstance(head, dict):
         raise ProtocolError("JSON head must be an object")
     return head, payload[4 + head_len:]
 
 
-# --- document lists in tails ---------------------------------------------------
+# --- tails -------------------------------------------------------------------------
 
 def pack_documents(docs: list[Document]) -> bytes:
     parts = []
@@ -118,10 +203,10 @@ def pack_documents(docs: list[Document]) -> bytes:
     return b"".join(parts)
 
 
-def unpack_documents(tail: bytes, count: int) -> list[Document]:
+def unpack_documents(tail: bytes) -> list[Document]:
     docs = []
     off = 0
-    for _ in range(count):
+    while off < len(tail):
         (length,) = struct.unpack_from("<I", tail, off)
         off += 4
         doc, _ = decode_document_at(tail[off:off + length], 0)
@@ -130,113 +215,60 @@ def unpack_documents(tail: bytes, count: int) -> list[Document]:
     return docs
 
 
-# --- dataclass <-> JSON dict codecs ---------------------------------------------
-
-def pointer_to_dict(ptr: BlobPointer) -> dict:
-    return {
-        "blob_id": ptr.blob_id,
-        "total_size": ptr.total_size,
-        "chunk_count": ptr.chunk_count,
-        "chunk_size": ptr.chunk_size,
-        "codec_id": ptr.codec_id,
-        "checksum": ptr.checksum.hex(),
-    }
+PACK = {"doc": encode_document, "docs": pack_documents, "tensors": encode_tensors}
+UNPACK = {"doc": decode_document, "docs": unpack_documents, "tensors": decode_tensors}
 
 
-def pointer_from_dict(d: dict) -> BlobPointer:
-    return BlobPointer(
-        blob_id=d["blob_id"],
-        total_size=d["total_size"],
-        chunk_count=d["chunk_count"],
-        chunk_size=d["chunk_size"],
-        codec_id=d["codec_id"],
-        checksum=bytes.fromhex(d["checksum"]),
-    )
+# --- head values -------------------------------------------------------------------
+
+TYPE_KEY = "$type"
+_PLAIN = frozenset({str, int, float, bool, type(None)})
+_BY_NAME = {cls.__name__: cls for cls in (
+    BlobPointer, ScanCursor, BatchCursor, DatasetView, StreamController,
+    ModelRecord, ModelVersion, ModelEvent, Task)}
+_NAME = {cls: name for name, cls in _BY_NAME.items()}
 
 
-def cursor_to_dict(cursor: ScanCursor | None) -> list | None:
-    return None if cursor is None else [cursor.snapshot_seq, cursor.last_key]
+def to_wire(value):
+    """The JSON form of a head value, which ``split_payload`` turns back into
+    the value. A dict with a ``"$type"`` key of its own travels as a list of
+    pairs, so no user dict is misread."""
+    kind = type(value)
+    if kind is dict:
+        out = {k: v if type(v) in _PLAIN else to_wire(v) for k, v in value.items()}
+        return {TYPE_KEY: "dict", "items": list(out.items())} if TYPE_KEY in out else out
+    if kind is list:
+        return [v if type(v) in _PLAIN else to_wire(v) for v in value]
+    if kind is tuple:
+        return {TYPE_KEY: "tuple", "items": to_wire(list(value))}
+    if kind is bytes:
+        return {TYPE_KEY: "bytes", "hex": value.hex()}
+    if kind is TagQuery:
+        return {TYPE_KEY: "TagQuery", "text": render(value)}
+    name = _NAME.get(kind)
+    if name is None:
+        return value  # left to json, which takes numeric subclasses and refuses the rest
+    out = to_wire(value.__dict__)  # a dataclass's fields
+    out[TYPE_KEY] = name
+    return out
 
 
-def cursor_from_dict(value) -> ScanCursor | None:
-    return None if value is None else ScanCursor(snapshot_seq=value[0], last_key=value[1])
+def _from_tagged(obj: dict):
+    """``json.loads`` hook: the value a tagged object stands for. Inner
+    objects come first, so a tagged object's fields are decoded already."""
+    tag = obj.pop(TYPE_KEY, None)
+    if tag is None:
+        return obj
+    if tag == "dict":
+        return dict(obj["items"])
+    if tag == "tuple":
+        return tuple(obj["items"])
+    if tag == "bytes":
+        return bytes.fromhex(obj["hex"])
+    if tag == "TagQuery":
+        return parse(obj["text"])
+    return _BY_NAME[tag](**obj)
 
 
-def view_to_dict(view: DatasetView) -> dict:
-    from forge.query import render
-
-    return {"view_key": view.view_key, "query": render(view.query),
-            "created_at": view.created_at}
-
-
-def view_from_dict(d: dict) -> DatasetView:
-    from forge.query import parse
-
-    return DatasetView(view_key=d["view_key"], query=parse(d["query"]),
-                       created_at=d["created_at"])
-
-
-def batch_cursor_to_dict(cursor: BatchCursor) -> dict:
-    return {"view_key": cursor.view_key, "cursor_id": cursor.cursor_id,
-            "position": cursor.position, "batch_size": cursor.batch_size}
-
-
-def batch_cursor_from_dict(d: dict) -> BatchCursor:
-    return BatchCursor(**d)
-
-
-def controller_to_dict(ctl: StreamController) -> dict:
-    return {
-        "view_key": ctl.view_key, "threshold": ctl.threshold,
-        "max_age_ms": ctl.max_age_ms, "model_key": ctl.model_key,
-        "output_dataset": ctl.output_dataset, "watermark": ctl.watermark,
-        "lease_holder": ctl.lease_holder, "lease_until": ctl.lease_until,
-    }
-
-
-def controller_from_dict(d: dict) -> StreamController:
-    return StreamController(**d)
-
-
-def record_to_dict(record: ModelRecord) -> dict:
-    return {"model_key": record.model_key, "spec": record.spec,
-            "created_at": record.created_at}
-
-
-def record_from_dict(d: dict) -> ModelRecord:
-    return ModelRecord(model_key=d["model_key"], spec=d["spec"],
-                       created_at=d["created_at"])
-
-
-def version_to_dict(version: ModelVersion) -> dict:
-    return {
-        "model_key": version.model_key, "version_id": version.version_id,
-        "step": version.step, "state": pointer_to_dict(version.state),
-        "metrics": version.metrics, "parent_version": version.parent_version,
-        "created_at": version.created_at,
-    }
-
-
-def version_from_dict(d: dict) -> ModelVersion:
-    return ModelVersion(
-        model_key=d["model_key"], version_id=d["version_id"], step=d["step"],
-        state=pointer_from_dict(d["state"]), metrics=d["metrics"],
-        parent_version=d["parent_version"], created_at=d["created_at"],
-    )
-
-
-def event_to_dict(event: ModelEvent) -> dict:
-    return {"model_key": event.model_key, "step": event.step, "name": event.name,
-            "value": event.value, "at": event.at}
-
-
-def event_from_dict(d: dict) -> ModelEvent:
-    return ModelEvent(**d)
-
-
-def task_to_dict(task: Task | None) -> dict | None:
-    return None if task is None else task.to_dict()
-
-
-def task_from_dict(d: dict | None) -> Task | None:
-    return None if d is None else Task.from_dict(d)
+_ENCODER = json.JSONEncoder(sort_keys=True)
+_DECODER = json.JSONDecoder(object_hook=_from_tagged)

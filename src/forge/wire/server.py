@@ -2,8 +2,12 @@
 
 Connections are handled on threads; every request executes atomically
 against the engine (its lock serializes mutations) and is durable before the
-ok response goes out. A malformed frame earns a protocol-error response and
-the connection is closed; an unknown opcode earns an error response but the
+ok response goes out. Dispatch is built from the op table in
+``forge.wire.protocol``: each opcode calls the engine method its row names,
+with the head's arguments by name. A malformed frame earns a protocol-error
+response and the connection is closed; an unknown opcode, or a head that
+names an unknown argument, lacks a required one or holds a malformed one,
+earns an error response (``invalid_argument`` for argument names) and the
 connection survives. Random garbage on the socket can kill its own
 connection, never the server or the store.
 """
@@ -12,16 +16,15 @@ from __future__ import annotations
 
 import logging
 import socket
+import struct
 import threading
 import uuid
 
 from forge.engine import Forge
-from forge.errors import ForgeError, NotFound, ProtocolError
+from forge.errors import CorruptStore, ForgeError, InvalidArgument, NotFound, ProtocolError
 from forge.wire import protocol as P
 
 log = logging.getLogger("forge.wire")
-
-DEFAULT_PORT = 7114
 
 
 class _Uploads:
@@ -54,7 +57,7 @@ class _Uploads:
 
 
 class ForgeServer:
-    def __init__(self, engine: Forge, host: str = "127.0.0.1", port: int = DEFAULT_PORT):
+    def __init__(self, engine: Forge, host: str = P.DEFAULT_HOST, port: int = P.DEFAULT_PORT):
         self.engine = engine
         self._uploads = _Uploads()
         self._sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
@@ -68,9 +71,6 @@ class ForgeServer:
     def start(self) -> None:
         self._accept_thread = threading.Thread(target=self._accept_loop, daemon=True)
         self._accept_thread.start()
-
-    def serve_forever(self) -> None:
-        self._accept_loop()
 
     def stop(self) -> None:
         self._stop.set()
@@ -94,18 +94,14 @@ class ForgeServer:
         conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         try:
             while True:
-                header = self._read_exact(conn, P.HEADER_SIZE)
-                if header is None:
-                    return
-                length, request_id, opcode = P.HEADER.unpack(header)
+                length, request_id, opcode = P.HEADER.unpack(
+                    P.recv_exact(conn, P.HEADER_SIZE))
                 if length > P.MAX_PAYLOAD:
                     self._send(conn, request_id, P.STATUS_PROTOCOL_ERROR,
                                {"code": "frame_too_large",
                                 "message": f"frame payload {length} exceeds {P.MAX_PAYLOAD}"})
                     return
-                payload = self._read_exact(conn, length)
-                if payload is None:
-                    return
+                payload = P.recv_exact(conn, length)
                 try:
                     head, tail = P.split_payload(payload)
                     handler = _HANDLERS.get(opcode)
@@ -128,26 +124,13 @@ class ForgeServer:
                     log.exception("request 0x%02x failed", opcode)
                     self._send(conn, request_id, P.STATUS_ERROR,
                                {"code": "error", "message": f"internal error: {exc}"})
-        except OSError:
+        except (OSError, EOFError):
             pass
         finally:
             try:
                 conn.close()
             except OSError:
                 pass
-
-    @staticmethod
-    def _read_exact(conn: socket.socket, n: int) -> bytes | None:
-        buf = bytearray()
-        while len(buf) < n:
-            try:
-                chunk = conn.recv(n - len(buf))
-            except OSError:
-                return None
-            if not chunk:
-                return None
-            buf.extend(chunk)
-        return bytes(buf)
 
     @staticmethod
     def _send(conn: socket.socket, request_id: int, status: int, head: dict,
@@ -170,47 +153,51 @@ def _jsonable(data: dict) -> dict:
 
 # --- request handlers: (server, head, tail) -> (head, tail) --------------------
 
-def _h_info(s, head, tail):
-    return s.engine.info(), b""
+def _handler(op: P.Op):
+    """Dispatch for one row of the op table: the head's arguments, and the
+    tail's if the row declares one, go to the engine method by name."""
+    pack, unpack = P.PACK.get(op.codec), P.UNPACK.get(op.codec)
+    names, required = op.names - {op.tail_param}, op.required - {op.tail_param}
+
+    def handle(server, head, tail):
+        problem = P.argument_error(op.name, head.keys(), names, required)
+        if problem is not None:
+            raise InvalidArgument(problem)
+        if op.tail_param is not None and (tail or op.tail_param in op.required):
+            try:
+                head[op.tail_param] = unpack(tail)
+            except (CorruptStore, struct.error, ValueError) as exc:
+                raise InvalidArgument(f"{op.name}(): malformed tail: {exc!r}") from exc
+        result = getattr(server.engine, op.name)(**head)
+        if op.tail == P.RESULT:
+            return {"result": None}, pack(result)
+        if op.tail == P.RESULT_FIRST:
+            return {"result": result[1:]}, pack(result[0])
+        return {"result": result}, b""
+
+    return handle
 
 
-def _h_put_document(s, head, tail):
-    from forge.store.records import decode_document
+# the chunked blob transfer is not an engine method; these rows are written out
 
-    key = s.engine.put_document(decode_document(tail))
-    return {"key": key}, b""
-
-
-def _h_get_document(s, head, tail):
-    from forge.store.records import encode_document
-
-    doc = s.engine.get_document(head["key"])
-    return {}, encode_document(doc)
+def _expect(head, *names):
+    if head.keys() != set(names):
+        raise InvalidArgument(f"expected arguments {', '.join(names)}, got {sorted(head)}")
 
 
-def _h_create_index(s, head, tail):
-    s.engine.create_index(head["tag"])
-    return {}, b""
-
-
-def _h_scan(s, head, tail):
-    keys, cursor = s.engine.scan(head["query"],
-                                 P.cursor_from_dict(head.get("cursor")),
-                                 head.get("limit"),
-                                 use_index=head.get("use_index", True))
-    return {"keys": keys, "cursor": P.cursor_to_dict(cursor)}, b""
-
-
-def _h_blob_put_begin(s, head, tail):
+def _blob_put_begin(s, head, tail):
+    _expect(head, "chunk_size", "codec_id")
     return {"upload_id": s._uploads.begin(head["chunk_size"], head["codec_id"])}, b""
 
 
-def _h_blob_put_chunk(s, head, tail):
+def _blob_put_chunk(s, head, tail):
+    _expect(head, "upload_id", "index")
     s._uploads.add(head["upload_id"], head["index"], tail)
     return {}, b""
 
 
-def _h_blob_put_commit(s, head, tail):
+def _blob_put_commit(s, head, tail):
+    _expect(head, "upload_id", "total_size", "checksum")
     entry = s._uploads.finish(head["upload_id"])
     chunks = [entry["chunks"][i] for i in sorted(entry["chunks"])]
     if sorted(entry["chunks"]) != list(range(len(chunks))):
@@ -218,202 +205,18 @@ def _h_blob_put_commit(s, head, tail):
     ptr = s.engine.store.blobs.put_prechunked(
         chunks, entry["chunk_size"], entry["codec_id"],
         head["total_size"], bytes.fromhex(head["checksum"]))
-    return {"pointer": P.pointer_to_dict(ptr)}, b""
+    return {"pointer": ptr}, b""
 
 
-def _h_blob_get_chunk(s, head, tail):
+def _blob_get_chunk(s, head, tail):
+    _expect(head, "blob_id", "index")
     return {}, s.engine.store.blobs.read_chunk(head["blob_id"], head["index"])
 
 
-def _h_define_view(s, head, tail):
-    view = s.engine.define_view(head["view_key"], head["query"])
-    return P.view_to_dict(view), b""
-
-
-def _h_get_view(s, head, tail):
-    return P.view_to_dict(s.engine.get_view(head["view_key"])), b""
-
-
-def _h_list_views(s, head, tail):
-    return {"views": s.engine.list_views()}, b""
-
-
-def _h_open_cursor(s, head, tail):
-    cursor = s.engine.open_cursor(head["view_key"], head["batch_size"],
-                                  head.get("cursor_id", "default"))
-    return P.batch_cursor_to_dict(cursor), b""
-
-
-def _h_read_batch(s, head, tail):
-    docs, cursor, end = s.engine.read_batch(P.batch_cursor_from_dict(head["cursor"]))
-    return ({"cursor": P.batch_cursor_to_dict(cursor), "end": end, "count": len(docs)},
-            P.pack_documents(docs))
-
-
-def _h_view_slice(s, head, tail):
-    docs = s.engine.view_slice(head["view_key"], head.get("after_key", ""),
-                               head.get("upto_key"))
-    return {"count": len(docs)}, P.pack_documents(docs)
-
-
-def _h_attach_stream(s, head, tail):
-    ctl = s.engine.attach_stream(head["view_key"], head["threshold"],
-                                 head["max_age_ms"], head["model_key"],
-                                 head["output_dataset"])
-    return P.controller_to_dict(ctl), b""
-
-
-def _h_poll_stream(s, head, tail):
-    task = s.engine.poll_stream(head["view_key"], head["poller_id"],
-                                head.get("lease_ttl_ms", 30_000))
-    return {"task": P.task_to_dict(task)}, b""
-
-
-def _h_register_model(s, head, tail):
-    return P.record_to_dict(s.engine.register_model(head["model_key"], head["spec"])), b""
-
-
-def _h_get_model(s, head, tail):
-    return P.record_to_dict(s.engine.get_model(head["model_key"])), b""
-
-
-def _h_list_models(s, head, tail):
-    return {"models": s.engine.list_models()}, b""
-
-
-def _h_save_state(s, head, tail):
-    from forge.tensorio import decode_tensors
-
-    version = s.engine.save_state(head["model_key"], head["step"],
-                                  decode_tensors(tail), head.get("metrics"),
-                                  head.get("parent_version"),
-                                  events=head.get("events") or ())
-    return P.version_to_dict(version), b""
-
-
-def _h_load_state(s, head, tail):
-    from forge.tensorio import encode_tensors
-
-    tensors = s.engine.load_state(head["model_key"], head.get("selector", "latest"))
-    return {}, encode_tensors(tensors)
-
-
-def _h_list_versions(s, head, tail):
-    versions = s.engine.list_versions(head["model_key"])
-    return {"versions": [P.version_to_dict(v) for v in versions]}, b""
-
-
-def _h_get_version(s, head, tail):
-    version = s.engine.get_version(head["model_key"], head.get("selector", "latest"))
-    return P.version_to_dict(version), b""
-
-
-def _h_record_event(s, head, tail):
-    s.engine.record_event(head["model_key"], head["step"], head["name"], head["value"])
-    return {}, b""
-
-
-def _h_query_events(s, head, tail):
-    step_range = head.get("step_range")
-    events = s.engine.query_events(head["model_key"], head.get("name"),
-                                   tuple(step_range) if step_range else None)
-    return {"events": [P.event_to_dict(e) for e in events]}, b""
-
-
-def _h_submit_task(s, head, tail):
-    task_id = s.engine.submit_task(
-        kind=head["kind"], input_dataset=head.get("input_dataset", ""),
-        model_key=head.get("model_key", ""), output_dataset=head.get("output_dataset", ""),
-        params=head.get("params"), task_id=head.get("task_id"),
-        max_attempts=head.get("max_attempts", 3))
-    return {"task_id": task_id}, b""
-
-
-def _h_get_task(s, head, tail):
-    return {"task": P.task_to_dict(s.engine.get_task(head["task_id"]))}, b""
-
-
-def _h_list_tasks(s, head, tail):
-    tasks = s.engine.list_tasks(head.get("plan_id"))
-    return {"tasks": [P.task_to_dict(t) for t in tasks]}, b""
-
-
-def _h_lease_task(s, head, tail):
-    task = s.engine.lease_task(head["agent_id"], head["lease_ttl_ms"], head.get("kinds"))
-    return {"task": P.task_to_dict(task)}, b""
-
-
-def _h_heartbeat(s, head, tail):
-    s.engine.heartbeat(head["task_id"], head["agent_id"], head["lease_ttl_ms"])
-    return {}, b""
-
-
-def _h_write_output(s, head, tail):
-    keys = s.engine.write_outputs(head["task_id"], head["agent_id"],
-                                  P.unpack_documents(tail, head["count"]))
-    return {"keys": keys}, b""
-
-
-def _h_complete_task(s, head, tail):
-    s.engine.complete_task(head["task_id"], head["agent_id"], head["outcome"],
-                           head.get("message"), tuple(head.get("output_keys", ())),
-                           outputs=P.unpack_documents(tail, head.get("count", 0)))
-    return {}, b""
-
-
-def _h_submit_plan(s, head, tail):
-    return {"plan_id": s.engine.submit_plan(head["plan"])}, b""
-
-
-def _h_plan_status(s, head, tail):
-    return s.engine.plan_status(head["plan_id"]), b""
-
-
-def _h_master_step(s, head, tail):
-    return s.engine.master_step(head["master_id"], head.get("lease_ttl_ms", 30_000)), b""
-
-
-def _h_replay_task(s, head, tail):
-    s.engine.replay_task(head["task_id"])
-    return {}, b""
-
-
-_HANDLERS = {
-    P.OP_INFO: _h_info,
-    P.OP_PUT_DOCUMENT: _h_put_document,
-    P.OP_GET_DOCUMENT: _h_get_document,
-    P.OP_CREATE_INDEX: _h_create_index,
-    P.OP_SCAN: _h_scan,
-    P.OP_BLOB_PUT_BEGIN: _h_blob_put_begin,
-    P.OP_BLOB_PUT_CHUNK: _h_blob_put_chunk,
-    P.OP_BLOB_PUT_COMMIT: _h_blob_put_commit,
-    P.OP_BLOB_GET_CHUNK: _h_blob_get_chunk,
-    P.OP_DEFINE_VIEW: _h_define_view,
-    P.OP_GET_VIEW: _h_get_view,
-    P.OP_LIST_VIEWS: _h_list_views,
-    P.OP_OPEN_CURSOR: _h_open_cursor,
-    P.OP_READ_BATCH: _h_read_batch,
-    P.OP_VIEW_SLICE: _h_view_slice,
-    P.OP_ATTACH_STREAM: _h_attach_stream,
-    P.OP_POLL_STREAM: _h_poll_stream,
-    P.OP_REGISTER_MODEL: _h_register_model,
-    P.OP_GET_MODEL: _h_get_model,
-    P.OP_LIST_MODELS: _h_list_models,
-    P.OP_SAVE_STATE: _h_save_state,
-    P.OP_LOAD_STATE: _h_load_state,
-    P.OP_LIST_VERSIONS: _h_list_versions,
-    P.OP_GET_VERSION: _h_get_version,
-    P.OP_RECORD_EVENT: _h_record_event,
-    P.OP_QUERY_EVENTS: _h_query_events,
-    P.OP_SUBMIT_TASK: _h_submit_task,
-    P.OP_GET_TASK: _h_get_task,
-    P.OP_LIST_TASKS: _h_list_tasks,
-    P.OP_LEASE_TASK: _h_lease_task,
-    P.OP_HEARTBEAT: _h_heartbeat,
-    P.OP_WRITE_OUTPUT: _h_write_output,
-    P.OP_COMPLETE_TASK: _h_complete_task,
-    P.OP_SUBMIT_PLAN: _h_submit_plan,
-    P.OP_PLAN_STATUS: _h_plan_status,
-    P.OP_MASTER_STEP: _h_master_step,
-    P.OP_REPLAY_TASK: _h_replay_task,
-}
+_HANDLERS = {op.code: _handler(op) for op in P.OPS}
+_HANDLERS.update({
+    P.BLOB_PUT_BEGIN: _blob_put_begin,
+    P.BLOB_PUT_CHUNK: _blob_put_chunk,
+    P.BLOB_PUT_COMMIT: _blob_put_commit,
+    P.BLOB_GET_CHUNK: _blob_get_chunk,
+})
