@@ -19,15 +19,13 @@ from dataclasses import dataclass, replace
 from forge.errors import AlreadyAttached, DuplicateKey, InvalidArgument, NotFound, ViewNotFound
 from forge.query import TagQuery, parse, render
 from forge.store import Document, PutOp, ScanCursor, Store
+from forge.store.types import json_doc
 
 VIEW_PREFIX = "__sys/view/"
 CURSOR_PREFIX = "__sys/cursor/"
 STREAM_PREFIX = "__sys/stream/"
 
-DEFAULT_THRESHOLD = 32
-DEFAULT_MAX_AGE_MS = 5000
 MIN_MAX_AGE_MS = 100
-POLLER_LEASE_MS = 30_000
 
 
 @dataclass(frozen=True)
@@ -66,10 +64,6 @@ class Trigger:
     upto_key: str
 
 
-def _json_doc(key: str, payload: dict) -> Document:
-    return Document(key=key, payload=json.dumps(payload, sort_keys=True).encode())
-
-
 def _payload_json(doc: Document) -> dict:
     return json.loads(doc.payload.decode())
 
@@ -89,16 +83,14 @@ class DatasetManager:
 
     # -- views ---------------------------------------------------------------
 
-    def define_view(self, view_key: str, query: TagQuery | str) -> DatasetView:
+    def define_view(self, view_key: str, query: TagQuery) -> DatasetView:
         if not view_key or "/" in view_key:
             raise InvalidArgument("view keys must be non-empty and must not contain '/'")
-        if isinstance(query, str):
-            query = parse(query)
         key = VIEW_PREFIX + view_key
         if self.store.exists(key):
             raise DuplicateKey(f"view {view_key!r} already exists")
         created = self.store.clock.now_ms()
-        self.store.put_system(_json_doc(key, {"query": render(query), "created_at": created}))
+        self.store.put_system(json_doc(key, {"query": render(query), "created_at": created}))
         return DatasetView(view_key=view_key, query=query, created_at=created)
 
     def get_view(self, view_key: str) -> DatasetView:
@@ -132,8 +124,8 @@ class DatasetManager:
 
     def _persist_cursor(self, cursor: BatchCursor) -> None:
         key = f"{CURSOR_PREFIX}{cursor.view_key}/{cursor.cursor_id}"
-        self.store.put_system(_json_doc(key, {"position": cursor.position,
-                                              "batch_size": cursor.batch_size}),
+        self.store.put_system(json_doc(key, {"position": cursor.position,
+                                             "batch_size": cursor.batch_size}),
                               replace=True)
 
     def read_batch(self, cursor: BatchCursor):
@@ -198,7 +190,7 @@ class DatasetManager:
             "lease_holder": ctl.lease_holder,
             "lease_until": ctl.lease_until,
         }
-        return _json_doc(STREAM_PREFIX + ctl.view_key, payload)
+        return json_doc(STREAM_PREFIX + ctl.view_key, payload)
 
     def get_controller(self, view_key: str) -> StreamController:
         try:

@@ -1,10 +1,26 @@
 """The engine facade: one writable process owning a store directory.
 
 ``Forge`` exposes the whole operation surface — documents, blobs, views,
-cursors, streams, models, events, tasks, plans, master — with one lock
-serializing mutations, so composite operations (a stream trigger advancing
+cursors, streams, models, events, tasks, plans, master — with the engine
+lock serializing mutations, so composite operations (a stream trigger advancing
 its watermark and enqueueing a task, a completion committing its outputs
 with its task record) are atomic both in memory and on disk.
+
+Two locks. ``Store._lock`` makes each store call atomic. ``Forge._lock``
+(re-entrant) is taken on top of it by every mutating method; the composite
+ones need it, because they read, then write, across store calls or keep
+state in memory beside the store:
+
+- ``poll_stream``, ``master_step`` and the task and plan calls
+  (``submit_task``, ``submit_plan``, ``lease_task``, ``heartbeat``,
+  ``write_output(s)``, ``complete_task``, ``replay_task``): check leases or
+  the workflow's in-memory tables, commit, then update the tables.
+- ``define_view``, ``open_cursor``, ``attach_stream``, ``register_model``,
+  ``save_state``: check existence, then write; ``read_batch``: scan, then
+  write the cursor; ``record_event``: the event sequence kept in memory.
+- ``put_blob`` and ``compact``: chunk files are written outside
+  ``Store._lock``, so only the engine lock keeps a blob write, in-process
+  or over the wire, from interleaving with compaction's garbage collection.
 
 The wire server hosts a ``Forge``. Each row of the op table in
 ``forge.wire.protocol`` names one of these methods: the server calls it with
@@ -22,9 +38,9 @@ from dataclasses import replace
 import numpy as np
 
 from forge.clock import Clock, SystemClock
-from forge.dataset import BatchCursor, DatasetManager, StreamController, stream_task_id
+from forge.dataset import BatchCursor, DatasetManager, StreamController
 from forge.errors import UnknownModel
-from forge.models import DEFAULT_CACHE_BYTES, ModelStore
+from forge.models import ModelStore
 from forge.query import TagQuery, parse
 from forge.store import (
     CODEC_ZLIB,
@@ -35,18 +51,23 @@ from forge.store import (
     ScanCursor,
     Store,
 )
-from forge.workflow import DEFAULT_LEASE_TTL_MS, Task, WorkflowManager
+from forge.workflow import (
+    DEFAULT_LEASE_TTL_MS,
+    DEFAULT_MAX_ATTEMPTS,
+    Task,
+    WorkflowManager,
+    lease_write_due,
+)
 
 
 class Forge:
     def __init__(self, path, *, create: bool = False, clock: Clock | None = None,
-                 fsync: bool = True, inline_threshold: int = DEFAULT_INLINE_THRESHOLD,
-                 cache_bytes: int = DEFAULT_CACHE_BYTES):
+                 fsync: bool = True, inline_threshold: int = DEFAULT_INLINE_THRESHOLD):
         self.clock = clock or SystemClock()
         self.store = Store(path, create=create, clock=self.clock, fsync=fsync,
                            inline_threshold=inline_threshold)
         self.datasets = DatasetManager(self.store)
-        self.models = ModelStore(self.store, cache_bytes=cache_bytes)
+        self.models = ModelStore(self.store)
         self.workflow = WorkflowManager(
             self.store, self.clock,
             view_exists=lambda key: self.store.exists(f"__sys/view/{key}"),
@@ -143,18 +164,21 @@ class Forge:
                     lease_ttl_ms: int = DEFAULT_LEASE_TTL_MS) -> Task | None:
         """Fire the controller's trigger if significant: atomically advance the
         watermark and enqueue the covering train task. None when quiet or when
-        another live poller holds the controller."""
+        another live poller holds the controller. A quiet poll writes the
+        controller's lease only when ``lease_write_due`` says so."""
         with self._lock:
             ctl = self.datasets.get_controller(view_key)
             now = self.clock.now_ms()
             if ctl.lease_holder not in (None, poller_id) and ctl.lease_until > now:
                 return None
-            ctl = replace(ctl, lease_holder=poller_id, lease_until=now + lease_ttl_ms)
+            leased = replace(ctl, lease_holder=poller_id, lease_until=now + lease_ttl_ms)
             trigger = self.datasets.evaluate_trigger(ctl)
             if trigger is None:
-                self.store.put_system(self.datasets.controller_doc(ctl), replace=True)
+                if lease_write_due(ctl.lease_holder, ctl.lease_until, poller_id, now,
+                                   lease_ttl_ms):
+                    self.store.put_system(self.datasets.controller_doc(leased), replace=True)
                 return None
-            ctl_op = self.datasets.advance_op(ctl, trigger)
+            ctl_op = self.datasets.advance_op(leased, trigger)
             params = {"from_key": trigger.from_key, "upto_key": trigger.upto_key}
             task, task_ops = self.workflow.stream_task_ops(
                 trigger.task_id, ctl.view_key, ctl.model_key, ctl.output_dataset, params)
@@ -207,7 +231,8 @@ class Forge:
 
     def submit_task(self, *, kind: str, input_dataset: str = "", model_key: str = "",
                     output_dataset: str = "", params: dict | None = None,
-                    task_id: str | None = None, max_attempts: int = 3) -> str:
+                    task_id: str | None = None,
+                    max_attempts: int = DEFAULT_MAX_ATTEMPTS) -> str:
         with self._lock:
             return self.workflow.submit_task(
                 task_id=task_id, kind=kind, input_dataset=input_dataset,

@@ -77,12 +77,6 @@ class MixedVariantSet(QuerySyntaxError):
     code = "mixed_variant_set"
 
 
-class TypeMismatch(ForgeError):
-    """Comparison between different tag-value variants."""
-
-    code = "type_mismatch"
-
-
 class ViewNotFound(ForgeError):
     code = "view_not_found"
 

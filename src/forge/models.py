@@ -21,10 +21,10 @@ from forge.errors import (
     InvalidArgument,
     ModelNotFound,
     NotFound,
-    ShapeMismatch,
     VersionNotFound,
 )
 from forge.nn import layers as nnlayers
+from forge.nn import network as nnet
 from forge.query import TagScalar
 from forge.store import BlobPointer, Document, PutOp, Store
 from forge.store.types import validate_tags
@@ -34,7 +34,7 @@ MODEL_PREFIX = "__sys/model/"
 VERSION_PREFIX = "__sys/modelver/"
 EVENT_PREFIX = "__sys/event/"
 
-DEFAULT_CACHE_BYTES = 256 * 1024 * 1024
+CACHE_BYTES = 256 * 1024 * 1024  # decoded states kept for load_state
 _METRIC_TAG = "m."
 
 
@@ -102,9 +102,9 @@ class _TensorCache:
 
 
 class ModelStore:
-    def __init__(self, store: Store, cache_bytes: int = DEFAULT_CACHE_BYTES):
+    def __init__(self, store: Store):
         self.store = store
-        self.cache = _TensorCache(cache_bytes)
+        self.cache = _TensorCache(CACHE_BYTES)
         self.blob_reads = 0
         self._event_seq: dict[str, int] = {}
 
@@ -153,7 +153,7 @@ class ModelStore:
             raise InvalidArgument("step must be >= 0")
         metrics = metrics or {}
         validate_tags(metrics)
-        self._check_shapes(record, tensors)
+        nnet.check_tensors(nnlayers.spec_from_dict(record.spec), tensors)
         blob = encode_tensors(tensors)
         import hashlib
 
@@ -171,22 +171,6 @@ class ModelStore:
         self.store.apply_ops([PutOp(doc)] + [PutOp(self._event_doc(model_key, *event))
                                              for event in events])
         return self._version_from_doc(model_key, doc)
-
-    def _check_shapes(self, record: ModelRecord, tensors) -> None:
-        spec = nnlayers.spec_from_dict(record.spec)
-        shapes = nnlayers.param_shapes(spec)
-        expect = {}
-        for key, want in shapes.items():
-            expect[f"{key}.weight"] = want["weight"]
-            expect[f"{key}.bias"] = want["bias"]
-        if set(tensors) != set(expect):
-            raise ShapeMismatch(
-                f"tensor names {sorted(tensors)} do not match spec parameters "
-                f"{sorted(expect)}")
-        for name, arr in tensors.items():
-            if tuple(arr.shape) != expect[name]:
-                raise ShapeMismatch(
-                    f"tensor {name!r}: shape {tuple(arr.shape)} != spec {expect[name]}")
 
     @staticmethod
     def _version_from_doc(model_key: str, doc: Document) -> ModelVersion:

@@ -26,7 +26,6 @@ DROPOUT = "dropout"
 LAMBDA = "lambda"
 
 KINDS = (DENSE, RELU, SIGMOID, TANH, DROPOUT, LAMBDA)
-_ACTIVATIONS = (RELU, SIGMOID, TANH)
 
 
 @dataclass(frozen=True)

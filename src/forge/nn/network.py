@@ -9,7 +9,7 @@ are the sum over all sites. Production arithmetic is f32; pass
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable
 
 import numpy as np
@@ -225,19 +225,23 @@ def state_tensors(state: NetworkState) -> dict[str, np.ndarray]:
     return out
 
 
-def state_from_tensors(spec: L.NetworkSpec, tensors: dict[str, np.ndarray],
-                       seed: int, step: int = 0) -> NetworkState:
-    shapes = L.param_shapes(spec)
-    expect = {f"{k}.weight" for k in shapes} | {f"{k}.bias" for k in shapes}
-    if set(tensors) != expect:
+def check_tensors(spec: L.NetworkSpec, tensors: dict[str, np.ndarray]) -> None:
+    """ShapeMismatch unless ``tensors`` holds exactly the parameters of
+    ``spec``, ``<share key>.weight`` and ``<share key>.bias``, in its shapes."""
+    expect = {f"{key}.{part}": shape for key, shapes in L.param_shapes(spec).items()
+              for part, shape in shapes.items()}
+    if set(tensors) != set(expect):
         raise ShapeMismatch(
             f"tensor names {sorted(tensors)} do not match spec parameters {sorted(expect)}")
-    params = {}
-    for key, want in shapes.items():
-        weight = np.asarray(tensors[f"{key}.weight"], dtype=np.float32)
-        bias = np.asarray(tensors[f"{key}.bias"], dtype=np.float32)
-        if weight.shape != want["weight"] or bias.shape != want["bias"]:
-            raise ShapeMismatch(f"param {key!r}: shapes {weight.shape}/{bias.shape} "
-                                f"do not match spec {want}")
-        params[key] = {"weight": weight.copy(), "bias": bias.copy()}
+    for name, arr in tensors.items():
+        if np.shape(arr) != expect[name]:
+            raise ShapeMismatch(f"tensor {name!r}: shape {np.shape(arr)} != spec {expect[name]}")
+
+
+def state_from_tensors(spec: L.NetworkSpec, tensors: dict[str, np.ndarray],
+                       seed: int, step: int = 0) -> NetworkState:
+    check_tensors(spec, tensors)
+    params = {key: {part: np.array(tensors[f"{key}.{part}"], dtype=np.float32)
+                    for part in shapes}
+              for key, shapes in L.param_shapes(spec).items()}
     return NetworkState(spec=spec, params=params, seed=seed, step=step)

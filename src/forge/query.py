@@ -1,4 +1,4 @@
-"""Declarative tag-query language: parse, evaluate, render.
+"""Declarative tag-query language: parse, match, render.
 
 A query is a conjunction of predicates over document tags:
 
@@ -10,13 +10,11 @@ A query is a conjunction of predicates over document tags:
 
 The empty query matches every document. Tag values come in four scalar
 variants (string, int, float, bool); values never compare across variants,
-and int vs float is deliberately a :class:`TypeMismatch` rather than a
-silent coercion. A predicate over a tag absent from a document's tag map is
-false for that document.
+and int vs float is deliberately no match rather than a silent coercion.
 
-:func:`evaluate` raises :class:`TypeMismatch` when a tag holds another
-variant than its predicate's literal. A store scan uses :func:`matches`
-instead, under which such a document simply does not match, so a scan
+:func:`matches` is the one rule for a document's tags: a predicate over a
+tag absent from the tag map, or holding another variant than the
+predicate's literal, is false for that document. Scans use it, so a scan
 returns the same keys with or without a tag index (an index only ever
 holds candidates of the literal's variant).
 
@@ -29,13 +27,11 @@ import math
 import operator
 from dataclasses import dataclass, field
 
-from forge.errors import InvalidArgument, MixedVariantSet, QuerySyntaxError, TypeMismatch
+from forge.errors import InvalidArgument, MixedVariantSet, QuerySyntaxError
 
 # Variant codes. They partition index keys and IN-sets; they are never used
 # to order values of different variants against each other.
 V_STRING, V_INT, V_FLOAT, V_BOOL = 0, 1, 2, 3
-
-_VARIANT_NAMES = {V_STRING: "string", V_INT: "int", V_FLOAT: "float", V_BOOL: "bool"}
 
 TagScalar = str | int | float | bool
 
@@ -61,10 +57,6 @@ def variant_of(value: TagScalar) -> int:
     if isinstance(value, str):
         return V_STRING
     raise InvalidArgument(f"unsupported tag value type: {type(value).__name__}")
-
-
-def variant_name(code: int) -> str:
-    return _VARIANT_NAMES[code]
 
 
 def check_tag_value(value: TagScalar) -> None:
@@ -164,34 +156,6 @@ def _variant(value: TagScalar) -> int:
     """variant_of by exact type first; subclasses take the slow path."""
     code = _TYPE_VARIANTS.get(type(value))
     return variant_of(value) if code is None else code
-
-
-def evaluate(query: TagQuery, tags: dict[str, TagScalar]) -> bool:
-    """True iff every predicate holds for ``tags``.
-
-    Variant mismatches are checked across *all* predicates before the result
-    is returned, so a failing earlier predicate never masks a TypeMismatch in
-    a later one.
-    """
-    result = True
-    mismatch: Predicate | None = None
-    for pred in query.predicates:
-        if pred.tag not in tags:
-            result = False
-            continue
-        value = tags[pred.tag]
-        if _variant(value) != pred.variant:
-            if mismatch is None:
-                mismatch = pred
-            continue
-        if result and not _holds(pred, value):
-            result = False
-    if mismatch is not None:
-        raise TypeMismatch(
-            f"tag {mismatch.tag!r}: cannot compare {variant_name(variant_of(tags[mismatch.tag]))} "
-            f"value with {variant_name(mismatch.variant)} literal"
-        )
-    return result
 
 
 def matches(query: TagQuery, tags: dict[str, TagScalar]) -> bool:

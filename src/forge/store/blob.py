@@ -1,8 +1,11 @@
 """Chunked, per-chunk-compressed blob store.
 
 Blobs live beside the document log in ``blobs/``, one file per chunk named
-``<blob_id>.<chunk_index>``. The pointer records everything needed to read
-the blob back; a full read always re-verifies the sha-256 of the assembled
+``<blob_id>.<chunk_index>``. ``BlobStore.put`` is the only code that writes
+chunks, in-process and for uploads over the wire alike (the engine's
+``put_blob`` calls it under the engine lock). The pointer records everything
+needed to read the blob back; ``assemble`` rebuilds it from its stored
+chunks, wherever they are read from, and re-verifies the sha-256 of the
 payload, so corruption surfaces as ChecksumMismatch rather than bad bytes.
 
 Blob ids are content-addressed (digest + chunking parameters), which makes
@@ -19,7 +22,6 @@ from pathlib import Path
 
 from forge.errors import ChecksumMismatch, EmptyBlob, InvalidArgument, NotFound, StorageFull
 from forge.store.types import (
-    CODEC_NONE,
     CODEC_ZLIB,
     MAX_CHUNK_SIZE,
     MIN_CHUNK_SIZE,
@@ -33,27 +35,28 @@ from forge.store.types import (
 _BLOB_ID = re.compile(r"[0-9a-f]{32}")  # the form blob_id_for gives
 
 
-def compress_chunk(raw: bytes, codec_id: int) -> bytes:
-    if codec_id == CODEC_NONE:
-        return raw
-    if codec_id == CODEC_ZLIB:
-        return zlib.compress(raw, 6)
-    raise InvalidArgument(f"unknown codec_id {codec_id}")
-
-
-def decompress_chunk(stored: bytes, codec_id: int, expected_len: int) -> bytes:
-    if codec_id == CODEC_NONE:
-        raw = stored
-    elif codec_id == CODEC_ZLIB:
-        try:
-            raw = zlib.decompress(stored)
-        except zlib.error as exc:
-            raise ChecksumMismatch(f"chunk does not decompress: {exc}") from exc
-    else:
-        raise InvalidArgument(f"unknown codec_id {codec_id}")
-    if len(raw) != expected_len:
-        raise ChecksumMismatch(f"chunk length {len(raw)} != expected {expected_len}")
-    return raw
+def assemble(ptr: BlobPointer, read_chunk) -> bytes:
+    """The verified bytes of the blob ``ptr``, from its stored chunks as
+    ``read_chunk(blob_id, index)`` returns them. The pointer's codec was
+    checked when it was built."""
+    parts = []
+    for index in range(ptr.chunk_count):
+        raw = read_chunk(ptr.blob_id, index)
+        if ptr.codec_id == CODEC_ZLIB:
+            try:
+                raw = zlib.decompress(raw)
+            except zlib.error as exc:
+                raise ChecksumMismatch(f"blob {ptr.blob_id}: chunk {index} does not "
+                                       f"decompress: {exc}") from exc
+        expected = min(ptr.chunk_size, ptr.total_size - index * ptr.chunk_size)
+        if len(raw) != expected:
+            raise ChecksumMismatch(f"blob {ptr.blob_id}: chunk {index} holds {len(raw)} "
+                                   f"bytes, expected {expected}")
+        parts.append(raw)
+    data = b"".join(parts)
+    if checksum_of(data) != ptr.checksum:
+        raise ChecksumMismatch(f"blob {ptr.blob_id}: digest mismatch")
+    return data
 
 
 class BlobStore:
@@ -88,46 +91,12 @@ class BlobStore:
             return ptr  # identical content already stored
         for index in range(ptr.chunk_count):
             raw = data[index * chunk_size:(index + 1) * chunk_size]
-            self._write_chunk(ptr.blob_id, index, compress_chunk(raw, codec_id))
-        return ptr
-
-    def put_prechunked(self, chunks: list[bytes], chunk_size: int, codec_id: int,
-                       total_size: int, checksum: bytes) -> BlobPointer:
-        """Store already-compressed chunks (the wire path); verifies the digest."""
-        data = b"".join(
-            decompress_chunk(c, codec_id,
-                             min(chunk_size, total_size - i * chunk_size))
-            for i, c in enumerate(chunks))
-        if len(data) != total_size or checksum_of(data) != checksum:
-            raise ChecksumMismatch("uploaded chunks do not match the declared digest")
-        if not data:
-            raise EmptyBlob("blobs must be non-empty")
-        ptr = BlobPointer(
-            blob_id=blob_id_for(checksum, chunk_size, codec_id),
-            total_size=total_size,
-            chunk_count=len(chunks),
-            chunk_size=chunk_size,
-            codec_id=codec_id,
-            checksum=checksum,
-        )
-        if not self._complete(ptr):
-            for index, stored in enumerate(chunks):
-                self._write_chunk(ptr.blob_id, index, stored)
+            self._write_chunk(ptr.blob_id, index,
+                              zlib.compress(raw, 6) if codec_id == CODEC_ZLIB else raw)
         return ptr
 
     def get(self, ptr: BlobPointer) -> bytes:
-        parts = []
-        for index in range(ptr.chunk_count):
-            expected = min(ptr.chunk_size, ptr.total_size - index * ptr.chunk_size)
-            parts.append(decompress_chunk(self.read_chunk(ptr.blob_id, index),
-                                          ptr.codec_id, expected))
-        data = b"".join(parts)
-        if len(data) != ptr.total_size:
-            raise ChecksumMismatch(
-                f"blob {ptr.blob_id}: reassembled {len(data)} bytes, expected {ptr.total_size}")
-        if checksum_of(data) != ptr.checksum:
-            raise ChecksumMismatch(f"blob {ptr.blob_id}: digest mismatch")
-        return data
+        return assemble(ptr, self.read_chunk)
 
     def read_chunk(self, blob_id: str, index: int) -> bytes:
         """Raw stored (possibly compressed) chunk bytes."""

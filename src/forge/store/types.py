@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import json
 from dataclasses import dataclass, field
 
 from forge.errors import InvalidArgument
@@ -59,6 +60,11 @@ class Document:
     @property
     def is_inline(self) -> bool:
         return isinstance(self.payload, bytes)
+
+
+def json_doc(key: str, payload: dict) -> Document:
+    """A system document whose payload is ``payload`` as sorted-key JSON."""
+    return Document(key=key, payload=json.dumps(payload, sort_keys=True).encode())
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,10 @@
 Each row of ``forge.wire.protocol.OPS`` becomes a ``ForgeClient`` method
 with the signature of the ``Forge`` method it names; ``put_blob``,
 ``get_blob``, ``write_output`` and ``list_indexes`` are composed here from
-other calls.
+other calls. ``put_blob`` sends the raw data in slices and leaves chunking,
+compression and storage to the server's ``Forge.put_blob``; ``get_blob``
+reads the stored chunks and rebuilds the blob with the store's own
+``assemble``, which verifies it.
 
 Calls are synchronous; the client is safe to share between threads (one
 request in flight at a time per client). Pure reads are retried up to three
@@ -20,10 +23,10 @@ import socket
 import threading
 
 from forge.engine import Forge
-from forge.errors import ChecksumMismatch, ConnectionLost, from_code
+from forge.errors import ConnectionLost, from_code
 from forge.store import CODEC_ZLIB, DEFAULT_CHUNK_SIZE, BlobPointer
-from forge.store.blob import compress_chunk, decompress_chunk
-from forge.store.types import blob_id_for, ceil_div, checksum_of
+from forge.store.blob import assemble
+from forge.store.types import checksum_of
 from forge.tensorio import encode_tensors
 from forge.wire import protocol as P
 from forge.workflow import output_document
@@ -113,36 +116,22 @@ class ForgeClient:
 
     def put_blob(self, data: bytes, chunk_size: int = DEFAULT_CHUNK_SIZE,
                  codec_id: int = CODEC_ZLIB) -> BlobPointer:
-        """Chunk, compress, and upload; the server verifies the digest."""
+        """Upload raw slices on this connection; the server checks the length
+        and digest and stores the blob as ``Forge.put_blob`` would."""
         head, _ = self._call(P.BLOB_PUT_BEGIN,
                              {"chunk_size": chunk_size, "codec_id": codec_id})
         upload_id = head["upload_id"]
-        count = ceil_div(len(data), chunk_size) if data else 0
-        for index in range(count):
-            raw = data[index * chunk_size:(index + 1) * chunk_size]
+        for index, start in enumerate(range(0, len(data), P.BLOB_SLICE)):
             self._call(P.BLOB_PUT_CHUNK, {"upload_id": upload_id, "index": index},
-                       compress_chunk(raw, codec_id))
-        checksum = checksum_of(data)
+                       data[start:start + P.BLOB_SLICE])
         head, _ = self._call(P.BLOB_PUT_COMMIT,
                              {"upload_id": upload_id, "total_size": len(data),
-                              "checksum": checksum.hex()})
-        ptr = head["pointer"]
-        if data and ptr.blob_id != blob_id_for(checksum, chunk_size, codec_id):
-            raise ChecksumMismatch("server returned a mismatched blob id")
-        return ptr
+                              "checksum": checksum_of(data).hex()})
+        return head["pointer"]
 
     def get_blob(self, ptr: BlobPointer) -> bytes:
-        """Chunks cross the wire compressed; reassembly verifies the digest."""
-        parts = []
-        for index in range(ptr.chunk_count):
-            _, stored = self._call(P.BLOB_GET_CHUNK,
-                                   {"blob_id": ptr.blob_id, "index": index})
-            expected = min(ptr.chunk_size, ptr.total_size - index * ptr.chunk_size)
-            parts.append(decompress_chunk(stored, ptr.codec_id, expected))
-        data = b"".join(parts)
-        if len(data) != ptr.total_size or checksum_of(data) != ptr.checksum:
-            raise ChecksumMismatch(f"blob {ptr.blob_id}: digest mismatch")
-        return data
+        return assemble(ptr, lambda blob_id, index: self._call(
+            P.BLOB_GET_CHUNK, {"blob_id": blob_id, "index": index})[1])
 
     def write_output(self, task_id: str, agent_id: str, index: int, payload,
                      label: str | None = None, tags: dict | None = None) -> str:

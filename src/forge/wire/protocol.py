@@ -22,8 +22,18 @@ tail instead of the head: a document, a document list (each one prefixed by
 its u32 length) or a tensor container. An error head is ``{"code",
 "message", "data"}``.
 
-Blob chunks cross the wire in their stored, compressed form, through four
-transfer ops (``BLOB_*``) that are not engine methods.
+Blobs cross the wire through four transfer ops (``BLOB_*``) that are not
+engine methods. An upload is ``BLOB_PUT_BEGIN`` (head ``{chunk_size,
+codec_id}``, answered with ``{upload_id}``), then ``BLOB_PUT_CHUNK`` (head
+``{upload_id, index}``, tail a raw slice of the data; slices come in index
+order, the client's of ``BLOB_SLICE`` bytes), then ``BLOB_PUT_COMMIT`` (head
+``{upload_id, total_size, checksum}``, the sha-256 in hex, answered with
+``{pointer}``). An upload belongs to the connection it began on and ends
+with it. The server joins the slices, checks the length and digest
+(``checksum_mismatch``), then stores the data with ``Forge.put_blob``, so
+the chunk-size bounds, compression and dedupe are the engine's. A read is
+one ``BLOB_GET_CHUNK`` (head ``{blob_id, index}``) per chunk, answered with
+the chunk in its stored, compressed form as the tail.
 """
 
 from __future__ import annotations
@@ -149,6 +159,7 @@ BLOB_PUT_BEGIN = 0x07
 BLOB_PUT_CHUNK = 0x08
 BLOB_PUT_COMMIT = 0x09
 BLOB_GET_CHUNK = 0x0A
+BLOB_SLICE = 4 * 1024 * 1024  # the most raw bytes one BLOB_PUT_CHUNK carries
 
 IDEMPOTENT = frozenset({op.code for op in OPS if op.idempotent} | {BLOB_GET_CHUNK})
 

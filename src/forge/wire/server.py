@@ -10,6 +10,11 @@ names an unknown argument, lacks a required one or holds a malformed one,
 earns an error response (``invalid_argument`` for argument names) and the
 connection survives. Random garbage on the socket can kill its own
 connection, never the server or the store.
+
+A blob upload (``BLOB_PUT_*``) lives in its connection thread's state, so
+one its client abandons is freed when the connection ends. Its commit
+checks the joined raw slices against the declared length and sha-256 and
+stores them through ``Forge.put_blob``, under the engine lock.
 """
 
 from __future__ import annotations
@@ -21,45 +26,24 @@ import threading
 import uuid
 
 from forge.engine import Forge
-from forge.errors import CorruptStore, ForgeError, InvalidArgument, NotFound, ProtocolError
+from forge.errors import (
+    ChecksumMismatch,
+    CorruptStore,
+    ForgeError,
+    InvalidArgument,
+    NotFound,
+    ProtocolError,
+)
+from forge.store.types import checksum_of
 from forge.wire import protocol as P
 
 log = logging.getLogger("forge.wire")
 
 
-class _Uploads:
-    """In-flight chunked blob uploads, per server."""
-
-    def __init__(self):
-        self._lock = threading.Lock()
-        self._active: dict[str, dict] = {}
-
-    def begin(self, chunk_size: int, codec_id: int) -> str:
-        upload_id = uuid.uuid4().hex
-        with self._lock:
-            self._active[upload_id] = {"chunk_size": chunk_size, "codec_id": codec_id,
-                                       "chunks": {}}
-        return upload_id
-
-    def add(self, upload_id: str, index: int, data: bytes) -> None:
-        with self._lock:
-            entry = self._active.get(upload_id)
-            if entry is None:
-                raise NotFound(f"unknown upload {upload_id!r}")
-            entry["chunks"][index] = data
-
-    def finish(self, upload_id: str) -> dict:
-        with self._lock:
-            entry = self._active.pop(upload_id, None)
-        if entry is None:
-            raise NotFound(f"unknown upload {upload_id!r}")
-        return entry
-
-
 class ForgeServer:
     def __init__(self, engine: Forge, host: str = P.DEFAULT_HOST, port: int = P.DEFAULT_PORT):
         self.engine = engine
-        self._uploads = _Uploads()
+        self._connection = threading.local()  # the serving thread's uploads
         self._sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         self._sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         self._sock.bind((host, port))
@@ -92,6 +76,7 @@ class ForgeServer:
 
     def _serve_connection(self, conn: socket.socket) -> None:
         conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        self._connection.uploads = {}
         try:
             while True:
                 length, request_id, opcode = P.HEADER.unpack(
@@ -127,6 +112,7 @@ class ForgeServer:
         except (OSError, EOFError):
             pass
         finally:
+            del self._connection.uploads  # abandoned uploads end here
             try:
                 conn.close()
             except OSError:
@@ -187,25 +173,35 @@ def _expect(head, *names):
 
 def _blob_put_begin(s, head, tail):
     _expect(head, "chunk_size", "codec_id")
-    return {"upload_id": s._uploads.begin(head["chunk_size"], head["codec_id"])}, b""
+    upload_id = uuid.uuid4().hex
+    s._connection.uploads[upload_id] = {**head, "parts": []}
+    return {"upload_id": upload_id}, b""
+
+
+def _upload(s, upload_id) -> dict:
+    try:
+        return s._connection.uploads[upload_id]
+    except (KeyError, TypeError):
+        raise NotFound(f"no upload {upload_id!r} on this connection") from None
 
 
 def _blob_put_chunk(s, head, tail):
     _expect(head, "upload_id", "index")
-    s._uploads.add(head["upload_id"], head["index"], tail)
+    parts = _upload(s, head["upload_id"])["parts"]
+    if head["index"] != len(parts):
+        raise InvalidArgument(f"expected slice {len(parts)}, got {head['index']!r}")
+    parts.append(tail)
     return {}, b""
 
 
 def _blob_put_commit(s, head, tail):
     _expect(head, "upload_id", "total_size", "checksum")
-    entry = s._uploads.finish(head["upload_id"])
-    chunks = [entry["chunks"][i] for i in sorted(entry["chunks"])]
-    if sorted(entry["chunks"]) != list(range(len(chunks))):
-        raise ProtocolError("upload is missing chunks")
-    ptr = s.engine.store.blobs.put_prechunked(
-        chunks, entry["chunk_size"], entry["codec_id"],
-        head["total_size"], bytes.fromhex(head["checksum"]))
-    return {"pointer": ptr}, b""
+    upload = _upload(s, head["upload_id"])
+    del s._connection.uploads[head["upload_id"]]
+    data = b"".join(upload["parts"])
+    if len(data) != head["total_size"] or checksum_of(data).hex() != head["checksum"]:
+        raise ChecksumMismatch("uploaded bytes do not match the declared size and digest")
+    return {"pointer": s.engine.put_blob(data, upload["chunk_size"], upload["codec_id"])}, b""
 
 
 def _blob_get_chunk(s, head, tail):

@@ -42,7 +42,7 @@ from forge.faults import KillPoint, kill_point
 from forge.query import TagScalar
 from forge.store import Document, PutOp, Store
 from forge.store.store import CommitGroupOp
-from forge.store.types import MAX_PAYLOAD, validate_tags
+from forge.store.types import MAX_PAYLOAD, json_doc, validate_tags
 
 TASK_PREFIX = "__sys/task/"
 PLAN_PREFIX = "__sys/plan/"
@@ -113,8 +113,12 @@ class Plan:
     submitted_at: int = 0
 
 
-def _json_doc(key: str, payload: dict) -> Document:
-    return Document(key=key, payload=json.dumps(payload, sort_keys=True).encode())
+def lease_write_due(holder: str | None, until: int, me: str, now: int,
+                    lease_ttl_ms: int) -> bool:
+    """Whether ``me`` must write a lease record that reads (holder, until) to
+    keep the lease: to take it, or to renew it once half its ttl has passed.
+    In between an idle holder writes nothing."""
+    return holder != me or until - now <= lease_ttl_ms // 2
 
 
 def output_document(task_id: str, index: int, payload, label: str | None = None,
@@ -183,12 +187,12 @@ class WorkflowManager:
             self._track(task)
 
     def _task_op(self, task: Task, *, exists: bool) -> PutOp:
-        return PutOp(_json_doc(TASK_PREFIX + task.task_id, task.to_dict()), replace=exists)
+        return PutOp(json_doc(TASK_PREFIX + task.task_id, task.to_dict()), replace=exists)
 
     def _plan_op(self, plan: Plan, *, exists: bool) -> PutOp:
         payload = {"plan_id": plan.plan_id, "task_ids": list(plan.task_ids),
                    "status": plan.status, "submitted_at": plan.submitted_at}
-        return PutOp(_json_doc(PLAN_PREFIX + plan.plan_id, payload), replace=exists)
+        return PutOp(json_doc(PLAN_PREFIX + plan.plan_id, payload), replace=exists)
 
     def _validate_task_fields(self, kind, input_dataset, model_key, output_dataset, params):
         if kind not in TASK_KINDS:
@@ -514,11 +518,11 @@ class WorkflowManager:
                     actions["plans_completed"].append(plan.plan_id)
 
         # the master doc is the master's lease: written with other effects,
-        # or alone once half of the lease has passed, so idle steps write nothing
-        if (ops or meta is None or meta["holder"] != master_id
-                or meta["until"] - now <= lease_ttl_ms // 2):
-            master_doc = _json_doc(MASTER_KEY, {"holder": master_id,
-                                                "until": now + lease_ttl_ms})
+        # or alone when lease_write_due says so
+        if ops or meta is None or lease_write_due(meta["holder"], meta["until"],
+                                                  master_id, now, lease_ttl_ms):
+            master_doc = json_doc(MASTER_KEY, {"holder": master_id,
+                                               "until": now + lease_ttl_ms})
             ops.append(PutOp(master_doc, replace=meta is not None))
         kill_point("master.before_apply")
         self._commit(ops, new_tasks)

@@ -1,0 +1,107 @@
+"""The operator command line, run with click's test runner against a store
+it initialised and an in-thread server it reaches through --addr."""
+
+import base64
+import json
+import random
+
+import pytest
+from click.testing import CliRunner
+
+from forge.cli import main
+from forge.clock import FakeClock
+from forge.engine import Forge
+from forge.store import BlobPointer
+from forge.wire import ForgeServer
+
+MLP = {"input_dims": [3], "layers": [{"name": "out", "kind": "dense", "out_units": 2}]}
+
+
+@pytest.fixture
+def forge(tmp_path):
+    """(run, engine): ``run(*args, input=None)`` invokes the command line
+    with --addr set to a server over a store made by ``forge init``."""
+    runner = CliRunner()
+    path = tmp_path / "store"
+    result = runner.invoke(main, ["init", "--path", str(path)])
+    assert result.exit_code == 0 and f"initialized store at {path}" in result.output
+    engine = Forge(path, clock=FakeClock(), fsync=False)
+    server = ForgeServer(engine, port=0)
+    server.start()
+    addr = "{}:{}".format(*server.address)
+
+    def run(*args, input=None):
+        return runner.invoke(main, ["--addr", addr, *args], input=input)
+
+    yield run, engine
+    server.stop()
+    engine.close()
+
+
+def test_ingest_then_query(forge, tmp_path):
+    run, engine = forge
+    big = random.Random(1).randbytes(engine.store.inline_threshold + 1)
+    (tmp_path / "big.bin").write_bytes(big)
+    lines = [json.dumps({"key": f"d{i}", "sample_b64": base64.b64encode(b"s%d" % i).decode(),
+                         "tags": {"split": "train" if i < 3 else "test"}}) for i in range(5)]
+    lines.append(json.dumps({"key": "big", "sample_file": str(tmp_path / "big.bin"),
+                             "label": "L", "tags": {"split": "train"}}))
+    result = run("ingest", "-", input="\n".join(lines) + "\n")
+    assert result.exit_code == 0, result.output
+    assert result.stdout == "ingested 6 documents\n"
+    doc = engine.get_document("big")  # over the inline threshold: a blob upload
+    assert isinstance(doc.payload, BlobPointer) and doc.label == "L"
+    assert engine.get_blob(doc.payload) == big
+    assert engine.get_document("d1").payload == b"s1"
+
+    assert run("query", 'split = "train"', "--count").stdout == "4\n"
+    result = run("query", 'split = "train"', "--json")
+    assert json.loads(result.stdout) == {"count": 4, "keys": ["big", "d0", "d1", "d2"]}
+    assert run("query", 'split = "train"', "--limit", "2").stdout == "big\nd0\n"
+    result = run("query", "split =")
+    assert result.exit_code == 2 and "syntax error" in result.output
+
+
+def test_ingest_rejects_a_line_without_one_sample(forge):
+    run, engine = forge
+    result = run("ingest", "-", input=json.dumps({"key": "k"}) + "\n")
+    assert result.exit_code == 2 and "exactly one of" in result.output
+    assert engine.scan("")[0] == []
+
+
+def test_views_models_events_plans_replay(forge, tmp_path):
+    run, engine = forge
+    result = run("view", "define", "train", 'split = "train"')
+    assert (result.exit_code, result.stdout) == (0, "view train defined\n")
+    assert json.loads(run("view", "list", "--json").stdout) == {"views": ["train"]}
+    assert run("view", "list").stdout == "train\n"
+
+    (tmp_path / "spec.json").write_text(json.dumps(MLP))
+    result = run("model", "register", "m", str(tmp_path / "spec.json"))
+    assert (result.exit_code, result.stdout) == (0, "model m registered\n")
+    assert engine.get_model("m").spec["input_dims"] == [3]
+    (tmp_path / "bad.json").write_text("{")
+    assert run("model", "register", "m2", str(tmp_path / "bad.json")).exit_code == 2
+
+    engine.record_event("m", 1, "loss", 0.5)
+    engine.record_event("m", 2, "acc", 0.25)
+    result = run("events", "dump", "m", "--json")
+    assert [(e["step"], e["name"], e["value"]) for e in json.loads(result.stdout)["events"]] \
+        == [(1, "loss", 0.5), (2, "acc", 0.25)]
+    assert run("events", "dump", "m", "--name", "acc").stdout == "2\tacc\t0.25\n"
+
+    plan = {"plan_id": "p", "tasks": [{"task_id": "p-a", "kind": "user_fn"},
+                                      {"task_id": "p-b", "kind": "user_fn",
+                                       "depends_on": ["p-a"]}]}
+    (tmp_path / "plan.json").write_text(json.dumps(plan))
+    result = run("plan", "submit", str(tmp_path / "plan.json"))
+    assert (result.exit_code, result.stdout) == (0, "plan p submitted\n")
+    result = run("plan", "status", "p", "--json")
+    assert json.loads(result.stdout) == engine.plan_status("p") == {
+        "plan_id": "p", "status": "running", "tasks": {"p-a": "pending", "p-b": "pending"}}
+    assert run("plan", "status", "p").stdout == "plan p: running\n  p-a: pending\n  p-b: pending\n"
+    assert run("plan", "status", "nope").exit_code == 1
+
+    result = run("replay", "p-a")  # pending, not dead
+    assert result.exit_code == 1 and "error [invalid_argument]" in result.output
+    assert engine.get_task("p-a").replays == 0

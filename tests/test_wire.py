@@ -4,8 +4,13 @@ garbage frames thrown at a live server."""
 
 import inspect
 import json
+import random
 import socket
 import sys
+import threading
+import time
+import tracemalloc
+from dataclasses import dataclass
 from pathlib import Path
 
 import click
@@ -17,10 +22,18 @@ from hypothesis import strategies as st
 from forge.cli import _parse_addr
 from forge.clock import FakeClock
 from forge.engine import Forge
-from forge.errors import FrameTooLarge, InvalidArgument, StaleLease, ViewNotFound
+from forge.errors import (
+    ChecksumMismatch,
+    FrameTooLarge,
+    InvalidArgument,
+    NotFound,
+    StaleLease,
+    ViewNotFound,
+)
 from forge.query import parse
 from forge.dataset import DatasetView
-from forge.store import Document, ScanCursor
+from forge.store import CODEC_NONE, CODEC_ZLIB, Document, ScanCursor
+from forge.store.types import MAX_CHUNK_SIZE, MIN_CHUNK_SIZE, checksum_of
 from forge.wire import ForgeClient, ForgeServer, default_address
 from forge.wire import protocol as P
 from forge.wire.server import _HANDLERS
@@ -190,6 +203,91 @@ def test_blob_chunks_are_read_only_from_the_store(wire_pair, tmp_path):
             client._call(P.BLOB_GET_CHUNK, {"blob_id": blob_id, "index": index})
 
 
+# --- blob uploads: one write path, scoped to a connection ---------------------------
+
+@pytest.mark.parametrize("chunk_size", [16, MIN_CHUNK_SIZE - 1, MAX_CHUNK_SIZE + 1])
+def test_put_blob_chunk_size_bounds(api, chunk_size):
+    with pytest.raises(InvalidArgument):
+        api.put_blob(b"x" * 100, chunk_size)
+
+
+@pytest.mark.parametrize("codec_id", [CODEC_NONE, CODEC_ZLIB])
+def test_wire_and_local_put_blob_store_the_same_blob(wire_pair, codec_id):
+    engine, _, client = wire_pair
+    data = random.Random(codec_id).randbytes(5 * 256 * 1024 + 17)  # 6 chunks
+    remote = client.put_blob(data, 256 * 1024, codec_id)
+    chunks = sorted(p.name for p in engine.store.blobs.root.iterdir())
+    assert remote == engine.put_blob(data, 256 * 1024, codec_id)
+    assert remote.chunk_count == 6 and len(chunks) == 6
+    assert sorted(p.name for p in engine.store.blobs.root.iterdir()) == chunks
+    assert client.get_blob(remote) == engine.get_blob(remote) == data
+
+
+def test_corrupted_chunk_read_over_the_wire_raises(wire_pair):
+    engine, _, client = wire_pair
+    ptr = client.put_blob(random.Random(5).randbytes(50_000), 8192, CODEC_NONE)
+    path = engine.store.blobs._chunk_path(ptr.blob_id, 3)
+    raw = bytearray(path.read_bytes())
+    raw[100] ^= 0x01
+    path.write_bytes(bytes(raw))
+    with pytest.raises(ChecksumMismatch):
+        client.get_blob(ptr)
+
+
+def test_wire_blob_write_waits_for_the_engine_lock(wire_pair):
+    """Chunks are written under the engine lock, so they cannot interleave
+    with compaction's garbage collection."""
+    engine, _, client = wire_pair
+    done = threading.Event()
+    with engine._lock:
+        thread = threading.Thread(target=lambda: (client.put_blob(b"y" * 10_000, 4096),
+                                                  done.set()))
+        thread.start()
+        assert not done.wait(0.5)
+        assert list(engine.store.blobs.root.iterdir()) == []
+    thread.join(10)
+    assert done.is_set() and not thread.is_alive()
+    assert len(list(engine.store.blobs.root.iterdir())) == 3
+
+
+def test_uploads_end_with_their_connection(wire_pair):
+    _, server, _ = wire_pair
+    slice_ = b"z" * 100_000
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        with ForgeClient(*server.address) as client:
+            for _ in range(3):
+                head, _ = client._call(P.BLOB_PUT_BEGIN, {"chunk_size": 4096, "codec_id": 0})
+                client._call(P.BLOB_PUT_CHUNK, {"upload_id": head["upload_id"], "index": 0},
+                             slice_)
+            assert tracemalloc.get_traced_memory()[0] - before >= 3 * len(slice_)
+        deadline = time.monotonic() + 10
+        while (tracemalloc.get_traced_memory()[0] - before > len(slice_)
+               and time.monotonic() < deadline):
+            time.sleep(0.01)
+        assert tracemalloc.get_traced_memory()[0] - before <= len(slice_)
+    finally:
+        tracemalloc.stop()
+
+
+def test_upload_belongs_to_its_connection(wire_pair):
+    _, server, client = wire_pair
+    head, _ = client._call(P.BLOB_PUT_BEGIN, {"chunk_size": 4096, "codec_id": 0})
+    with ForgeClient(*server.address) as other:
+        with pytest.raises(NotFound):
+            other._call(P.BLOB_PUT_CHUNK, {"upload_id": head["upload_id"], "index": 0}, b"a")
+    with pytest.raises(InvalidArgument):  # slices come in order
+        client._call(P.BLOB_PUT_CHUNK, {"upload_id": head["upload_id"], "index": 1}, b"a")
+    client._call(P.BLOB_PUT_CHUNK, {"upload_id": head["upload_id"], "index": 0}, b"a")
+    with pytest.raises(ChecksumMismatch):
+        client._call(P.BLOB_PUT_COMMIT, {"upload_id": head["upload_id"], "total_size": 2,
+                                         "checksum": checksum_of(b"a").hex()})
+    with pytest.raises(NotFound):  # a failed commit ends the upload too
+        client._call(P.BLOB_PUT_COMMIT, {"upload_id": head["upload_id"], "total_size": 1,
+                                         "checksum": checksum_of(b"a").hex()})
+
+
 # --- one address parser -------------------------------------------------------------
 
 def test_address_parsing(monkeypatch):
@@ -240,10 +338,17 @@ def _head_names(op: P.Op) -> tuple[list[str], list[str]]:
 
 @st.composite
 def garbage(draw):
-    """(bytes to send, whether every reply must be invalid_argument)."""
+    """(bytes to send, whether every reply must be invalid_argument), or for
+    a cut upload (CutUpload, False)."""
     kind = draw(st.sampled_from(["bytes", "truncated", "oversize", "bad_head",
                                  "unknown_op", "missing", "unknown_arg", "wrong_type",
-                                 "blob_args"]))
+                                 "blob_args", "cut_upload"]))
+    if kind == "cut_upload":
+        uploads = draw(st.lists(st.lists(st.binary(max_size=64), max_size=3),
+                                min_size=1, max_size=3))
+        frame = _frame(draw(st.sampled_from(BLOB_OPS[:3])), {"upload_id": "x", "index": 0},
+                       draw(st.binary(max_size=32)))
+        return CutUpload(uploads, frame[:draw(st.integers(0, len(frame) - 1))]), False
     if kind == "bytes":
         return draw(st.binary(max_size=64)), False
     if kind == "truncated":
@@ -281,6 +386,35 @@ def garbage(draw):
         head[extra] = draw(JSON)
         return _frame(op.code, head), True
     return _frame(op.code, head, draw(st.binary(max_size=32))), False
+
+
+@dataclass
+class CutUpload:
+    """Uploads begun and fed with raw slices on one connection, which then
+    sends ``cut``, a frame's first bytes, and closes."""
+
+    uploads: list[list[bytes]]
+    cut: bytes
+
+    def send(self, address) -> list[str]:
+        """Play it against the server; the ids of the uploads left open."""
+        upload_ids = []
+        with socket.create_connection(address, timeout=10) as sock:
+            def call(code, head, tail=b""):
+                sock.sendall(_frame(code, head, tail))
+                length, _, status = P.HEADER.unpack(P.recv_exact(sock, P.HEADER_SIZE))
+                reply, _ = P.split_payload(P.recv_exact(sock, length))
+                assert status == P.STATUS_OK, reply
+                return reply
+
+            for slices in self.uploads:
+                head = call(P.BLOB_PUT_BEGIN, {"chunk_size": 4096, "codec_id": 0})
+                upload_ids.append(head["upload_id"])
+                for index, piece in enumerate(slices):
+                    call(P.BLOB_PUT_CHUNK, {"upload_id": upload_ids[-1], "index": index},
+                         piece)
+            sock.sendall(self.cut)
+        return upload_ids
 
 
 def _exchange(address, data: bytes) -> bytes:
@@ -322,12 +456,20 @@ def test_garbage_frames_never_hurt_the_server(tmp_path):
         server = ForgeServer(engine, port=0)
         server.start()
         try:
-            replies = _replies(_exchange(server.address, data))
-            if invalid_argument:
-                assert [(status, head["code"]) for status, head in replies] == \
-                    [(P.STATUS_ERROR, "invalid_argument")]
+            upload_ids = []
+            if isinstance(data, CutUpload):
+                upload_ids = data.send(server.address)
+            else:
+                replies = _replies(_exchange(server.address, data))
+                if invalid_argument:
+                    assert [(status, head["code"]) for status, head in replies] == \
+                        [(P.STATUS_ERROR, "invalid_argument")]
             with ForgeClient(*server.address) as client:
                 assert client.info()["format_version"] == 1
+                for upload_id in upload_ids:  # they ended with their connection
+                    with pytest.raises(NotFound):
+                        client._call(P.BLOB_PUT_COMMIT, {"upload_id": upload_id,
+                                                         "total_size": 0, "checksum": ""})
         finally:
             server.stop()
             engine.close()

@@ -198,6 +198,32 @@ class TestMasterLease:
         clock.advance(TTL)
         assert api.master_step("m2", TTL)["busy"] is False
 
+    @staticmethod
+    def _with_idle_stream(engine) -> None:
+        engine.register_model(MODEL, SPEC)
+        engine.define_view("v", 'dataset = "v"')
+        engine.attach_stream("v", 4, 1_000, MODEL, "v-out")
+        engine.master_step("m1", TTL)  # takes both leases
+
+    def test_idle_steps_with_a_stream_write_nothing(self, engine):
+        """A quiet stream poll follows the master's lease rule."""
+        self._with_idle_stream(engine)
+        size = _log_bytes(engine)
+        for _ in range(1000):
+            assert engine.master_step("m1", TTL)["stream_tasks"] == []
+        assert _log_bytes(engine) == size
+
+    def test_idle_writes_are_lease_renewals(self, engine, clock):
+        self._with_idle_stream(engine)
+        seq, steps, step_ms = engine.store.snapshot_seq(), 1000, 100
+        for _ in range(steps):
+            clock.advance(step_ms)
+            engine.master_step("m1", TTL)
+        renewals = steps * step_ms // (TTL // 2)  # each lease renews at half its ttl
+        assert engine.store.snapshot_seq() - seq == 2 * renewals  # master and controller
+        ctl = engine.datasets.get_controller("v")
+        assert ctl.lease_holder == "m1" and ctl.lease_until > clock.now_ms() + TTL // 2
+
 
 class TestOutputs:
     def test_invisible_until_completion(self, api):
