@@ -34,7 +34,9 @@ def _parse_addr(addr: str | None) -> tuple[str | None, int | None]:
 
 def _client(ctx: click.Context) -> ForgeClient:
     host, port = _parse_addr(ctx.obj.get("addr"))
-    return ForgeClient(host, port)
+    client = ForgeClient(host, port)
+    ctx.call_on_close(client.close)
+    return client
 
 
 def _fail(exc: ForgeError) -> None:

@@ -22,6 +22,7 @@ from pathlib import Path
 
 from forge.errors import ChecksumMismatch, EmptyBlob, InvalidArgument, NotFound, StorageFull
 from forge.store.types import (
+    CODEC_NONE,
     CODEC_ZLIB,
     MAX_CHUNK_SIZE,
     MIN_CHUNK_SIZE,
@@ -78,6 +79,8 @@ class BlobStore:
         if not (MIN_CHUNK_SIZE <= chunk_size <= MAX_CHUNK_SIZE):
             raise InvalidArgument(
                 f"chunk_size must be within [{MIN_CHUNK_SIZE}, {MAX_CHUNK_SIZE}]")
+        if codec_id not in (CODEC_NONE, CODEC_ZLIB):
+            raise InvalidArgument(f"unknown codec_id {codec_id!r}")
         checksum = checksum_of(data)
         ptr = BlobPointer(
             blob_id=blob_id_for(checksum, chunk_size, codec_id),

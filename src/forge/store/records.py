@@ -1,11 +1,44 @@
-"""Binary encoding of documents and log records. All integers little-endian."""
+"""Binary encoding of documents and log records.
+
+All integers are little-endian; strings are UTF-8 behind their byte length.
+
+A document::
+
+    u16 key_len | key | payload | u8 has_label | [u32 label_len | label]
+    | u16 tag_count | tag * tag_count
+
+where the payload is ``u8 0 | u32 len | bytes`` (inline) or ``u8 1 |
+pointer`` (any non-zero kind reads as a pointer), and a blob pointer is::
+
+    u16 id_len | blob_id | u64 total_size | u32 chunk_count | u32 chunk_size
+    | u8 codec_id | 32-byte sha-256 of the uncompressed payload
+
+Tags are written in name order, each ``u16 name_len | name | value``, and a
+tag value is one variant byte and its scalar::
+
+    u8 0 | u32 len | string        u8 1 | i64        u8 2 | f64
+    u8 3 | u8 bool (non-zero reads as true)
+
+Every mutation is one framed record (see log.py for framing). A record body
+is ``u8 op`` followed by op-specific fields:
+
+    PUT, REPLACE   u8 op | u64 seq | u64 arrived_ms | u8 has_group
+                   | [u16 group_len | group] | document
+    DELETE         u8 3 | u64 seq | u16 key_len | key
+    COMMIT_GROUP   u8 4 | u64 seq | u16 group_len | group
+    SNAPSHOT       u8 6 | u64 next_seq
+    BATCH          u8 5 | u16 count | (u32 body_len | body) * count
+
+A decoder ignores bytes after a body it has read (a batch's sub-bodies
+included); every truncated or malformed input raises ``CorruptStore``.
+"""
 
 from __future__ import annotations
 
 import struct
 
-from forge.errors import CorruptStore
-from forge.query import V_BOOL, V_FLOAT, V_INT, V_STRING, TagScalar, variant_of
+from forge.errors import CorruptStore, InvalidArgument
+from forge.query import V_BOOL, V_FLOAT, V_INT, V_STRING, variant_of
 from forge.store.types import BlobPointer, Document
 
 # log record op codes
@@ -18,243 +51,188 @@ OP_SNAPSHOT = 6
 
 _U16 = struct.Struct("<H")
 _U32 = struct.Struct("<I")
-_U64 = struct.Struct("<Q")
 _I64 = struct.Struct("<q")
 _F64 = struct.Struct("<d")
+_KIND16 = struct.Struct("<BH")  # a flag or code byte, then a u16 length or count
+_KIND32 = struct.Struct("<BI")  # a flag or code byte, then a u32 length
+_TAG_INT = struct.Struct("<Bq")
+_TAG_FLOAT = struct.Struct("<Bd")
+_POINTER = struct.Struct("<QIIB")  # total_size, chunk_count, chunk_size, codec_id
+_DOC_OP = struct.Struct("<BQQB")  # op, seq, arrived_ms, has_group
+_SEQ_OP = struct.Struct("<BQ")  # op, seq
+_SEQ_STR_OP = struct.Struct("<BQH")  # op, seq, string length
+
+_u16_at = _U16.unpack_from
+_u32_at = _U32.unpack_from
+_i64_at = _I64.unpack_from
+_f64_at = _F64.unpack_from
+_pointer_at = _POINTER.unpack_from
+_doc_op_at = _DOC_OP.unpack_from
+_seq_op_at = _SEQ_OP.unpack_from
+_seq_str_op_at = _SEQ_STR_OP.unpack_from
+
+_TAG_TRUE = bytes([V_BOOL, 1])
+_TAG_FALSE = bytes([V_BOOL, 0])
+
+# what a read past the end or a bad field raises before it becomes CorruptStore
+_MALFORMED = (IndexError, struct.error, ValueError, ZeroDivisionError, InvalidArgument)
 
 
-class _Writer:
-    def __init__(self):
-        self.parts: list[bytes] = []
+# --- encoding ---------------------------------------------------------------
 
-    def u8(self, v: int):
-        self.parts.append(bytes([v]))
-
-    def u16(self, v: int):
-        self.parts.append(_U16.pack(v))
-
-    def u32(self, v: int):
-        self.parts.append(_U32.pack(v))
-
-    def u64(self, v: int):
-        self.parts.append(_U64.pack(v))
-
-    def i64(self, v: int):
-        self.parts.append(_I64.pack(v))
-
-    def f64(self, v: float):
-        self.parts.append(_F64.pack(v))
-
-    def raw(self, b: bytes):
-        self.parts.append(b)
-
-    def str16(self, s: str):
-        raw = s.encode("utf-8")
-        self.u16(len(raw))
-        self.raw(raw)
-
-    def str32(self, s: str):
-        raw = s.encode("utf-8")
-        self.u32(len(raw))
-        self.raw(raw)
-
-    def bytes32(self, b: bytes):
-        self.u32(len(b))
-        self.raw(b)
-
-    def getvalue(self) -> bytes:
-        return b"".join(self.parts)
-
-
-class _Reader:
-    def __init__(self, buf: bytes, off: int = 0):
-        self.buf = buf
-        self.off = off
-
-    def _take(self, n: int) -> bytes:
-        end = self.off + n
-        if end > len(self.buf):
-            raise CorruptStore("truncated record")
-        chunk = self.buf[self.off:end]
-        self.off = end
-        return chunk
-
-    def u8(self) -> int:
-        return self._take(1)[0]
-
-    def u16(self) -> int:
-        return _U16.unpack(self._take(2))[0]
-
-    def u32(self) -> int:
-        return _U32.unpack(self._take(4))[0]
-
-    def u64(self) -> int:
-        return _U64.unpack(self._take(8))[0]
-
-    def i64(self) -> int:
-        return _I64.unpack(self._take(8))[0]
-
-    def f64(self) -> float:
-        return _F64.unpack(self._take(8))[0]
-
-    def str16(self) -> str:
-        return self._take(self.u16()).decode("utf-8")
-
-    def str32(self) -> str:
-        return self._take(self.u32()).decode("utf-8")
-
-    def bytes32(self) -> bytes:
-        return self._take(self.u32())
-
-    def done(self) -> bool:
-        return self.off >= len(self.buf)
-
-
-def write_tag_value(w: _Writer, value: TagScalar) -> None:
-    code = variant_of(value)
-    w.u8(code)
-    if code == V_STRING:
-        w.str32(value)
-    elif code == V_INT:
-        w.i64(value)
-    elif code == V_FLOAT:
-        w.f64(value)
+def _document_parts(doc: Document, parts: list) -> None:
+    """Append the encoding of ``doc`` to ``parts`` for one ``b"".join``."""
+    key = doc.key.encode()
+    payload = doc.payload
+    if isinstance(payload, bytes):
+        parts += (_U16.pack(len(key)), key, _KIND32.pack(0, len(payload)), payload)
     else:
-        w.u8(1 if value else 0)
-
-
-def read_tag_value(r: _Reader) -> TagScalar:
-    code = r.u8()
-    if code == V_STRING:
-        return r.str32()
-    if code == V_INT:
-        return r.i64()
-    if code == V_FLOAT:
-        return r.f64()
-    if code == V_BOOL:
-        return bool(r.u8())
-    raise CorruptStore(f"bad tag variant code {code}")
-
-
-def write_tags(w: _Writer, tags: dict[str, TagScalar]) -> None:
-    w.u16(len(tags))
+        blob_id = payload.blob_id.encode()
+        parts += (_U16.pack(len(key)), key, _KIND16.pack(1, len(blob_id)), blob_id,
+                  _POINTER.pack(payload.total_size, payload.chunk_count,
+                                payload.chunk_size, payload.codec_id),
+                  payload.checksum)
+    tags = doc.tags
+    if doc.label is None:
+        parts.append(_KIND16.pack(0, len(tags)))
+    else:
+        label = doc.label.encode()
+        parts += (_KIND32.pack(1, len(label)), label, _U16.pack(len(tags)))
     for name in sorted(tags):
-        w.str16(name)
-        write_tag_value(w, tags[name])
-
-
-def read_tags(r: _Reader) -> dict[str, TagScalar]:
-    return {r.str16(): read_tag_value(r) for _ in range(r.u16())}
-
-
-def write_pointer(w: _Writer, ptr: BlobPointer) -> None:
-    w.str16(ptr.blob_id)
-    w.u64(ptr.total_size)
-    w.u32(ptr.chunk_count)
-    w.u32(ptr.chunk_size)
-    w.u8(ptr.codec_id)
-    w.raw(ptr.checksum)
-
-
-def read_pointer(r: _Reader) -> BlobPointer:
-    return BlobPointer(
-        blob_id=r.str16(),
-        total_size=r.u64(),
-        chunk_count=r.u32(),
-        chunk_size=r.u32(),
-        codec_id=r.u8(),
-        checksum=r._take(32),
-    )
+        value = tags[name]
+        raw = name.encode()
+        parts += (_U16.pack(len(raw)), raw)
+        if isinstance(value, bool):
+            parts.append(_TAG_TRUE if value else _TAG_FALSE)
+        elif isinstance(value, int):
+            parts.append(_TAG_INT.pack(V_INT, value))
+        elif isinstance(value, float):
+            parts.append(_TAG_FLOAT.pack(V_FLOAT, value))
+        else:
+            variant_of(value)  # raises InvalidArgument for an unsupported type
+            raw = value.encode()
+            parts += (_KIND32.pack(V_STRING, len(raw)), raw)
 
 
 def encode_document(doc: Document) -> bytes:
-    w = _Writer()
-    w.str16(doc.key)
-    if doc.is_inline:
-        w.u8(0)
-        w.bytes32(doc.payload)
-    else:
-        w.u8(1)
-        write_pointer(w, doc.payload)
-    if doc.label is None:
-        w.u8(0)
-    else:
-        w.u8(1)
-        w.str32(doc.label)
-    write_tags(w, doc.tags)
-    return w.getvalue()
-
-
-def decode_document(buf: bytes, off: int = 0) -> Document:
-    doc, _ = decode_document_at(buf, off)
-    return doc
-
-
-def decode_document_at(buf: bytes, off: int) -> tuple[Document, int]:
-    r = _Reader(buf, off)
-    key = r.str16()
-    payload: bytes | BlobPointer
-    if r.u8() == 0:
-        payload = r.bytes32()
-    else:
-        payload = read_pointer(r)
-    label = r.str32() if r.u8() else None
-    tags = read_tags(r)
-    return Document(key=key, payload=payload, label=label, tags=tags), r.off
-
-
-# --- log record bodies ------------------------------------------------------
-#
-# Every mutation is one framed record (see log.py for framing). A record body
-# is `u8 op` followed by op-specific fields. Document-bearing ops carry the
-# assigned sequence number, arrival wall-clock ms, and an optional staging
-# group ahead of the document encoding.
+    parts: list[bytes] = []
+    _document_parts(doc, parts)
+    return b"".join(parts)
 
 
 def encode_doc_op(op: int, seq: int, arrived_ms: int, group: str | None, doc: Document) -> bytes:
-    w = _Writer()
-    w.u8(op)
-    w.u64(seq)
-    w.u64(arrived_ms)
     if group is None:
-        w.u8(0)
+        parts = [_DOC_OP.pack(op, seq, arrived_ms, 0)]
     else:
-        w.u8(1)
-        w.str16(group)
-    w.raw(encode_document(doc))
-    return w.getvalue()
+        raw = group.encode()
+        parts = [_DOC_OP.pack(op, seq, arrived_ms, 1), _U16.pack(len(raw)), raw]
+    _document_parts(doc, parts)
+    return b"".join(parts)
 
 
 def encode_delete(seq: int, key: str) -> bytes:
-    w = _Writer()
-    w.u8(OP_DELETE)
-    w.u64(seq)
-    w.str16(key)
-    return w.getvalue()
+    raw = key.encode()
+    return _SEQ_STR_OP.pack(OP_DELETE, seq, len(raw)) + raw
 
 
 def encode_commit_group(seq: int, group: str) -> bytes:
-    w = _Writer()
-    w.u8(OP_COMMIT_GROUP)
-    w.u64(seq)
-    w.str16(group)
-    return w.getvalue()
+    raw = group.encode()
+    return _SEQ_STR_OP.pack(OP_COMMIT_GROUP, seq, len(raw)) + raw
 
 
 def encode_snapshot_marker(next_seq: int) -> bytes:
-    w = _Writer()
-    w.u8(OP_SNAPSHOT)
-    w.u64(next_seq)
-    return w.getvalue()
+    return _SEQ_OP.pack(OP_SNAPSHOT, next_seq)
 
 
 def encode_batch(sub_bodies: list[bytes]) -> bytes:
-    w = _Writer()
-    w.u8(OP_BATCH)
-    w.u16(len(sub_bodies))
+    parts = [_KIND16.pack(OP_BATCH, len(sub_bodies))]
     for body in sub_bodies:
-        w.bytes32(body)
-    return w.getvalue()
+        parts += (_U32.pack(len(body)), body)
+    return b"".join(parts)
+
+
+# --- decoding ---------------------------------------------------------------
+#
+# The readers below take fields at explicit offsets and let a read past the
+# buffer raise IndexError or struct.error. A string or byte run cut short by
+# the buffer's end is not caught where it is sliced: offsets only grow, so the
+# next fixed-width read fails, or the end offset that is returned lies past
+# the buffer, which the public entry points check.
+
+
+def _document_at(buf: bytes, off: int) -> tuple[Document, int]:
+    (n,) = _u16_at(buf, off)
+    off += 2
+    key = buf[off:off + n].decode()
+    off += n
+    payload: bytes | BlobPointer
+    if buf[off]:
+        (n,) = _u16_at(buf, off + 1)
+        off += 3
+        blob_id = buf[off:off + n].decode()
+        total_size, chunk_count, chunk_size, codec_id = _pointer_at(buf, off + n)
+        off += n + 17
+        payload = BlobPointer(blob_id, total_size, chunk_count, chunk_size, codec_id,
+                              buf[off:off + 32])
+        off += 32
+    else:
+        (n,) = _u32_at(buf, off + 1)
+        off += 5
+        payload = buf[off:off + n]
+        off += n
+    if buf[off]:
+        (n,) = _u32_at(buf, off + 1)
+        off += 5
+        label = buf[off:off + n].decode()
+        off += n
+    else:
+        label = None
+        off += 1
+    (count,) = _u16_at(buf, off)
+    off += 2
+    tags = {}
+    for _ in range(count):
+        (n,) = _u16_at(buf, off)
+        off += 2
+        name = buf[off:off + n].decode()
+        off += n
+        code = buf[off]
+        if code == V_STRING:
+            (n,) = _u32_at(buf, off + 1)
+            off += 5
+            tags[name] = buf[off:off + n].decode()
+            off += n
+        elif code == V_INT:
+            (tags[name],) = _i64_at(buf, off + 1)
+            off += 9
+        elif code == V_FLOAT:
+            (tags[name],) = _f64_at(buf, off + 1)
+            off += 9
+        elif code == V_BOOL:
+            tags[name] = buf[off + 1] != 0
+            off += 2
+        else:
+            raise CorruptStore(f"bad tag variant code {code}")
+    return Document(key, payload, label, tags), off
+
+
+def decode_document_at(buf: bytes, off: int) -> tuple[Document, int]:
+    """The document encoded at ``buf[off:]`` and the offset where it ends."""
+    try:
+        doc, end = _document_at(buf, off)
+    except _MALFORMED as exc:
+        raise CorruptStore(f"malformed document: {exc}") from exc
+    if end > len(buf):
+        raise CorruptStore("truncated document")
+    return doc, end
+
+
+def decode_document(buf: bytes) -> Document:
+    """The document that ``buf`` holds, with no bytes left over."""
+    doc, end = decode_document_at(buf, 0)
+    if end != len(buf):
+        raise CorruptStore(f"{len(buf) - end} bytes after the document")
+    return doc
 
 
 class DecodedOp:
@@ -270,25 +248,53 @@ class DecodedOp:
         self.next_seq = next_seq
 
 
+def _ops_at(buf: bytes, off: int, end: int, out: list[DecodedOp]) -> None:
+    """Append the ops of the body at ``buf[off:end]`` to ``out``; bytes
+    after the body are ignored, a body that runs past ``end`` is corrupt."""
+    op = buf[off]
+    if op == OP_PUT or op == OP_REPLACE:
+        _, seq, arrived, has_group = _doc_op_at(buf, off)
+        off += 18
+        group = None
+        if has_group:
+            (n,) = _u16_at(buf, off)
+            off += 2
+            group = buf[off:off + n].decode()
+            off += n
+        doc, off = _document_at(buf, off)
+        out.append(DecodedOp(op, seq, arrived, group, doc))
+    elif op == OP_DELETE or op == OP_COMMIT_GROUP:
+        _, seq, n = _seq_str_op_at(buf, off)
+        off += 11
+        name = buf[off:off + n].decode()
+        off += n
+        if op == OP_DELETE:
+            out.append(DecodedOp(op, seq, key=name))
+        else:
+            out.append(DecodedOp(op, seq, group=name))
+    elif op == OP_SNAPSHOT:
+        _, next_seq = _seq_op_at(buf, off)
+        off += 9
+        out.append(DecodedOp(op, next_seq=next_seq))
+    elif op == OP_BATCH:
+        (count,) = _u16_at(buf, off + 1)
+        off += 3
+        for _ in range(count):
+            (n,) = _u32_at(buf, off)
+            off += 4
+            _ops_at(buf, off, off + n, out)
+            off += n
+    else:
+        raise CorruptStore(f"unknown log op {op}")
+    if off > end:
+        raise CorruptStore("truncated record")
+
+
 def decode_body(body: bytes) -> list[DecodedOp]:
     """Decode a record body into its flat list of ops (batches are inlined)."""
-    r = _Reader(body)
-    op = r.u8()
-    if op == OP_BATCH:
-        ops = []
-        for _ in range(r.u16()):
-            ops.extend(decode_body(r.bytes32()))
-        return ops
-    if op in (OP_PUT, OP_REPLACE):
-        seq = r.u64()
-        arrived = r.u64()
-        group = r.str16() if r.u8() else None
-        doc, _ = decode_document_at(r.buf, r.off)
-        return [DecodedOp(op, seq=seq, arrived_ms=arrived, group=group, doc=doc)]
-    if op == OP_DELETE:
-        return [DecodedOp(op, seq=r.u64(), key=r.str16())]
-    if op == OP_COMMIT_GROUP:
-        return [DecodedOp(op, seq=r.u64(), group=r.str16())]
-    if op == OP_SNAPSHOT:
-        return [DecodedOp(op, next_seq=r.u64())]
-    raise CorruptStore(f"unknown log op {op}")
+    ops: list[DecodedOp] = []
+    try:
+        _ops_at(body, 0, len(body), ops)
+    except _MALFORMED as exc:
+        raise CorruptStore(f"malformed record: {exc}") from exc
+    return ops

@@ -19,8 +19,10 @@ response head is ``{"result": value}``. Heads are plain JSON, except that
 tuples, bytes, queries and the wire's dataclasses travel as objects tagged
 with a ``"$type"`` key (``to_wire``). At most one value per op rides in the
 tail instead of the head: a document, a document list (each one prefixed by
-its u32 length) or a tensor container. An error head is ``{"code",
-"message", "data"}``.
+its u32 length) or a tensor container, in the byte layouts of
+``forge.store.records`` and ``forge.tensorio``. A document must fill its tail
+or its slot exactly; leftover bytes are ``invalid_argument``. An error head
+is ``{"code", "message", "data"}``.
 
 Blobs cross the wire through four transfer ops (``BLOB_*``) that are not
 engine methods. An upload is ``BLOB_PUT_BEGIN`` (head ``{chunk_size,
@@ -45,7 +47,7 @@ from dataclasses import dataclass, field
 
 from forge.dataset import BatchCursor, DatasetView, StreamController
 from forge.engine import Forge
-from forge.errors import ForgeError, FrameTooLarge, InvalidArgument, ProtocolError
+from forge.errors import CorruptStore, ForgeError, FrameTooLarge, InvalidArgument, ProtocolError
 from forge.models import ModelEvent, ModelRecord, ModelVersion
 from forge.query import TagQuery, parse, render
 from forge.store import BlobPointer, Document, ScanCursor
@@ -56,6 +58,7 @@ from forge.workflow import Task
 
 HEADER = struct.Struct("<IQB")
 HEADER_SIZE = HEADER.size
+_U32 = struct.Struct("<I")  # the JSON head's length and each document slot's
 
 STATUS_OK = 0
 STATUS_ERROR = 1
@@ -172,7 +175,7 @@ def pack_message(request_id: int, code: int, head: dict, tail: bytes = b"") -> b
     if payload_len > MAX_PAYLOAD:
         raise FrameTooLarge(f"payload of {payload_len} bytes exceeds {MAX_PAYLOAD}")
     return (HEADER.pack(payload_len, request_id, code)
-            + struct.pack("<I", len(raw_head)) + raw_head + tail)
+            + _U32.pack(len(raw_head)) + raw_head + tail)
 
 
 def recv_exact(sock, n: int) -> bytes:
@@ -189,7 +192,7 @@ def recv_exact(sock, n: int) -> bytes:
 def split_payload(payload: bytes) -> tuple[dict, bytes]:
     if len(payload) < 4:
         raise ProtocolError("payload too short for JSON head")
-    (head_len,) = struct.unpack_from("<I", payload, 0)
+    (head_len,) = _U32.unpack_from(payload, 0)
     if 4 + head_len > len(payload):
         raise ProtocolError("JSON head overruns payload")
     try:
@@ -209,20 +212,25 @@ def pack_documents(docs: list[Document]) -> bytes:
     parts = []
     for doc in docs:
         raw = encode_document(doc)
-        parts.append(struct.pack("<I", len(raw)))
-        parts.append(raw)
+        parts += (_U32.pack(len(raw)), raw)
     return b"".join(parts)
 
 
 def unpack_documents(tail: bytes) -> list[Document]:
+    """The documents of a ``docs`` tail. Each is decoded in place and must
+    end exactly where its slot's u32 length says it does."""
     docs = []
     off = 0
     while off < len(tail):
-        (length,) = struct.unpack_from("<I", tail, off)
+        if off + 4 > len(tail):
+            raise CorruptStore("truncated document slot length")
+        (length,) = _U32.unpack_from(tail, off)
         off += 4
-        doc, _ = decode_document_at(tail[off:off + length], 0)
+        doc, end = decode_document_at(tail, off)
+        if end != off + length:
+            raise CorruptStore(f"document of {end - off} bytes in a slot of {length}")
         docs.append(doc)
-        off += length
+        off = end
     return docs
 
 

@@ -173,6 +173,9 @@ def _expect(head, *names):
 
 def _blob_put_begin(s, head, tail):
     _expect(head, "chunk_size", "codec_id")
+    for name in ("chunk_size", "codec_id"):
+        if type(head[name]) is not int:  # JSON true and false decode to bool
+            raise InvalidArgument(f"{name} must be an integer, got {head[name]!r}")
     upload_id = uuid.uuid4().hex
     s._connection.uploads[upload_id] = {**head, "parts": []}
     return {"upload_id": upload_id}, b""

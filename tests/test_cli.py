@@ -2,8 +2,11 @@
 it initialised and an in-thread server it reaches through --addr."""
 
 import base64
+import gc
 import json
 import random
+import sys
+import warnings
 
 import pytest
 from click.testing import CliRunner
@@ -105,3 +108,33 @@ def test_views_models_events_plans_replay(forge, tmp_path):
     result = run("replay", "p-a")  # pending, not dead
     assert result.exit_code == 1 and "error [invalid_argument]" in result.output
     assert engine.get_task("p-a").replays == 0
+
+
+def test_remote_commands_close_their_connection(forge, tmp_path):
+    """With ResourceWarning an error, a socket left to the garbage collector
+    raises in its finalizer, which reaches ``sys.unraisablehook``."""
+    run, engine = forge
+    (tmp_path / "spec.json").write_text(json.dumps(MLP))
+    (tmp_path / "plan.json").write_text(json.dumps(
+        {"plan_id": "p", "tasks": [{"task_id": "p-a", "kind": "user_fn"}]}))
+    sample = json.dumps({"key": "d0", "sample_b64": base64.b64encode(b"s").decode()})
+    commands = [
+        (("ingest", "-"), sample + "\n"), (("query", "", "--count"), None),
+        (("view", "define", "v", 'split = "x"'), None), (("view", "list"), None),
+        (("model", "register", "m", str(tmp_path / "spec.json")), None),
+        (("events", "dump", "m"), None), (("plan", "submit", str(tmp_path / "plan.json")), None),
+        (("plan", "status", "p"), None), (("replay", "p-a"), None),
+    ]
+    unraisable = []
+    hook = sys.unraisablehook
+    sys.unraisablehook = unraisable.append
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", ResourceWarning)
+            for args, stdin in commands:
+                result = run(*args, input=stdin)
+                assert result.exit_code in (0, 1), result.output
+                gc.collect()
+    finally:
+        sys.unraisablehook = hook
+    assert [f"{u.exc_type.__name__}: {u.exc_value}" for u in unraisable] == []

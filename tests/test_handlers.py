@@ -1,0 +1,109 @@
+"""Built-in task handlers: the sample byte convention, targets from labels,
+the train handler's checks, user functions, and replay-stable version ids."""
+
+import numpy as np
+import pytest
+from conftest import make_engine
+
+from forge.errors import InvalidArgument, InvalidSpec
+from forge.handlers import (
+    DEFAULT_HANDLERS,
+    decode_sample,
+    encode_sample,
+    parse_target,
+    train_handler,
+    user_fn_handler,
+)
+from forge.store import Document
+from forge.workflow import COMPLETED, TaskContext, run_agent
+
+TTL = 5_000
+MODEL = "m"
+SPEC = {"input_dims": [4], "layers": [
+    {"name": "h", "kind": "dense", "out_units": 3},
+    {"name": "r", "kind": "relu"},
+    {"name": "out", "kind": "dense", "out_units": 2},
+]}
+
+
+def test_sample_round_trip():
+    vec = np.arange(6, dtype=np.float64).reshape(2, 3) / 7
+    raw = encode_sample(vec)
+    assert raw == vec.astype("<f4").tobytes()
+    back = decode_sample(raw, (2, 3))
+    assert back.dtype == np.float32 and back.shape == (2, 3)
+    assert back.tobytes() == raw
+
+
+@pytest.mark.parametrize("dims", [(5,), (2, 2), (7,)])
+def test_sample_with_the_wrong_float_count_is_rejected(dims):
+    with pytest.raises(InvalidArgument, match="6 floats"):
+        decode_sample(encode_sample(np.zeros(6)), dims)
+
+
+def test_parse_target():
+    target = parse_target("0.5,-1.25,3", "mse")
+    assert target.dtype == np.float32 and target.tolist() == [0.5, -1.25, 3.0]
+    assert parse_target("3", "softmax-xent") == 3
+    for loss in ("mse", "softmax-xent"):
+        with pytest.raises(InvalidArgument, match="need a label"):
+            parse_target(None, loss)
+
+
+def _engine_with_samples(path, count=6):
+    engine = make_engine(path)
+    engine.register_model(MODEL, SPEC)
+    rng = np.random.default_rng(11)
+    for i in range(count):
+        engine.put_document(Document(key=f"s{i:03d}",
+                                     payload=encode_sample(rng.standard_normal(4)),
+                                     label="0.5,-0.5", tags={"dataset": "train"}))
+    engine.define_view("train", 'dataset = "train"')
+    return engine
+
+
+def _leased_context(engine, **fields) -> TaskContext:
+    engine.submit_task(task_id="t", **fields)
+    task = engine.lease_task("agent", TTL)
+    assert task is not None and task.task_id == "t"
+    return TaskContext(engine, task, "agent")
+
+
+def test_emit_from_an_unknown_layer_is_rejected(tmp_path):
+    engine = _engine_with_samples(tmp_path / "store")
+    try:
+        ctx = _leased_context(engine, kind="train", input_dataset="train", model_key=MODEL,
+                              output_dataset="out", params={"emit": "hidden:nope"})
+        with pytest.raises(InvalidSpec, match="nope"):
+            train_handler(ctx)
+        assert ctx.pending == []
+    finally:
+        engine.close()
+
+
+def test_unregistered_user_fn_is_rejected(tmp_path):
+    engine = make_engine(tmp_path / "store")
+    try:
+        ctx = _leased_context(engine, kind="user_fn", params={"fn": "missing"})
+        with pytest.raises(InvalidArgument, match="missing"):
+            user_fn_handler(ctx)
+    finally:
+        engine.close()
+
+
+def _trained_version(path) -> str:
+    engine = _engine_with_samples(path)
+    try:
+        engine.submit_task(task_id="t", kind="train", input_dataset="train",
+                           model_key=MODEL, output_dataset="out",
+                           params={"seed": 4, "epochs": 2, "batch_size": 4, "emit": "hidden:r"})
+        run_agent(engine, "agent", DEFAULT_HANDLERS, max_loops=1, poll_interval=0.0)
+        assert engine.get_task("t").status == COMPLETED
+        [version] = engine.list_versions(MODEL)
+        return version.version_id
+    finally:
+        engine.close()
+
+
+def test_the_same_train_task_gives_the_same_version_id(tmp_path):
+    assert _trained_version(tmp_path / "a") == _trained_version(tmp_path / "b")

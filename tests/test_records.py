@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from forge.errors import InvalidArgument
+from forge.errors import CorruptStore, InvalidArgument
 from forge.store import records
-from forge.store.types import BlobPointer, Document
+from forge.store.types import MAX_CHUNK_SIZE, MIN_CHUNK_SIZE, BlobPointer, Document
 from forge.tensorio import decode_tensors, encode_tensors
 
 _tag_values = st.one_of(
@@ -73,6 +73,174 @@ def test_batch_round_trip():
                                    records.OP_COMMIT_GROUP]
     assert ops[1].key == "k"
     assert ops[2].group == "g"
+
+
+
+# --- the byte format, pinned ----------------------------------------------------
+#
+# Hex written by the codec before its one-pass rewrite, field by field.
+
+INLINE = Document(key="sample/0001", payload=b"\x00\x01hello", label="cat",
+                  tags={"name": "ünï", "n": -7, "w": 0.25, "ok": True})
+INLINE_HEX = (
+    "0b00 73616d706c652f30303031"  # key "sample/0001"
+    "00 07000000 000168656c6c6f"  # inline payload, 7 bytes
+    "01 03000000 636174"  # label "cat"
+    "0400"  # four tags, in name order:
+    "0100 6e 01 f9ffffffffffffff"  # n = -7
+    "0400 6e616d65 00 05000000 c3bc6ec3af"  # name = "ünï"
+    "0200 6f6b 03 01"  # ok = true
+    "0100 77 02 000000000000d03f"  # w = 0.25
+)
+POINTER = Document(key="blob/1", payload=BlobPointer(
+    blob_id="ab" * 16, total_size=1000, chunk_count=4, chunk_size=256, codec_id=1,
+    checksum=bytes(range(32))), tags={"split": "train"})
+POINTER_HEX = (
+    "0600 626c6f622f31"  # key "blob/1"
+    "01 2000" + "6162" * 16 +  # blob pointer: blob id
+    "e803000000000000 04000000 00010000 01"  # total 1000, 4 chunks of 256, zlib
+    "000102030405060708090a0b0c0d0e0f101112131415161718191a1b1c1d1e1f"  # sha-256
+    "00"  # no label
+    "0100 0500 73706c6974 00 05000000 747261696e"  # split = "train"
+)
+PUT_GROUP_HEX = "01 0700000000000000 7b68e5cf8b010000 01 0600 7461736b2d31" + INLINE_HEX
+PUT_HEAD_HEX = "01 0800000000000000 7c68e5cf8b010000 00"  # seq 8, no group
+PUT_HEX = PUT_HEAD_HEX + POINTER_HEX
+REPLACE_HEX = "02 0900000000000000 0500000000000000 00" + INLINE_HEX
+DELETE_HEX = "03 0a00000000000000 0b00 73616d706c652f30303031"
+COMMIT_HEX = "04 0b00000000000000 0600 7461736b2d31"
+SNAPSHOT_HEX = "06 2a00000000000000"
+BATCH_HEX = ("05 0300 6b000000" + PUT_GROUP_HEX + "16000000" + DELETE_HEX
+             + "11000000" + COMMIT_HEX)
+
+PUT_GROUP_OP = (records.OP_PUT, 7, 1700000000123, "task-1", INLINE, None, 0)
+DELETE_OP = (records.OP_DELETE, 10, 0, None, None, "sample/0001", 0)
+COMMIT_OP = (records.OP_COMMIT_GROUP, 11, 0, "task-1", None, None, 0)
+GOLDEN_BODIES = [  # (encoding, hex, decoded ops as DecodedOp field tuples)
+    (records.encode_doc_op(records.OP_PUT, 7, 1700000000123, "task-1", INLINE),
+     PUT_GROUP_HEX, [PUT_GROUP_OP]),
+    (records.encode_doc_op(records.OP_PUT, 8, 1700000000124, None, POINTER),
+     PUT_HEX, [(records.OP_PUT, 8, 1700000000124, None, POINTER, None, 0)]),
+    (records.encode_doc_op(records.OP_REPLACE, 9, 5, None, INLINE),
+     REPLACE_HEX, [(records.OP_REPLACE, 9, 5, None, INLINE, None, 0)]),
+    (records.encode_delete(10, "sample/0001"), DELETE_HEX, [DELETE_OP]),
+    (records.encode_commit_group(11, "task-1"), COMMIT_HEX, [COMMIT_OP]),
+    (records.encode_snapshot_marker(42), SNAPSHOT_HEX,
+     [(records.OP_SNAPSHOT, 0, 0, None, None, None, 42)]),
+    (records.encode_batch([bytes.fromhex(PUT_GROUP_HEX), bytes.fromhex(DELETE_HEX),
+                           bytes.fromhex(COMMIT_HEX)]),
+     BATCH_HEX, [PUT_GROUP_OP, DELETE_OP, COMMIT_OP]),
+]
+
+
+def _fields(op: records.DecodedOp) -> tuple:
+    return tuple(getattr(op, name) for name in records.DecodedOp.__slots__)
+
+
+@pytest.mark.parametrize("doc,hex_", [(INLINE, INLINE_HEX), (POINTER, POINTER_HEX)],
+                         ids=["inline", "pointer"])
+def test_golden_document_encoding(doc, hex_):
+    raw = bytes.fromhex(hex_)
+    assert records.encode_document(doc) == raw
+    assert records.decode_document(raw) == doc
+    assert records.decode_document_at(b"xy" + raw + b"tail", 2) == (doc, 2 + len(raw))
+
+
+@pytest.mark.parametrize("encoded,hex_,ops", GOLDEN_BODIES,
+                         ids=["put_group", "put", "replace", "delete", "commit_group",
+                              "snapshot", "batch"])
+def test_golden_body_encoding(encoded, hex_, ops):
+    assert encoded == bytes.fromhex(hex_)
+    assert [_fields(op) for op in records.decode_body(encoded)] == ops
+
+
+# --- truncated and malformed input ------------------------------------------------
+
+@st.composite
+def _pointers(draw):
+    chunk_size = draw(st.integers(min_value=MIN_CHUNK_SIZE, max_value=MAX_CHUNK_SIZE))
+    total_size = draw(st.integers(min_value=1, max_value=2**40))
+    return BlobPointer(blob_id=draw(st.text(max_size=40)), total_size=total_size,
+                       chunk_count=-(-total_size // chunk_size), chunk_size=chunk_size,
+                       codec_id=draw(st.sampled_from([0, 1])),
+                       checksum=draw(st.binary(min_size=32, max_size=32)))
+
+
+_any_documents = st.one_of(
+    _documents,
+    st.builds(Document, key=st.text(min_size=1, max_size=20), payload=_pointers(),
+              label=st.one_of(st.none(), st.text(max_size=16)),
+              tags=st.dictionaries(_tag_names, _tag_values, max_size=3)))
+
+_simple_bodies = st.one_of(
+    st.builds(records.encode_doc_op, st.sampled_from([records.OP_PUT, records.OP_REPLACE]),
+              st.integers(0, 2**64 - 1), st.integers(0, 2**64 - 1),
+              st.one_of(st.none(), st.text(max_size=12)), _any_documents),
+    st.builds(records.encode_delete, st.integers(0, 2**64 - 1), st.text(min_size=1)),
+    st.builds(records.encode_commit_group, st.integers(0, 2**64 - 1), st.text(min_size=1)),
+    st.builds(records.encode_snapshot_marker, st.integers(0, 2**64 - 1)),
+)
+_bodies = st.one_of(_simple_bodies,
+                    st.lists(_simple_bodies, max_size=3).map(records.encode_batch))
+
+
+@given(_any_documents)
+@settings(max_examples=200, deadline=None)
+def test_every_proper_prefix_of_a_document_is_corrupt(doc):
+    raw = records.encode_document(doc)
+    for cut in range(len(raw)):
+        with pytest.raises(CorruptStore):
+            records.decode_document_at(raw[:cut], 0)
+        with pytest.raises(CorruptStore):
+            records.decode_document(raw[:cut])
+
+
+@given(_bodies)
+@settings(max_examples=200, deadline=None)
+def test_every_proper_prefix_of_a_body_is_corrupt(body):
+    records.decode_body(body)
+    for cut in range(len(body)):
+        with pytest.raises(CorruptStore):
+            records.decode_body(body[:cut])
+
+
+def _replace(hex_: str, old: str, new: str) -> bytes:
+    assert hex_.count(old) == 1
+    return bytes.fromhex(hex_.replace(old, new))
+
+
+@pytest.mark.parametrize("raw", [
+    _replace(INLINE_HEX, "0b00 73616d706c652f30303031", "0b00 73616d706c652fff303031"),
+    _replace(INLINE_HEX, "6e616d65 00 05000000 c3bc", "6e616d65 00 05000000 bcc3"),
+    _replace(POINTER_HEX, "04000000 00010000", "04000000 00000000"),  # chunk_size 0
+    _replace(POINTER_HEX, "04000000 00010000", "05000000 00010000"),  # wrong chunk count
+    _replace(POINTER_HEX, "00010000 01", "00010000 07"),  # unknown codec
+    _replace(INLINE_HEX, "0200 6f6b 03 01", "0200 6f6b 04 01"),  # unknown tag variant
+], ids=["utf8_key", "utf8_tag", "zero_chunk_size", "chunk_count", "codec", "variant"])
+def test_malformed_document_is_corrupt(raw):
+    with pytest.raises(CorruptStore):
+        records.decode_document(raw)
+    with pytest.raises(CorruptStore):
+        records.decode_body(bytes.fromhex(PUT_HEAD_HEX) + raw)
+
+
+def test_document_with_bytes_left_over_is_corrupt():
+    with pytest.raises(CorruptStore, match="1 bytes after"):
+        records.decode_document(bytes.fromhex(INLINE_HEX) + b"\x00")
+
+
+@pytest.mark.parametrize("raw", [
+    b"",
+    b"\x09" + bytes(16),  # unknown op
+    _replace(DELETE_HEX, "2f30303031", "2f303030ff"),  # key not UTF-8
+    # a sub-body that runs past the length its batch slot declares
+    _replace(BATCH_HEX, "16000000", "15000000"),
+    # an empty sub-body, whose op byte would be the next slot's length
+    bytes.fromhex("05 0200 00000000 11000000" + COMMIT_HEX),
+], ids=["empty", "op", "utf8", "sub_body_overrun", "empty_sub_body"])
+def test_malformed_body_is_corrupt(raw):
+    with pytest.raises(CorruptStore):
+        records.decode_body(raw)
 
 
 # --- tensor container ----------------------------------------------------------

@@ -6,6 +6,7 @@ import inspect
 import json
 import random
 import socket
+import struct
 import sys
 import threading
 import time
@@ -33,11 +34,12 @@ from forge.errors import (
 from forge.query import parse
 from forge.dataset import DatasetView
 from forge.store import CODEC_NONE, CODEC_ZLIB, Document, ScanCursor
+from forge.store.records import encode_document
 from forge.store.types import MAX_CHUNK_SIZE, MIN_CHUNK_SIZE, checksum_of
 from forge.wire import ForgeClient, ForgeServer, default_address
 from forge.wire import protocol as P
 from forge.wire.server import _HANDLERS
-from forge.workflow import Task
+from forge.workflow import Task, output_document
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
 
@@ -288,6 +290,47 @@ def test_upload_belongs_to_its_connection(wire_pair):
                                          "checksum": checksum_of(b"a").hex()})
 
 
+@pytest.mark.parametrize("head", [
+    {"chunk_size": "abc", "codec_id": 0}, {"chunk_size": 4096.0, "codec_id": 0},
+    {"chunk_size": True, "codec_id": 0}, {"chunk_size": None, "codec_id": 0},
+    {"chunk_size": 4096, "codec_id": "0"}, {"chunk_size": 4096, "codec_id": False},
+    {"chunk_size": [4096], "codec_id": 0},
+])
+def test_upload_heads_are_typed(wire_pair, head):
+    _, _, client = wire_pair
+    with pytest.raises(InvalidArgument, match="must be an integer"):
+        client._call(P.BLOB_PUT_BEGIN, head)
+    assert client.get_blob(client.put_blob(b"ok" * 10, 4096, CODEC_NONE)) == b"ok" * 10
+
+
+@pytest.mark.parametrize("codec_id", [-1, 2, 300])
+def test_put_blob_rejects_an_unknown_codec(api, codec_id):
+    with pytest.raises(InvalidArgument, match="codec_id"):
+        api.put_blob(b"x" * 100, 4096, codec_id)
+
+
+# --- document tails ---------------------------------------------------------------
+
+WRITE_OUTPUTS = next(op for op in P.OPS if op.name == "write_outputs")
+DOCS_TAIL_OPS = [op for op in P.OPS if op.codec == "docs" and op.tail_param]
+
+
+def test_docs_slot_must_end_where_its_document_ends(wire_pair):
+    engine, _, client = wire_pair
+    engine.submit_task(kind="user_fn", task_id="t")
+    engine.lease_task("agent", TTL)
+    head = {"task_id": "t", "agent_id": "agent"}
+    raw = encode_document(output_document("t", 0, b"x"))
+    for tail in (struct.pack("<I", len(raw) + 5) + raw + b"JUNK!",
+                 struct.pack("<I", len(raw) - 1) + raw,
+                 struct.pack("<I", len(raw)) + raw + b"\x01\x00"):
+        with pytest.raises(InvalidArgument, match="malformed tail"):
+            client._call(WRITE_OUTPUTS.code, head, tail)
+    assert engine.scan("")[0] == []
+    reply, _ = client._call(WRITE_OUTPUTS.code, head, struct.pack("<I", len(raw)) + raw)
+    assert reply == {"result": ["t/000000"]}
+
+
 # --- one address parser -------------------------------------------------------------
 
 def test_address_parsing(monkeypatch):
@@ -319,6 +362,10 @@ JSON = st.recursive(
     max_leaves=6)
 
 
+DOCS = st.builds(Document, key=st.text(min_size=1, max_size=8), payload=st.binary(max_size=16),
+                 tags=st.dictionaries(st.sampled_from(["a", "b"]), st.integers(0, 9), max_size=2))
+
+
 def _frame(code: int, head: dict, tail: bytes = b"") -> bytes:
     """A frame whose head is exactly ``head`` as JSON, not passed through the
     client's encoder."""
@@ -342,7 +389,7 @@ def garbage(draw):
     a cut upload (CutUpload, False)."""
     kind = draw(st.sampled_from(["bytes", "truncated", "oversize", "bad_head",
                                  "unknown_op", "missing", "unknown_arg", "wrong_type",
-                                 "blob_args", "cut_upload"]))
+                                 "blob_args", "blob_types", "docs_slot", "cut_upload"]))
     if kind == "cut_upload":
         uploads = draw(st.lists(st.lists(st.binary(max_size=64), max_size=3),
                                 min_size=1, max_size=3))
@@ -371,6 +418,19 @@ def garbage(draw):
     if kind == "blob_args":
         head = draw(st.one_of(st.just({}), st.just({"bogus": 1})))
         return _frame(draw(st.sampled_from(BLOB_OPS)), head), True
+    if kind == "blob_types":  # an upload head with a value that is not an int
+        names = ["chunk_size", "codec_id"]
+        head = {name: draw(JSON) for name in names}
+        head[draw(st.sampled_from(names))] = draw(JSON.filter(lambda v: type(v) is not int))
+        return _frame(P.BLOB_PUT_BEGIN, head), True
+    if kind == "docs_slot":  # a document slot longer or shorter than its document
+        op = draw(st.sampled_from(DOCS_TAIL_OPS))
+        raw = encode_document(draw(DOCS))
+        extra = draw(st.integers(-len(raw), 8).filter(bool))
+        tail = (P.pack_documents(draw(st.lists(DOCS, max_size=2)))
+                + struct.pack("<I", len(raw) + extra) + raw
+                + draw(st.binary(min_size=max(extra, 0), max_size=max(extra, 0))))
+        return _frame(op.code, {name: draw(JSON) for name in _head_names(op)[0]}, tail), True
     op = draw(st.sampled_from(P.OPS))
     required, optional = _head_names(op)
     chosen = required + draw(st.lists(st.sampled_from(optional), unique=True)) \
