@@ -39,24 +39,25 @@ def _client(ctx: click.Context) -> ForgeClient:
     return client
 
 
-def _fail(exc: ForgeError) -> None:
-    click.echo(f"error [{exc.code}]: {exc.message}", err=True)
-    sys.exit(1)
+class _Main(click.Group):
+    """The root group. It runs every command and turns a domain error into
+    a message on stderr and an exit code: 2 for a query syntax error, 1 for
+    any other."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except QuerySyntaxError as exc:
+            # malformed operator input is a usage error, not a domain failure
+            click.echo(f"syntax error at byte {exc.offset}: {exc.message} "
+                       f"(expected: {', '.join(exc.expected) or 'n/a'})", err=True)
+            sys.exit(2)
+        except ForgeError as exc:
+            click.echo(f"error [{exc.code}]: {exc.message}", err=True)
+            sys.exit(1)
 
 
-def _run_guarded(fn):
-    try:
-        fn()
-    except QuerySyntaxError as exc:
-        # malformed operator input is a usage error, not a domain failure
-        click.echo(f"syntax error at byte {exc.offset}: {exc.message} "
-                   f"(expected: {', '.join(exc.expected) or 'n/a'})", err=True)
-        sys.exit(2)
-    except ForgeError as exc:
-        _fail(exc)
-
-
-@click.group()
+@click.group(cls=_Main)
 @click.option("--addr", envvar="FORGE_ADDR", default=None,
               help=f"service address host:port (default 127.0.0.1:{DEFAULT_PORT})")
 @click.version_option(__version__)
@@ -73,11 +74,8 @@ def init(path, inline_threshold):
     """Create a new store directory."""
     from forge.engine import Forge
 
-    def go():
-        Forge(path, create=True, inline_threshold=inline_threshold).close()
-        click.echo(f"initialized store at {path}")
-
-    _run_guarded(go)
+    Forge(path, create=True, inline_threshold=inline_threshold).close()
+    click.echo(f"initialized store at {path}")
 
 
 @main.command()
@@ -91,20 +89,16 @@ def serve(path, bind, fsync):
     from forge.wire import ForgeServer
 
     host, port = _parse_addr(bind)
-
-    def go():
-        engine = Forge(path, fsync=fsync)
-        server = ForgeServer(engine, host, port)
-        click.echo(f"serving {path} on {server.address[0]}:{server.address[1]}")
-        stop = threading.Event()
-        signal.signal(signal.SIGINT, lambda *a: stop.set())
-        signal.signal(signal.SIGTERM, lambda *a: stop.set())
-        server.start()
-        stop.wait()
-        server.stop()
-        engine.close()
-
-    _run_guarded(go)
+    engine = Forge(path, fsync=fsync)
+    server = ForgeServer(engine, host, port)
+    click.echo(f"serving {path} on {server.address[0]}:{server.address[1]}")
+    stop = threading.Event()
+    signal.signal(signal.SIGINT, lambda *a: stop.set())
+    signal.signal(signal.SIGTERM, lambda *a: stop.set())
+    server.start()
+    stop.wait()
+    server.stop()
+    engine.close()
 
 
 @main.command()
@@ -117,37 +111,33 @@ def ingest(ctx, jsonl):
     "sample_b64": ... | "sample_file": ...}. Samples above the store's inline
     threshold are routed to the blob store automatically.
     """
-
-    def go():
-        client = _client(ctx)
-        threshold = client.info()["inline_threshold"]
-        count = 0
-        for lineno, line in enumerate(jsonl, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                click.echo(f"line {lineno}: invalid JSON: {exc}", err=True)
-                sys.exit(2)
-            if ("sample_b64" in record) == ("sample_file" in record):
-                click.echo(f"line {lineno}: exactly one of sample_b64/sample_file",
-                           err=True)
-                sys.exit(2)
-            if "sample_b64" in record:
-                payload = base64.b64decode(record["sample_b64"])
-            else:
-                payload = Path(record["sample_file"]).read_bytes()
-            if len(payload) > threshold:
-                payload = client.put_blob(payload)
-            client.put_document(Document(key=record["key"], payload=payload,
-                                         label=record.get("label"),
-                                         tags=record.get("tags", {})))
-            count += 1
-        click.echo(f"ingested {count} documents")
-
-    _run_guarded(go)
+    client = _client(ctx)
+    threshold = client.info()["inline_threshold"]
+    count = 0
+    for lineno, line in enumerate(jsonl, 1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            record = json.loads(line)
+        except json.JSONDecodeError as exc:
+            click.echo(f"line {lineno}: invalid JSON: {exc}", err=True)
+            sys.exit(2)
+        if ("sample_b64" in record) == ("sample_file" in record):
+            click.echo(f"line {lineno}: exactly one of sample_b64/sample_file",
+                       err=True)
+            sys.exit(2)
+        if "sample_b64" in record:
+            payload = base64.b64decode(record["sample_b64"])
+        else:
+            payload = Path(record["sample_file"]).read_bytes()
+        if len(payload) > threshold:
+            payload = client.put_blob(payload)
+        client.put_document(Document(key=record["key"], payload=payload,
+                                     label=record.get("label"),
+                                     tags=record.get("tags", {})))
+        count += 1
+    click.echo(f"ingested {count} documents")
 
 
 @main.command()
@@ -158,26 +148,22 @@ def ingest(ctx, jsonl):
 @click.pass_context
 def query(ctx, expr, limit, count_only, as_json):
     """Scan documents matching a tag query; prints keys one per line."""
-
-    def go():
-        client = _client(ctx)
-        keys, cursor = [], None
-        while True:
-            page, cursor = client.scan(expr, cursor, limit=1000)
-            keys.extend(page)
-            if cursor is None or (limit is not None and len(keys) >= limit):
-                break
-        if limit is not None:
-            keys = keys[:limit]
-        if as_json:
-            click.echo(json.dumps({"count": len(keys), "keys": keys}, sort_keys=True))
-        elif count_only:
-            click.echo(str(len(keys)))
-        else:
-            for key in keys:
-                click.echo(key)
-
-    _run_guarded(go)
+    client = _client(ctx)
+    keys, cursor = [], None
+    while True:
+        page, cursor = client.scan(expr, cursor, limit=1000)
+        keys.extend(page)
+        if cursor is None or (limit is not None and len(keys) >= limit):
+            break
+    if limit is not None:
+        keys = keys[:limit]
+    if as_json:
+        click.echo(json.dumps({"count": len(keys), "keys": keys}, sort_keys=True))
+    elif count_only:
+        click.echo(str(len(keys)))
+    else:
+        for key in keys:
+            click.echo(key)
 
 
 @main.group()
@@ -190,26 +176,20 @@ def view():
 @click.argument("expr")
 @click.pass_context
 def view_define(ctx, name, expr):
-    def go():
-        defined = _client(ctx).define_view(name, expr)
-        click.echo(f"view {defined.view_key} defined")
-
-    _run_guarded(go)
+    defined = _client(ctx).define_view(name, expr)
+    click.echo(f"view {defined.view_key} defined")
 
 
 @view.command("list")
 @click.option("--json", "as_json", is_flag=True)
 @click.pass_context
 def view_list(ctx, as_json):
-    def go():
-        views = _client(ctx).list_views()
-        if as_json:
-            click.echo(json.dumps({"views": views}, sort_keys=True))
-        else:
-            for name in views:
-                click.echo(name)
-
-    _run_guarded(go)
+    views = _client(ctx).list_views()
+    if as_json:
+        click.echo(json.dumps({"views": views}, sort_keys=True))
+    else:
+        for name in views:
+            click.echo(name)
 
 
 @main.group()
@@ -222,16 +202,13 @@ def model():
 @click.argument("spec_file", type=click.File("r"))
 @click.pass_context
 def model_register(ctx, key, spec_file):
-    def go():
-        try:
-            spec = json.load(spec_file)
-        except json.JSONDecodeError as exc:
-            click.echo(f"invalid spec JSON: {exc}", err=True)
-            sys.exit(2)
-        record = _client(ctx).register_model(key, spec)
-        click.echo(f"model {record.model_key} registered")
-
-    _run_guarded(go)
+    try:
+        spec = json.load(spec_file)
+    except json.JSONDecodeError as exc:
+        click.echo(f"invalid spec JSON: {exc}", err=True)
+        sys.exit(2)
+    record = _client(ctx).register_model(key, spec)
+    click.echo(f"model {record.model_key} registered")
 
 
 @main.group()
@@ -243,16 +220,13 @@ def plan():
 @click.argument("plan_file", type=click.File("r"))
 @click.pass_context
 def plan_submit(ctx, plan_file):
-    def go():
-        try:
-            doc = json.load(plan_file)
-        except json.JSONDecodeError as exc:
-            click.echo(f"invalid plan JSON at line {exc.lineno}: {exc.msg}", err=True)
-            sys.exit(2)
-        plan_id = _client(ctx).submit_plan(doc)
-        click.echo(f"plan {plan_id} submitted")
-
-    _run_guarded(go)
+    try:
+        doc = json.load(plan_file)
+    except json.JSONDecodeError as exc:
+        click.echo(f"invalid plan JSON at line {exc.lineno}: {exc.msg}", err=True)
+        sys.exit(2)
+    plan_id = _client(ctx).submit_plan(doc)
+    click.echo(f"plan {plan_id} submitted")
 
 
 @plan.command("status")
@@ -260,16 +234,13 @@ def plan_submit(ctx, plan_file):
 @click.option("--json", "as_json", is_flag=True)
 @click.pass_context
 def plan_status(ctx, plan_id, as_json):
-    def go():
-        status = _client(ctx).plan_status(plan_id)
-        if as_json:
-            click.echo(json.dumps(status, sort_keys=True))
-        else:
-            click.echo(f"plan {status['plan_id']}: {status['status']}")
-            for task_id, task_status in sorted(status["tasks"].items()):
-                click.echo(f"  {task_id}: {task_status}")
-
-    _run_guarded(go)
+    status = _client(ctx).plan_status(plan_id)
+    if as_json:
+        click.echo(json.dumps(status, sort_keys=True))
+    else:
+        click.echo(f"plan {status['plan_id']}: {status['status']}")
+        for task_id, task_status in sorted(status["tasks"].items()):
+            click.echo(f"  {task_id}: {task_status}")
 
 
 @main.group()
@@ -291,17 +262,14 @@ def agent_run(ctx, agent_id, kinds, lease_ttl, poll, run_for):
     from forge.handlers import DEFAULT_HANDLERS
     from forge.workflow import run_agent
 
-    def go():
-        client = _client(ctx)
-        stop = threading.Event()
-        signal.signal(signal.SIGINT, lambda *a: stop.set())
-        if run_for > 0:
-            threading.Timer(run_for, stop.set).start()
-        run_agent(client, agent_id, DEFAULT_HANDLERS,
-                  kinds=[k for k in kinds.split(",") if k],
-                  poll_interval=poll, lease_ttl_ms=lease_ttl, stop=stop)
-
-    _run_guarded(go)
+    client = _client(ctx)
+    stop = threading.Event()
+    signal.signal(signal.SIGINT, lambda *a: stop.set())
+    if run_for > 0:
+        threading.Timer(run_for, stop.set).start()
+    run_agent(client, agent_id, DEFAULT_HANDLERS,
+              kinds=[k for k in kinds.split(",") if k],
+              poll_interval=poll, lease_ttl_ms=lease_ttl, stop=stop)
 
 
 @main.group()
@@ -318,15 +286,12 @@ def master():
 def master_run(ctx, master_id, interval, run_for):
     from forge.workflow import run_master
 
-    def go():
-        client = _client(ctx)
-        stop = threading.Event()
-        signal.signal(signal.SIGINT, lambda *a: stop.set())
-        if run_for > 0:
-            threading.Timer(run_for, stop.set).start()
-        run_master(client, master_id, interval=interval, stop=stop)
-
-    _run_guarded(go)
+    client = _client(ctx)
+    stop = threading.Event()
+    signal.signal(signal.SIGINT, lambda *a: stop.set())
+    if run_for > 0:
+        threading.Timer(run_for, stop.set).start()
+    run_master(client, master_id, interval=interval, stop=stop)
 
 
 @main.group()
@@ -340,17 +305,14 @@ def events():
 @click.option("--json", "as_json", is_flag=True)
 @click.pass_context
 def events_dump(ctx, model_key, name, as_json):
-    def go():
-        rows = _client(ctx).query_events(model_key, name=name)
-        if as_json:
-            click.echo(json.dumps(
-                {"events": [{"step": e.step, "name": e.name, "value": e.value,
-                             "at": e.at} for e in rows]}, sort_keys=True))
-        else:
-            for e in rows:
-                click.echo(f"{e.step}\t{e.name}\t{e.value}")
-
-    _run_guarded(go)
+    rows = _client(ctx).query_events(model_key, name=name)
+    if as_json:
+        click.echo(json.dumps(
+            {"events": [{"step": e.step, "name": e.name, "value": e.value,
+                         "at": e.at} for e in rows]}, sort_keys=True))
+    else:
+        for e in rows:
+            click.echo(f"{e.step}\t{e.name}\t{e.value}")
 
 
 @main.command()
@@ -358,12 +320,8 @@ def events_dump(ctx, model_key, name, as_json):
 @click.pass_context
 def replay(ctx, task_id):
     """Reset a dead task to pending with a fresh attempt budget."""
-
-    def go():
-        _client(ctx).replay_task(task_id)
-        click.echo(f"task {task_id} requeued")
-
-    _run_guarded(go)
+    _client(ctx).replay_task(task_id)
+    click.echo(f"task {task_id} requeued")
 
 
 if __name__ == "__main__":

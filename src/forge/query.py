@@ -1,4 +1,4 @@
-"""Declarative tag-query language: parse, match, render.
+r"""Declarative tag-query language: parse, match, render.
 
 A query is a conjunction of predicates over document tags:
 
@@ -6,7 +6,19 @@ A query is a conjunction of predicates over document tags:
     pred    := ident op literal | ident IN '{' literal (',' literal)* '}'
     op      := '=' | '!=' | '<' | '<=' | '>' | '>='
     ident   := [A-Za-z_][A-Za-z0-9_./:-]*
-    literal := quoted string | integer | float (must contain '.') | true | false
+    literal := string | integer | float | true | false
+
+The tokens, with optional whitespace (space, tab, CR and LF only) between
+them; digits are ASCII:
+
+    integer := -?[0-9]+                       (within the signed 64-bit range)
+    float   := -?[0-9]+ '.' [0-9]+ ([eE][+-]?[0-9]+)?
+    string  := '"' (any character but '"' and '\' | escape)* '"'
+    escape  := '\"' | '\\' | '\n' | '\r' | '\t' | '\u' 4 hex digits
+
+``AND``, ``IN``, ``true`` and ``false`` are keywords in exactly that case.
+Malformed text raises QuerySyntaxError; its ``offset`` is a UTF-8 byte
+offset into the source.
 
 The empty query matches every document. Tag values come in four scalar
 variants (string, int, float, bool); values never compare across variants,
@@ -25,6 +37,7 @@ from __future__ import annotations
 
 import math
 import operator
+import re
 from dataclasses import dataclass, field
 
 from forge.errors import InvalidArgument, MixedVariantSet, QuerySyntaxError
@@ -39,9 +52,8 @@ _I64_MIN, _I64_MAX = -(1 << 63), (1 << 63) - 1
 
 OPERATORS = ("=", "!=", "<", "<=", ">", ">=")
 
-_IDENT_START = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
-_IDENT_CONT = _IDENT_START | set("0123456789_./:-")
-
+_IDENT = r"[A-Za-z_][A-Za-z0-9_./:-]*"
+_IDENT_RE = re.compile(_IDENT)
 
 _TYPE_VARIANTS = {str: V_STRING, int: V_INT, float: V_FLOAT, bool: V_BOOL}
 
@@ -78,7 +90,7 @@ def sort_key(value: TagScalar) -> tuple[int, TagScalar]:
 
 
 def is_ident(name: str) -> bool:
-    return bool(name) and name[0] in _IDENT_START and all(c in _IDENT_CONT for c in name[1:])
+    return _IDENT_RE.fullmatch(name) is not None
 
 
 @dataclass(frozen=True, eq=False)
@@ -172,32 +184,20 @@ def matches(query: TagQuery, tags: dict[str, TagScalar]) -> bool:
 # rendering
 
 _ESCAPES = {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\r": "\\r", "\t": "\\t"}
+_NEEDS_ESCAPE = re.compile(r'[\\"\x00-\x1f\ud800-\udfff]')
 
 
 def _render_string(s: str) -> str:
-    out = ['"']
-    for ch in s:
-        if ch in _ESCAPES:
-            out.append(_ESCAPES[ch])
-        elif ord(ch) < 0x20 or 0xD800 <= ord(ch) <= 0xDFFF:
-            out.append(f"\\u{ord(ch):04x}")
-        else:
-            out.append(ch)
-    out.append('"')
-    return "".join(out)
+    return '"' + _NEEDS_ESCAPE.sub(lambda m: _ESCAPES.get(m[0]) or f"\\u{ord(m[0]):04x}", s) + '"'
 
 
 def _render_float(v: float) -> str:
     s = repr(v)
     if "." in s:
         return s
-    # repr may give exponent-only forms like '1e-07'; the grammar wants a dot
-    if "e" in s or "E" in s:
-        mant, _, exp = s.partition("e" if "e" in s else "E")
-        if "." not in mant:
-            mant += ".0"
-        return f"{mant}e{exp}"
-    return s + ".0"
+    # a finite float without a dot has an exponent, like '1e-07'; the grammar wants a dot
+    mant, _, exp = s.partition("e")
+    return f"{mant}.0e{exp}"
 
 
 def render_value(v: TagScalar) -> str:
@@ -226,211 +226,148 @@ def render(query: TagQuery) -> str:
 # ---------------------------------------------------------------------------
 # parsing
 
-@dataclass
-class _Token:
-    kind: str  # ident / string / int / float / bool / op / IN / AND / { / } / , / eof
-    text: str
-    value: TagScalar | None
-    offset: int  # byte offset into the UTF-8 source
+# One token per match, after optional whitespace. A string or a number is
+# matched broadly and checked after, so that each malformed form gets its
+# own message; any other character is ``bad``.
+_TOKEN = re.compile(r"""[ \t\r\n]*(?:
+    (?P<end>\Z)
+  | (?P<string>"(?P<body>[^"\\]*(?:\\.[^"\\]*)*)(?P<close>"?))
+  | (?P<number>(?=[-0-9])-?(?P<int>[0-9]*)(?:\.(?P<frac>[0-9]*)(?:[eE][+-]?(?P<exp>[0-9]*))?)?)
+  | (?P<op>[=<>!]=?)
+  | (?P<punct>[{},])
+  | (?P<word>""" + _IDENT + r""")
+  | (?P<bad>.))""", re.VERBOSE | re.DOTALL)
 
+_KEYWORDS = {"AND": ("AND", None), "IN": ("IN", None),
+             "true": ("literal", True), "false": ("literal", False)}
 
-class _Lexer:
-    def __init__(self, src: str):
-        self.src = src
-        self.pos = 0  # char position
-        self.byte = 0  # byte offset of self.pos
-
-    def _advance(self, n: int) -> None:
-        self.byte += len(self.src[self.pos:self.pos + n].encode("utf-8", "surrogatepass"))
-        self.pos += n
-
-    def error(self, msg: str, expected: tuple[str, ...] = (), offset: int | None = None):
-        raise QuerySyntaxError(msg, offset=self.byte if offset is None else offset,
-                               expected=expected)
-
-    def tokens(self) -> list[_Token]:
-        out = []
-        src, n = self.src, len(self.src)
-        while True:
-            while self.pos < n and src[self.pos] in " \t\r\n":
-                self._advance(1)
-            if self.pos >= n:
-                out.append(_Token("eof", "", None, self.byte))
-                return out
-            start_byte = self.byte
-            ch = src[self.pos]
-            if ch == '"':
-                out.append(self._string(start_byte))
-            elif ch in "{},":
-                self._advance(1)
-                out.append(_Token(ch, ch, None, start_byte))
-            elif ch in "=<>!":
-                op = ch
-                if self.pos + 1 < n and src[self.pos + 1] == "=":
-                    op += "="
-                if op == "!":
-                    self.error("expected '=' after '!'", ("!=",))
-                self._advance(len(op))
-                out.append(_Token("op", op, None, start_byte))
-            elif ch.isdigit() or ch == "-":
-                out.append(self._number(start_byte))
-            elif ch in _IDENT_START:
-                out.append(self._ident(start_byte))
-            else:
-                self.error(f"unexpected character {ch!r}",
-                           ("identifier", "literal", "operator"))
-
-    def _string(self, start: int) -> _Token:
-        self._advance(1)
-        src, n = self.src, len(self.src)
-        buf = []
-        while True:
-            if self.pos >= n:
-                self.error("unterminated string literal", ('"',), offset=start)
-            ch = src[self.pos]
-            if ch == '"':
-                self._advance(1)
-                return _Token("string", "", "".join(buf), start)
-            if ch == "\\":
-                if self.pos + 1 >= n:
-                    self.error("dangling escape", (), offset=self.byte)
-                esc = src[self.pos + 1]
-                if esc == "u":
-                    hexs = src[self.pos + 2:self.pos + 6]
-                    if len(hexs) < 4 or any(c not in "0123456789abcdefABCDEF" for c in hexs):
-                        self.error("invalid \\u escape", ("4 hex digits",))
-                    buf.append(chr(int(hexs, 16)))
-                    self._advance(6)
-                elif esc in '"\\nrt':
-                    buf.append({'"': '"', "\\": "\\", "n": "\n", "r": "\r", "t": "\t"}[esc])
-                    self._advance(2)
-                else:
-                    self.error(f"unknown escape \\{esc}", ('\\"', "\\\\", "\\n", "\\r", "\\t", "\\u"))
-            else:
-                buf.append(ch)
-                self._advance(1)
-
-    def _number(self, start: int) -> _Token:
-        src, n = self.src, len(self.src)
-        p = self.pos
-        if src[p] == "-":
-            p += 1
-        digits0 = p
-        while p < n and src[p].isdigit():
-            p += 1
-        if p == digits0:
-            self.error("expected digits", ("integer", "float"), offset=start)
-        is_float = False
-        if p < n and src[p] == ".":
-            is_float = True
-            p += 1
-            frac0 = p
-            while p < n and src[p].isdigit():
-                p += 1
-            if p == frac0:
-                self.error("expected digits after '.'", ("digit",))
-        if is_float and p < n and src[p] in "eE":
-            q = p + 1
-            if q < n and src[q] in "+-":
-                q += 1
-            exp0 = q
-            while q < n and src[q].isdigit():
-                q += 1
-            if q == exp0:
-                self.error("expected digits in exponent", ("digit",))
-            p = q
-        text = src[self.pos:p]
-        self._advance(p - self.pos)
-        if is_float:
-            return _Token("float", text, float(text), start)
-        value = int(text)
-        if not (_I64_MIN <= value <= _I64_MAX):
-            self.error("integer literal out of 64-bit range", (), offset=start)
-        return _Token("int", text, value, start)
-
-    def _ident(self, start: int) -> _Token:
-        src, n = self.src, len(self.src)
-        p = self.pos
-        while p < n and src[p] in _IDENT_CONT:
-            p += 1
-        text = src[self.pos:p]
-        self._advance(p - self.pos)
-        if text == "AND":
-            return _Token("AND", text, None, start)
-        if text == "IN":
-            return _Token("IN", text, None, start)
-        if text == "true":
-            return _Token("bool", text, True, start)
-        if text == "false":
-            return _Token("bool", text, False, start)
-        return _Token("ident", text, None, start)
-
+_ESCAPE = re.compile(r"\\(u[0-9A-Fa-f]{4}|.)", re.DOTALL)
+_UNESCAPE = {'"': '"', "\\": "\\", "n": "\n", "r": "\r", "t": "\t"}
 
 _LITERAL_KINDS = ("string", "int", "float", "bool")
 
 
-class _Parser:
-    def __init__(self, tokens: list[_Token]):
-        self.toks = tokens
-        self.i = 0
+def _error(src: str, at: int, message: str, expected: tuple[str, ...] = (),
+           cls: type[QuerySyntaxError] = QuerySyntaxError) -> QuerySyntaxError:
+    """The error at character ``at``, located by its UTF-8 byte offset."""
+    return cls(message, offset=len(src[:at].encode("utf-8", "surrogatepass")),
+               expected=expected)
 
-    def peek(self) -> _Token:
-        return self.toks[self.i]
 
-    def take(self) -> _Token:
-        tok = self.toks[self.i]
-        self.i += 1
-        return tok
+def _string(src: str, m: re.Match) -> str:
+    body_at = m.start("body")
 
-    def expect(self, kind: str) -> _Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            raise QuerySyntaxError(f"expected {kind}, found {tok.text or 'end of input'!r}",
-                                   offset=tok.offset, expected=(kind,))
-        return self.take()
+    def unescape(e: re.Match) -> str:
+        esc = e[1]
+        if len(esc) == 5:
+            return chr(int(esc[1:], 16))
+        if esc in _UNESCAPE:
+            return _UNESCAPE[esc]
+        if esc == "u":
+            raise _error(src, body_at + e.start(), "invalid \\u escape", ("4 hex digits",))
+        raise _error(src, body_at + e.start(), f"unknown escape \\{esc}",
+                     ('\\"', "\\\\", "\\n", "\\r", "\\t", "\\u"))
 
-    def literal(self) -> TagScalar:
-        tok = self.peek()
-        if tok.kind not in _LITERAL_KINDS:
-            raise QuerySyntaxError(
-                f"expected a literal, found {tok.text or 'end of input'!r}",
-                offset=tok.offset, expected=_LITERAL_KINDS)
-        return self.take().value
+    value = _ESCAPE.sub(unescape, m["body"])
+    if not m["close"]:
+        if m.end() < len(src):  # the body stopped at a backslash with nothing after it
+            raise _error(src, m.end(), "dangling escape")
+        raise _error(src, m.start("string"), "unterminated string literal", ('"',))
+    return value
 
-    def query(self) -> TagQuery:
-        if self.peek().kind == "eof":
-            return MATCH_ALL
-        preds = [self.predicate()]
-        while self.peek().kind == "AND":
-            self.take()
-            preds.append(self.predicate())
-        tok = self.peek()
-        if tok.kind != "eof":
-            raise QuerySyntaxError(f"unexpected {tok.text!r}", offset=tok.offset,
-                                   expected=("AND", "end of input"))
-        return TagQuery(tuple(preds))
 
-    def predicate(self) -> Predicate:
-        name = self.expect("ident")
-        tok = self.peek()
-        if tok.kind == "IN":
-            self.take()
-            self.expect("{")
-            values = [self.literal()]
-            while self.peek().kind == ",":
-                self.take()
-                values.append(self.literal())
-            self.expect("}")
-            codes = {variant_of(v) for v in values}
-            if len(codes) > 1:
-                raise MixedVariantSet("IN set mixes value variants", offset=tok.offset)
-            return Predicate(name.text, "IN", values=tuple(values))
-        if tok.kind == "op":
-            op = self.take().text
-            return Predicate(name.text, op, value=self.literal())
-        raise QuerySyntaxError(f"expected operator after {name.text!r}",
-                               offset=tok.offset, expected=OPERATORS + ("IN",))
+def _number(src: str, m: re.Match) -> int | float:
+    at = m.start("number")
+    if not m["int"]:
+        raise _error(src, at, "expected digits", ("integer", "float"))
+    if m["frac"] is None:
+        # past 19 digits it is out of range, and int() may refuse the text
+        value = int(m["number"]) if len(m["int"].lstrip("0")) <= 19 else _I64_MAX + 1
+        if not _I64_MIN <= value <= _I64_MAX:
+            raise _error(src, at, "integer literal out of 64-bit range")
+        return value
+    if not m["frac"]:
+        raise _error(src, at, "expected digits after '.'", ("digit",))
+    if m["exp"] == "":
+        raise _error(src, at, "expected digits in exponent", ("digit",))
+    return float(m["number"])
+
+
+def _tokens(src: str) -> list[tuple[str, TagScalar | None, int, int]]:
+    """The whole source as (kind, value, start, end) tuples ending with an
+    ``end`` token, so a lexical error anywhere comes before any grammar
+    error. Kinds: literal, ident, op, AND, IN, ``{``, ``}``, ``,`` and end."""
+    tokens = []
+    pos = 0
+    while True:
+        m = _TOKEN.match(src, pos)
+        kind = m.lastgroup
+        start, pos = m.start(kind), m.end()
+        value = m[kind]
+        if kind == "string":
+            kind, value = "literal", _string(src, m)
+        elif kind == "number":
+            kind, value = "literal", _number(src, m)
+        elif kind == "word":
+            kind, value = _KEYWORDS.get(value, ("ident", value))
+        elif kind == "punct":
+            kind = value
+        elif kind == "op" and value == "!":
+            raise _error(src, start, "expected '=' after '!'", ("!=",))
+        elif kind == "bad":
+            raise _error(src, start, f"unexpected character {value!r}",
+                         ("identifier", "literal", "operator"))
+        tokens.append((kind, value, start, pos))
+        if kind == "end":
+            return tokens
 
 
 def parse(src: str) -> TagQuery:
-    return _Parser(_Lexer(src).tokens()).query()
+    """The query ``src`` states. Malformed text raises QuerySyntaxError (or
+    its MixedVariantSet) at a UTF-8 byte offset; a literal no tag can hold
+    raises InvalidArgument."""
+    tokens = _tokens(src)
+    i = 0
+
+    def take(kind: str, what: str = "", expected: tuple[str, ...] = ()):
+        nonlocal i
+        tok_kind, value, start, end = tokens[i]
+        if tok_kind != kind:
+            found = src[start:end] or "end of input"
+            raise _error(src, start, f"expected {what or kind}, found {found!r}",
+                         expected or (kind,))
+        i += 1
+        return value
+
+    def literal() -> TagScalar:
+        return take("literal", "a literal", _LITERAL_KINDS)
+
+    if tokens[0][0] == "end":
+        return MATCH_ALL
+    preds = []
+    while True:
+        name = take("ident")
+        kind, op, start, _ = tokens[i]
+        i += 1
+        if kind == "IN":
+            take("{")
+            values = [literal()]
+            while tokens[i][0] == ",":
+                i += 1
+                values.append(literal())
+            take("}")
+            if len({variant_of(v) for v in values}) > 1:
+                raise _error(src, start, "IN set mixes value variants", cls=MixedVariantSet)
+            preds.append(Predicate(name, "IN", values=tuple(values)))
+        elif kind == "op":
+            preds.append(Predicate(name, op, value=literal()))
+        else:
+            raise _error(src, start, f"expected operator after {name!r}",
+                         OPERATORS + ("IN",))
+        if tokens[i][0] != "AND":
+            break
+        i += 1
+    kind, _, start, end = tokens[i]
+    if kind != "end":
+        raise _error(src, start, f"unexpected {src[start:end]!r}", ("AND", "end of input"))
+    return TagQuery(tuple(preds))

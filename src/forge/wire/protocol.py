@@ -14,7 +14,10 @@ A payload is a JSON "head" plus an optional binary tail:
 Each row of ``OPS`` names the ``Forge`` method its opcode calls. A request
 head maps that method's parameter names to arguments; a parameter with a
 default may be left out, and a head that names an unknown parameter or
-leaves out a required one is answered with ``invalid_argument``. An ok
+leaves out a required one is answered with ``invalid_argument``. So is a
+head value of another type than its parameter's annotation, where that is
+``str``, ``int``, ``float`` (an int is taken), ``bool``, ``dict`` or
+``list[...]``, each optionally ``| None``; a bool is not an int. An ok
 response head is ``{"result": value}``. Heads are plain JSON, except that
 tuples, bytes, queries and the wire's dataclasses travel as objects tagged
 with a ``"$type"`` key (``to_wire``). At most one value per op rides in the
@@ -97,6 +100,7 @@ class Op:
     positional: tuple[str, ...] = field(init=False, repr=False)
     names: frozenset[str] = field(init=False, repr=False)
     required: frozenset[str] = field(init=False, repr=False)
+    types: dict[str, tuple[type, ...]] = field(init=False, repr=False)  # checked parameters
     tail_param: str | None = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -105,7 +109,35 @@ class Op:
         self.positional = tuple(p.name for p in params if p.kind is p.POSITIONAL_OR_KEYWORD)
         self.names = frozenset(p.name for p in params)
         self.required = frozenset(p.name for p in params if p.default is p.empty)
+        self.types = {p.name: types for p in params
+                      if (types := _head_types(p.annotation)) is not None}
         self.tail_param = self.tail if self.tail in self.names else None
+
+
+_TYPES = {"str": (str,), "int": (int,), "float": (float, int), "bool": (bool,),
+          "dict": (dict,), "list": (list,)}
+
+
+def _head_types(annotation) -> tuple[type, ...] | None:
+    """The exact types a head value may take for a parameter so annotated
+    (as text, under ``from __future__ import annotations``); None when the
+    wire does not check it."""
+    base = str(annotation).removesuffix(" | None")
+    types = _TYPES.get("list" if base.startswith("list[") else base)
+    if types is None or base == annotation:
+        return types
+    return (*types, type(None))
+
+
+def type_error(name: str, head: dict, types: dict[str, tuple[type, ...]]) -> str | None:
+    """What is wrong with the types of the head's values for ``name``, whose
+    checked parameters take ``types``; None when nothing is."""
+    for arg, value in head.items():
+        accepted = types.get(arg)
+        if accepted is not None and type(value) not in accepted:
+            takes = " or ".join("None" if t is type(None) else t.__name__ for t in accepted)
+            return f"{name}(): {arg} must be {takes}, got {type(value).__name__}"
+    return None
 
 
 def argument_error(name: str, given, names, required) -> str | None:

@@ -6,10 +6,11 @@ ok response goes out. Dispatch is built from the op table in
 ``forge.wire.protocol``: each opcode calls the engine method its row names,
 with the head's arguments by name. A malformed frame earns a protocol-error
 response and the connection is closed; an unknown opcode, or a head that
-names an unknown argument, lacks a required one or holds a malformed one,
-earns an error response (``invalid_argument`` for argument names) and the
-connection survives. Random garbage on the socket can kill its own
-connection, never the server or the store.
+names an unknown argument, lacks a required one, or holds a malformed one
+or one of a type its parameter does not take, earns an error response
+(``invalid_argument`` for argument names and types) and the connection
+survives. Random garbage on the socket can kill its own connection, never
+the server or the store.
 
 A blob upload (``BLOB_PUT_*``) lives in its connection thread's state, so
 one its client abandons is freed when the connection ends. Its commit
@@ -146,7 +147,8 @@ def _handler(op: P.Op):
     names, required = op.names - {op.tail_param}, op.required - {op.tail_param}
 
     def handle(server, head, tail):
-        problem = P.argument_error(op.name, head.keys(), names, required)
+        problem = (P.argument_error(op.name, head.keys(), names, required)
+                   or P.type_error(op.name, head, op.types))
         if problem is not None:
             raise InvalidArgument(problem)
         if op.tail_param is not None and (tail or op.tail_param in op.required):

@@ -211,8 +211,8 @@ class WorkflowManager:
                    depends_on: tuple[str, ...] = ()) -> Task:
         params = dict(params or {})
         self._validate_task_fields(kind, input_dataset, model_key, output_dataset, params)
-        if max_attempts < 1:
-            raise InvalidArgument("max_attempts must be >= 1")
+        if type(max_attempts) is not int or max_attempts < 1:
+            raise InvalidArgument(f"max_attempts must be an integer >= 1, got {max_attempts!r}")
         return Task(task_id=task_id, kind=kind, input_dataset=input_dataset,
                     model_key=model_key, output_dataset=output_dataset, params=params,
                     max_attempts=max_attempts, plan_id=plan_id,

@@ -138,3 +138,10 @@ def test_remote_commands_close_their_connection(forge, tmp_path):
     finally:
         sys.unraisablehook = hook
     assert [f"{u.exc_type.__name__}: {u.exc_value}" for u in unraisable] == []
+
+
+@pytest.mark.parametrize("expr", ["x = ²", "x = ١٢"])
+def test_query_with_unicode_digits_is_a_syntax_error(forge, expr):
+    run, _ = forge
+    result = run("query", expr)
+    assert result.exit_code == 2 and "syntax error at byte 4" in result.output

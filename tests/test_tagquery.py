@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from forge.errors import MixedVariantSet, QuerySyntaxError
+from forge.errors import InvalidArgument, MixedVariantSet, QuerySyntaxError
 from forge.query import MATCH_ALL, Predicate, TagQuery, matches, parse, render
 
 from oracles import brute_force_scan
@@ -202,3 +202,107 @@ def test_render_float_always_has_dot():
         literal = text.split(" = ")[1]
         assert "." in literal
         assert parse(text) == q(Predicate("f", "=", v))
+
+
+# --- error golden table and robustness ------------------------------------------
+
+_LITERALS = ("string", "int", "float", "bool")
+_CHAR = ("identifier", "literal", "operator")
+
+# (source, exception class, byte offset, expected, message). The rows not
+# marked "fixed" were recorded from the earlier hand-written parser, so the
+# messages stay as they were; the fixed rows are where it raised ValueError,
+# accepted Unicode digits or named a string token by empty text.
+ERROR_TABLE = [
+    ('a = "abc', QuerySyntaxError, 4, ('"',), "unterminated string literal"),
+    ('a = "ab\\', QuerySyntaxError, 7, (), "dangling escape"),
+    ('a = "\\u12g4"', QuerySyntaxError, 5, ("4 hex digits",), "invalid \\u escape"),
+    ('a = "\\u12"', QuerySyntaxError, 5, ("4 hex digits",), "invalid \\u escape"),
+    ('a = "\\q"', QuerySyntaxError, 5, ('\\"', "\\\\", "\\n", "\\r", "\\t", "\\u"),
+     "unknown escape \\q"),
+    ('a = "x\\q', QuerySyntaxError, 6, ('\\"', "\\\\", "\\n", "\\r", "\\t", "\\u"),
+     "unknown escape \\q"),
+    ("a ! 3", QuerySyntaxError, 2, ("!=",), "expected '=' after '!'"),
+    ("a = -x", QuerySyntaxError, 4, ("integer", "float"), "expected digits"),
+    ("a = -", QuerySyntaxError, 4, ("integer", "float"), "expected digits"),
+    ("a = 1.", QuerySyntaxError, 4, ("digit",), "expected digits after '.'"),
+    ("a = 1.5e", QuerySyntaxError, 4, ("digit",), "expected digits in exponent"),
+    ("a = 1.5e+", QuerySyntaxError, 4, ("digit",), "expected digits in exponent"),
+    ("a = 1.5else", QuerySyntaxError, 4, ("digit",), "expected digits in exponent"),
+    ("a = 9223372036854775808", QuerySyntaxError, 4, (),
+     "integer literal out of 64-bit range"),
+    ("a = -9223372036854775809", QuerySyntaxError, 4, (),
+     "integer literal out of 64-bit range"),
+    ("a = @", QuerySyntaxError, 4, _CHAR, "unexpected character '@'"),
+    ('x = "é"\xa0', QuerySyntaxError, 8, _CHAR, "unexpected character '\\xa0'"),
+    ("= 3", QuerySyntaxError, 0, ("ident",), "expected ident, found '='"),
+    ("split =", QuerySyntaxError, 7, _LITERALS, "expected a literal, found 'end of input'"),
+    ("a IN {}", QuerySyntaxError, 6, _LITERALS, "expected a literal, found '}'"),
+    ("a IN 1", QuerySyntaxError, 5, ("{",), "expected {, found '1'"),
+    ("a IN {1, 2", QuerySyntaxError, 10, ("}",), "expected }, found 'end of input'"),
+    ("a = 1 AND", QuerySyntaxError, 9, ("ident",), "expected ident, found 'end of input'"),
+    ("a 3", QuerySyntaxError, 2, ("=", "!=", "<", "<=", ">", ">=", "IN"),
+     "expected operator after 'a'"),
+    ("a = 1 b = 2", QuerySyntaxError, 6, ("AND", "end of input"), "unexpected 'b'"),
+    ("a = 1e5", QuerySyntaxError, 5, ("AND", "end of input"), "unexpected 'e5'"),
+    ("a IN {1, 2.0}", MixedVariantSet, 2, (), "IN set mixes value variants"),
+    ("= 3 @", QuerySyntaxError, 4, _CHAR, "unexpected character '@'"),  # lexical wins
+    # fixed: string tokens are named by their source text
+    ('"s" = 1', QuerySyntaxError, 0, ("ident",), "expected ident, found '\"s\"'"),
+    ('a = 1 "s"', QuerySyntaxError, 6, ("AND", "end of input"), "unexpected '\"s\"'"),
+    # fixed: digits are ASCII
+    ("x = ²", QuerySyntaxError, 4, _CHAR, "unexpected character '²'"),
+    ("x = ١٢", QuerySyntaxError, 4, _CHAR, "unexpected character '١'"),
+    # fixed: a literal past Python's int-string limit is out of range, not ValueError
+    ("a = " + "1" * 5000, QuerySyntaxError, 4, (), "integer literal out of 64-bit range"),
+]
+
+
+@pytest.mark.parametrize("src,cls,offset,expected,message", ERROR_TABLE,
+                         ids=[repr(row[0][:24]) for row in ERROR_TABLE])
+def test_error_table(src, cls, offset, expected, message):
+    with pytest.raises(QuerySyntaxError) as info:
+        parse(src)
+    assert type(info.value) is cls
+    assert (info.value.offset, info.value.expected, str(info.value)) == \
+        (offset, expected, message)
+
+
+@pytest.mark.parametrize("src,value", [
+    ("a = -9223372036854775808", -(2**63)),
+    ("a = 00000000000000000000001", 1),
+    ("a = -0", 0),
+    ("a = 1.5E+3", 1500.0),
+    ('a = "tab\\there\\u00e9\\\\"', "tab\thereé\\"),
+    ("a-b.c/d:e_1 = 1", 1),
+])
+def test_literal_edges(src, value):
+    query = parse(src)
+    assert query.predicates[0].value == value
+    assert parse(render(query)) == query
+
+
+@pytest.mark.parametrize("src,message", [
+    ("a = 1.0e999", "float tag values must be finite"),
+    ('a = "\\ud800"', "string tag values must be UTF-8 encodable"),
+    ("a == 1", "unknown operator: '=='"),
+])
+def test_invalid_values_are_invalid_argument(src, message):
+    with pytest.raises(InvalidArgument, match=message):
+        parse(src)
+
+
+_FRAGMENTS = st.sampled_from([
+    "a", "x_1", " ", "\t", "=", "!", "<", ">", '"', "\\", "\\u", "{", "}", ",", "-", ".",
+    "e", "E", "+", "0", "9", "AND", "IN", "true", "false", "²", "١", "é", "\xa0"])
+
+
+@given(st.text() | st.lists(_FRAGMENTS | st.text(max_size=2), max_size=12).map("".join))
+@settings(max_examples=1000, deadline=None)
+def test_parse_never_crashes(src):
+    """Query text comes from outside the program: any text parses or is
+    refused with a domain error."""
+    try:
+        parse(src)
+    except (QuerySyntaxError, InvalidArgument):
+        pass

@@ -28,6 +28,7 @@ from forge.errors import (
     FrameTooLarge,
     InvalidArgument,
     NotFound,
+    QuerySyntaxError,
     StaleLease,
     ViewNotFound,
 )
@@ -309,6 +310,56 @@ def test_put_blob_rejects_an_unknown_codec(api, codec_id):
         api.put_blob(b"x" * 100, 4096, codec_id)
 
 
+# --- typed head arguments --------------------------------------------------------
+
+@pytest.mark.parametrize("name,args,kwargs", [
+    ("define_view", (), {"view_key": 5, "query": ""}),
+    ("submit_task", (), {"kind": "user_fn", "task_id": 7}),
+    ("lease_task", ("a", "1000"), {}),
+    ("scan", ("",), {"limit": "5"}),
+    ("lease_task", ("a", True), {}),  # a bool is not an int
+    ("lease_task", ("a", 1000, "user_fn"), {}),  # a list[str] parameter
+    ("record_event", ("m", 1, "loss", "0.5"), {}),
+    ("register_model", ("m", [MLP]), {}),
+    ("list_tasks", (3,), {}),
+])
+def test_head_arguments_are_typed(wire_pair, name, args, kwargs):
+    engine, _, client = wire_pair
+    client.info()
+    sock = client._sock
+    with pytest.raises(InvalidArgument, match=f"{name}\\(\\): "):
+        getattr(client, name)(*args, **kwargs)
+    assert client._sock is sock  # answered, and the connection is still open
+    assert engine.scan("")[0] == [] and engine.list_views() == []
+    assert engine.list_tasks() == [] and engine.list_models() == []
+
+
+def test_typed_arguments_take_none_and_int_for_float(wire_pair):
+    engine, _, client = wire_pair
+    client.register_model("m", MLP)
+    client.record_event("m", 1, "loss", 2)  # an int for a float parameter
+    assert [(e.step, e.value) for e in engine.query_events("m")] == [(1, 2)]
+    assert client.scan("", None, limit=None) == ([], None)
+    assert client.lease_task("a", TTL, None) is None
+
+
+def test_plan_task_max_attempts_is_an_int(api):
+    for bad in ("3", 2.0, True):
+        with pytest.raises(InvalidArgument, match="max_attempts"):
+            api.submit_plan({"plan_id": "p", "tasks": [
+                {"task_id": "t", "kind": "user_fn", "max_attempts": bad}]})
+    assert api.list_tasks() == []
+
+
+@pytest.mark.parametrize("src", ["x = ²", "x = ١٢"])
+def test_scan_answers_query_syntax_for_unicode_digits(api, src):
+    with pytest.raises(QuerySyntaxError) as info:
+        api.scan(src)
+    assert (info.value.code, info.value.offset) == ("query_syntax", 4)
+    assert info.value.expected == ("identifier", "literal", "operator")
+    assert api.scan("")[0] == []
+
+
 # --- document tails ---------------------------------------------------------------
 
 WRITE_OUTPUTS = next(op for op in P.OPS if op.name == "write_outputs")
@@ -383,13 +434,17 @@ def _head_names(op: P.Op) -> tuple[list[str], list[str]]:
     return [n for n in names if n in op.required], [n for n in names if n not in op.required]
 
 
+TYPED_OPS = [op for op in P.OPS if op.types.keys() - {op.tail_param}]
+
+
 @st.composite
 def garbage(draw):
     """(bytes to send, whether every reply must be invalid_argument), or for
     a cut upload (CutUpload, False)."""
     kind = draw(st.sampled_from(["bytes", "truncated", "oversize", "bad_head",
                                  "unknown_op", "missing", "unknown_arg", "wrong_type",
-                                 "blob_args", "blob_types", "docs_slot", "cut_upload"]))
+                                 "typed", "blob_args", "blob_types", "docs_slot",
+                                 "cut_upload"]))
     if kind == "cut_upload":
         uploads = draw(st.lists(st.lists(st.binary(max_size=64), max_size=3),
                                 min_size=1, max_size=3))
@@ -431,6 +486,12 @@ def garbage(draw):
                 + struct.pack("<I", len(raw) + extra) + raw
                 + draw(st.binary(min_size=max(extra, 0), max_size=max(extra, 0))))
         return _frame(op.code, {name: draw(JSON) for name in _head_names(op)[0]}, tail), True
+    if kind == "typed":  # a head value of a type its parameter does not take
+        op = draw(st.sampled_from(TYPED_OPS))
+        name = draw(st.sampled_from(sorted(op.types.keys() - {op.tail_param})))
+        head = {n: draw(JSON) for n in _head_names(op)[0]}
+        head[name] = draw(JSON.filter(lambda v: type(v) not in op.types[name]))
+        return _frame(op.code, head), True
     op = draw(st.sampled_from(P.OPS))
     required, optional = _head_names(op)
     chosen = required + draw(st.lists(st.sampled_from(optional), unique=True)) \
