@@ -2,7 +2,9 @@
 
 Sample documents carry their feature vector as little-endian f32 bytes in
 the payload; the training target rides in the label (an integer class for
-softmax-xent, comma-separated floats for mse).
+softmax-xent, comma-separated floats for mse). The train handler checks the
+length of every payload, then decodes its whole input slice with one
+``np.frombuffer`` over the joined payloads.
 
 The train handler is deterministic given its task: it starts from the
 explicit ``init_version`` param or a fresh seed, and the input slice and
@@ -28,13 +30,14 @@ def encode_sample(vec: np.ndarray) -> bytes:
     return np.ascontiguousarray(vec, dtype="<f4").tobytes()
 
 
-def decode_sample(payload: bytes, dims: tuple[int, ...]) -> np.ndarray:
-    arr = np.frombuffer(payload, dtype="<f4")
+def decode_samples(payloads: list[bytes], dims: tuple[int, ...]) -> np.ndarray:
+    """The samples stacked as one ``(len(payloads), *dims)`` f32 array."""
     want = int(np.prod(dims))
-    if arr.size != want:
-        raise InvalidArgument(
-            f"sample payload has {arr.size} floats, spec expects {want}")
-    return arr.reshape(dims).copy()
+    for payload in payloads:
+        if len(payload) != 4 * want:
+            raise InvalidArgument(
+                f"sample payload has {len(payload) / 4:.10g} floats, spec expects {want}")
+    return np.frombuffer(b"".join(payloads), dtype="<f4").reshape(-1, *dims).copy()
 
 
 def parse_target(label: str | None, loss: str):
@@ -76,7 +79,7 @@ def train_handler(ctx: TaskContext) -> None:
         state = nnet.build_network(spec, seed)
 
     docs = ctx.input_docs()
-    xs = np.stack([decode_sample(d.payload, spec.input_dims) for d in docs]) if docs else None
+    xs = decode_samples([d.payload for d in docs], spec.input_dims)
     events = [("seed", state.step, float(seed))]
     kill_point("handler.before_train")
     if docs and epochs > 0:

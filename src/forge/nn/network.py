@@ -42,8 +42,8 @@ def build_network(spec: L.NetworkSpec, seed: int, dtype=np.float32) -> NetworkSt
         fan_in, fan_out = shapes["weight"]
         bound = math.sqrt(6.0 / (fan_in + fan_out))
         stream = XorShift64(derive_seed(seed, "init", key))
-        weight = np.array(stream.fill_uniform(fan_in * fan_out, -bound, bound),
-                          dtype=dtype).reshape(fan_in, fan_out)
+        weight = stream.fill_uniform(fan_in * fan_out, -bound, bound).astype(dtype)
+        weight = weight.reshape(fan_in, fan_out)
         bias = np.zeros(fan_out, dtype=dtype)
         params[key] = {"weight": weight, "bias": bias}
     return NetworkState(spec=spec, params=params, seed=seed, dtype=dtype)
@@ -51,11 +51,8 @@ def build_network(spec: L.NetworkSpec, seed: int, dtype=np.float32) -> NetworkSt
 
 def _dropout_mask(state: NetworkState, layer: L.LayerSpec, shape: tuple[int, ...]) -> np.ndarray:
     stream = XorShift64(derive_seed(state.seed, "dropout", layer.name, state.step))
-    n = int(np.prod(shape))
-    keep = layer.keep_prob
-    flat = np.array([1.0 if stream.random() < keep else 0.0 for _ in range(n)],
-                    dtype=state.dtype)
-    return flat.reshape(shape)
+    keep = stream.fill_random(int(np.prod(shape))) < layer.keep_prob
+    return keep.astype(state.dtype).reshape(shape)
 
 
 def forward(state: NetworkState, x: np.ndarray, mode: str | None = None):

@@ -69,6 +69,21 @@ MIN_LEASE_TTL_MS = 1_000
 # pass this size, so every batch fits one wire frame with room to spare
 OUTPUT_FLUSH_BYTES = MAX_PAYLOAD // 2
 
+# the type of each task field, as a plan's JSON or a caller gives it
+_FIELD_TYPES = {"task_id": str, "kind": str, "input_dataset": str, "model": str,
+                "model_key": str, "output_dataset": str, "params": dict,
+                "depends_on": list, "max_attempts": int}
+
+
+def _check_types(where: str, fields: dict) -> None:
+    """InvalidArgument naming ``where`` + the field for the first value whose
+    type is not the one ``_FIELD_TYPES`` gives (a bool is not an int)."""
+    for name, value in fields.items():
+        want = _FIELD_TYPES[name]
+        if type(value) is not want:
+            raise InvalidArgument(
+                f"{where}{name} must be {want.__name__}, got {type(value).__name__}")
+
 
 @dataclass(frozen=True)
 class Task:
@@ -209,10 +224,14 @@ class WorkflowManager:
                    output_dataset: str, params: dict | None = None,
                    max_attempts: int = DEFAULT_MAX_ATTEMPTS, plan_id: str | None = None,
                    depends_on: tuple[str, ...] = ()) -> Task:
+        _check_types("", {"task_id": task_id, "kind": kind, "input_dataset": input_dataset,
+                          "model_key": model_key, "output_dataset": output_dataset,
+                          "params": {} if params is None else params,
+                          "max_attempts": max_attempts})
         params = dict(params or {})
         self._validate_task_fields(kind, input_dataset, model_key, output_dataset, params)
-        if type(max_attempts) is not int or max_attempts < 1:
-            raise InvalidArgument(f"max_attempts must be an integer >= 1, got {max_attempts!r}")
+        if max_attempts < 1:
+            raise InvalidArgument(f"max_attempts must be >= 1, got {max_attempts!r}")
         return Task(task_id=task_id, kind=kind, input_dataset=input_dataset,
                     model_key=model_key, output_dataset=output_dataset, params=params,
                     max_attempts=max_attempts, plan_id=plan_id,
@@ -388,6 +407,12 @@ class WorkflowManager:
             for fieldname in ("task_id", "kind"):
                 if fieldname not in entry:
                     raise InvalidArgument(f"plan.tasks[{i}].{fieldname} is required")
+            where = f"plan.tasks[{i}]."
+            _check_types(where, {k: v for k, v in entry.items() if k in _FIELD_TYPES})
+            if not entry["task_id"]:
+                raise InvalidArgument(f"{where}task_id must be a non-empty str")
+            if not all(type(dep) is str for dep in entry.get("depends_on", ())):
+                raise InvalidArgument(f"{where}depends_on must be a list of str task ids")
             ids.append(entry["task_id"])
         if len(set(ids)) != len(ids):
             raise InvalidArgument("plan task ids must be unique")
@@ -395,8 +420,6 @@ class WorkflowManager:
         tasks = []
         for i, entry in enumerate(entries):
             deps = entry.get("depends_on", [])
-            if not isinstance(deps, list):
-                raise InvalidArgument(f"plan.tasks[{i}].depends_on must be a list")
             for dep in deps:
                 if dep not in known:
                     raise InvalidArgument(

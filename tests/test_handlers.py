@@ -8,7 +8,7 @@ from conftest import make_engine
 from forge.errors import InvalidArgument, InvalidSpec
 from forge.handlers import (
     DEFAULT_HANDLERS,
-    decode_sample,
+    decode_samples,
     encode_sample,
     parse_target,
     train_handler,
@@ -30,7 +30,7 @@ def test_sample_round_trip():
     vec = np.arange(6, dtype=np.float64).reshape(2, 3) / 7
     raw = encode_sample(vec)
     assert raw == vec.astype("<f4").tobytes()
-    back = decode_sample(raw, (2, 3))
+    [back] = decode_samples([raw], (2, 3))
     assert back.dtype == np.float32 and back.shape == (2, 3)
     assert back.tobytes() == raw
 
@@ -38,7 +38,15 @@ def test_sample_round_trip():
 @pytest.mark.parametrize("dims", [(5,), (2, 2), (7,)])
 def test_sample_with_the_wrong_float_count_is_rejected(dims):
     with pytest.raises(InvalidArgument, match="6 floats"):
-        decode_sample(encode_sample(np.zeros(6)), dims)
+        decode_samples([encode_sample(np.zeros(6))], dims)
+
+
+def test_a_payload_of_no_whole_float_count_is_rejected():
+    payloads = [encode_sample(np.ones(4)), b"\0" * 21]
+    with pytest.raises(InvalidArgument, match="has 5.25 floats, spec expects 4"):
+        decode_samples(payloads, (4,))
+    assert decode_samples(payloads[:1] * 3, (2, 2)).shape == (3, 2, 2)
+    assert decode_samples([], (4,)).shape == (0, 4)
 
 
 def test_parse_target():
@@ -107,3 +115,49 @@ def _trained_version(path) -> str:
 
 def test_the_same_train_task_gives_the_same_version_id(tmp_path):
     assert _trained_version(tmp_path / "a") == _trained_version(tmp_path / "b")
+
+
+def test_a_sample_of_the_wrong_length_fails_the_train_task(tmp_path):
+    engine = _engine_with_samples(tmp_path / "store")
+    try:
+        engine.put_document(Document(key="s002a", payload=encode_sample(np.zeros(3)),
+                                     label="0.5,-0.5", tags={"dataset": "train"}))
+        ctx = _leased_context(engine, kind="train", input_dataset="train", model_key=MODEL,
+                              output_dataset="out")
+        with pytest.raises(InvalidArgument) as info:
+            train_handler(ctx)
+        assert str(info.value) == "sample payload has 3 floats, spec expects 4"
+        assert engine.list_versions(MODEL) == []
+    finally:
+        engine.close()
+
+
+def test_an_agent_records_the_wrong_length_as_the_task_error(tmp_path):
+    engine = _engine_with_samples(tmp_path / "store")
+    try:
+        engine.put_document(Document(key="s004a", payload=encode_sample(np.zeros(5)),
+                                     label="0.5,-0.5", tags={"dataset": "train"}))
+        engine.submit_task(task_id="t", kind="train", input_dataset="train",
+                           model_key=MODEL, output_dataset="out", max_attempts=1)
+        run_agent(engine, "agent", DEFAULT_HANDLERS, max_loops=1, poll_interval=0.0)
+        task = engine.get_task("t")
+        assert task.status != COMPLETED
+        assert "sample payload has 5 floats, spec expects 4" in task.last_error
+        assert engine.list_versions(MODEL) == []
+    finally:
+        engine.close()
+
+
+def test_an_empty_slice_trains_nothing_and_saves_a_version(tmp_path):
+    engine = _engine_with_samples(tmp_path / "store", count=0)
+    try:
+        engine.submit_task(task_id="t", kind="train", input_dataset="train",
+                           model_key=MODEL, output_dataset="out",
+                           params={"seed": 4, "epochs": 2, "emit": "hidden:r"})
+        run_agent(engine, "agent", DEFAULT_HANDLERS, max_loops=1, poll_interval=0.0)
+        assert engine.get_task("t").status == COMPLETED
+        [version] = engine.list_versions(MODEL)
+        assert version.step == 0 and version.metrics == {}
+        assert engine.scan('dataset = "out"')[0] == []
+    finally:
+        engine.close()

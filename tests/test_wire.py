@@ -5,6 +5,7 @@ garbage frames thrown at a live server."""
 import inspect
 import json
 import random
+import re
 import socket
 import struct
 import sys
@@ -349,6 +350,23 @@ def test_plan_task_max_attempts_is_an_int(api):
             api.submit_plan({"plan_id": "p", "tasks": [
                 {"task_id": "t", "kind": "user_fn", "max_attempts": bad}]})
     assert api.list_tasks() == []
+
+
+@pytest.mark.parametrize("field,value", [
+    ("task_id", 7), ("task_id", ""), ("params", [1]), ("depends_on", [["x"]]),
+    ("depends_on", "s"), ("model", [1]), ("model_key", 1), ("kind", 3),
+    ("input_dataset", ["v"]), ("output_dataset", {}), ("max_attempts", "3"),
+])
+def test_plan_task_fields_are_typed(wire_pair, field, value):
+    engine, _, client = wire_pair
+    client.info()
+    sock = client._sock
+    tasks = [{"task_id": "s", "kind": "user_fn"},
+             {"task_id": "t", "kind": "user_fn", field: value}]
+    with pytest.raises(InvalidArgument, match=re.escape(f"plan.tasks[1].{field} must be ")):
+        client.submit_plan({"plan_id": "p", "tasks": tasks})
+    assert client._sock is sock  # answered, and the connection is still open
+    assert engine.list_tasks() == [] and engine.workflow.plans == {}
 
 
 @pytest.mark.parametrize("src", ["x = ²", "x = ١٢"])

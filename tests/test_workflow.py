@@ -470,3 +470,13 @@ def test_train_events_are_recorded_once_across_a_kill(tmp_path, harness):
     finally:
         rerun.shutdown()
         engine.close()
+
+
+@pytest.mark.parametrize("field,value", [
+    ("task_id", 7), ("params", [1]), ("input_dataset", 3), ("model_key", ["m"]),
+    ("max_attempts", True), ("max_attempts", "3"),
+])
+def test_submit_task_fields_are_typed(engine, field, value):
+    with pytest.raises(InvalidArgument, match=f"^{field} must be "):
+        engine.submit_task(**{"kind": "user_fn", "task_id": "t", field: value})
+    assert engine.list_tasks() == []
