@@ -4,7 +4,8 @@ Sample documents carry their feature vector as little-endian f32 bytes in
 the payload; the training target rides in the label (an integer class for
 softmax-xent, comma-separated floats for mse). The train handler checks the
 length of every payload, then decodes its whole input slice with one
-``np.frombuffer`` over the joined payloads.
+``np.frombuffer`` over the joined payloads; it parses every mse label into
+one flat list and builds one float32 array from it.
 
 The train handler is deterministic given its task: it starts from the
 explicit ``init_version`` param or a fresh seed, and the input slice and
@@ -40,12 +41,23 @@ def decode_samples(payloads: list[bytes], dims: tuple[int, ...]) -> np.ndarray:
     return np.frombuffer(b"".join(payloads), dtype="<f4").reshape(-1, *dims).copy()
 
 
-def parse_target(label: str | None, loss: str):
-    if label is None:
-        raise InvalidArgument("training documents need a label")
+def parse_targets(docs: list, loss: str) -> np.ndarray:
+    """The training targets in the labels of ``docs``: int64 classes for
+    softmax-xent, otherwise one ``(len(docs), width)`` float32 array, where
+    every label holds the same number of comma-separated floats."""
+    for doc in docs:
+        if doc.label is None:
+            raise InvalidArgument("training documents need a label")
     if loss == "softmax-xent":
-        return int(label)
-    return np.array([float(part) for part in label.split(",")], dtype=np.float32)
+        return np.array([int(doc.label) for doc in docs], dtype=np.int64)
+    rows = [doc.label.split(",") for doc in docs]
+    width = len(rows[0]) if rows else 0
+    for doc, row in zip(docs, rows):
+        if len(row) != width:
+            raise InvalidArgument(f"label of {doc.key!r} has {len(row)} values, "
+                                  f"label of {docs[0].key!r} has {width}")
+    return np.array([float(part) for row in rows for part in row],
+                    dtype=np.float32).reshape(len(rows), width)
 
 
 def _batches(xs: np.ndarray, ts: np.ndarray, batch_size: int):
@@ -83,9 +95,7 @@ def train_handler(ctx: TaskContext) -> None:
     events = [("seed", state.step, float(seed))]
     kill_point("handler.before_train")
     if docs and epochs > 0:
-        targets = [parse_target(d.label, loss) for d in docs]
-        ts = (np.array(targets, dtype=np.int64) if loss == "softmax-xent"
-              else np.stack(targets))
+        ts = parse_targets(docs, loss)
         state, events = nnet.train_epochs(state, _batches(xs, ts, batch_size),
                                           loss, lr, epochs)
     kill_point("handler.before_save")

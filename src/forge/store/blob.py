@@ -10,6 +10,18 @@ payload, so corruption surfaces as ChecksumMismatch rather than bad bytes.
 
 Blob ids are content-addressed (digest + chunking parameters), which makes
 re-uploads of identical content idempotent.
+
+A ``CODEC_ZLIB`` chunk is stored as one zlib stream whose level is chosen
+per chunk: the chunk's first ``PROBE`` bytes are compressed at level 1, and
+if that does not make them shorter the chunk is stored at level 0, otherwise
+at level 6. Level 0 writes deflate stored blocks (each a LEN/NLEN header
+and the raw bytes) inside the same zlib header and adler32 trailer, so
+``assemble`` reads both forms, and chunks written before the probe, alike
+with ``zlib.decompress`` and still detects a damaged chunk. The probe costs
+a few percent of a level-6 pass and spares incompressible data (random
+bytes, encoded images, packed floats) the whole pass, which gives nothing
+back on them. The trade-off: a chunk whose first ``PROBE`` bytes do not
+compress is stored uncompressed even if its tail would compress.
 """
 
 from __future__ import annotations
@@ -34,6 +46,14 @@ from forge.store.types import (
 
 
 _BLOB_ID = re.compile(r"[0-9a-f]{32}")  # the form blob_id_for gives
+PROBE = 4096  # bytes of a chunk compressed at level 1 to choose its level
+
+
+def _deflate(raw: bytes) -> bytes:
+    """The stored form of a ``CODEC_ZLIB`` chunk: level 0 when its first
+    ``PROBE`` bytes do not shrink at level 1, level 6 otherwise."""
+    head = raw[:PROBE]
+    return zlib.compress(raw, 6 if len(zlib.compress(head, 1)) < len(head) else 0)
 
 
 def assemble(ptr: BlobPointer, read_chunk) -> bytes:
@@ -95,7 +115,7 @@ class BlobStore:
         for index in range(ptr.chunk_count):
             raw = data[index * chunk_size:(index + 1) * chunk_size]
             self._write_chunk(ptr.blob_id, index,
-                              zlib.compress(raw, 6) if codec_id == CODEC_ZLIB else raw)
+                              _deflate(raw) if codec_id == CODEC_ZLIB else raw)
         return ptr
 
     def get(self, ptr: BlobPointer) -> bytes:

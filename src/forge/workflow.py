@@ -76,10 +76,13 @@ _FIELD_TYPES = {"task_id": str, "kind": str, "input_dataset": str, "model": str,
 
 
 def _check_types(where: str, fields: dict) -> None:
-    """InvalidArgument naming ``where`` + the field for the first value whose
-    type is not the one ``_FIELD_TYPES`` gives (a bool is not an int)."""
+    """InvalidArgument naming ``where`` + the field for the first field that
+    ``_FIELD_TYPES`` does not name or whose value is not of the type it gives
+    (a bool is not an int)."""
     for name, value in fields.items():
-        want = _FIELD_TYPES[name]
+        want = _FIELD_TYPES.get(name)
+        if want is None:
+            raise InvalidArgument(f"{where}{name} is not a task field")
         if type(value) is not want:
             raise InvalidArgument(
                 f"{where}{name} must be {want.__name__}, got {type(value).__name__}")
@@ -408,7 +411,7 @@ class WorkflowManager:
                 if fieldname not in entry:
                     raise InvalidArgument(f"plan.tasks[{i}].{fieldname} is required")
             where = f"plan.tasks[{i}]."
-            _check_types(where, {k: v for k, v in entry.items() if k in _FIELD_TYPES})
+            _check_types(where, entry)
             if not entry["task_id"]:
                 raise InvalidArgument(f"{where}task_id must be a non-empty str")
             if not all(type(dep) is str for dep in entry.get("depends_on", ())):

@@ -3,10 +3,17 @@ it initialised and an in-thread server it reaches through --addr."""
 
 import base64
 import gc
+import inspect
 import json
+import os
 import random
+import select
+import signal
+import subprocess
 import sys
 import warnings
+import zlib
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -14,8 +21,8 @@ from click.testing import CliRunner
 from forge.cli import main
 from forge.clock import FakeClock
 from forge.engine import Forge
-from forge.store import BlobPointer
-from forge.wire import ForgeServer
+from forge.store import BlobPointer, Document
+from forge.wire import ForgeClient, ForgeServer
 
 MLP = {"input_dims": [3], "layers": [{"name": "out", "kind": "dense", "out_units": 2}]}
 
@@ -145,3 +152,45 @@ def test_query_with_unicode_digits_is_a_syntax_error(forge, expr):
     run, _ = forge
     result = run("query", expr)
     assert result.exit_code == 2 and "syntax error at byte 4" in result.output
+
+
+def test_serve_stops_on_sigterm_and_releases_the_store(tmp_path):
+    """``forge serve`` as its own process: a blob and the document that points
+    to it go in over the wire, SIGTERM ends it with status 0, and the store
+    then opens in this process with both readable."""
+    path = tmp_path / "store"
+    Forge(path, create=True).close()
+    src = str(Path(inspect.getfile(Forge)).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    data = random.Random(3).randbytes(40_000)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "forge.cli", "serve", "--path", str(path),
+         "--addr", "127.0.0.1:0", "--fsync"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env)
+    try:
+        assert select.select([proc.stdout], [], [], 60)[0], "no address line"
+        line = proc.stdout.readline()
+        assert line.startswith(f"serving {path} on 127.0.0.1:"), line
+        host, port = line.rsplit(" ", 1)[1].split(":")
+        client = ForgeClient(host, int(port))
+        try:
+            ptr = client.put_blob(data)
+            client.put_document(Document(key="d", payload=ptr))
+        finally:
+            client.close()
+        proc.send_signal(signal.SIGTERM)
+        assert proc.wait(timeout=60) == 0, proc.stderr.read()
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+        proc.stdout.close()
+        proc.stderr.close()
+    engine = Forge(path, clock=FakeClock(), fsync=False)
+    try:
+        assert engine.get_document("d").payload == ptr
+        assert engine.get_blob(ptr) == data
+        assert engine.store.blobs.read_chunk(ptr.blob_id, 0) == zlib.compress(data, 0)
+    finally:
+        engine.close()

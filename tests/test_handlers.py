@@ -10,7 +10,7 @@ from forge.handlers import (
     DEFAULT_HANDLERS,
     decode_samples,
     encode_sample,
-    parse_target,
+    parse_targets,
     train_handler,
     user_fn_handler,
 )
@@ -49,13 +49,21 @@ def test_a_payload_of_no_whole_float_count_is_rejected():
     assert decode_samples([], (4,)).shape == (0, 4)
 
 
-def test_parse_target():
-    target = parse_target("0.5,-1.25,3", "mse")
-    assert target.dtype == np.float32 and target.tolist() == [0.5, -1.25, 3.0]
-    assert parse_target("3", "softmax-xent") == 3
+def _labelled(*labels):
+    return [Document(key=f"k{i}", payload=b"", label=label) for i, label in enumerate(labels)]
+
+
+def test_labels_parse_into_one_target_array():
+    targets = parse_targets(_labelled("0.5,-1.25,3", "1e-3,7,-0"), "mse")
+    assert targets.dtype == np.float32 and targets.shape == (2, 3)
+    want = np.stack([np.array([float(part) for part in label.split(",")], dtype=np.float32)
+                     for label in ("0.5,-1.25,3", "1e-3,7,-0")])
+    assert targets.tobytes() == want.tobytes()
+    classes = parse_targets(_labelled("3", "0"), "softmax-xent")
+    assert classes.dtype == np.int64 and classes.tolist() == [3, 0]
     for loss in ("mse", "softmax-xent"):
         with pytest.raises(InvalidArgument, match="need a label"):
-            parse_target(None, loss)
+            parse_targets(_labelled("1", None), loss)
 
 
 def _engine_with_samples(path, count=6):
@@ -127,6 +135,21 @@ def test_a_sample_of_the_wrong_length_fails_the_train_task(tmp_path):
         with pytest.raises(InvalidArgument) as info:
             train_handler(ctx)
         assert str(info.value) == "sample payload has 3 floats, spec expects 4"
+        assert engine.list_versions(MODEL) == []
+    finally:
+        engine.close()
+
+
+def test_ragged_labels_fail_the_train_task_naming_the_document(tmp_path):
+    engine = _engine_with_samples(tmp_path / "store")
+    try:
+        engine.put_document(Document(key="s002a", payload=encode_sample(np.zeros(4)),
+                                     label="0.5", tags={"dataset": "train"}))
+        ctx = _leased_context(engine, kind="train", input_dataset="train", model_key=MODEL,
+                              output_dataset="out")
+        with pytest.raises(InvalidArgument) as info:
+            train_handler(ctx)
+        assert str(info.value) == "label of 's002a' has 1 values, label of 's000' has 2"
         assert engine.list_versions(MODEL) == []
     finally:
         engine.close()

@@ -1,8 +1,10 @@
 """Store engine internals: durability, crash atomicity, indexes, blobs,
 staging groups, snapshot pagination, compaction, and the writer lock."""
 
+import json
 import os
 import random
+import zlib
 
 import pytest
 from hypothesis import given, settings
@@ -20,8 +22,12 @@ from forge.errors import (
     StoreLocked,
 )
 from forge.query import MATCH_ALL, Predicate, TagQuery, parse
-from forge.store import CommitGroupOp, DeleteOp, Document, PutOp, ScanCursor, Store
+from forge.nn import layers as nnlayers
+from forge.nn import network as nnet
+from forge.store import CODEC_ZLIB, CommitGroupOp, DeleteOp, Document, PutOp, ScanCursor, Store
+from forge.store.blob import PROBE
 from forge.store.log import iter_frames, list_segments
+from forge.tensorio import encode_tensors
 
 from oracles import brute_force_filter
 
@@ -430,6 +436,75 @@ class TestBlobs:
             assert ptr.total_size == size
             assert ptr.chunk_count == -(-size // chunk)
             assert s.get_blob(ptr) == data
+
+
+def _tensor_container() -> bytes:
+    spec = nnlayers.spec_from_dict({"input_dims": [32], "layers": [
+        {"name": "h", "kind": "dense", "out_units": 64}, {"name": "r", "kind": "relu"},
+        {"name": "out", "kind": "dense", "out_units": 8}]})
+    return encode_tensors(nnet.state_tensors(nnet.build_network(spec, 3)))
+
+
+class TestBlobStoredForm:
+    """A zlib chunk is stored at level 6 when its first PROBE bytes compress
+    at level 1 and as stored blocks (level 0) when they do not."""
+
+    CHUNK = 8192
+
+    def _stored(self, s, data):
+        ptr = s.put_blob(data, self.CHUNK, CODEC_ZLIB)
+        assert s.get_blob(ptr) == data
+        return ptr, [s.blobs.read_chunk(ptr.blob_id, i) for i in range(ptr.chunk_count)]
+
+    def _want(self, data, *levels):
+        chunks = [data[i:i + self.CHUNK] for i in range(0, len(data), self.CHUNK)]
+        assert len(chunks) == len(levels)
+        return [zlib.compress(raw, level) for raw, level in zip(chunks, levels)]
+
+    @pytest.mark.parametrize("kind", ["zeros", "json", "tensors"])
+    def test_compressible_chunks_are_stored_at_level_6(self, tmp_path, kind):
+        data = {"zeros": lambda: bytes(20_000),
+                "json": lambda: json.dumps([{"key": f"s{i:05d}", "split": "train", "step": i}
+                                            for i in range(400)]).encode(),
+                "tensors": _tensor_container}[kind]()
+        with make_store(tmp_path / "s", create=True) as s:
+            _, stored = self._stored(s, data)
+        assert len(stored) > 1 and len(data) % self.CHUNK < PROBE  # a short last chunk too
+        assert stored == self._want(data, *[6] * len(stored))
+
+    def test_random_chunks_are_stored_blocks_and_parent_chunks_still_read(self, tmp_path):
+        data = random.Random(21).randbytes(2 * self.CHUNK + 100)
+        with make_store(tmp_path / "s", create=True) as s:
+            ptr, stored = self._stored(s, data)
+            assert stored == self._want(data, 0, 0, 0)
+            for index, raw in enumerate(self._want(data, 6, 6, 6)):  # as level 6 always wrote
+                s.blobs._chunk_path(ptr.blob_id, index).write_bytes(raw)
+            assert s.get_blob(ptr) == data
+
+    @pytest.mark.parametrize("tail,level", [(bytes(1000), 6), (b"\x07", 0)],
+                             ids=["zeros-tail", "one-byte-tail"])
+    def test_one_blob_mixes_the_two_forms(self, tmp_path, tail, level):
+        noise = random.Random(22).randbytes(self.CHUNK)
+        data = noise + bytes(self.CHUNK) + noise + tail
+        with make_store(tmp_path / "s", create=True) as s:
+            _, stored = self._stored(s, data)
+        assert stored == self._want(data, 0, 6, 0, level)
+
+    @pytest.mark.parametrize("damage", [
+        lambda b: b[:100] + bytes([b[100] ^ 0x01]) + b[101:],  # payload byte
+        lambda b: b[:3] + bytes([b[3] ^ 0x01]) + b[4:],  # LEN
+        lambda b: b[:6] + bytes([b[6] ^ 0x80]) + b[7:],  # NLEN
+        lambda b: b[:-1],  # the adler32 cut short
+        lambda b: b[:PROBE],  # cut inside the block
+    ], ids=["payload", "len", "nlen", "trailer", "block"])
+    def test_a_damaged_stored_block_raises_checksum_mismatch(self, tmp_path, damage):
+        data = random.Random(23).randbytes(self.CHUNK)
+        with make_store(tmp_path / "s", create=True) as s:
+            ptr, [stored] = self._stored(s, data)
+            assert stored[2] == 0x01  # one final stored block: LEN, NLEN, then the bytes
+            s.blobs._chunk_path(ptr.blob_id, 0).write_bytes(damage(stored))
+            with pytest.raises(ChecksumMismatch):
+                s.get_blob(ptr)
 
 
 class TestCompaction:

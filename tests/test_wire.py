@@ -369,6 +369,16 @@ def test_plan_task_fields_are_typed(wire_pair, field, value):
     assert engine.list_tasks() == [] and engine.workflow.plans == {}
 
 
+@pytest.mark.parametrize("key", ["dependson", "max_attempt", "param", "status"])
+def test_plan_task_unknown_fields_are_rejected(wire_pair, key):
+    engine, _, client = wire_pair
+    tasks = [{"task_id": "a", "kind": "user_fn"},
+             {"task_id": "b", "kind": "user_fn", "depends_on": ["a"], key: ["a"]}]
+    with pytest.raises(InvalidArgument, match=re.escape(f"plan.tasks[1].{key} ")):
+        client.submit_plan({"plan_id": "p", "tasks": tasks})
+    assert engine.list_tasks() == [] and engine.workflow.plans == {}
+
+
 @pytest.mark.parametrize("src", ["x = ²", "x = ١٢"])
 def test_scan_answers_query_syntax_for_unicode_digits(api, src):
     with pytest.raises(QuerySyntaxError) as info:
