@@ -51,8 +51,6 @@ class StreamController:
     model_key: str
     output_dataset: str
     watermark: str
-    lease_holder: str | None = None
-    lease_until: int = 0
 
 
 @dataclass(frozen=True)
@@ -187,8 +185,6 @@ class DatasetManager:
             "model_key": ctl.model_key,
             "output_dataset": ctl.output_dataset,
             "watermark": ctl.watermark,
-            "lease_holder": ctl.lease_holder,
-            "lease_until": ctl.lease_until,
         }
         return json_doc(STREAM_PREFIX + ctl.view_key, payload)
 
@@ -198,6 +194,9 @@ class DatasetManager:
         except NotFound:
             raise ViewNotFound(f"view {view_key!r} has no stream controller") from None
         meta = _payload_json(doc)
+        # controller docs of older stores also carry a lease no one reads
+        meta.pop("lease_holder", None)
+        meta.pop("lease_until", None)
         return StreamController(**meta)
 
     def list_controllers(self) -> list[str]:

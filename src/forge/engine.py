@@ -11,10 +11,14 @@ Two locks. ``Store._lock`` makes each store call atomic. ``Forge._lock``
 ones need it, because they read, then write, across store calls or keep
 state in memory beside the store:
 
-- ``poll_stream``, ``master_step`` and the task and plan calls
-  (``submit_task``, ``submit_plan``, ``lease_task``, ``heartbeat``,
-  ``write_output(s)``, ``complete_task``, ``replay_task``): check leases or
-  the workflow's in-memory tables, commit, then update the tables.
+- ``poll_stream`` and ``master_step``: read the stream controllers, plans
+  and task table, then commit what they decide. The engine lock is what
+  keeps two masters from firing one trigger twice; neither call takes a
+  lease.
+- the task and plan calls (``submit_task``, ``submit_plan``, ``lease_task``,
+  ``heartbeat``, ``write_output(s)``, ``complete_task``, ``replay_task``):
+  check task leases or the workflow's in-memory tables, commit, then update
+  the tables.
 - ``define_view``, ``open_cursor``, ``attach_stream``, ``register_model``,
   ``save_state``: check existence, then write; ``read_batch``: scan, then
   write the cursor; ``record_event``: the event sequence kept in memory.
@@ -33,7 +37,6 @@ the same arguments and callers cannot tell them apart. ``compact`` and
 from __future__ import annotations
 
 import threading
-from dataclasses import replace
 
 import numpy as np
 
@@ -51,13 +54,7 @@ from forge.store import (
     ScanCursor,
     Store,
 )
-from forge.workflow import (
-    DEFAULT_LEASE_TTL_MS,
-    DEFAULT_MAX_ATTEMPTS,
-    Task,
-    WorkflowManager,
-    lease_write_due,
-)
+from forge.workflow import DEFAULT_MAX_ATTEMPTS, Task, WorkflowManager
 
 
 class Forge:
@@ -160,33 +157,23 @@ class Forge:
             return self.datasets.attach_stream(view_key, threshold, max_age_ms,
                                                model_key, output_dataset)
 
-    def poll_stream(self, view_key: str, poller_id: str,
-                    lease_ttl_ms: int = DEFAULT_LEASE_TTL_MS) -> Task | None:
-        """Fire the controller's trigger if significant: atomically advance the
-        watermark and enqueue the covering train task. None when quiet or when
-        another live poller holds the controller. A quiet poll writes the
-        controller's lease only when ``lease_write_due`` says so."""
+    def poll_stream(self, view_key: str) -> Task | None:
+        """Fire the controller's trigger if significant: advance the watermark
+        and enqueue the covering train task in one atomic batch. The trigger is
+        evaluated under the engine lock. None, and nothing written, when the
+        stream is quiet."""
         with self._lock:
             ctl = self.datasets.get_controller(view_key)
-            now = self.clock.now_ms()
-            if ctl.lease_holder not in (None, poller_id) and ctl.lease_until > now:
-                return None
-            leased = replace(ctl, lease_holder=poller_id, lease_until=now + lease_ttl_ms)
             trigger = self.datasets.evaluate_trigger(ctl)
             if trigger is None:
-                if lease_write_due(ctl.lease_holder, ctl.lease_until, poller_id, now,
-                                   lease_ttl_ms):
-                    self.store.put_system(self.datasets.controller_doc(leased), replace=True)
                 return None
-            ctl_op = self.datasets.advance_op(leased, trigger)
             params = {"from_key": trigger.from_key, "upto_key": trigger.upto_key}
             task, task_ops = self.workflow.stream_task_ops(
                 trigger.task_id, ctl.view_key, ctl.model_key, ctl.output_dataset, params)
-            self.store.apply_ops([ctl_op] + task_ops)
+            self.store.apply_ops([self.datasets.advance_op(ctl, trigger)] + task_ops)
             if task is not None:
                 self.workflow.register_task(task)
-                return task
-            return None
+            return task
 
     # -- models -----------------------------------------------------------------
 
@@ -284,18 +271,15 @@ class Forge:
         with self._lock:
             self.workflow.replay_task(task_id)
 
-    def master_step(self, master_id: str,
-                    lease_ttl_ms: int = DEFAULT_LEASE_TTL_MS) -> dict:
+    def master_step(self, master_id: str) -> dict:
         """One master cycle: advance the plans whose tasks changed status, then
-        drive every stream controller."""
+        poll every stream controller. The engine does not read ``master_id``:
+        the engine lock keeps concurrent masters apart."""
         with self._lock:
-            actions = self.workflow.master_step(master_id, lease_ttl_ms)
-            if actions.get("busy"):
-                return actions
+            actions = self.workflow.master_step()
             stream_tasks = []
             for view_key in self.datasets.list_controllers():
-                task = self.poll_stream(view_key, poller_id=master_id,
-                                        lease_ttl_ms=lease_ttl_ms)
+                task = self.poll_stream(view_key)
                 if task is not None:
                     stream_tasks.append(task.task_id)
             actions["stream_tasks"] = stream_tasks

@@ -4,8 +4,10 @@ Sample documents carry their feature vector as little-endian f32 bytes in
 the payload; the training target rides in the label (an integer class for
 softmax-xent, comma-separated floats for mse). The train handler checks the
 length of every payload, then decodes its whole input slice with one
-``np.frombuffer`` over the joined payloads; it parses every mse label into
-one flat list and builds one float32 array from it.
+``np.frombuffer`` over the joined payloads; it parses the mse labels into
+lists of floats and builds one float32 array from them. A label that does
+not parse, or a target that is not finite, fails the task naming the
+document.
 
 The train handler is deterministic given its task: it starts from the
 explicit ``init_version`` param or a fresh seed, and the input slice and
@@ -41,23 +43,42 @@ def decode_samples(payloads: list[bytes], dims: tuple[int, ...]) -> np.ndarray:
     return np.frombuffer(b"".join(payloads), dtype="<f4").reshape(-1, *dims).copy()
 
 
+def _floats(label: str) -> list[float]:
+    return [float(part) for part in label.split(",")]
+
+
+def _parse_label(doc, parse, what: str):
+    try:
+        return parse(doc.label)
+    except ValueError:
+        raise InvalidArgument(f"label {doc.label!r} of {doc.key!r} is not {what}") from None
+
+
 def parse_targets(docs: list, loss: str) -> np.ndarray:
     """The training targets in the labels of ``docs``: int64 classes for
     softmax-xent, otherwise one ``(len(docs), width)`` float32 array, where
-    every label holds the same number of comma-separated floats."""
+    every label holds the same number of comma-separated floats, each finite
+    as a float32. A label that breaks this is an InvalidArgument naming its
+    document."""
     for doc in docs:
         if doc.label is None:
             raise InvalidArgument("training documents need a label")
     if loss == "softmax-xent":
-        return np.array([int(doc.label) for doc in docs], dtype=np.int64)
-    rows = [doc.label.split(",") for doc in docs]
+        return np.array([_parse_label(doc, int, "an integer class") for doc in docs],
+                        dtype=np.int64)
+    rows = [_parse_label(doc, _floats, "comma-separated floats") for doc in docs]
     width = len(rows[0]) if rows else 0
     for doc, row in zip(docs, rows):
         if len(row) != width:
             raise InvalidArgument(f"label of {doc.key!r} has {len(row)} values, "
                                   f"label of {docs[0].key!r} has {width}")
-    return np.array([float(part) for row in rows for part in row],
-                    dtype=np.float32).reshape(len(rows), width)
+    with np.errstate(over="ignore"):  # a float past float32's range becomes inf
+        targets = np.array(rows, dtype=np.float32).reshape(len(rows), width)
+    finite = np.isfinite(targets).all(axis=1)
+    if not finite.all():
+        doc = docs[int(np.argmin(finite))]
+        raise InvalidArgument(f"label {doc.label!r} of {doc.key!r} is not finite as float32")
+    return targets
 
 
 def _batches(xs: np.ndarray, ts: np.ndarray, batch_size: int):

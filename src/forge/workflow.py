@@ -3,11 +3,13 @@
 Tasks are identified by their 3-tuple (input dataset, model, output dataset)
 plus an explicit id, queued durably in the store, and pulled by agents under
 time-bounded leases; an expired lease makes the task claimable again, so a
-dead agent's work is replayed automatically. The singleton master advances
-plan DAGs. It recomputes each plan's state from the task table, so a step is
-idempotent and a crash-restarted master simply steps again. In memory it
-keeps the set of plans whose tasks changed status since its last step (every
-plan after open) and visits only those.
+dead agent's work is replayed automatically. Leases are for tasks only. The
+master advances plan DAGs and holds no lease: it recomputes each plan's state
+from the task table, so a step is idempotent, the engine lock keeps
+concurrent masters apart, and a crash-restarted master simply steps again. A
+step with nothing to do writes nothing. In memory the manager keeps the set
+of plans whose tasks changed status since the last step (every plan after
+open) and visits only those.
 
 Task outputs are staged documents committed atomically with the completion
 record (see store docs), which keeps at-least-once execution observationally
@@ -46,7 +48,6 @@ from forge.store.types import MAX_PAYLOAD, json_doc, validate_tags
 
 TASK_PREFIX = "__sys/task/"
 PLAN_PREFIX = "__sys/plan/"
-MASTER_KEY = "__sys/master"
 
 PENDING = "pending"
 LEASED = "leased"
@@ -131,14 +132,6 @@ class Plan:
     submitted_at: int = 0
 
 
-def lease_write_due(holder: str | None, until: int, me: str, now: int,
-                    lease_ttl_ms: int) -> bool:
-    """Whether ``me`` must write a lease record that reads (holder, until) to
-    keep the lease: to take it, or to renew it once half its ttl has passed.
-    In between an idle holder writes nothing."""
-    return holder != me or until - now <= lease_ttl_ms // 2
-
-
 def output_document(task_id: str, index: int, payload, label: str | None = None,
                     tags: dict | None = None) -> Document:
     """A task's ``index``-th output, under the key ``{task_id}/{index:06d}``."""
@@ -147,10 +140,12 @@ def output_document(task_id: str, index: int, payload, label: str | None = None,
 
 
 def _check_output_key(task_id: str, key: str) -> None:
-    prefix, _, index = key.rpartition("/")
-    if prefix != task_id or len(index) < 6 or not (index.isascii() and index.isdigit()):
-        raise InvalidArgument(
-            f"output key {key!r} is outside the task's namespace {task_id}/NNNNNN")
+    if type(key) is str:
+        prefix, _, index = key.rpartition("/")
+        if prefix == task_id and len(index) >= 6 and index.isascii() and index.isdigit():
+            return
+    raise InvalidArgument(
+        f"output key {key!r} is outside the task's namespace {task_id}/NNNNNN")
 
 
 class WorkflowManager:
@@ -169,9 +164,6 @@ class WorkflowManager:
         self.plans: dict[str, Plan] = {}
         self._live: set[str] = set()  # ids of pending and leased tasks
         self._dirty: set[str] = set()  # plans with a task status change since the last step
-        # completions since the last step, reported as its consumed / ok_applied
-        self._completions = 0
-        self._ok_completions = 0
         self._rebuild()
 
     def _rebuild(self) -> None:
@@ -359,11 +351,14 @@ class WorkflowManager:
                       outputs: Sequence[Document] = ()) -> None:
         """Record an attempt's outcome. ``ok`` stages ``outputs`` and commits
         them, with what this attempt staged before, in the frame of the
-        completion record; ``error`` discards them."""
+        completion record; ``error`` discards them. ``output_keys``, which the
+        task record keeps, must name keys in the task's namespace."""
         if outcome not in ("ok", "error"):
             raise InvalidArgument("outcome must be 'ok' or 'error'")
         task = self._current_lease(task_id, agent_id)
         if outcome == "ok":
+            for key in output_keys:
+                _check_output_key(task_id, key)
             done = replace(task, status=COMPLETED, lease_holder=None, lease_until=0,
                            output_keys=tuple(output_keys), last_error=None)
             ops = self._stage_ops(task, outputs) + [
@@ -374,8 +369,6 @@ class WorkflowManager:
                            lease_holder=None, lease_until=0, last_error=message)
             ops = [self._task_op(done, exists=True)]
         self._commit(ops, [done])
-        self._completions += 1
-        self._ok_completions += outcome == "ok"
 
     # -- plans ---------------------------------------------------------------
 
@@ -501,20 +494,14 @@ class WorkflowManager:
 
     # -- master --------------------------------------------------------------
 
-    def master_step(self, master_id: str, lease_ttl_ms: int = DEFAULT_LEASE_TTL_MS) -> dict:
+    def master_step(self) -> dict:
         """One scheduling cycle over the plans whose tasks changed status since
-        the last step; all effects commit in one atomic batch. Returns a
-        summary of the actions taken."""
+        the last step; all effects commit in one atomic batch, and a step
+        without effects writes nothing. Returns the tasks it unblocked and
+        the plans it completed or failed."""
         kill_point("master.before_step")
-        now = self.clock.now_ms()
-        meta = (json.loads(self.store.get(MASTER_KEY).payload.decode())
-                if self.store.exists(MASTER_KEY) else None)
-        if meta is not None and meta["holder"] not in (None, master_id) and meta["until"] > now:
-            return {"busy": True, "holder": meta["holder"]}
         ops: list = []
-        actions = {"busy": False, "consumed": self._completions, "unblocked": [],
-                   "plans_completed": [], "plans_failed": [],
-                   "ok_applied": self._ok_completions}
+        actions = {"unblocked": [], "plans_completed": [], "plans_failed": []}
         new_tasks: list[Task] = []
         new_plans: dict[str, Plan] = {}
 
@@ -543,18 +530,10 @@ class WorkflowManager:
                     new_plans[plan.plan_id] = done
                     actions["plans_completed"].append(plan.plan_id)
 
-        # the master doc is the master's lease: written with other effects,
-        # or alone when lease_write_due says so
-        if ops or meta is None or lease_write_due(meta["holder"], meta["until"],
-                                                  master_id, now, lease_ttl_ms):
-            master_doc = json_doc(MASTER_KEY, {"holder": master_id,
-                                               "until": now + lease_ttl_ms})
-            ops.append(PutOp(master_doc, replace=meta is not None))
         kill_point("master.before_apply")
         self._commit(ops, new_tasks)
         self.plans.update(new_plans)
         self._dirty.clear()
-        self._completions = self._ok_completions = 0
         kill_point("master.after_apply")
         return actions
 
@@ -665,15 +644,16 @@ def run_agent(api, agent_id: str, handlers: dict, kinds: list[str] | None = None
 
 def run_master(api, master_id: str, interval: float = 0.2,
                stop: threading.Event | None = None,
-               lease_ttl_ms: int = DEFAULT_LEASE_TTL_MS,
                max_loops: int | None = None) -> None:
+    """Master loop: one ``master_step`` every ``interval`` seconds. Any number
+    of masters may run against one engine; ``master_id`` names this one."""
     stop = stop or threading.Event()
     loops = 0
     while not stop.is_set():
         loops += 1
         if max_loops is not None and loops > max_loops:
             return
-        api.master_step(master_id, lease_ttl_ms)
+        api.master_step(master_id)
         stop.wait(interval)
 
 

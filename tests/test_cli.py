@@ -15,12 +15,14 @@ import warnings
 import zlib
 from pathlib import Path
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
 from forge.cli import main
 from forge.clock import FakeClock
 from forge.engine import Forge
+from forge.handlers import encode_sample
 from forge.store import BlobPointer, Document
 from forge.wire import ForgeClient, ForgeServer
 
@@ -28,24 +30,54 @@ MLP = {"input_dims": [3], "layers": [{"name": "out", "kind": "dense", "out_units
 
 
 @pytest.fixture
-def forge(tmp_path):
-    """(run, engine): ``run(*args, input=None)`` invokes the command line
-    with --addr set to a server over a store made by ``forge init``."""
-    runner = CliRunner()
+def served(tmp_path):
+    """(engine, addr): an in-thread server over a store made by ``forge
+    init``, and its address."""
     path = tmp_path / "store"
-    result = runner.invoke(main, ["init", "--path", str(path)])
+    result = CliRunner().invoke(main, ["init", "--path", str(path)])
     assert result.exit_code == 0 and f"initialized store at {path}" in result.output
     engine = Forge(path, clock=FakeClock(), fsync=False)
     server = ForgeServer(engine, port=0)
     server.start()
-    addr = "{}:{}".format(*server.address)
+    yield engine, "{}:{}".format(*server.address)
+    server.stop()
+    engine.close()
+
+
+@pytest.fixture
+def forge(served):
+    """(run, engine): ``run(*args, input=None)`` invokes the command line
+    with --addr set to the served store."""
+    engine, addr = served
+    runner = CliRunner()
 
     def run(*args, input=None):
         return runner.invoke(main, ["--addr", addr, *args], input=input)
 
     yield run, engine
-    server.stop()
-    engine.close()
+
+
+def _cli_process(*args) -> subprocess.Popen:
+    """``forge *args`` as its own process, importing this checkout's sources."""
+    src = str(Path(inspect.getfile(Forge)).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.Popen([sys.executable, "-m", "forge.cli", *args],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                            env=env)
+
+
+def _run_cli(*args) -> tuple[int, str]:
+    """(exit status, stderr) of ``forge *args`` run to its end as its own
+    process; killed if it runs for more than a minute."""
+    proc = _cli_process(*args)
+    try:
+        _, err = proc.communicate(timeout=60)
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.communicate()
+    return proc.returncode, err
 
 
 def test_ingest_then_query(forge, tmp_path):
@@ -160,14 +192,8 @@ def test_serve_stops_on_sigterm_and_releases_the_store(tmp_path):
     then opens in this process with both readable."""
     path = tmp_path / "store"
     Forge(path, create=True).close()
-    src = str(Path(inspect.getfile(Forge)).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
     data = random.Random(3).randbytes(40_000)
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "forge.cli", "serve", "--path", str(path),
-         "--addr", "127.0.0.1:0", "--fsync"],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env)
+    proc = _cli_process("serve", "--path", str(path), "--addr", "127.0.0.1:0", "--fsync")
     try:
         assert select.select([proc.stdout], [], [], 60)[0], "no address line"
         line = proc.stdout.readline()
@@ -194,3 +220,31 @@ def test_serve_stops_on_sigterm_and_releases_the_store(tmp_path):
         assert engine.store.blobs.read_chunk(ptr.blob_id, 0) == zlib.compress(data, 0)
     finally:
         engine.close()
+
+
+def test_master_run_completes_a_plan_whose_task_is_done(served):
+    engine, addr = served
+    engine.submit_plan({"plan_id": "p", "tasks": [{"task_id": "t", "kind": "user_fn"}]})
+    engine.lease_task("a", 5_000)
+    engine.complete_task("t", "a", "ok")
+    assert engine.plan_status("p")["status"] == "running"
+    status, err = _run_cli("--addr", addr, "master", "run", "--id", "m",
+                           "--run-for", "1", "--interval", "0.05")
+    assert status == 0, err
+    assert engine.plan_status("p")["status"] == "completed"
+
+
+def test_agent_run_trains_a_queued_task(served):
+    engine, addr = served
+    engine.register_model("m", MLP)
+    for i in range(4):
+        engine.put_document(Document(key=f"s{i}", payload=encode_sample(np.full(3, i / 4)),
+                                     label="0.5,-0.5", tags={"dataset": "train"}))
+    engine.define_view("train", 'dataset = "train"')
+    engine.submit_task(kind="train", task_id="t", input_dataset="train", model_key="m")
+    status, err = _run_cli("--addr", addr, "agent", "run", "--id", "a", "--kinds", "train",
+                           "--run-for", "2", "--poll", "0.05")
+    assert status == 0, err
+    task = engine.get_task("t")
+    assert (task.status, task.attempts, task.last_error) == ("completed", 1, None)
+    assert len(engine.list_versions("m")) == 1

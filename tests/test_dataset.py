@@ -1,6 +1,8 @@
 """Views, batch cursors, and stream-controller semantics."""
 
 import random
+import sys
+import time
 
 import pytest
 
@@ -8,6 +10,7 @@ from forge.clock import FakeClock
 from forge.engine import Forge
 from forge.errors import AlreadyAttached, DuplicateKey, ViewNotFound
 from forge.store import Document
+from forge.workflow import run_master
 
 
 def doc(key, payload=b"x", label=None, **tags):
@@ -118,35 +121,35 @@ class TestStreamController:
     def test_below_threshold_no_trigger(self, api):
         self._setup(api)
         fill(api, 31)
-        assert api.poll_stream("v", "p") is None
+        assert api.poll_stream("v") is None
 
     def test_threshold_crossing_emits_one_task_covering_all(self, api):
         self._setup(api)
         fill(api, 31)
-        api.poll_stream("v", "p")
+        api.poll_stream("v")
         fill(api, 1, start=31)
-        task = api.poll_stream("v", "p")
+        task = api.poll_stream("v")
         assert task is not None
         assert task.params["from_key"] == ""
         assert task.params["upto_key"] == "d0031"
         # trigger drains all pending; nothing left
-        assert api.poll_stream("v", "p") is None
+        assert api.poll_stream("v") is None
 
     def test_overshoot_drains_everything(self, api):
         self._setup(api)
         fill(api, 70)
-        task = api.poll_stream("v", "p")
+        task = api.poll_stream("v")
         assert task.params["upto_key"] == "d0069"
-        assert api.poll_stream("v", "p") is None
+        assert api.poll_stream("v") is None
 
     def test_age_trigger_with_injected_clock(self, engine, clock):
         self._setup(engine, threshold=32, max_age=5000)
         fill(engine, 5)
-        assert engine.poll_stream("v", "p") is None
+        assert engine.poll_stream("v") is None
         clock.advance(4999)
-        assert engine.poll_stream("v", "p") is None
+        assert engine.poll_stream("v") is None
         clock.advance(2)
-        task = engine.poll_stream("v", "p")
+        task = engine.poll_stream("v")
         assert task is not None
         assert task.params["upto_key"] == "d0004"
 
@@ -160,17 +163,36 @@ class TestStreamController:
         with pytest.raises(AlreadyAttached):
             api.attach_stream("v", 1, 100, "m", "out")
 
-    def test_controller_lease_excludes_second_poller(self, engine, clock):
-        self._setup(engine, threshold=1)
-        fill(engine, 1)
-        assert engine.poll_stream("v", "p1") is not None
-        fill(engine, 1, start=1)
-        # p2 cannot poll while p1's controller lease is live
-        assert engine.poll_stream("v", "p2") is None
-        assert engine.poll_stream("v", "p1") is not None
-        clock.advance(31_000)
-        fill(engine, 1, start=2)
-        assert engine.poll_stream("v", "p2") is not None
+    def test_two_masters_dispatch_every_document_once(self, engine, clock, harness):
+        """Two master loops drive one stream while documents arrive: every
+        document lands in exactly one task range."""
+        engine.create_index("split")
+        self._setup(engine, threshold=7, max_age=1000)
+        count = 2000
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for master_id in ("m1", "m2"):
+                harness.spawn(run_master, engine, master_id, interval=0.001)
+            for start in range(0, count, 10):  # in bursts, so triggers fire often
+                fill(engine, 10, start=start)
+                time.sleep(0.0005)
+            clock.advance(1000)  # the tail below the threshold ages out
+            last, deadline = f"d{count - 1:04d}", time.monotonic() + 60
+            while (engine.datasets.get_controller("v").watermark != last
+                   and time.monotonic() < deadline):
+                time.sleep(0.01)
+            harness.shutdown()
+        finally:
+            sys.setswitchinterval(switch)
+        assert harness.errors == []
+        assert not any(thread.is_alive() for thread in harness.threads)
+        ranges = [(t.params["from_key"], t.params["upto_key"]) for t in engine.list_tasks()]
+        owners = {f"d{i:04d}": 0 for i in range(count)}
+        for lo, hi in ranges:
+            for key in owners:
+                owners[key] += lo < key <= hi
+        assert set(owners.values()) == {1}
 
     def test_crash_between_trigger_and_dispatch_is_exactly_once(self, tmp_path):
         """The watermark advance and the task enqueue are one atomic batch, so
@@ -180,12 +202,12 @@ class TestStreamController:
         eng = Forge(path, create=True, clock=clock, fsync=False)
         self._setup(eng, threshold=5)
         fill(eng, 7)
-        task = eng.poll_stream("v", "p")
+        task = eng.poll_stream("v")
         assert task is not None
         eng.close()  # crash after dispatch
 
         eng = Forge(path, clock=clock, fsync=False)
-        assert eng.poll_stream("v", "p") is None  # nothing re-emitted
+        assert eng.poll_stream("v") is None  # nothing re-emitted
         ids = {t.task_id for t in eng.list_tasks()}
         assert ids == {task.task_id}
         eng.close()
@@ -211,16 +233,15 @@ class TestExactlyOnceRandomized:
                 eng.put_document(doc(f"k{appended:04d}", kind="s"))
                 appended += 1
             elif action < 0.8:
-                eng.poll_stream("v", "p")
+                eng.master_step(rng.choice(["m1", "m2"]))
                 clock.advance(rng.randrange(0, 300))
             else:
                 eng.close()
                 eng = Forge(path, clock=clock, fsync=False)
-                clock.advance(31_000)  # let the controller lease lapse
         # drain
         for _ in range(20):
             clock.advance(1000)
-            eng.poll_stream("v", "p")
+            eng.poll_stream("v")
         ranges = [(t.params["from_key"], t.params["upto_key"])
                   for t in eng.list_tasks()]
         covered = {}

@@ -66,6 +66,21 @@ def test_labels_parse_into_one_target_array():
             parse_targets(_labelled("1", None), loss)
 
 
+@pytest.mark.parametrize("labels,loss,message", [
+    (("1,2", "abc"), "mse", "label 'abc' of 'k1' is not comma-separated floats"),
+    (("",), "mse", "label '' of 'k0' is not comma-separated floats"),
+    (("1,,2",), "mse", "label '1,,2' of 'k0' is not comma-separated floats"),
+    (("3", "1.5"), "softmax-xent", "label '1.5' of 'k1' is not an integer class"),
+    (("1,2", "nan,inf"), "mse", "label 'nan,inf' of 'k1' is not finite"),
+    (("0.5", "-inf", "1"), "mse", "label '-inf' of 'k1' is not finite"),
+    (("1e39",), "mse", "label '1e39' of 'k0' is not finite"),  # past float32's range
+], ids=["word", "empty", "empty-part", "fraction-class", "nan-inf", "minus-inf",
+        "float32-overflow"])
+def test_a_label_that_is_no_target_names_its_document(labels, loss, message):
+    with pytest.raises(InvalidArgument, match=f"^{message}"):
+        parse_targets(_labelled(*labels), loss)
+
+
 def _engine_with_samples(path, count=6):
     engine = make_engine(path)
     engine.register_model(MODEL, SPEC)

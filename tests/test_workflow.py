@@ -18,7 +18,6 @@ from forge.store.types import DEFAULT_INLINE_THRESHOLD, MAX_PAYLOAD
 from forge.workflow import (
     COMPLETED,
     DEAD,
-    MASTER_KEY,
     PENDING,
     output_document,
     run_agent,
@@ -98,27 +97,24 @@ class TestPlans:
         api.submit_plan(_plan("p"))
         assert _finish_next(api) == "p-root"
         assert api.lease_task("agent", TTL) is None  # children are blocked
-        step = api.master_step("m", TTL)
-        assert step["busy"] is False
+        step = api.master_step("m")
         assert sorted(step["unblocked"]) == ["p-c0", "p-c1"]
-        assert (step["consumed"], step["ok_applied"]) == (1, 1)
         assert step["plans_completed"] == step["plans_failed"] == []
 
         assert sorted([_finish_next(api), _finish_next(api)]) == ["p-c0", "p-c1"]
-        step = api.master_step("m", TTL)
+        step = api.master_step("m")
         assert step["plans_completed"] == ["p"]
         assert api.plan_status("p") == {"plan_id": "p", "status": "completed",
                                         "tasks": dict.fromkeys(
                                             ["p-root", "p-c0", "p-c1"], COMPLETED)}
-        idle = api.master_step("m", TTL)
-        assert (idle["unblocked"], idle["plans_completed"], idle["consumed"]) == ([], [], 0)
+        idle = api.master_step("m")
+        assert (idle["unblocked"], idle["plans_completed"]) == ([], [])
 
     def test_dead_task_fails_plan_and_replay_revives_it(self, api):
         api.submit_plan(_plan("p", max_attempts=1))
         _finish_next(api, "error")
-        step = api.master_step("m", TTL)
+        step = api.master_step("m")
         assert step["plans_failed"] == ["p"]
-        assert (step["consumed"], step["ok_applied"]) == (1, 0)
         status = api.plan_status("p")
         assert status["status"] == "failed"
         assert status["tasks"] == {"p-root": DEAD, "p-c0": PENDING, "p-c1": PENDING}
@@ -127,10 +123,10 @@ class TestPlans:
         assert api.plan_status("p")["status"] == "running"
         assert api.get_task("p-root").attempts == 0
         assert _finish_next(api) == "p-root"
-        assert len(api.master_step("m", TTL)["unblocked"]) == 2
+        assert len(api.master_step("m")["unblocked"]) == 2
         _finish_next(api)
         _finish_next(api)
-        assert api.master_step("m", TTL)["plans_completed"] == ["p"]
+        assert api.master_step("m")["plans_completed"] == ["p"]
 
     def test_same_outcome_after_reopen(self, api, engine, clock):
         api.submit_plan(_plan("done"))
@@ -140,7 +136,7 @@ class TestPlans:
             task = api.lease_task("agent", TTL)
             outcome = "error" if task.task_id == "fails-root" else "ok"
             api.complete_task(task.task_id, "agent", outcome)
-        api.master_step("m", TTL)
+        api.master_step("m")
         _finish_next(api)
         _finish_next(api)  # done-c0 and done-c1 finish; the master has not seen them
         before = {pid: api.plan_status(pid) for pid in ("done", "fails", "open")}
@@ -149,13 +145,13 @@ class TestPlans:
         try:
             assert {pid: reopened.plan_status(pid)
                     for pid in ("done", "fails", "open")} == before
-            step = reopened.master_step("m", TTL)
+            step = reopened.master_step("m")
             assert step["plans_completed"] == ["done"]
             assert step["unblocked"] == step["plans_failed"] == []
             assert reopened.plan_status("fails")["status"] == "failed"
             while (task := reopened.lease_task("agent", TTL)) is not None:
                 reopened.complete_task(task.task_id, "agent", "ok")
-            assert reopened.master_step("m", TTL)["plans_completed"] == ["open"]
+            assert reopened.master_step("m")["plans_completed"] == ["open"]
         finally:
             reopened.close()
 
@@ -168,61 +164,69 @@ class TestPlans:
             note = {"task_id": "p-root", "outcome": "ok", "output_keys": [], "at": seq}
             engine.store.put_system(Document(key=f"__sys/notify/{seq:012d}",
                                               payload=json.dumps(note).encode()))
-        engine.store.put_system(Document(key=MASTER_KEY, payload=json.dumps(
+        engine.store.put_system(Document(key="__sys/master", payload=json.dumps(
             {"consumed_upto": 1, "holder": None, "until": 0}).encode()))
 
         reopened = _reopen(engine, clock)
         try:
-            assert reopened.master_step("m", TTL)["unblocked"] == ["p-c0"]
+            assert reopened.master_step("m")["unblocked"] == ["p-c0"]
             _finish_next(reopened)
-            assert reopened.master_step("m", TTL)["plans_completed"] == ["p"]
+            assert reopened.master_step("m")["plans_completed"] == ["p"]
             assert len(reopened.store.keys_with_prefix("__sys/notify/")) == 3
         finally:
             reopened.close()
 
 
-class TestMasterLease:
-    def test_idle_steps_write_nothing_and_the_lease_still_holds(self, api, engine, clock):
-        api.master_step("m1", TTL)
-        size = _log_bytes(engine)
-        for _ in range(100):
-            assert api.master_step("m1", TTL)["busy"] is False
-        assert _log_bytes(engine) == size
-        assert api.master_step("m2", TTL) == {"busy": True, "holder": "m1"}
+def test_store_with_old_lease_docs_steps_and_fires(engine, clock):
+    """What older versions wrote, a live master lease doc and a stream
+    controller leased to another master, stops neither a step nor a
+    trigger, and the master doc is never rewritten."""
+    engine.register_model(MODEL, SPEC)
+    engine.define_view("v", 'dataset = "v"')
+    engine.attach_stream("v", 2, 1_000, MODEL, "v-out")
+    lease = {"holder": "old-master", "until": clock.now_ms() + 10**9}
+    ctl = json.loads(engine.get_document("__sys/stream/v").payload)
+    engine.store.put_system(Document(key="__sys/stream/v", payload=json.dumps(
+        {**ctl, "lease_holder": "old-master", "lease_until": lease["until"]}).encode()),
+        replace=True)
+    engine.store.put_system(Document(key="__sys/master", payload=json.dumps(lease).encode()))
+    engine.submit_plan(_plan("p", children=0))
+    _finish_next(engine)
 
-        clock.advance(TTL // 2)  # half the lease has passed: the next step renews it
-        api.master_step("m1", TTL)
-        assert _log_bytes(engine) > size
-        clock.advance(TTL // 2 + 1)  # past the first lease, inside the renewed one
-        assert api.master_step("m2", TTL)["busy"] is True
-        clock.advance(TTL)
-        assert api.master_step("m2", TTL)["busy"] is False
+    reopened = _reopen(engine, clock)
+    try:
+        assert reopened.datasets.get_controller("v").watermark == ""
+        for i in range(2):
+            reopened.put_document(Document(key=f"d{i}", payload=b"x", tags={"dataset": "v"}))
+        step = reopened.master_step("m")
+        assert step["plans_completed"] == ["p"]
+        [task_id] = step["stream_tasks"]
+        assert reopened.get_task(task_id).params == {"from_key": "", "upto_key": "d1"}
+        assert reopened.datasets.get_controller("v").watermark == "d1"
+        assert json.loads(reopened.get_document("__sys/master").payload) == lease
+    finally:
+        reopened.close()
 
-    @staticmethod
-    def _with_idle_stream(engine) -> None:
-        engine.register_model(MODEL, SPEC)
-        engine.define_view("v", 'dataset = "v"')
-        engine.attach_stream("v", 4, 1_000, MODEL, "v-out")
-        engine.master_step("m1", TTL)  # takes both leases
 
-    def test_idle_steps_with_a_stream_write_nothing(self, engine):
-        """A quiet stream poll follows the master's lease rule."""
-        self._with_idle_stream(engine)
-        size = _log_bytes(engine)
-        for _ in range(1000):
-            assert engine.master_step("m1", TTL)["stream_tasks"] == []
-        assert _log_bytes(engine) == size
+def test_an_idle_engine_writes_nothing_as_time_passes(api, engine, clock):
+    """Steps from two masters, with an idle stream attached, leave the log,
+    the sequence and every system key's version chain as they were."""
+    engine.register_model(MODEL, SPEC)
+    engine.define_view("v", 'dataset = "v"')
+    engine.attach_stream("v", 4, 1_000, MODEL, "v-out")
+    engine.submit_plan(_plan("p", children=0))
+    _finish_next(engine)
+    assert api.master_step("m1")["plans_completed"] == ["p"]
 
-    def test_idle_writes_are_lease_renewals(self, engine, clock):
-        self._with_idle_stream(engine)
-        seq, steps, step_ms = engine.store.snapshot_seq(), 1000, 100
-        for _ in range(steps):
-            clock.advance(step_ms)
-            engine.master_step("m1", TTL)
-        renewals = steps * step_ms // (TTL // 2)  # each lease renews at half its ttl
-        assert engine.store.snapshot_seq() - seq == 2 * renewals  # master and controller
-        ctl = engine.datasets.get_controller("v")
-        assert ctl.lease_holder == "m1" and ctl.lease_until > clock.now_ms() + TTL // 2
+    def chains():
+        return {key: len(entry.versions) for key, entry in engine.store._entries.items()
+                if key.startswith("__sys/")}
+
+    size, seq, before = _log_bytes(engine), engine.store.snapshot_seq(), chains()
+    for i in range(1000):
+        clock.advance(100)
+        api.master_step(f"m{i % 2 + 1}")
+    assert (_log_bytes(engine), engine.store.snapshot_seq(), chains()) == (size, seq, before)
 
 
 class TestOutputs:
@@ -294,10 +298,16 @@ class TestOutputs:
             with pytest.raises(InvalidArgument):
                 api.complete_task("t", "agent", "ok",
                                   outputs=[Document(key=key, payload=b"x")])
+        # the task record keeps output_keys, so they may not name a user
+        # document or another task's output either
+        for keys in (("victim",), ("t/000000", "other/000001"), ("t/000000", 7)):
+            with pytest.raises(InvalidArgument, match="outside the task's namespace"):
+                api.complete_task("t", "agent", "ok", output_keys=keys)
         with pytest.raises(DuplicateKey):
             api.write_output("t", "agent", 7, b"clash", tags={})
         assert api.get_document("t/000007").payload == b"user"
-        assert api.get_task("t").status == "leased"
+        task = api.get_task("t")
+        assert (task.status, task.output_keys) == ("leased", ())
 
     def test_agent_outputs_ride_the_completion(self, api):
         seen_during_run = []
@@ -400,8 +410,7 @@ def _setup_plan(engine) -> dict:
 def _spawn(harness, engine, suffix):
     harness.spawn(run_agent, engine, f"agent-{suffix}", DEFAULT_HANDLERS,
                   poll_interval=0.01, lease_ttl_ms=TTL)
-    harness.spawn(run_master, engine, f"master-{suffix}", interval=0.01,
-                  lease_ttl_ms=TTL)
+    harness.spawn(run_master, engine, f"master-{suffix}", interval=0.01)
 
 
 def _kill(tmp_path, harness, point, hits) -> tuple[dict, FakeClock]:
@@ -419,7 +428,7 @@ def _kill(tmp_path, harness, point, hits) -> tuple[dict, FakeClock]:
     assert [type(e).__name__ for e in harness.errors] == ["KillPoint"]
     assert not any(t.is_alive() for t in harness.threads)
     engine.close()
-    clock.advance(TTL)  # the dead agent's and master's leases run out
+    clock.advance(TTL)  # the dead agent's lease runs out
     return plan, clock
 
 
