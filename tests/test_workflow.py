@@ -229,6 +229,68 @@ def test_an_idle_engine_writes_nothing_as_time_passes(api, engine, clock):
     assert (_log_bytes(engine), engine.store.snapshot_seq(), chains()) == (size, seq, before)
 
 
+class TestMasterLease:
+    """The master holds no lease of its own; the only leases next to its idle
+    steps are tasks' leases, which a step neither writes nor breaks."""
+
+    def test_idle_steps_write_nothing_and_the_lease_still_holds(self, api, engine, clock):
+        api.submit_task(kind="user_fn", task_id="t")
+        assert api.lease_task("agent", TTL).task_id == "t"
+        size = _log_bytes(engine)
+        for _ in range(100):
+            clock.advance(TTL // 200)
+            assert api.master_step("m1") == {"unblocked": [], "plans_completed": [],
+                                             "plans_failed": [], "stream_tasks": []}
+        assert _log_bytes(engine) == size
+        assert api.lease_task("agent2", TTL) is None
+        assert api.get_task("t").lease_holder == "agent"
+
+        api.heartbeat("t", "agent", TTL)  # half the lease has passed: renew it
+        assert _log_bytes(engine) > size
+        clock.advance(TTL // 2 + 1)  # past the first lease, inside the renewed one
+        api.master_step("m2")
+        assert api.lease_task("agent2", TTL) is None
+        clock.advance(TTL)
+        api.master_step("m2")
+        assert api.lease_task("agent2", TTL).task_id == "t"
+        with pytest.raises(StaleLease):
+            api.complete_task("t", "agent", "ok")
+
+    @staticmethod
+    def _with_idle_stream(engine) -> None:
+        engine.register_model(MODEL, SPEC)
+        engine.define_view("v", 'dataset = "v"')
+        engine.attach_stream("v", 4, 1_000, MODEL, "v-out")
+        engine.master_step("m1")
+
+    def test_idle_steps_with_a_stream_write_nothing(self, engine):
+        """A quiet stream poll writes nothing."""
+        self._with_idle_stream(engine)
+        size = _log_bytes(engine)
+        for _ in range(1000):
+            assert engine.master_step("m1")["stream_tasks"] == []
+        assert _log_bytes(engine) == size
+
+    def test_idle_writes_are_lease_renewals(self, engine, clock):
+        """With an idle stream and an agent renewing its task lease at half
+        the ttl, the renewals are the only writes."""
+        self._with_idle_stream(engine)
+        engine.submit_task(kind="user_fn", task_id="t")
+        engine.lease_task("agent", TTL)
+        ctl = engine.datasets.get_controller("v")
+        seq, steps, step_ms = engine.store.snapshot_seq(), 1000, 100
+        for _ in range(steps):
+            clock.advance(step_ms)
+            engine.master_step("m1")
+            if engine.get_task("t").lease_until - clock.now_ms() <= TTL // 2:
+                engine.heartbeat("t", "agent", TTL)
+        renewals = steps * step_ms // (TTL // 2)
+        assert engine.store.snapshot_seq() - seq == renewals
+        assert engine.datasets.get_controller("v") == ctl
+        task = engine.get_task("t")
+        assert task.lease_holder == "agent" and task.lease_until > clock.now_ms() + TTL // 2
+
+
 class TestOutputs:
     def test_invisible_until_completion(self, api):
         api.submit_task(kind="user_fn", task_id="t", output_dataset="out")
