@@ -54,18 +54,22 @@ def _parse_label(doc, parse, what: str):
         raise InvalidArgument(f"label {doc.label!r} of {doc.key!r} is not {what}") from None
 
 
-def parse_targets(docs: list, loss: str) -> np.ndarray:
-    """The training targets in the labels of ``docs``: int64 classes for
-    softmax-xent, otherwise one ``(len(docs), width)`` float32 array, where
-    every label holds the same number of comma-separated floats, each finite
-    as a float32. A label that breaks this is an InvalidArgument naming its
-    document."""
+def parse_targets(docs: list, loss: str, classes: int) -> np.ndarray:
+    """The training targets in the labels of ``docs``: int64 classes in
+    ``[0, classes)`` for softmax-xent, otherwise one ``(len(docs), width)``
+    float32 array, where every label holds the same number of
+    comma-separated floats, each finite as a float32. A label that breaks
+    this is an InvalidArgument naming its document."""
     for doc in docs:
         if doc.label is None:
             raise InvalidArgument("training documents need a label")
     if loss == "softmax-xent":
-        return np.array([_parse_label(doc, int, "an integer class") for doc in docs],
-                        dtype=np.int64)
+        labels = [_parse_label(doc, int, "an integer class") for doc in docs]
+        for doc, label in zip(docs, labels):
+            if not 0 <= label < classes:
+                raise InvalidArgument(
+                    f"label {doc.label!r} of {doc.key!r} is not a class in [0, {classes})")
+        return np.array(labels, dtype=np.int64)
     rows = [_parse_label(doc, _floats, "comma-separated floats") for doc in docs]
     width = len(rows[0]) if rows else 0
     for doc, row in zip(docs, rows):
@@ -116,7 +120,8 @@ def train_handler(ctx: TaskContext) -> None:
     events = [("seed", state.step, float(seed))]
     kill_point("handler.before_train")
     if docs and epochs > 0:
-        ts = parse_targets(docs, loss)
+        out_dims = nnlayers.infer_shapes(spec)[-1] if spec.layers else spec.input_dims
+        ts = parse_targets(docs, loss, out_dims[-1])
         state, events = nnet.train_epochs(state, _batches(xs, ts, batch_size),
                                           loss, lr, epochs)
     kill_point("handler.before_save")

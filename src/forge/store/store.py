@@ -20,16 +20,19 @@ readers until the group is committed (one op, usually inside the same batch
 that records the producing task's completion). That is the commit-marker
 mechanism making task outputs appear all-or-nothing.
 
-Read paths cost O(log n + keys visited). Every key ever put is in exactly
-one of two lists: ``_keys``, sorted, or ``_new_keys``, the keys put since the
-last read, in arrival order. A put appends to ``_new_keys``; the first read
-after it sorts that short run and merges it into ``_keys`` (``list.sort``
-merges the two sorted runs in linear time), so scans start at
-``bisect_right(keys, cursor.last_key)`` and prefix walks at
-``bisect_left(keys, prefix)``. Each index bucket keeps the same pair beside
-its key set, so a one-bucket ``=`` lookup hands its sorted keys to the scan
-without a copy. Compaction and replay start both lists empty and refill
-them once.
+Read paths cost O(log n + keys visited). The store's keys, and each index
+bucket's, are one ``_SortedKeys``: a large sorted ``main`` list, a small
+sorted ``run`` list and the keys that arrived since the last read, in
+arrival order. A put appends its key to the arrivals. The first read after
+it sorts only the arrivals into ``run``; ``run`` is merged into ``main`` once
+it outgrows a fixed fraction of ``main``, so that O(n) merge is paid once per
+many puts, not on every read (the two-level scheme of O'Neil et al., "The
+Log-Structured Merge-Tree", 1996). A scan bisects both levels at its cursor
+and walks them as one ascending sequence, a slice of ``main`` at a time with
+the ``run`` keys that fall inside it; prefix walks start the same way at the
+prefix. A one-bucket ``=`` lookup hands the bucket's own keys to the scan
+without a copy. Compaction and replay start every structure empty, so the
+first read after them sorts everything once.
 """
 
 from __future__ import annotations
@@ -39,6 +42,7 @@ import fcntl
 import os
 import struct
 import threading
+from collections.abc import Iterator
 from dataclasses import dataclass
 from operator import itemgetter
 from pathlib import Path
@@ -103,13 +107,74 @@ class _State:
         self.arrived_ms = arrived_ms
 
 
-def _merged(keys: list[str], new_keys: list[str]) -> list[str]:
-    """Merge a run of new keys into the sorted list, in place; returns it."""
-    if new_keys:
-        keys += new_keys
-        new_keys.clear()
-        keys.sort()
-    return keys
+# ``run`` is merged into ``main`` once it holds more than 1/_RUN_RATIO of
+# ``main``'s keys: a read then sorts at most about n/8 keys besides its own
+# arrivals, and the O(n) merge comes once per n/8 new keys. A larger ratio
+# makes the merges rarer but every read's sort of ``run`` longer.
+_RUN_RATIO = 8
+# A walk merges the two levels a slice of ``main`` at a time: one list.sort
+# of the slice and its ``run`` keys costs far less per key than a per-key
+# heapq.merge. Slices start at _FIRST_CHUNK keys and double up to _CHUNK, so
+# a walk that stops after a few keys (a prefix walk, a small page) sorts
+# little it does not use, and a long walk pays the sort's fixed cost rarely.
+_FIRST_CHUNK = 32
+_CHUNK = 256
+
+
+class _SortedKeys:
+    """A set of distinct keys that grows by ``add`` and is read in ascending
+    order by ``walk`` (see the module docstring)."""
+
+    __slots__ = ("main", "run", "_arrivals")
+
+    def __init__(self):
+        self.main: list[str] = []
+        self.run: list[str] = []
+        self._arrivals: list[str] = []
+
+    def __len__(self) -> int:
+        return len(self.main) + len(self.run) + len(self._arrivals)
+
+    def add(self, key: str) -> None:
+        """Add a key not yet present; O(1)."""
+        self._arrivals.append(key)
+
+    def _settle(self) -> None:
+        """Sort the arrivals into ``run``, or ``run`` and the arrivals into
+        ``main`` when ``run`` would outgrow its share; one sort either way."""
+        arrivals = self._arrivals
+        if not arrivals:
+            return
+        level = self.run
+        if (len(level) + len(arrivals)) * _RUN_RATIO > len(self.main):
+            level = self.main
+            level += self.run
+            self.run = []
+        level += arrivals
+        arrivals.clear()
+        level.sort()
+
+    def walk(self, start: str, *, after: bool = False) -> Iterator[str]:
+        """The keys from ``start`` on (or past it, when ``after``), ascending.
+
+        Nothing may be added while the walk is in use."""
+        self._settle()
+        find = bisect.bisect_right if after else bisect.bisect_left
+        main, run = self.main, self.run
+        i, j = find(main, start), find(run, start)
+        size = _FIRST_CHUNK
+        while True:
+            chunk = main[i:i + size]
+            i += size
+            size = min(2 * size, _CHUNK)
+            k = bisect.bisect_left(run, main[i], j) if i < len(main) else len(run)
+            if k > j:
+                chunk += run[j:k]
+                chunk.sort()
+                j = k
+            yield from chunk
+            if i >= len(main):
+                return
 
 
 class _Entry:
@@ -133,23 +198,18 @@ class _Entry:
 
 
 class _Bucket:
-    """The keys indexed under one value: a set, plus the same keys as a
-    sorted list and a run of new ones (see the module docstring)."""
+    """The keys indexed under one value, as a set and as sorted keys."""
 
-    __slots__ = ("keys", "_sorted", "_new")
+    __slots__ = ("keys", "sorted")
 
     def __init__(self):
         self.keys: set[str] = set()
-        self._sorted: list[str] = []
-        self._new: list[str] = []
+        self.sorted = _SortedKeys()
 
     def add(self, key: str) -> None:
         if key not in self.keys:
             self.keys.add(key)
-            self._new.append(key)
-
-    def sorted_keys(self) -> list[str]:
-        return _merged(self._sorted, self._new)
+            self.sorted.add(key)
 
 
 class _Index:
@@ -196,8 +256,7 @@ class Store:
         self._indexes: dict[str, _Index] = {}
         self._committed_groups: dict[str, int] = {}  # group -> commit seq
         self._next_seq = 1
-        self._keys: list[str] = []
-        self._new_keys: list[str] = []
+        self._keys = _SortedKeys()
         self._closed = False
 
         manifest = self.path / "MANIFEST"
@@ -289,7 +348,7 @@ class Store:
             entry = self._entries.get(op.doc.key)
             if entry is None:
                 entry = self._entries[op.doc.key] = _Entry()
-                self._new_keys.append(op.doc.key)
+                self._keys.add(op.doc.key)
             entry.versions.append((op.seq, _State(op.doc, op.group, op.arrived_ms)))
             self._index_doc(op.doc)
         elif op.op == records.OP_DELETE:
@@ -438,17 +497,21 @@ class Store:
         with self._lock:
             return self._state_at(key, self._next_seq - 1) is not None
 
-    def _sorted_keys(self) -> list[str]:
-        return _merged(self._keys, self._new_keys)
+    def is_staged(self, key: str, group: str) -> bool:
+        """Whether the key's newest version is staged under ``group`` and the
+        group is not committed yet."""
+        with self._lock:
+            entry = self._entries.get(key)
+            state = entry.latest()[1] if entry is not None else None
+            return (state is not None and state.group == group
+                    and group not in self._committed_groups)
 
     def keys_with_prefix(self, prefix: str) -> list[str]:
         """Visible keys under a prefix, ascending. System keys included."""
         with self._lock:
             snap = self._next_seq - 1
-            keys = self._sorted_keys()
             out = []
-            for i in range(bisect.bisect_left(keys, prefix), len(keys)):
-                key = keys[i]
+            for key in self._keys.walk(prefix):
                 if not key.startswith(prefix):
                     break
                 if self._state_at(key, snap) is not None:
@@ -498,15 +561,14 @@ class Store:
                 snap = cursor.snapshot_seq
                 after = cursor.last_key
             candidates = self._candidates(query) if use_index else None
-            keys = candidates if candidates is not None else self._sorted_keys()
+            keys = candidates if candidates is not None else self._keys
 
             out: list[str] = []
             last = after
             exhausted = True
             match_all = query.is_match_all
             state_at = self._state_at
-            for i in range(bisect.bisect_right(keys, after), len(keys)):
-                key = keys[i]
+            for key in keys.walk(after, after=True):
                 if key.startswith(SYSTEM_PREFIX):
                     continue
                 state = state_at(key, snap)
@@ -523,19 +585,20 @@ class Store:
                 return out, None
             return out, ScanCursor(snapshot_seq=snap, last_key=last)
 
-    def _candidates(self, query: TagQuery) -> list[str] | None:
-        """Keys from the best covering index, sorted; None = no usable index.
+    def _candidates(self, query: TagQuery) -> _SortedKeys | None:
+        """Keys from the best covering index; None = no usable index.
 
-        A one-bucket ``=`` lookup returns the bucket's own sorted list, which
-        the caller must not change."""
-        best: list[str] | set[str] | None = None
+        A one-bucket ``=`` lookup returns the bucket's own keys, which the
+        caller must not change; IN and range lookups return a sorted list as
+        the ``main`` of a new structure."""
+        best: _SortedKeys | set[str] | None = None
         for pred in query.predicates:
             index = self._indexes.get(pred.tag)
             if index is None or pred.op == "!=":
                 continue
             if pred.op == "=":
                 bucket = index.by_value.get(sort_key(pred.value))
-                found = bucket.sorted_keys() if bucket is not None else []
+                found = bucket.sorted if bucket is not None else set()
             elif pred.op == "IN":
                 found = set()
                 for v in pred.values:
@@ -548,9 +611,11 @@ class Store:
                 best = found
             if not best:
                 break
-        if best is None or isinstance(best, list):
+        if best is None or isinstance(best, _SortedKeys):
             return best
-        return sorted(best)
+        keys = _SortedKeys()
+        keys.main = sorted(best)
+        return keys
 
     @staticmethod
     def _range_lookup(index: _Index, pred) -> set[str]:
@@ -599,7 +664,7 @@ class Store:
             live_blobs: set[str] = set()
             with open(tmp, "wb") as f:
                 f.write(logio.frame(records.encode_snapshot_marker(self._next_seq)))
-                for key in self._sorted_keys():
+                for key in self._keys.walk(""):
                     seq, state = self._entries[key].latest()
                     if state is None:
                         continue
@@ -624,7 +689,7 @@ class Store:
             # groups committed before compaction were folded in; uncommitted
             # staged docs keep their group and still need a commit op later
             self._committed_groups = {}
-            self._keys, self._new_keys = [], []
+            self._keys = _SortedKeys()
             next_seq = self._next_seq
             for name in list(self._indexes):
                 self._indexes[name] = _Index()

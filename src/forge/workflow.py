@@ -352,13 +352,19 @@ class WorkflowManager:
         """Record an attempt's outcome. ``ok`` stages ``outputs`` and commits
         them, with what this attempt staged before, in the frame of the
         completion record; ``error`` discards them. ``output_keys``, which the
-        task record keeps, must name keys in the task's namespace."""
+        task record keeps, must name keys in the task's namespace that this
+        attempt staged or sends in ``outputs``."""
         if outcome not in ("ok", "error"):
             raise InvalidArgument("outcome must be 'ok' or 'error'")
         task = self._current_lease(task_id, agent_id)
         if outcome == "ok":
             for key in output_keys:
                 _check_output_key(task_id, key)
+            sent, group = {doc.key for doc in outputs}, self._stage_group(task)
+            for key in output_keys:
+                if key not in sent and not self.store.is_staged(key, group):
+                    raise InvalidArgument(
+                        f"output key {key!r} names no output of this attempt")
             done = replace(task, status=COMPLETED, lease_holder=None, lease_until=0,
                            output_keys=tuple(output_keys), last_error=None)
             ops = self._stage_ops(task, outputs) + [

@@ -54,16 +54,16 @@ def _labelled(*labels):
 
 
 def test_labels_parse_into_one_target_array():
-    targets = parse_targets(_labelled("0.5,-1.25,3", "1e-3,7,-0"), "mse")
+    targets = parse_targets(_labelled("0.5,-1.25,3", "1e-3,7,-0"), "mse", 3)
     assert targets.dtype == np.float32 and targets.shape == (2, 3)
     want = np.stack([np.array([float(part) for part in label.split(",")], dtype=np.float32)
                      for label in ("0.5,-1.25,3", "1e-3,7,-0")])
     assert targets.tobytes() == want.tobytes()
-    classes = parse_targets(_labelled("3", "0"), "softmax-xent")
+    classes = parse_targets(_labelled("3", "0"), "softmax-xent", 4)
     assert classes.dtype == np.int64 and classes.tolist() == [3, 0]
     for loss in ("mse", "softmax-xent"):
         with pytest.raises(InvalidArgument, match="need a label"):
-            parse_targets(_labelled("1", None), loss)
+            parse_targets(_labelled("1", None), loss, 2)
 
 
 @pytest.mark.parametrize("labels,loss,message", [
@@ -74,11 +74,14 @@ def test_labels_parse_into_one_target_array():
     (("1,2", "nan,inf"), "mse", "label 'nan,inf' of 'k1' is not finite"),
     (("0.5", "-inf", "1"), "mse", "label '-inf' of 'k1' is not finite"),
     (("1e39",), "mse", "label '1e39' of 'k0' is not finite"),  # past float32's range
+    (("1", "2"), "softmax-xent", r"label '2' of 'k1' is not a class in \[0, 2\)"),
+    (("-1",), "softmax-xent", r"label '-1' of 'k0' is not a class in \[0, 2\)"),
+    (("0", "9" * 20), "softmax-xent", f"label '{'9' * 20}' of 'k1' is not a class"),
 ], ids=["word", "empty", "empty-part", "fraction-class", "nan-inf", "minus-inf",
-        "float32-overflow"])
+        "float32-overflow", "class-past-outputs", "negative-class", "int64-overflow"])
 def test_a_label_that_is_no_target_names_its_document(labels, loss, message):
     with pytest.raises(InvalidArgument, match=f"^{message}"):
-        parse_targets(_labelled(*labels), loss)
+        parse_targets(_labelled(*labels), loss, 2)
 
 
 def _engine_with_samples(path, count=6):
@@ -165,6 +168,23 @@ def test_ragged_labels_fail_the_train_task_naming_the_document(tmp_path):
         with pytest.raises(InvalidArgument) as info:
             train_handler(ctx)
         assert str(info.value) == "label of 's002a' has 1 values, label of 's000' has 2"
+        assert engine.list_versions(MODEL) == []
+    finally:
+        engine.close()
+
+
+@pytest.mark.parametrize("label", ["5", "-1"])
+def test_a_class_outside_the_outputs_fails_the_train_task(tmp_path, label):
+    engine = _engine_with_samples(tmp_path / "store", count=0)
+    try:
+        for i, cls in enumerate(["1", label, "0"]):
+            engine.put_document(Document(key=f"s{i:03d}", payload=encode_sample(np.ones(4)),
+                                         label=cls, tags={"dataset": "train"}))
+        ctx = _leased_context(engine, kind="train", input_dataset="train", model_key=MODEL,
+                              output_dataset="out", params={"loss": "softmax-xent"})
+        with pytest.raises(InvalidArgument) as info:
+            train_handler(ctx)
+        assert str(info.value) == f"label {label!r} of 's001' is not a class in [0, 2)"
         assert engine.list_versions(MODEL) == []
     finally:
         engine.close()

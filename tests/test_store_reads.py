@@ -1,6 +1,7 @@
-"""Store reads: cost guards counted in keys touched (not in time), and a
-property test of paged scans and prefix walks against a brute-force oracle
-under interleaved puts, staged groups, system-key churn and compaction."""
+"""Store reads: cost guards counted in keys touched (not in time), and
+paged scans and prefix walks against a brute-force oracle: a property test
+under interleaved puts, staged groups, system-key churn and compaction, and
+walks across the two levels and the chunks of the sorted keys."""
 
 import random
 
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 from forge.clock import FakeClock
 from forge.query import MATCH_ALL, parse
 from forge.store import CommitGroupOp, Document, PutOp, ScanCursor, Store
-from forge.store.store import _Entry
+from forge.store.store import _CHUNK, _RUN_RATIO, _Entry
 
 from oracles import brute_force_scan
 
@@ -102,6 +103,25 @@ def test_prefix_walk_touches_only_its_range(tmp_path, state_reads):
         assert state_reads[0] == 3
         # two binary searches plus the three matches and the first non-match
         assert _CountedKey.touches <= 4 + 2 * (len(keys) - 1).bit_length()
+
+
+@pytest.mark.parametrize("query,use_index", [('split = "train"', True),
+                                             ("w >= 0", False)])
+def test_a_read_after_a_few_puts_sorts_only_them(tmp_path, query, use_index):
+    n, k = 8000, 16
+    rng = random.Random(5)
+    keys = [f"d{rng.randrange(10**9):09d}" for _ in range(n + k)]
+    with _counted_store(tmp_path / "s", keys[:n], split="train") as s:
+        s.scan(parse(query), limit=1, use_index=use_index)  # settles the index too
+        for key in keys[n:]:
+            s.put(Document(key=_CountedKey(key), payload=b"", tags={"split": "train", "w": 1}))
+        _CountedKey.touches = 0
+        got, _ = s.scan(parse(query), limit=1, use_index=use_index)
+        assert got == [min(keys)]
+        # sorting the k arrivals, bisecting both levels at the cursor and
+        # sorting one chunk of the walk; not the n settled keys
+        assert k * 8 < n // _RUN_RATIO
+        assert _CountedKey.touches <= 4 * k * k.bit_length() + 2 * _CHUNK + 4 * n.bit_length()
 
 
 def test_version_chain_reads_the_newest_version_at_the_snapshot():
@@ -235,3 +255,72 @@ def test_paged_scans_match_the_oracle_under_interleaved_writes(tmp_path_factory,
                               use_index=use_index) == (expected, None)
         assert s.scan(MATCH_ALL)[0] == sorted(model.visible)
 
+
+# -- walks across the two levels and their chunks -------------------------------------
+
+@pytest.mark.parametrize("seed", range(4))
+def test_walks_across_levels_and_chunks_match_the_oracle(tmp_path, seed):
+    """Batches of puts below and above the point where the run of new keys
+    merges into the main level, with staged groups, compaction and reopen;
+    after each, paged scans from cursors anywhere in the key space, with
+    pages that end inside a chunk and across its edges, and prefix walks."""
+    rng = random.Random(seed)
+    model = _Model()
+    path = tmp_path / "s"
+    s = make_store(path)
+    levels = set()  # (run empty, run non-empty) seen by reads
+    try:
+        s.create_index("n")
+        s.create_index("c")
+        for step in range(10):
+            size = len(model.visible)
+            count = rng.choice([rng.randrange(1, 6),
+                                rng.randrange(1, size // (2 * _RUN_RATIO) + 2),
+                                rng.randrange(size // 4 + 1, size // 2 + 2)])
+            if step == 0:
+                count = 4 * _CHUNK
+            docs = {}
+            while len(docs) < count:
+                key = f"k{rng.randrange(10**6):06d}"
+                if key not in model.used:
+                    model.used.add(key)
+                    docs[key] = _tags(rng)
+            group = f"g{step}" if step and rng.random() < 0.3 else None
+            s.apply_ops([PutOp(Document(key=k, payload=b"", tags=t), group=group)
+                         for k, t in docs.items()])
+            if group is None:
+                model.visible.update(docs)
+            else:
+                model.staged[group] = docs
+            if model.staged and rng.random() < 0.5:
+                group = rng.choice(sorted(model.staged))
+                s.apply_ops([CommitGroupOp(group)])
+                model.visible.update(model.staged.pop(group))
+            action = rng.random()
+            if action < 0.15:
+                s.compact()
+            elif action < 0.3:
+                s.close()
+                s = Store(path, clock=FakeClock(), fsync=False)
+
+            keys = sorted(model.visible)
+            for query in ("", "n = 1", 'c = "a"', "n IN {1, 2}", "f <= 1.5"):
+                expected = model.scan(query)
+                start = rng.choice(["", rng.choice(keys), rng.choice(keys[-3:]),
+                                    f"k{rng.randrange(10**6):06d}"])
+                limit = rng.choice([1, 7, _CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK])
+                cursor, pages = ScanCursor(s.snapshot_seq(), start), []
+                while cursor is not None:
+                    page, cursor = s.scan(parse(query), cursor, limit=limit,
+                                          use_index=rng.random() < 0.7)
+                    assert len(page) <= limit
+                    pages += page
+                    assert len(pages) <= len(expected)
+                assert pages == [k for k in expected if k > start]
+                levels.add(bool(s._keys.run))
+            for prefix in ("", "k", f"k{rng.randrange(10)}", f"k{rng.randrange(1000):03d}"):
+                assert s.keys_with_prefix(prefix) == model.with_prefix(prefix)
+        assert s.scan(MATCH_ALL)[0] == sorted(model.visible)
+        assert levels == {False, True}
+    finally:
+        s.close()

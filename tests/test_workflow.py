@@ -367,7 +367,17 @@ class TestOutputs:
                 api.complete_task("t", "agent", "ok", output_keys=keys)
         with pytest.raises(DuplicateKey):
             api.write_output("t", "agent", 7, b"clash", tags={})
+        # inside the namespace, a key must still name an output of this
+        # attempt: staged under its lease or sent with the completion
+        api.write_output("t", "agent", 1, b"staged", tags={})
+        for keys in (("t/000007",), ("t/000099",), ("t/000001", "t/000002")):
+            with pytest.raises(InvalidArgument, match="no output of this attempt"):
+                api.complete_task("t", "agent", "ok", output_keys=keys,
+                                  outputs=[Document(key="t/000003", payload=b"x")])
         assert api.get_document("t/000007").payload == b"user"
+        for key in ("t/000001", "t/000003"):
+            with pytest.raises(NotFound):
+                api.get_document(key)
         task = api.get_task("t")
         assert (task.status, task.output_keys) == ("leased", ())
 
