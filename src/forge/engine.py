@@ -46,8 +46,7 @@ from forge.errors import UnknownModel
 from forge.models import ModelStore
 from forge.query import TagQuery, parse
 from forge.store import (
-    CODEC_ZLIB,
-    DEFAULT_CHUNK_SIZE,
+    CHUNK_SIZE,
     DEFAULT_INLINE_THRESHOLD,
     BlobPointer,
     Document,
@@ -85,7 +84,7 @@ class Forge:
             "format_version": 1,
             "inline_threshold": self.store.inline_threshold,
             "indexes": self.store.indexes(),
-            "default_chunk_size": DEFAULT_CHUNK_SIZE,
+            "chunk_size": CHUNK_SIZE,
         }
 
     @staticmethod
@@ -112,10 +111,9 @@ class Forge:
              limit: int | None = None, use_index: bool = True):
         return self.store.scan(self._query(query), cursor, limit, use_index=use_index)
 
-    def put_blob(self, data: bytes, chunk_size: int = DEFAULT_CHUNK_SIZE,
-                 codec_id: int = CODEC_ZLIB) -> BlobPointer:
+    def put_blob(self, data: bytes) -> BlobPointer:
         with self._lock:
-            return self.store.put_blob(data, chunk_size, codec_id)
+            return self.store.put_blob(data)
 
     def get_blob(self, ptr: BlobPointer) -> bytes:
         return self.store.get_blob(ptr)

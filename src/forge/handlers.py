@@ -6,8 +6,8 @@ softmax-xent, comma-separated floats for mse). The train handler checks the
 length of every payload, then decodes its whole input slice with one
 ``np.frombuffer`` over the joined payloads; it parses the mse labels into
 lists of floats and builds one float32 array from them. A label that does
-not parse, or a target that is not finite, fails the task naming the
-document.
+not parse, a class or an mse width that does not fit the network's outputs,
+or a target that is not finite, fails the task naming the document.
 
 The train handler is deterministic given its task: it starts from the
 explicit ``init_version`` param or a fresh seed, and the input slice and
@@ -54,30 +54,29 @@ def _parse_label(doc, parse, what: str):
         raise InvalidArgument(f"label {doc.label!r} of {doc.key!r} is not {what}") from None
 
 
-def parse_targets(docs: list, loss: str, classes: int) -> np.ndarray:
-    """The training targets in the labels of ``docs``: int64 classes in
-    ``[0, classes)`` for softmax-xent, otherwise one ``(len(docs), width)``
-    float32 array, where every label holds the same number of
-    comma-separated floats, each finite as a float32. A label that breaks
-    this is an InvalidArgument naming its document."""
+def parse_targets(docs: list, loss: str, outputs: int) -> np.ndarray:
+    """The training targets in the labels of ``docs`` for a network with
+    ``outputs`` outputs: int64 classes in ``[0, outputs)`` for softmax-xent,
+    otherwise one ``(len(docs), outputs)`` float32 array, where every label
+    holds ``outputs`` comma-separated floats, each finite as a float32. A
+    label that breaks this is an InvalidArgument naming its document."""
     for doc in docs:
         if doc.label is None:
             raise InvalidArgument("training documents need a label")
     if loss == "softmax-xent":
         labels = [_parse_label(doc, int, "an integer class") for doc in docs]
         for doc, label in zip(docs, labels):
-            if not 0 <= label < classes:
+            if not 0 <= label < outputs:
                 raise InvalidArgument(
-                    f"label {doc.label!r} of {doc.key!r} is not a class in [0, {classes})")
+                    f"label {doc.label!r} of {doc.key!r} is not a class in [0, {outputs})")
         return np.array(labels, dtype=np.int64)
     rows = [_parse_label(doc, _floats, "comma-separated floats") for doc in docs]
-    width = len(rows[0]) if rows else 0
     for doc, row in zip(docs, rows):
-        if len(row) != width:
+        if len(row) != outputs:
             raise InvalidArgument(f"label of {doc.key!r} has {len(row)} values, "
-                                  f"label of {docs[0].key!r} has {width}")
+                                  f"the network has {outputs} outputs")
     with np.errstate(over="ignore"):  # a float past float32's range becomes inf
-        targets = np.array(rows, dtype=np.float32).reshape(len(rows), width)
+        targets = np.array(rows, dtype=np.float32).reshape(len(rows), outputs)
     finite = np.isfinite(targets).all(axis=1)
     if not finite.all():
         doc = docs[int(np.argmin(finite))]

@@ -314,6 +314,8 @@ def _tokens(src: str) -> list[tuple[str, TagScalar | None, int, int]]:
             kind = value
         elif kind == "op" and value == "!":
             raise _error(src, start, "expected '=' after '!'", ("!=",))
+        elif kind == "op" and value == "==":
+            raise _error(src, start, "unknown operator '=='", OPERATORS)
         elif kind == "bad":
             raise _error(src, start, f"unexpected character {value!r}",
                          ("identifier", "literal", "operator"))

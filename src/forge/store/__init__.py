@@ -1,8 +1,8 @@
-from forge.store.store import CommitGroupOp, DeleteOp, PutOp, Store, StoreOp
+from forge.store.store import CommitGroupOp, PutOp, Store, StoreOp
 from forge.store.types import (
+    CHUNK_SIZE,
     CODEC_NONE,
     CODEC_ZLIB,
-    DEFAULT_CHUNK_SIZE,
     DEFAULT_INLINE_THRESHOLD,
     SYSTEM_PREFIX,
     BlobPointer,
@@ -12,12 +12,11 @@ from forge.store.types import (
 
 __all__ = [
     "BlobPointer",
+    "CHUNK_SIZE",
     "CODEC_NONE",
     "CODEC_ZLIB",
     "CommitGroupOp",
-    "DEFAULT_CHUNK_SIZE",
     "DEFAULT_INLINE_THRESHOLD",
-    "DeleteOp",
     "Document",
     "PutOp",
     "ScanCursor",

@@ -3,10 +3,14 @@
 Blobs live beside the document log in ``blobs/``, one file per chunk named
 ``<blob_id>.<chunk_index>``. ``BlobStore.put`` is the only code that writes
 chunks, in-process and for uploads over the wire alike (the engine's
-``put_blob`` calls it under the engine lock). The pointer records everything
-needed to read the blob back; ``assemble`` rebuilds it from its stored
-chunks, wherever they are read from, and re-verifies the sha-256 of the
-payload, so corruption surfaces as ChecksumMismatch rather than bad bytes.
+``put_blob`` calls it under the engine lock). It takes only the data: every
+blob is cut into ``CHUNK_SIZE`` chunks and stored with ``CODEC_ZLIB``. The
+pointer records everything needed to read the blob back, chunk size and
+codec included; ``assemble`` rebuilds it from its stored chunks, wherever
+they are read from, and re-verifies the sha-256 of the payload, so
+corruption surfaces as ChecksumMismatch rather than bad bytes. It reads a
+pointer of any chunk size and of either codec, so blobs that older stores
+wrote with other settings (``CODEC_NONE`` chunks stored raw) still read.
 
 Blob ids are content-addressed (digest + chunking parameters), which makes
 re-uploads of identical content idempotent.
@@ -34,10 +38,8 @@ from pathlib import Path
 
 from forge.errors import ChecksumMismatch, EmptyBlob, InvalidArgument, NotFound, StorageFull
 from forge.store.types import (
-    CODEC_NONE,
+    CHUNK_SIZE,
     CODEC_ZLIB,
-    MAX_CHUNK_SIZE,
-    MIN_CHUNK_SIZE,
     BlobPointer,
     blob_id_for,
     ceil_div,
@@ -93,29 +95,23 @@ class BlobStore:
             raise InvalidArgument(f"no blob chunk {blob_id!r}.{index!r}")
         return self.root / f"{blob_id}.{index}"
 
-    def put(self, data: bytes, chunk_size: int, codec_id: int) -> BlobPointer:
+    def put(self, data: bytes) -> BlobPointer:
         if not data:
             raise EmptyBlob("blobs must be non-empty")
-        if not (MIN_CHUNK_SIZE <= chunk_size <= MAX_CHUNK_SIZE):
-            raise InvalidArgument(
-                f"chunk_size must be within [{MIN_CHUNK_SIZE}, {MAX_CHUNK_SIZE}]")
-        if codec_id not in (CODEC_NONE, CODEC_ZLIB):
-            raise InvalidArgument(f"unknown codec_id {codec_id!r}")
         checksum = checksum_of(data)
         ptr = BlobPointer(
-            blob_id=blob_id_for(checksum, chunk_size, codec_id),
+            blob_id=blob_id_for(checksum, CHUNK_SIZE, CODEC_ZLIB),
             total_size=len(data),
-            chunk_count=ceil_div(len(data), chunk_size),
-            chunk_size=chunk_size,
-            codec_id=codec_id,
+            chunk_count=ceil_div(len(data), CHUNK_SIZE),
+            chunk_size=CHUNK_SIZE,
+            codec_id=CODEC_ZLIB,
             checksum=checksum,
         )
         if self._complete(ptr):
             return ptr  # identical content already stored
         for index in range(ptr.chunk_count):
-            raw = data[index * chunk_size:(index + 1) * chunk_size]
-            self._write_chunk(ptr.blob_id, index,
-                              _deflate(raw) if codec_id == CODEC_ZLIB else raw)
+            raw = data[index * CHUNK_SIZE:(index + 1) * CHUNK_SIZE]
+            self._write_chunk(ptr.blob_id, index, _deflate(raw))
         return ptr
 
     def get(self, ptr: BlobPointer) -> bytes:

@@ -24,13 +24,15 @@ is ``u8 op`` followed by op-specific fields:
 
     PUT, REPLACE   u8 op | u64 seq | u64 arrived_ms | u8 has_group
                    | [u16 group_len | group] | document
-    DELETE         u8 3 | u64 seq | u16 key_len | key
+    DELETE         u8 3 | u64 seq | u16 key_len | key   (read only)
     COMMIT_GROUP   u8 4 | u64 seq | u16 group_len | group
     SNAPSHOT       u8 6 | u64 next_seq
     BATCH          u8 5 | u16 count | (u32 body_len | body) * count
 
-A decoder ignores bytes after a body it has read (a batch's sub-bodies
-included); every truncated or malformed input raises ``CorruptStore``.
+Nothing writes DELETE any more; it is decoded from logs that hold one, and
+the store replays it as a tombstone. A decoder ignores bytes after a body it
+has read (a batch's sub-bodies included); every truncated or malformed input
+raises ``CorruptStore``.
 """
 
 from __future__ import annotations
@@ -128,11 +130,6 @@ def encode_doc_op(op: int, seq: int, arrived_ms: int, group: str | None, doc: Do
         parts = [_DOC_OP.pack(op, seq, arrived_ms, 1), _U16.pack(len(raw)), raw]
     _document_parts(doc, parts)
     return b"".join(parts)
-
-
-def encode_delete(seq: int, key: str) -> bytes:
-    raw = key.encode()
-    return _SEQ_STR_OP.pack(OP_DELETE, seq, len(raw)) + raw
 
 
 def encode_commit_group(seq: int, group: str) -> bytes:

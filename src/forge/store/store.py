@@ -10,10 +10,11 @@ Layout of a store directory:
 Durability model: every mutation is one log frame (a batch of ops is one
 frame, hence atomic). In-memory state is a per-key version chain tagged with
 monotonically increasing sequence numbers, which gives snapshot reads for
-paged scans. User documents are immutable after write; replacement and
-deletion exist only for reserved system keys and for staged task outputs,
-so index maintenance is add-only between compactions and scans re-verify
-candidates against the snapshot.
+paged scans. User documents are immutable after write; replacement exists
+only for reserved system keys and for staged task outputs, and nothing
+deletes a key (a DELETE record in an older log still replays as a
+tombstone), so index maintenance is add-only between compactions and scans
+re-verify candidates against the snapshot.
 
 Staged writes: a document put with a staging ``group`` stays invisible to
 readers until the group is committed (one op, usually inside the same batch
@@ -62,8 +63,6 @@ from forge.store import log as logio
 from forge.store import records
 from forge.store.blob import BlobStore
 from forge.store.types import (
-    CODEC_ZLIB,
-    DEFAULT_CHUNK_SIZE,
     DEFAULT_INLINE_THRESHOLD,
     SYSTEM_PREFIX,
     BlobPointer,
@@ -84,16 +83,11 @@ class PutOp:
 
 
 @dataclass(frozen=True)
-class DeleteOp:
-    key: str
-
-
-@dataclass(frozen=True)
 class CommitGroupOp:
     group: str
 
 
-StoreOp = PutOp | DeleteOp | CommitGroupOp
+StoreOp = PutOp | CommitGroupOp
 
 
 class _State:
@@ -351,7 +345,7 @@ class Store:
                 self._keys.add(op.doc.key)
             entry.versions.append((op.seq, _State(op.doc, op.group, op.arrived_ms)))
             self._index_doc(op.doc)
-        elif op.op == records.OP_DELETE:
+        elif op.op == records.OP_DELETE:  # only older logs hold one
             entry = self._entries.get(op.key)
             if entry is not None:
                 entry.versions.append((op.seq, None))
@@ -411,11 +405,6 @@ class Store:
             raise InvalidArgument("put_system is for reserved keys only")
         self.apply_ops([PutOp(doc, replace=replace)])
 
-    def delete_system(self, key: str) -> None:
-        if not key.startswith(SYSTEM_PREFIX):
-            raise InvalidArgument("delete_system is for reserved keys only")
-        self.apply_ops([DeleteOp(key)])
-
     def apply_ops(self, ops: list[StoreOp]) -> None:
         """Validate and apply a list of ops as one atomic, durable record."""
         if not ops:
@@ -434,9 +423,6 @@ class Store:
                     bodies.append(records.encode_doc_op(kind, seq, now, op.group, op.doc))
                     decoded.append(records.DecodedOp(kind, seq=seq, arrived_ms=now,
                                                      group=op.group, doc=op.doc))
-                elif isinstance(op, DeleteOp):
-                    bodies.append(records.encode_delete(seq, op.key))
-                    decoded.append(records.DecodedOp(records.OP_DELETE, seq=seq, key=op.key))
                 else:
                     bodies.append(records.encode_commit_group(seq, op.group))
                     decoded.append(records.DecodedOp(records.OP_COMMIT_GROUP, seq=seq,
@@ -465,9 +451,6 @@ class Store:
                         raise DuplicateKey(f"document key {op.doc.key!r} already exists")
                 if op.group is not None:
                     staged_new.add(op.doc.key)
-            elif isinstance(op, DeleteOp):
-                if op.key not in self._entries:
-                    raise NotFound(f"document {op.key!r} not found")
             elif isinstance(op, CommitGroupOp):
                 pass
             else:
@@ -639,9 +622,8 @@ class Store:
 
     # -- blobs ----------------------------------------------------------------
 
-    def put_blob(self, data: bytes, chunk_size: int = DEFAULT_CHUNK_SIZE,
-                 codec_id: int = CODEC_ZLIB) -> BlobPointer:
-        return self.blobs.put(data, chunk_size, codec_id)
+    def put_blob(self, data: bytes) -> BlobPointer:
+        return self.blobs.put(data)
 
     def get_blob(self, ptr: BlobPointer) -> bytes:
         return self.blobs.get(ptr)

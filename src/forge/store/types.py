@@ -12,12 +12,10 @@ from forge.query import TagScalar, check_tag_value
 SYSTEM_PREFIX = "__sys/"
 
 DEFAULT_INLINE_THRESHOLD = 16 * 1024
-DEFAULT_CHUNK_SIZE = 256 * 1024
-MIN_CHUNK_SIZE = 4 * 1024
-MAX_CHUNK_SIZE = 4 * 1024 * 1024
+CHUNK_SIZE = 256 * 1024  # the chunk size of every blob put writes
 
-CODEC_NONE = 0
-CODEC_ZLIB = 1  # the project-standard lossless codec
+CODEC_NONE = 0  # chunks stored raw; read only, for blobs older stores wrote
+CODEC_ZLIB = 1  # the project-standard lossless codec, which put always writes
 
 MAX_KEY_BYTES = 4096
 MAX_TAGS = 64

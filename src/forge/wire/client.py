@@ -3,10 +3,10 @@
 Each row of ``forge.wire.protocol.OPS`` becomes a ``ForgeClient`` method
 with the signature of the ``Forge`` method it names; ``put_blob``,
 ``get_blob``, ``write_output`` and ``list_indexes`` are composed here from
-other calls. ``put_blob`` sends the raw data in slices and leaves chunking,
-compression and storage to the server's ``Forge.put_blob``; ``get_blob``
-reads the stored chunks and rebuilds the blob with the store's own
-``assemble``, which verifies it.
+other calls. ``put_blob`` takes only the data, as the engine's does: it sends
+the raw data in slices and leaves chunking, compression and storage to the
+server's ``Forge.put_blob``; ``get_blob`` reads the stored chunks and
+rebuilds the blob with the store's own ``assemble``, which verifies it.
 
 Calls are synchronous; the client is safe to share between threads (one
 request in flight at a time per client). Pure reads are retried up to three
@@ -24,7 +24,7 @@ import threading
 
 from forge.engine import Forge
 from forge.errors import ConnectionLost, from_code
-from forge.store import CODEC_ZLIB, DEFAULT_CHUNK_SIZE, BlobPointer
+from forge.store import BlobPointer
 from forge.store.blob import assemble
 from forge.store.types import checksum_of
 from forge.tensorio import encode_tensors
@@ -114,12 +114,10 @@ class ForgeClient:
     def list_indexes(self) -> list[str]:
         return self.info()["indexes"]
 
-    def put_blob(self, data: bytes, chunk_size: int = DEFAULT_CHUNK_SIZE,
-                 codec_id: int = CODEC_ZLIB) -> BlobPointer:
+    def put_blob(self, data: bytes) -> BlobPointer:
         """Upload raw slices on this connection; the server checks the length
         and digest and stores the blob as ``Forge.put_blob`` would."""
-        head, _ = self._call(P.BLOB_PUT_BEGIN,
-                             {"chunk_size": chunk_size, "codec_id": codec_id})
+        head, _ = self._call(P.BLOB_PUT_BEGIN, {})
         upload_id = head["upload_id"]
         for index, start in enumerate(range(0, len(data), P.BLOB_SLICE)):
             self._call(P.BLOB_PUT_CHUNK, {"upload_id": upload_id, "index": index},

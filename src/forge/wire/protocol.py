@@ -28,17 +28,18 @@ or its slot exactly; leftover bytes are ``invalid_argument``. An error head
 is ``{"code", "message", "data"}``.
 
 Blobs cross the wire through four transfer ops (``BLOB_*``) that are not
-engine methods. An upload is ``BLOB_PUT_BEGIN`` (head ``{chunk_size,
-codec_id}``, answered with ``{upload_id}``), then ``BLOB_PUT_CHUNK`` (head
-``{upload_id, index}``, tail a raw slice of the data; slices come in index
-order, the client's of ``BLOB_SLICE`` bytes), then ``BLOB_PUT_COMMIT`` (head
+engine methods. An upload is ``BLOB_PUT_BEGIN`` (an empty head ``{}``,
+answered with ``{upload_id}``), then ``BLOB_PUT_CHUNK`` (head ``{upload_id,
+index}``, tail a raw slice of the data; slices come in index order, the
+client's of ``BLOB_SLICE`` bytes), then ``BLOB_PUT_COMMIT`` (head
 ``{upload_id, total_size, checksum}``, the sha-256 in hex, answered with
 ``{pointer}``). An upload belongs to the connection it began on and ends
 with it. The server joins the slices, checks the length and digest
 (``checksum_mismatch``), then stores the data with ``Forge.put_blob``, so
-the chunk-size bounds, compression and dedupe are the engine's. A read is
-one ``BLOB_GET_CHUNK`` (head ``{blob_id, index}``) per chunk, answered with
-the chunk in its stored, compressed form as the tail.
+chunking, compression and dedupe are the engine's; a ``BLOB_PUT_BEGIN``
+head that names any argument is ``invalid_argument``. A read is one
+``BLOB_GET_CHUNK`` (head ``{blob_id, index}``) per chunk, answered with the
+chunk in its stored form as the tail.
 """
 
 from __future__ import annotations

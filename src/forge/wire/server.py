@@ -12,10 +12,11 @@ or one of a type its parameter does not take, earns an error response
 survives. Random garbage on the socket can kill its own connection, never
 the server or the store.
 
-A blob upload (``BLOB_PUT_*``) lives in its connection thread's state, so
-one its client abandons is freed when the connection ends. Its commit
-checks the joined raw slices against the declared length and sha-256 and
-stores them through ``Forge.put_blob``, under the engine lock.
+A blob upload (``BLOB_PUT_*``) is the list of its raw slices, kept in its
+connection thread's state, so one its client abandons is freed when the
+connection ends. Its commit checks the joined slices against the declared
+length and sha-256 and stores them through ``Forge.put_blob``, under the
+engine lock.
 """
 
 from __future__ import annotations
@@ -170,20 +171,18 @@ def _handler(op: P.Op):
 
 def _expect(head, *names):
     if head.keys() != set(names):
-        raise InvalidArgument(f"expected arguments {', '.join(names)}, got {sorted(head)}")
+        wanted = f"arguments {', '.join(names)}" if names else "no arguments"
+        raise InvalidArgument(f"expected {wanted}, got {sorted(head)}")
 
 
 def _blob_put_begin(s, head, tail):
-    _expect(head, "chunk_size", "codec_id")
-    for name in ("chunk_size", "codec_id"):
-        if type(head[name]) is not int:  # JSON true and false decode to bool
-            raise InvalidArgument(f"{name} must be an integer, got {head[name]!r}")
+    _expect(head)
     upload_id = uuid.uuid4().hex
-    s._connection.uploads[upload_id] = {**head, "parts": []}
+    s._connection.uploads[upload_id] = []
     return {"upload_id": upload_id}, b""
 
 
-def _upload(s, upload_id) -> dict:
+def _upload(s, upload_id) -> list[bytes]:
     try:
         return s._connection.uploads[upload_id]
     except (KeyError, TypeError):
@@ -192,7 +191,7 @@ def _upload(s, upload_id) -> dict:
 
 def _blob_put_chunk(s, head, tail):
     _expect(head, "upload_id", "index")
-    parts = _upload(s, head["upload_id"])["parts"]
+    parts = _upload(s, head["upload_id"])
     if head["index"] != len(parts):
         raise InvalidArgument(f"expected slice {len(parts)}, got {head['index']!r}")
     parts.append(tail)
@@ -201,12 +200,11 @@ def _blob_put_chunk(s, head, tail):
 
 def _blob_put_commit(s, head, tail):
     _expect(head, "upload_id", "total_size", "checksum")
-    upload = _upload(s, head["upload_id"])
+    data = b"".join(_upload(s, head["upload_id"]))
     del s._connection.uploads[head["upload_id"]]
-    data = b"".join(upload["parts"])
     if len(data) != head["total_size"] or checksum_of(data).hex() != head["checksum"]:
         raise ChecksumMismatch("uploaded bytes do not match the declared size and digest")
-    return {"pointer": s.engine.put_blob(data, upload["chunk_size"], upload["codec_id"])}, b""
+    return {"pointer": s.engine.put_blob(data)}, b""
 
 
 def _blob_get_chunk(s, head, tail):

@@ -1,3 +1,4 @@
+import hashlib
 import sys
 import threading
 from pathlib import Path
@@ -9,6 +10,8 @@ sys.path.insert(0, str(Path(__file__).parent))
 from forge.clock import FakeClock
 from forge.engine import Forge
 from forge.nn import clear_lambdas
+from forge.store import CODEC_NONE, BlobPointer
+from forge.store.types import blob_id_for
 from forge.wire import ForgeClient, ForgeServer
 
 
@@ -62,6 +65,20 @@ def api(request, engine):
 
 def make_engine(path, clock=None):
     return Forge(path, create=True, clock=clock or FakeClock(), fsync=False)
+
+
+def write_raw_blob(blobs: Path, data: bytes, chunk_size: int = 4096) -> BlobPointer:
+    """Write by hand, into a store's ``blobs/`` directory, the chunk files of
+    a ``CODEC_NONE`` blob (chunks stored raw) with ``chunk_size`` chunks, as
+    stores wrote them before every put used ``CODEC_ZLIB`` and one chunk size."""
+    checksum = hashlib.sha256(data).digest()
+    ptr = BlobPointer(blob_id=blob_id_for(checksum, chunk_size, CODEC_NONE),
+                      total_size=len(data), chunk_count=-(-len(data) // chunk_size),
+                      chunk_size=chunk_size, codec_id=CODEC_NONE, checksum=checksum)
+    for index in range(ptr.chunk_count):
+        (blobs / f"{ptr.blob_id}.{index}").write_bytes(
+            data[index * chunk_size:(index + 1) * chunk_size])
+    return ptr
 
 
 class AgentHarness:

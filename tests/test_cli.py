@@ -186,6 +186,12 @@ def test_query_with_unicode_digits_is_a_syntax_error(forge, expr):
     assert result.exit_code == 2 and "syntax error at byte 4" in result.output
 
 
+def test_query_with_a_double_equals_is_a_syntax_error(forge):
+    run, _ = forge
+    result = run("query", "a == 1")
+    assert result.exit_code == 2 and "syntax error at byte 2" in result.output
+
+
 def test_serve_stops_on_sigterm_and_releases_the_store(tmp_path):
     """``forge serve`` as its own process: a blob and the document that points
     to it go in over the wire, SIGTERM ends it with status 0, and the store

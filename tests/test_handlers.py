@@ -72,13 +72,16 @@ def test_labels_parse_into_one_target_array():
     (("1,,2",), "mse", "label '1,,2' of 'k0' is not comma-separated floats"),
     (("3", "1.5"), "softmax-xent", "label '1.5' of 'k1' is not an integer class"),
     (("1,2", "nan,inf"), "mse", "label 'nan,inf' of 'k1' is not finite"),
-    (("0.5", "-inf", "1"), "mse", "label '-inf' of 'k1' is not finite"),
-    (("1e39",), "mse", "label '1e39' of 'k0' is not finite"),  # past float32's range
+    (("0.5,1", "-inf,1", "1,1"), "mse", "label '-inf,1' of 'k1' is not finite"),
+    (("1e39,0",), "mse", "label '1e39,0' of 'k0' is not finite"),  # past float32's range
+    (("0.5", "0.25"), "mse", "label of 'k0' has 1 values, the network has 2 outputs"),
+    (("1,2", "1,2,3"), "mse", "label of 'k1' has 3 values, the network has 2 outputs"),
     (("1", "2"), "softmax-xent", r"label '2' of 'k1' is not a class in \[0, 2\)"),
     (("-1",), "softmax-xent", r"label '-1' of 'k0' is not a class in \[0, 2\)"),
     (("0", "9" * 20), "softmax-xent", f"label '{'9' * 20}' of 'k1' is not a class"),
 ], ids=["word", "empty", "empty-part", "fraction-class", "nan-inf", "minus-inf",
-        "float32-overflow", "class-past-outputs", "negative-class", "int64-overflow"])
+        "float32-overflow", "narrower-than-outputs", "wider-than-outputs",
+        "class-past-outputs", "negative-class", "int64-overflow"])
 def test_a_label_that_is_no_target_names_its_document(labels, loss, message):
     with pytest.raises(InvalidArgument, match=f"^{message}"):
         parse_targets(_labelled(*labels), loss, 2)
@@ -167,7 +170,27 @@ def test_ragged_labels_fail_the_train_task_naming_the_document(tmp_path):
                               output_dataset="out")
         with pytest.raises(InvalidArgument) as info:
             train_handler(ctx)
-        assert str(info.value) == "label of 's002a' has 1 values, label of 's000' has 2"
+        assert str(info.value) == "label of 's002a' has 1 values, the network has 2 outputs"
+        assert engine.list_versions(MODEL) == []
+    finally:
+        engine.close()
+
+
+def test_labels_narrower_than_the_outputs_fail_the_train_task(tmp_path):
+    """Labels of one value each on a two-output net do not broadcast into
+    the mse loss: the task fails naming the first document and saves no
+    version."""
+    engine = _engine_with_samples(tmp_path / "store", count=0)
+    try:
+        for i, label in enumerate(["0.5", "0.25"]):
+            engine.put_document(Document(key=f"s{i:03d}", payload=encode_sample(np.ones(4)),
+                                         label=label, tags={"dataset": "train"}))
+        engine.submit_task(task_id="t", kind="train", input_dataset="train",
+                           model_key=MODEL, output_dataset="out", max_attempts=1)
+        run_agent(engine, "agent", DEFAULT_HANDLERS, max_loops=1, poll_interval=0.0)
+        task = engine.get_task("t")
+        assert task.status != COMPLETED
+        assert "label of 's000' has 1 values, the network has 2 outputs" in task.last_error
         assert engine.list_versions(MODEL) == []
     finally:
         engine.close()

@@ -1,6 +1,7 @@
 """Store engine internals: durability, crash atomicity, indexes, blobs,
 staging groups, snapshot pagination, compaction, and the writer lock."""
 
+import hashlib
 import json
 import os
 import random
@@ -24,12 +25,23 @@ from forge.errors import (
 from forge.query import MATCH_ALL, Predicate, TagQuery, parse
 from forge.nn import layers as nnlayers
 from forge.nn import network as nnet
-from forge.store import CODEC_ZLIB, CommitGroupOp, DeleteOp, Document, PutOp, ScanCursor, Store
+from forge.store import (
+    CHUNK_SIZE,
+    CODEC_ZLIB,
+    BlobPointer,
+    CommitGroupOp,
+    Document,
+    PutOp,
+    ScanCursor,
+    Store,
+)
 from forge.store.blob import PROBE
-from forge.store.log import iter_frames, list_segments
+from forge.store.log import frame, iter_frames, list_segments
 from forge.tensorio import encode_tensors
 
+from conftest import write_raw_blob
 from oracles import brute_force_filter
+from test_records import DELETE_HEX, delete_body
 
 
 def make_store(path, **kw):
@@ -74,7 +86,7 @@ class TestBasics:
 
     def test_blob_backed_get_returns_pointer(self, tmp_path):
         with make_store(tmp_path / "s", create=True) as s:
-            ptr = s.put_blob(b"y" * 100_000, 8192, 1)
+            ptr = s.put_blob(b"y" * 100_000)
             s.put(Document(key="b1", payload=ptr))
             got = s.get("b1")
             assert got.payload == ptr  # the pointer, not the bytes
@@ -349,14 +361,26 @@ class TestStaging:
             assert s.exists("t/y")
 
 
+def append_record(path, body: bytes) -> None:
+    """Append one framed record body to the store's newest log segment."""
+    with open(list_segments(path)[-1], "ab") as f:
+        f.write(frame(body))
+
+
 class TestSystemDocs:
     def test_replace_and_delete(self, tmp_path):
-        with make_store(tmp_path / "s", create=True) as s:
+        """A system document is replaced in place. Nothing deletes one any
+        more, but a DELETE record in an older log hides it on replay."""
+        path = tmp_path / "s"
+        with make_store(path, create=True) as s:
             s.put_system(doc("__sys/x", b"1"))
             s.put_system(doc("__sys/x", b"2"), replace=True)
             assert s.get("__sys/x").payload == b"2"
-            s.delete_system("__sys/x")
+            seq = s.snapshot_seq() + 1
+        append_record(path, delete_body(seq, "__sys/x"))
+        with make_store(path) as s:
             assert not s.exists("__sys/x")
+            assert s.snapshot_seq() == seq
 
     def test_sys_keys_hidden_from_scan(self, tmp_path):
         with make_store(tmp_path / "s", create=True) as s:
@@ -372,49 +396,98 @@ class TestSystemDocs:
             assert s.keys_with_prefix("__sys/a/") == ["__sys/a/1", "__sys/a/2"]
 
 
+def _compressible_payload() -> bytes:
+    return b"".join(b"sample %06d label=%d split=train\n" % (i, i % 10) for i in range(16_000))
+
+
+def _random_payload() -> bytes:
+    """Bytes that do not compress, the same on every platform."""
+    return b"".join(hashlib.sha256(i.to_bytes(4, "little")).digest() for i in range(18_000))
+
+
+# (payload, blob id, sha-256 of the payload, sha-256 of each stored chunk file),
+# as put_blob wrote them when it still took a chunk size and a codec and was
+# called with the defaults; both payloads span three chunks
+GOLDEN_BLOBS = [
+    (_compressible_payload, "dad5b473c2356760e407e62130b833d1",
+     "dcef459d5fe1564225b6920695378bf0e9b568032349b72a6284c717906a7306",
+     ["5e57ad218f22c570ed6a1501f18a43ecc12714302f41f6da99ebc88e62026ef8",
+      "76496e3da972e0fb1b9787dc3e9127495757802fc5947c03d671120f158a1603",
+      "5a25f4a01ae5dc628a186a65b8bbf3998b8feb3ffea7aa96df6adf0dd0842345"]),
+    (_random_payload, "70d0d18c6fc8ab42c85b69e5c7c8ad47",
+     "b99a3a01de12debe5f1ea3f0c2dd342305a82032c74f51fe66d79c09eb89e433",
+     ["cd276f3d128c29e9acfcc70f5c91acefc8e6c48e74c6872f47afbb3269453e28",
+      "4c70b23ca7d61ca519b779a754ecd07a101557be4e8f34dd2ad2a2c8f42c15b6",
+      "a4a925fb2e1619f620e1ecc7bb3aa7c274102cd399d3da7b559abcc5b6eab8b8"]),
+]
+
+
 class TestBlobs:
     def test_chunk_count_examples(self, tmp_path):
         with make_store(tmp_path / "s", create=True) as s:
-            assert s.put_blob(b"x" * (1 << 20), 256 * 1024, 0).chunk_count == 4
-            one = s.put_blob(b"z", 4096, 0)
+            assert s.put_blob(b"x" * (1 << 20)).chunk_count == 4
+            one = s.put_blob(b"z")
             assert one.chunk_count == 1
             assert one.total_size == 1
 
     def test_round_trip_random_10mib(self, tmp_path):
         data = random.Random(7).randbytes(10 * (1 << 20))
         with make_store(tmp_path / "s", create=True) as s:
-            for codec in (0, 1):
-                ptr = s.put_blob(data, 1 << 20, codec)
-                assert s.get_blob(ptr) == data
+            ptr = s.put_blob(data)
+            assert s.get_blob(ptr) == data
 
     def test_empty_blob_rejected(self, tmp_path):
         with make_store(tmp_path / "s", create=True) as s:
             with pytest.raises(EmptyBlob):
-                s.put_blob(b"", 4096, 0)
+                s.put_blob(b"")
 
     def test_chunk_size_bounds(self, tmp_path):
+        """Every put writes CHUNK_SIZE chunks with CODEC_ZLIB; a chunk size or
+        codec from an older caller is a TypeError, not an ignored argument."""
         with make_store(tmp_path / "s", create=True) as s:
-            with pytest.raises(InvalidArgument):
-                s.put_blob(b"x", 4095, 0)
-            with pytest.raises(InvalidArgument):
-                s.put_blob(b"x", 4 * 1024 * 1024 + 1, 0)
+            for args in [(4095, 0), (4 * 1024 * 1024 + 1,)]:
+                with pytest.raises(TypeError):
+                    s.put_blob(b"x", *args)
+            ptr = s.put_blob(b"x" * (CHUNK_SIZE + 1))
+            assert (ptr.chunk_size, ptr.chunk_count, ptr.codec_id) == (CHUNK_SIZE, 2, CODEC_ZLIB)
+            assert sorted(os.listdir(s.blobs.root)) == [f"{ptr.blob_id}.0", f"{ptr.blob_id}.1"]
 
     def test_unknown_blob_id(self, tmp_path):
-        from forge.store.types import BlobPointer
-
         with make_store(tmp_path / "s", create=True) as s:
             ghost = BlobPointer(blob_id="f" * 32, total_size=10, chunk_count=1,
                                 chunk_size=4096, codec_id=0, checksum=bytes(32))
             with pytest.raises(NotFound):
                 s.get_blob(ghost)
 
+    @pytest.mark.parametrize("payload,blob_id,checksum,chunks", GOLDEN_BLOBS,
+                             ids=["compressible", "random"])
+    def test_golden_blob_bytes(self, tmp_path, payload, blob_id, checksum, chunks):
+        """A put's blob id and stored bytes are pinned: a blob written before
+        the change dedupes with one written after it. The compressible
+        payload's chunks are zlib level 6 output, so their digests hold for
+        the zlib these were read with (1.2.13) and its compatible builds."""
+        data = payload()
+        with make_store(tmp_path / "s", create=True) as s:
+            ptr = s.put_blob(data)
+            assert ptr == BlobPointer(blob_id=blob_id, total_size=len(data), chunk_count=3,
+                                      chunk_size=256 * 1024, codec_id=CODEC_ZLIB,
+                                      checksum=bytes.fromhex(checksum))
+            assert sorted(os.listdir(s.blobs.root)) == [f"{blob_id}.{i}" for i in range(3)]
+            assert [hashlib.sha256(s.blobs.read_chunk(blob_id, i)).hexdigest()
+                    for i in range(3)] == chunks
+            assert s.get_blob(ptr) == data
+
     @pytest.mark.parametrize("codec", [0, 1])
     def test_corrupted_chunk_raises_checksum_mismatch(self, tmp_path, codec):
-        """Flipping any single stored byte must surface, never silently."""
+        """Flipping any single stored byte must surface, never silently: in a
+        chunk put writes (codec 1) and in a raw one an older store wrote
+        (codec 0, 4 KiB chunks)."""
         rng = random.Random(13)
-        data = rng.randbytes(50_000)
+        data = rng.randbytes(600_000 if codec else 50_000)
         with make_store(tmp_path / "s", create=True) as s:
-            ptr = s.put_blob(data, 8192, codec)
+            ptr = s.put_blob(data) if codec else write_raw_blob(s.blobs.root, data)
+            assert ptr.codec_id == codec and ptr.chunk_count > 1
+            assert s.get_blob(ptr) == data
             chunk_path = s.blobs._chunk_path(ptr.blob_id, rng.randrange(ptr.chunk_count))
             raw = bytearray(chunk_path.read_bytes())
             raw[rng.randrange(len(raw))] ^= 0x01
@@ -427,20 +500,18 @@ class TestBlobs:
     def test_random_blob_round_trip(self, tmp_path_factory, seed):
         rng = random.Random(seed)
         size = rng.randrange(1, 1 << rng.randrange(1, 24))
-        chunk = rng.randrange(4096, 4 * 1024 * 1024)
-        codec = rng.choice([0, 1])
         data = rng.randbytes(size)
         path = tmp_path_factory.mktemp("blob") / "s"
         with make_store(path, create=True) as s:
-            ptr = s.put_blob(data, chunk, codec)
+            ptr = s.put_blob(data)
             assert ptr.total_size == size
-            assert ptr.chunk_count == -(-size // chunk)
+            assert ptr.chunk_count == -(-size // CHUNK_SIZE)
             assert s.get_blob(ptr) == data
 
 
 def _tensor_container() -> bytes:
-    spec = nnlayers.spec_from_dict({"input_dims": [32], "layers": [
-        {"name": "h", "kind": "dense", "out_units": 64}, {"name": "r", "kind": "relu"},
+    spec = nnlayers.spec_from_dict({"input_dims": [256], "layers": [
+        {"name": "h", "kind": "dense", "out_units": 512}, {"name": "r", "kind": "relu"},
         {"name": "out", "kind": "dense", "out_units": 8}]})
     return encode_tensors(nnet.state_tensors(nnet.build_network(spec, 3)))
 
@@ -449,10 +520,10 @@ class TestBlobStoredForm:
     """A zlib chunk is stored at level 6 when its first PROBE bytes compress
     at level 1 and as stored blocks (level 0) when they do not."""
 
-    CHUNK = 8192
+    CHUNK = CHUNK_SIZE
 
     def _stored(self, s, data):
-        ptr = s.put_blob(data, self.CHUNK, CODEC_ZLIB)
+        ptr = s.put_blob(data)
         assert s.get_blob(ptr) == data
         return ptr, [s.blobs.read_chunk(ptr.blob_id, i) for i in range(ptr.chunk_count)]
 
@@ -463,10 +534,11 @@ class TestBlobStoredForm:
 
     @pytest.mark.parametrize("kind", ["zeros", "json", "tensors"])
     def test_compressible_chunks_are_stored_at_level_6(self, tmp_path, kind):
-        data = {"zeros": lambda: bytes(20_000),
+        data = {"zeros": lambda: bytes(3 * self.CHUNK),
                 "json": lambda: json.dumps([{"key": f"s{i:05d}", "split": "train", "step": i}
-                                            for i in range(400)]).encode(),
+                                            for i in range(12_000)]).encode(),
                 "tensors": _tensor_container}[kind]()
+        data = data[:2 * self.CHUNK + 1000]
         with make_store(tmp_path / "s", create=True) as s:
             _, stored = self._stored(s, data)
         assert len(stored) > 1 and len(data) % self.CHUNK < PROBE  # a short last chunk too
@@ -498,7 +570,7 @@ class TestBlobStoredForm:
         lambda b: b[:PROBE],  # cut inside the block
     ], ids=["payload", "len", "nlen", "trailer", "block"])
     def test_a_damaged_stored_block_raises_checksum_mismatch(self, tmp_path, damage):
-        data = random.Random(23).randbytes(self.CHUNK)
+        data = random.Random(23).randbytes(8192)  # one chunk, short of CHUNK
         with make_store(tmp_path / "s", create=True) as s:
             ptr, [stored] = self._stored(s, data)
             assert stored[2] == 0x01  # one final stored block: LEN, NLEN, then the bytes
@@ -527,13 +599,13 @@ class TestCompaction:
     def test_compaction_collects_orphan_blobs(self, tmp_path):
         path = tmp_path / "s"
         with make_store(path, create=True) as s:
-            live = s.put_blob(b"live" * 5000, 4096, 1)
+            live = s.put_blob(b"live" * 100_000)
             s.put(Document(key="keeper", payload=live))
-            s.put_blob(b"orphan" * 5000, 4096, 1)
+            s.put_blob(b"orphan" * 100_000)
             assert len(os.listdir(path / "blobs")) > live.chunk_count
             s.compact()
             assert len(os.listdir(path / "blobs")) == live.chunk_count
-            assert s.get_blob(live) == b"live" * 5000
+            assert s.get_blob(live) == b"live" * 100_000
 
     def test_compaction_preserves_uncommitted_stage(self, tmp_path):
         with make_store(tmp_path / "s", create=True) as s:
@@ -565,9 +637,23 @@ class TestCompaction:
             assert s.scan(MATCH_ALL)[0] == ["a", "b", "t/out"]
 
     def test_delete_then_compact_removes_key(self, tmp_path):
-        with make_store(tmp_path / "s", create=True) as s:
-            s.put_system(doc("__sys/tmp"))
-            s.delete_system("__sys/tmp")
+        """A log that holds a DELETE record (the pinned DELETE_HEX body: seq
+        10, key sample/0001) opens with the key gone from every read, and
+        compaction drops the key."""
+        path = tmp_path / "s"
+        with make_store(path, create=True) as s:
+            s.put(doc("sample/0001"))
+            s.put(doc("sample/0002"))
+        append_record(path, bytes.fromhex(DELETE_HEX))
+        with make_store(path) as s:
+            with pytest.raises(NotFound):
+                s.get("sample/0001")
+            assert not s.exists("sample/0001")
+            assert s.keys_with_prefix("sample/") == ["sample/0002"]
+            assert s.scan(MATCH_ALL)[0] == ["sample/0002"]
+            assert s.snapshot_seq() == 10
             s.compact()
-            assert not s.exists("__sys/tmp")
-            assert "__sys/tmp" not in s._entries
+            assert "sample/0001" not in s._entries
+        with make_store(path) as s:
+            assert "sample/0001" not in s._entries
+            assert s.keys_with_prefix("sample/") == ["sample/0002"]

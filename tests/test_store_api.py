@@ -4,9 +4,10 @@ fixture runs every test here against the local engine and the TCP client)."""
 import random
 
 import pytest
+from conftest import write_raw_blob
 
 from forge.errors import ChecksumMismatch, DuplicateKey, NotFound, PayloadTooLarge
-from forge.store import Document
+from forge.store import CODEC_NONE, Document
 from forge.store.types import BlobPointer
 
 
@@ -89,12 +90,12 @@ class TestScan:
 class TestBlobs:
     def test_round_trip(self, api):
         data = random.Random(3).randbytes(1_000_000)
-        ptr = api.put_blob(data, chunk_size=1 << 18)
+        ptr = api.put_blob(data)
         assert ptr.chunk_count == 4
         assert api.get_blob(ptr) == data
 
     def test_single_byte(self, api):
-        ptr = api.put_blob(b"q", chunk_size=4096)
+        ptr = api.put_blob(b"q")
         assert (ptr.total_size, ptr.chunk_count) == (1, 1)
         assert api.get_blob(ptr) == b"q"
 
@@ -103,6 +104,15 @@ class TestBlobs:
                             chunk_size=4096, codec_id=1, checksum=bytes(32))
         with pytest.raises((NotFound, ChecksumMismatch)):
             api.get_blob(ghost)
+
+    def test_a_raw_blob_an_older_store_wrote_still_reads(self, api, engine):
+        """Chunk files of a CODEC_NONE blob with 4 KiB chunks, written by
+        hand, and a document that points to them read back in full."""
+        data = random.Random(4).randbytes(10_000)
+        ptr = write_raw_blob(engine.store.blobs.root, data)
+        assert (ptr.codec_id, ptr.chunk_size, ptr.chunk_count) == (CODEC_NONE, 4096, 3)
+        api.put_document(doc("old", ptr))
+        assert api.get_blob(api.get_document("old").payload) == data
 
     def test_identical_content_dedupes(self, api):
         a = api.put_blob(b"same" * 1000)

@@ -215,10 +215,6 @@ def test_paged_scans_match_the_oracle_under_interleaved_writes(tmp_path_factory,
                 key = f"__sys/p/{rng.randrange(6)}"
                 s.put_system(Document(key=key, payload=b"v"), replace=True)
                 model.system.add(key)
-            elif action < 0.64 and model.system:
-                key = rng.choice(sorted(model.system))
-                s.delete_system(key)
-                model.system.discard(key)
             elif action < 0.68:
                 s.compact()
             elif action < 0.76:

@@ -212,7 +212,8 @@ _CHAR = ("identifier", "literal", "operator")
 # (source, exception class, byte offset, expected, message). The rows not
 # marked "fixed" were recorded from the earlier hand-written parser, so the
 # messages stay as they were; the fixed rows are where it raised ValueError,
-# accepted Unicode digits or named a string token by empty text.
+# accepted Unicode digits, named a string token by empty text or refused '=='
+# without an offset.
 ERROR_TABLE = [
     ('a = "abc', QuerySyntaxError, 4, ('"',), "unterminated string literal"),
     ('a = "ab\\', QuerySyntaxError, 7, (), "dangling escape"),
@@ -255,6 +256,9 @@ ERROR_TABLE = [
     ("x = ١٢", QuerySyntaxError, 4, _CHAR, "unexpected character '١'"),
     # fixed: a literal past Python's int-string limit is out of range, not ValueError
     ("a = " + "1" * 5000, QuerySyntaxError, 4, (), "integer literal out of 64-bit range"),
+    # fixed: '==' is no operator of the grammar, a syntax error, not InvalidArgument
+    ("a == 1", QuerySyntaxError, 2, ("=", "!=", "<", "<=", ">", ">="),
+     "unknown operator '=='"),
 ]
 
 
@@ -285,7 +289,6 @@ def test_literal_edges(src, value):
 @pytest.mark.parametrize("src,message", [
     ("a = 1.0e999", "float tag values must be finite"),
     ('a = "\\ud800"', "string tag values must be UTF-8 encodable"),
-    ("a == 1", "unknown operator: '=='"),
 ])
 def test_invalid_values_are_invalid_argument(src, message):
     with pytest.raises(InvalidArgument, match=message):

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import click
 import pytest
-from conftest import make_engine
+from conftest import make_engine, write_raw_blob
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -35,9 +35,9 @@ from forge.errors import (
 )
 from forge.query import parse
 from forge.dataset import DatasetView
-from forge.store import CODEC_NONE, CODEC_ZLIB, Document, ScanCursor
+from forge.store import CHUNK_SIZE, Document, ScanCursor
 from forge.store.records import encode_document
-from forge.store.types import MAX_CHUNK_SIZE, MIN_CHUNK_SIZE, checksum_of
+from forge.store.types import checksum_of
 from forge.wire import ForgeClient, ForgeServer, default_address
 from forge.wire import protocol as P
 from forge.wire.server import _HANDLERS
@@ -132,7 +132,7 @@ def test_info(api):
     info = api.info()
     assert info["format_version"] == 1
     assert info["indexes"] == ["split"]
-    assert info["inline_threshold"] > 0 and info["default_chunk_size"] > 0
+    assert info["inline_threshold"] > 0 and info["chunk_size"] == CHUNK_SIZE
 
 
 def test_get_view_and_list_views(api):
@@ -209,27 +209,34 @@ def test_blob_chunks_are_read_only_from_the_store(wire_pair, tmp_path):
 
 # --- blob uploads: one write path, scoped to a connection ---------------------------
 
-@pytest.mark.parametrize("chunk_size", [16, MIN_CHUNK_SIZE - 1, MAX_CHUNK_SIZE + 1])
-def test_put_blob_chunk_size_bounds(api, chunk_size):
-    with pytest.raises(InvalidArgument):
-        api.put_blob(b"x" * 100, chunk_size)
+@pytest.mark.parametrize("chunk_size", [16, 4 * 1024 - 1, 4 * 1024 * 1024 + 1])
+def test_put_blob_chunk_size_bounds(api, engine, chunk_size):
+    """There is no chunk-size setting: on both transports a chunk size from
+    an older caller is a TypeError, raised before anything is stored."""
+    for args, kwargs in [((chunk_size,), {}), ((), {"chunk_size": chunk_size})]:
+        with pytest.raises(TypeError):
+            api.put_blob(b"x" * 100, *args, **kwargs)
+    assert list(engine.store.blobs.root.iterdir()) == []
 
 
-@pytest.mark.parametrize("codec_id", [CODEC_NONE, CODEC_ZLIB])
-def test_wire_and_local_put_blob_store_the_same_blob(wire_pair, codec_id):
+def test_wire_and_local_put_blob_store_the_same_blob(wire_pair):
     engine, _, client = wire_pair
-    data = random.Random(codec_id).randbytes(5 * 256 * 1024 + 17)  # 6 chunks
-    remote = client.put_blob(data, 256 * 1024, codec_id)
+    data = random.Random(1).randbytes(5 * 256 * 1024 + 17)  # 6 chunks
+    remote = client.put_blob(data)
     chunks = sorted(p.name for p in engine.store.blobs.root.iterdir())
-    assert remote == engine.put_blob(data, 256 * 1024, codec_id)
+    assert remote == engine.put_blob(data)
     assert remote.chunk_count == 6 and len(chunks) == 6
     assert sorted(p.name for p in engine.store.blobs.root.iterdir()) == chunks
     assert client.get_blob(remote) == engine.get_blob(remote) == data
 
 
 def test_corrupted_chunk_read_over_the_wire_raises(wire_pair):
+    """A flipped byte in a raw chunk that an older store wrote surfaces as
+    ChecksumMismatch over the wire too."""
     engine, _, client = wire_pair
-    ptr = client.put_blob(random.Random(5).randbytes(50_000), 8192, CODEC_NONE)
+    data = random.Random(5).randbytes(50_000)
+    ptr = write_raw_blob(engine.store.blobs.root, data)
+    assert client.get_blob(ptr) == data
     path = engine.store.blobs._chunk_path(ptr.blob_id, 3)
     raw = bytearray(path.read_bytes())
     raw[100] ^= 0x01
@@ -244,7 +251,7 @@ def test_wire_blob_write_waits_for_the_engine_lock(wire_pair):
     engine, _, client = wire_pair
     done = threading.Event()
     with engine._lock:
-        thread = threading.Thread(target=lambda: (client.put_blob(b"y" * 10_000, 4096),
+        thread = threading.Thread(target=lambda: (client.put_blob(b"y" * 600_000),
                                                   done.set()))
         thread.start()
         assert not done.wait(0.5)
@@ -262,7 +269,7 @@ def test_uploads_end_with_their_connection(wire_pair):
         before = tracemalloc.get_traced_memory()[0]
         with ForgeClient(*server.address) as client:
             for _ in range(3):
-                head, _ = client._call(P.BLOB_PUT_BEGIN, {"chunk_size": 4096, "codec_id": 0})
+                head, _ = client._call(P.BLOB_PUT_BEGIN, {})
                 client._call(P.BLOB_PUT_CHUNK, {"upload_id": head["upload_id"], "index": 0},
                              slice_)
             assert tracemalloc.get_traced_memory()[0] - before >= 3 * len(slice_)
@@ -277,7 +284,7 @@ def test_uploads_end_with_their_connection(wire_pair):
 
 def test_upload_belongs_to_its_connection(wire_pair):
     _, server, client = wire_pair
-    head, _ = client._call(P.BLOB_PUT_BEGIN, {"chunk_size": 4096, "codec_id": 0})
+    head, _ = client._call(P.BLOB_PUT_BEGIN, {})
     with ForgeClient(*server.address) as other:
         with pytest.raises(NotFound):
             other._call(P.BLOB_PUT_CHUNK, {"upload_id": head["upload_id"], "index": 0}, b"a")
@@ -297,18 +304,27 @@ def test_upload_belongs_to_its_connection(wire_pair):
     {"chunk_size": True, "codec_id": 0}, {"chunk_size": None, "codec_id": 0},
     {"chunk_size": 4096, "codec_id": "0"}, {"chunk_size": 4096, "codec_id": False},
     {"chunk_size": [4096], "codec_id": 0},
+    {"chunk_size": 4096, "codec_id": 0}, {"chunk_size": 4096}, {"codec_id": 1},
 ])
 def test_upload_heads_are_typed(wire_pair, head):
+    """An upload head is empty. One that still carries ``chunk_size`` or
+    ``codec_id``, of any type, is ``invalid_argument`` naming the extra
+    arguments, and the connection survives."""
     _, _, client = wire_pair
-    with pytest.raises(InvalidArgument, match="must be an integer"):
+    with pytest.raises(InvalidArgument) as info:
         client._call(P.BLOB_PUT_BEGIN, head)
-    assert client.get_blob(client.put_blob(b"ok" * 10, 4096, CODEC_NONE)) == b"ok" * 10
+    assert str(info.value) == f"expected no arguments, got {sorted(head)}"
+    assert client.get_blob(client.put_blob(b"ok" * 10)) == b"ok" * 10
 
 
 @pytest.mark.parametrize("codec_id", [-1, 2, 300])
-def test_put_blob_rejects_an_unknown_codec(api, codec_id):
-    with pytest.raises(InvalidArgument, match="codec_id"):
-        api.put_blob(b"x" * 100, 4096, codec_id)
+def test_put_blob_rejects_an_unknown_codec(api, engine, codec_id):
+    """There is no codec setting: on both transports a codec from an older
+    caller is a TypeError, raised before anything is stored."""
+    for args, kwargs in [((4096, codec_id), {}), ((), {"codec_id": codec_id})]:
+        with pytest.raises(TypeError):
+            api.put_blob(b"x" * 100, *args, **kwargs)
+    assert list(engine.store.blobs.root.iterdir()) == []
 
 
 # --- typed head arguments --------------------------------------------------------
@@ -471,7 +487,7 @@ def garbage(draw):
     a cut upload (CutUpload, False)."""
     kind = draw(st.sampled_from(["bytes", "truncated", "oversize", "bad_head",
                                  "unknown_op", "missing", "unknown_arg", "wrong_type",
-                                 "typed", "blob_args", "blob_types", "docs_slot",
+                                 "typed", "blob_args", "blob_stale", "docs_slot",
                                  "cut_upload"]))
     if kind == "cut_upload":
         uploads = draw(st.lists(st.lists(st.binary(max_size=64), max_size=3),
@@ -498,14 +514,15 @@ def garbage(draw):
     if kind == "unknown_op":
         code = draw(st.integers(0, 255).filter(lambda c: c not in _HANDLERS))
         return _frame(code, {}), False
-    if kind == "blob_args":
-        head = draw(st.one_of(st.just({}), st.just({"bogus": 1})))
-        return _frame(draw(st.sampled_from(BLOB_OPS)), head), True
-    if kind == "blob_types":  # an upload head with a value that is not an int
-        names = ["chunk_size", "codec_id"]
-        head = {name: draw(JSON) for name in names}
-        head[draw(st.sampled_from(names))] = draw(JSON.filter(lambda v: type(v) is not int))
-        return _frame(P.BLOB_PUT_BEGIN, head), True
+    if kind == "blob_args":  # an upload begins with an empty head; the others need one
+        op = draw(st.sampled_from(BLOB_OPS))
+        head = draw(st.sampled_from([{"bogus": 1}] if op == P.BLOB_PUT_BEGIN
+                                    else [{}, {"bogus": 1}]))
+        return _frame(op, head), True
+    if kind == "blob_stale":  # an upload head that carries the old settings
+        names = draw(st.lists(st.sampled_from(["chunk_size", "codec_id"]), min_size=1,
+                              unique=True))
+        return _frame(P.BLOB_PUT_BEGIN, {name: draw(JSON) for name in names}), True
     if kind == "docs_slot":  # a document slot longer or shorter than its document
         op = draw(st.sampled_from(DOCS_TAIL_OPS))
         raw = encode_document(draw(DOCS))
@@ -557,7 +574,7 @@ class CutUpload:
                 return reply
 
             for slices in self.uploads:
-                head = call(P.BLOB_PUT_BEGIN, {"chunk_size": 4096, "codec_id": 0})
+                head = call(P.BLOB_PUT_BEGIN, {})
                 upload_ids.append(head["upload_id"])
                 for index, piece in enumerate(slices):
                     call(P.BLOB_PUT_CHUNK, {"upload_id": upload_ids[-1], "index": index},
