@@ -219,9 +219,10 @@ def test_put_blob_chunk_size_bounds(api, engine, chunk_size):
     assert list(engine.store.blobs.root.iterdir()) == []
 
 
-def test_wire_and_local_put_blob_store_the_same_blob(wire_pair):
+@pytest.mark.parametrize("seed", [0, 1])
+def test_wire_and_local_put_blob_store_the_same_blob(wire_pair, seed):
     engine, _, client = wire_pair
-    data = random.Random(1).randbytes(5 * 256 * 1024 + 17)  # 6 chunks
+    data = random.Random(seed).randbytes(5 * 256 * 1024 + 17)  # 6 chunks
     remote = client.put_blob(data)
     chunks = sorted(p.name for p in engine.store.blobs.root.iterdir())
     assert remote == engine.put_blob(data)
