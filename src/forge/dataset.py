@@ -106,7 +106,8 @@ class DatasetManager:
     # -- batch cursors ---------------------------------------------------------
 
     def open_cursor(self, view_key: str, batch_size: int, cursor_id: str = "default") -> BatchCursor:
-        """Load the persisted cursor if one exists, else create a fresh one."""
+        """Load the persisted cursor if one exists, else create a fresh one.
+        A cursor doc keeps only its position; the batch size is the caller's."""
         if batch_size < 1:
             raise InvalidArgument("batch_size must be positive")
         self.get_view(view_key)
@@ -122,9 +123,7 @@ class DatasetManager:
 
     def _persist_cursor(self, cursor: BatchCursor) -> None:
         key = f"{CURSOR_PREFIX}{cursor.view_key}/{cursor.cursor_id}"
-        self.store.put_system(json_doc(key, {"position": cursor.position,
-                                             "batch_size": cursor.batch_size}),
-                              replace=True)
+        self.store.put_system(json_doc(key, {"position": cursor.position}), replace=True)
 
     def read_batch(self, cursor: BatchCursor):
         """(documents, advanced cursor, end flag). Blob payloads are resolved;

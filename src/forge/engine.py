@@ -18,7 +18,9 @@ state in memory beside the store:
 - the task and plan calls (``submit_task``, ``submit_plan``, ``lease_task``,
   ``heartbeat``, ``write_output(s)``, ``complete_task``, ``replay_task``):
   check task leases or the workflow's in-memory tables, commit, then update
-  the tables.
+  the tables. ``submit_task`` and ``submit_plan`` check that the views and
+  models their tasks name exist; ``complete_task`` reads the keys its
+  attempt staged, to list them in the task record beside the ones it sends.
 - ``define_view``, ``open_cursor``, ``attach_stream``, ``register_model``,
   ``save_state``: check existence, then write; ``read_batch``: scan, then
   write the cursor; ``record_event``: the event sequence kept in memory.
@@ -42,7 +44,7 @@ import numpy as np
 
 from forge.clock import Clock, SystemClock
 from forge.dataset import BatchCursor, DatasetManager, StreamController
-from forge.errors import UnknownModel
+from forge.errors import ModelNotFound
 from forge.models import ModelStore
 from forge.query import TagQuery, parse
 from forge.store import (
@@ -151,7 +153,7 @@ class Forge:
                       model_key: str, output_dataset: str) -> StreamController:
         with self._lock:
             if model_key and not self.models.has_model(model_key):
-                raise UnknownModel(f"model {model_key!r} is not registered")
+                raise ModelNotFound(f"model {model_key!r} is not registered")
             return self.datasets.attach_stream(view_key, threshold, max_age_ms,
                                                model_key, output_dataset)
 
@@ -251,12 +253,11 @@ class Forge:
                                               label, tags)
 
     def complete_task(self, task_id: str, agent_id: str, outcome: str,
-                      message: str | None = None,
-                      output_keys: tuple[str, ...] = (), *,
+                      message: str | None = None, *,
                       outputs: list[Document] = ()) -> None:
         with self._lock:
             self.workflow.complete_task(task_id, agent_id, outcome, message,
-                                        output_keys, outputs=outputs)
+                                        outputs=outputs)
 
     def submit_plan(self, plan_doc: dict) -> str:
         with self._lock:

@@ -113,14 +113,6 @@ class NonFiniteLoss(ForgeError):
     code = "non_finite_loss"
 
 
-class UnknownModel(ForgeError):
-    code = "unknown_model"
-
-
-class UnknownView(ForgeError):
-    code = "unknown_view"
-
-
 class CycleDetected(ForgeError):
     code = "cycle_detected"
 

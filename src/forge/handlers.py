@@ -5,9 +5,11 @@ the payload; the training target rides in the label (an integer class for
 softmax-xent, comma-separated floats for mse). The train handler checks the
 length of every payload, then decodes its whole input slice with one
 ``np.frombuffer`` over the joined payloads; it parses the mse labels into
-lists of floats and builds one float32 array from them. A label that does
-not parse, a class or an mse width that does not fit the network's outputs,
-or a target that is not finite, fails the task naming the document.
+lists of floats and builds one float32 array from them, shaped like the
+network's output (a label holds all of an output's values, in row-major
+order). A label that does not parse, a class or an mse width that does not
+fit the network's outputs, or a target that is not finite, fails the task
+naming the document. Softmax-xent needs an output of rank 1.
 
 The train handler is deterministic given its task: it starts from the
 explicit ``init_version`` param or a fresh seed, and the input slice and
@@ -18,6 +20,7 @@ which is what keeps "exactly one version per train task" true under crashes.
 
 from __future__ import annotations
 
+import math
 import threading
 
 import numpy as np
@@ -119,8 +122,14 @@ def train_handler(ctx: TaskContext) -> None:
     events = [("seed", state.step, float(seed))]
     kill_point("handler.before_train")
     if docs and epochs > 0:
-        out_dims = nnlayers.infer_shapes(spec)[-1] if spec.layers else spec.input_dims
-        ts = parse_targets(docs, loss, out_dims[-1])
+        out_dims = tuple(nnlayers.infer_shapes(spec)[-1] if spec.layers else spec.input_dims)
+        if loss == "softmax-xent" and len(out_dims) > 1:
+            raise InvalidArgument(
+                f"softmax-xent needs an output of rank 1, the network has an output "
+                f"of shape {out_dims}")
+        ts = parse_targets(docs, loss, math.prod(out_dims))
+        if loss != "softmax-xent":
+            ts = ts.reshape(len(docs), *out_dims)
         state, events = nnet.train_epochs(state, _batches(xs, ts, batch_size),
                                           loss, lr, epochs)
     kill_point("handler.before_save")

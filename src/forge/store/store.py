@@ -19,7 +19,9 @@ re-verify candidates against the snapshot.
 Staged writes: a document put with a staging ``group`` stays invisible to
 readers until the group is committed (one op, usually inside the same batch
 that records the producing task's completion). That is the commit-marker
-mechanism making task outputs appear all-or-nothing.
+mechanism making task outputs appear all-or-nothing. ``staged_keys`` reads
+what a group would make visible under a key prefix, so the completion
+records exactly the outputs its commit shows.
 
 Read paths cost O(log n + keys visited). The store's keys, and each index
 bucket's, are one ``_SortedKeys``: a large sorted ``main`` list, a small
@@ -30,10 +32,11 @@ it outgrows a fixed fraction of ``main``, so that O(n) merge is paid once per
 many puts, not on every read (the two-level scheme of O'Neil et al., "The
 Log-Structured Merge-Tree", 1996). A scan bisects both levels at its cursor
 and walks them as one ascending sequence, a slice of ``main`` at a time with
-the ``run`` keys that fall inside it; prefix walks start the same way at the
-prefix. A one-bucket ``=`` lookup hands the bucket's own keys to the scan
-without a copy. Compaction and replay start every structure empty, so the
-first read after them sorts everything once.
+the ``run`` keys that fall inside it; prefix walks (``keys_with_prefix``,
+``staged_keys``) start the same way at the prefix. A one-bucket ``=``
+lookup hands the bucket's own keys to the scan without a copy. Compaction
+and replay start every structure empty, so the first read after them sorts
+everything once.
 """
 
 from __future__ import annotations
@@ -480,14 +483,21 @@ class Store:
         with self._lock:
             return self._state_at(key, self._next_seq - 1) is not None
 
-    def is_staged(self, key: str, group: str) -> bool:
-        """Whether the key's newest version is staged under ``group`` and the
-        group is not committed yet."""
+    def staged_keys(self, prefix: str, group: str) -> list[str]:
+        """Keys under a prefix whose newest version is staged under ``group``,
+        ascending: what committing the group would make visible there. Empty
+        once the group is committed."""
         with self._lock:
-            entry = self._entries.get(key)
-            state = entry.latest()[1] if entry is not None else None
-            return (state is not None and state.group == group
-                    and group not in self._committed_groups)
+            if group in self._committed_groups:
+                return []
+            out = []
+            for key in self._keys.walk(prefix):
+                if not key.startswith(prefix):
+                    break
+                state = self._entries[key].latest()[1]
+                if state is not None and state.group == group:
+                    out.append(key)
+            return out
 
     def keys_with_prefix(self, prefix: str) -> list[str]:
         """Visible keys under a prefix, ascending. System keys included."""

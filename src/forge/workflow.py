@@ -18,7 +18,10 @@ group, ``task_id#replays.attempts``, and its completion commits that group
 alone, so outputs a failed attempt left behind never surface. Agents buffer
 outputs and send them with the completion, so a task's outputs and its
 completion record are one log frame; a buffer that would pass
-OUTPUT_FLUSH_BYTES is staged ahead.
+OUTPUT_FLUSH_BYTES is staged ahead. The engine, not the agent, lists the
+keys the completion's commit makes visible in the task record. Every task,
+from a plan, ``submit_task`` or a stream, is built and checked by
+``build_task``.
 """
 
 from __future__ import annotations
@@ -34,11 +37,11 @@ from forge.errors import (
     CycleDetected,
     DuplicateKey,
     InvalidArgument,
+    ModelNotFound,
     PlanNotFound,
     StaleLease,
     TaskNotFound,
-    UnknownModel,
-    UnknownView,
+    ViewNotFound,
 )
 from forge.faults import KillPoint, kill_point
 from forge.query import TagScalar
@@ -204,44 +207,52 @@ class WorkflowManager:
                    "status": plan.status, "submitted_at": plan.submitted_at}
         return PutOp(json_doc(PLAN_PREFIX + plan.plan_id, payload), replace=exists)
 
-    def _validate_task_fields(self, kind, input_dataset, model_key, output_dataset, params):
-        if kind not in TASK_KINDS:
-            raise InvalidArgument(f"unknown task kind {kind!r}; choose from {TASK_KINDS}")
-        validate_tags(params)
-        if input_dataset and not self._view_exists(input_dataset):
-            raise UnknownView(f"input dataset view {input_dataset!r} does not exist")
-        if model_key and not self._model_exists(model_key):
-            raise UnknownModel(f"model {model_key!r} is not registered")
-
     # -- submission ------------------------------------------------------
 
-    def build_task(self, *, task_id: str, kind: str, input_dataset: str, model_key: str,
-                   output_dataset: str, params: dict | None = None,
-                   max_attempts: int = DEFAULT_MAX_ATTEMPTS, plan_id: str | None = None,
-                   depends_on: tuple[str, ...] = ()) -> Task:
-        _check_types("", {"task_id": task_id, "kind": kind, "input_dataset": input_dataset,
-                          "model_key": model_key, "output_dataset": output_dataset,
-                          "params": {} if params is None else params,
-                          "max_attempts": max_attempts})
-        params = dict(params or {})
-        self._validate_task_fields(kind, input_dataset, model_key, output_dataset, params)
+    def build_task(self, where: str, fields: dict, plan_id: str | None = None) -> Task:
+        """The task a plan entry or ``submit_task``'s arguments describe, with
+        every field checked; errors name the field after ``where``."""
+        if type(fields) is not dict:
+            raise InvalidArgument(f"{where.rstrip('.')} must be an object")
+        for name in ("task_id", "kind"):
+            if name not in fields:
+                raise InvalidArgument(f"{where}{name} is required")
+        _check_types(where, fields)
+        if not fields["task_id"]:
+            raise InvalidArgument(f"{where}task_id must be a non-empty str")
+        kind = fields["kind"]
+        if kind not in TASK_KINDS:
+            raise InvalidArgument(f"unknown task kind {kind!r}; choose from {TASK_KINDS}")
+        depends_on = tuple(fields.get("depends_on", ()))
+        if not all(type(dep) is str for dep in depends_on):
+            raise InvalidArgument(f"{where}depends_on must be a list of str task ids")
+        params = dict(fields.get("params", {}))
+        validate_tags(params)
+        input_dataset = fields.get("input_dataset", "")
+        if input_dataset and not self._view_exists(input_dataset):
+            raise ViewNotFound(f"input dataset view {input_dataset!r} does not exist")
+        model_key = fields.get("model", fields.get("model_key", ""))
+        if model_key and not self._model_exists(model_key):
+            raise ModelNotFound(f"model {model_key!r} is not registered")
+        max_attempts = fields.get("max_attempts", DEFAULT_MAX_ATTEMPTS)
         if max_attempts < 1:
-            raise InvalidArgument(f"max_attempts must be >= 1, got {max_attempts!r}")
-        return Task(task_id=task_id, kind=kind, input_dataset=input_dataset,
-                    model_key=model_key, output_dataset=output_dataset, params=params,
-                    max_attempts=max_attempts, plan_id=plan_id,
-                    depends_on=tuple(depends_on), unblocked=not depends_on,
+            raise InvalidArgument(f"{where}max_attempts must be >= 1, got {max_attempts!r}")
+        return Task(task_id=fields["task_id"], kind=kind, input_dataset=input_dataset,
+                    model_key=model_key, output_dataset=fields.get("output_dataset", ""),
+                    params=params, max_attempts=max_attempts, plan_id=plan_id,
+                    depends_on=depends_on, unblocked=not depends_on,
                     submitted_at=self.clock.now_ms())
 
-    def submit_task(self, **kwargs) -> str:
-        """Durable enqueue; resubmitting an existing task_id is a no-op."""
-        task_id = kwargs.get("task_id") or self._generate_id()
-        kwargs["task_id"] = task_id
-        if task_id in self.tasks:
-            return task_id
-        task = self.build_task(**kwargs)
-        self._commit([self._task_op(task, exists=False)], [task])
-        return task_id
+    def submit_task(self, **fields) -> str:
+        """Durable enqueue of the task ``fields`` describe (a None field takes
+        its default, a missing task_id a fresh one); resubmitting an existing
+        task_id is a no-op."""
+        fields = {name: value for name, value in fields.items() if value is not None}
+        fields.setdefault("task_id", self._generate_id())
+        task = self.build_task("", fields)
+        if task.task_id not in self.tasks:
+            self._commit([self._task_op(task, exists=False)], [task])
+        return task.task_id
 
     @staticmethod
     def _generate_id() -> str:
@@ -254,9 +265,9 @@ class WorkflowManager:
         """Ops for a stream-emitted task; None if the id is already queued."""
         if task_id in self.tasks:
             return None, []
-        task = self.build_task(task_id=task_id, kind=KIND_TRAIN, input_dataset=view_key,
-                               model_key=model_key, output_dataset=output_dataset,
-                               params=params)
+        task = self.build_task("", {"task_id": task_id, "kind": KIND_TRAIN,
+                                    "input_dataset": view_key, "model_key": model_key,
+                                    "output_dataset": output_dataset, "params": params})
         return task, [self._task_op(task, exists=False)]
 
     def register_task(self, task: Task) -> None:
@@ -346,29 +357,23 @@ class WorkflowManager:
         return self.write_outputs(task_id, agent_id, [doc])[0]
 
     def complete_task(self, task_id: str, agent_id: str, outcome: str,
-                      message: str | None = None,
-                      output_keys: tuple[str, ...] = (), *,
+                      message: str | None = None, *,
                       outputs: Sequence[Document] = ()) -> None:
         """Record an attempt's outcome. ``ok`` stages ``outputs`` and commits
         them, with what this attempt staged before, in the frame of the
-        completion record; ``error`` discards them. ``output_keys``, which the
-        task record keeps, must name keys in the task's namespace that this
-        attempt staged or sends in ``outputs``."""
+        completion record, which lists the keys of both as the task's
+        ``output_keys``; ``error`` discards them."""
         if outcome not in ("ok", "error"):
             raise InvalidArgument("outcome must be 'ok' or 'error'")
         task = self._current_lease(task_id, agent_id)
         if outcome == "ok":
-            for key in output_keys:
-                _check_output_key(task_id, key)
-            sent, group = {doc.key for doc in outputs}, self._stage_group(task)
-            for key in output_keys:
-                if key not in sent and not self.store.is_staged(key, group):
-                    raise InvalidArgument(
-                        f"output key {key!r} names no output of this attempt")
+            group = self._stage_group(task)
+            ops = self._stage_ops(task, outputs)
+            keys = {doc.key for doc in outputs}
+            keys.update(self.store.staged_keys(task_id + "/", group))
             done = replace(task, status=COMPLETED, lease_holder=None, lease_until=0,
-                           output_keys=tuple(output_keys), last_error=None)
-            ops = self._stage_ops(task, outputs) + [
-                self._task_op(done, exists=True), CommitGroupOp(self._stage_group(task))]
+                           output_keys=tuple(sorted(keys)), last_error=None)
+            ops += [self._task_op(done, exists=True), CommitGroupOp(group)]
         else:
             exhausted = task.attempts >= task.max_attempts
             done = replace(task, status=DEAD if exhausted else PENDING,
@@ -402,41 +407,16 @@ class WorkflowManager:
         entries = doc.get("tasks")
         if not isinstance(entries, list) or not entries:
             raise InvalidArgument("plan.tasks must be a non-empty list")
-        ids = []
-        for i, entry in enumerate(entries):
-            if not isinstance(entry, dict):
-                raise InvalidArgument(f"plan.tasks[{i}] must be an object")
-            for fieldname in ("task_id", "kind"):
-                if fieldname not in entry:
-                    raise InvalidArgument(f"plan.tasks[{i}].{fieldname} is required")
-            where = f"plan.tasks[{i}]."
-            _check_types(where, entry)
-            if not entry["task_id"]:
-                raise InvalidArgument(f"{where}task_id must be a non-empty str")
-            if not all(type(dep) is str for dep in entry.get("depends_on", ())):
-                raise InvalidArgument(f"{where}depends_on must be a list of str task ids")
-            ids.append(entry["task_id"])
-        if len(set(ids)) != len(ids):
+        tasks = [self.build_task(f"plan.tasks[{i}].", entry, plan_id)
+                 for i, entry in enumerate(entries)]
+        known = {task.task_id for task in tasks}
+        if len(known) != len(tasks):
             raise InvalidArgument("plan task ids must be unique")
-        known = set(ids)
-        tasks = []
-        for i, entry in enumerate(entries):
-            deps = entry.get("depends_on", [])
-            for dep in deps:
+        for i, task in enumerate(tasks):
+            for dep in task.depends_on:
                 if dep not in known:
                     raise InvalidArgument(
                         f"plan.tasks[{i}].depends_on references unknown task {dep!r}")
-            tasks.append(self.build_task(
-                task_id=entry["task_id"],
-                kind=entry["kind"],
-                input_dataset=entry.get("input_dataset", ""),
-                model_key=entry.get("model", entry.get("model_key", "")),
-                output_dataset=entry.get("output_dataset", ""),
-                params=entry.get("params", {}),
-                max_attempts=entry.get("max_attempts", DEFAULT_MAX_ATTEMPTS),
-                plan_id=plan_id,
-                depends_on=tuple(deps),
-            ))
         self._check_acyclic(tasks)
         return plan_id, tasks
 
@@ -548,25 +528,26 @@ class WorkflowManager:
 
 
 def _wire_size_hint(doc: Document) -> int:
-    """About the bytes an output adds to a request, its key in ``output_keys``
-    included; OUTPUT_FLUSH_BYTES leaves half a frame for what this misses."""
+    """About the bytes an output adds to a request; OUTPUT_FLUSH_BYTES leaves
+    half a frame for what this misses."""
     payload = len(doc.payload) if doc.is_inline else 256
     tags = sum(len(name) + len(str(value)) + 16 for name, value in doc.tags.items())
-    return payload + 2 * len(doc.key) + len(doc.label or "") + tags + 32
+    return payload + len(doc.key) + len(doc.label or "") + tags + 32
 
 
 class TaskContext:
     """What a handler gets: the api, its task, and an output-writing helper.
 
-    Outputs are buffered in ``pending`` and sent with the completion; when
-    the buffer would pass OUTPUT_FLUSH_BYTES it is staged first as one batch.
+    Outputs are counted by ``written`` and buffered in ``pending``, which is
+    sent with the completion; when the buffer would pass OUTPUT_FLUSH_BYTES
+    it is staged first as one batch. The engine lists the task's outputs.
     """
 
     def __init__(self, api, task: Task, agent_id: str):
         self.api = api
         self.task = task
         self.agent_id = agent_id
-        self.output_keys: list[str] = []
+        self.written = 0
         self.pending: list[Document] = []
         self._pending_bytes = 0
 
@@ -575,15 +556,14 @@ class TaskContext:
 
     def write_output(self, payload, label: str | None = None,
                      tags: dict | None = None) -> str:
-        doc = output_document(self.task.task_id, len(self.output_keys), payload,
-                              label, tags)
+        doc = output_document(self.task.task_id, self.written, payload, label, tags)
         size = _wire_size_hint(doc)
         if self.pending and self._pending_bytes + size > OUTPUT_FLUSH_BYTES:
             self.api.write_outputs(self.task.task_id, self.agent_id, self.pending)
             self.pending, self._pending_bytes = [], 0
         self.pending.append(doc)
         self._pending_bytes += size
-        self.output_keys.append(doc.key)
+        self.written += 1
         return doc.key
 
     def input_docs(self):
@@ -632,8 +612,7 @@ def run_agent(api, agent_id: str, handlers: dict, kinds: list[str] | None = None
             handler(ctx)
             done.set()
             kill_point("agent.before_complete")
-            api.complete_task(task.task_id, agent_id, "ok",
-                              output_keys=tuple(ctx.output_keys), outputs=ctx.pending)
+            api.complete_task(task.task_id, agent_id, "ok", outputs=ctx.pending)
             kill_point("agent.after_complete")
         except KillPoint:
             raise

@@ -1,5 +1,6 @@
 """Views, batch cursors, and stream-controller semantics."""
 
+import json
 import random
 import sys
 import time
@@ -88,6 +89,26 @@ class TestBatchCursor:
         cursor = eng.open_cursor("v", batch_size=4, cursor_id="trainer")
         docs, cursor, _ = eng.read_batch(cursor)
         assert [d.key for d in docs] == [f"d{i:04d}" for i in range(4, 8)]
+        eng.close()
+
+    def test_cursor_doc_keeps_only_its_position(self, tmp_path):
+        """A cursor doc holds its position; one that older versions wrote
+        with a batch_size still opens, at the batch size the caller asks."""
+        path = tmp_path / "s"
+        eng = Forge(path, create=True, clock=FakeClock(), fsync=False)
+        fill(eng, 10)
+        eng.define_view("v", 'split = "train"')
+        eng.store.put_system(Document(key="__sys/cursor/v/old",
+                                      payload=b'{"position": "d0002", "batch_size": 7}'))
+        _, cursor, _ = eng.read_batch(eng.open_cursor("v", batch_size=4, cursor_id="new"))
+        assert json.loads(eng.store.get("__sys/cursor/v/new").payload) == {"position": "d0003"}
+        eng.close()
+
+        eng = Forge(path, clock=FakeClock(), fsync=False)
+        cursor = eng.open_cursor("v", batch_size=3, cursor_id="old")
+        docs, cursor, _ = eng.read_batch(cursor)
+        assert [d.key for d in docs] == ["d0003", "d0004", "d0005"]
+        assert json.loads(eng.store.get("__sys/cursor/v/old").payload) == {"position": "d0005"}
         eng.close()
 
     def test_blob_payloads_resolved_transparently(self, api):

@@ -242,3 +242,54 @@ def test_an_empty_slice_trains_nothing_and_saves_a_version(tmp_path):
         assert engine.scan('dataset = "out"')[0] == []
     finally:
         engine.close()
+
+
+def _rank2_engine(path, labels):
+    """A model whose output is its ``[2, 2]`` input (no layers), and one
+    sample per label."""
+    engine = make_engine(path)
+    engine.register_model(MODEL, {"input_dims": [2, 2], "layers": []})
+    for i, label in enumerate(labels):
+        engine.put_document(Document(key=f"s{i:03d}", payload=encode_sample(np.ones(4)),
+                                     label=label, tags={"dataset": "train"}))
+    engine.define_view("train", 'dataset = "train"')
+    return engine
+
+
+def test_an_mse_label_fills_an_output_of_rank_two(tmp_path):
+    engine = _rank2_engine(tmp_path / "store", ["1,2,3,4", "0.5,0.25,0,-1"])
+    try:
+        engine.submit_task(task_id="t", kind="train", input_dataset="train",
+                           model_key=MODEL, output_dataset="out", max_attempts=1)
+        run_agent(engine, "agent", DEFAULT_HANDLERS, max_loops=1, poll_interval=0.0)
+        task = engine.get_task("t")
+        assert task.status == COMPLETED, task.last_error
+        [version] = engine.list_versions(MODEL)
+        assert version.step == 1 and version.metrics["loss"] > 0
+    finally:
+        engine.close()
+
+
+def test_an_mse_label_narrower_than_an_output_of_rank_two_names_its_document(tmp_path):
+    engine = _rank2_engine(tmp_path / "store", ["1,2,3,4", "0.5,0.25"])
+    try:
+        ctx = _leased_context(engine, kind="train", input_dataset="train", model_key=MODEL,
+                              output_dataset="out")
+        with pytest.raises(InvalidArgument) as info:
+            train_handler(ctx)
+        assert str(info.value) == "label of 's001' has 2 values, the network has 4 outputs"
+        assert engine.list_versions(MODEL) == []
+    finally:
+        engine.close()
+
+
+def test_softmax_xent_on_an_output_of_rank_two_is_refused(tmp_path):
+    engine = _rank2_engine(tmp_path / "store", ["1", "0", "1"])
+    try:
+        ctx = _leased_context(engine, kind="train", input_dataset="train", model_key=MODEL,
+                              output_dataset="out", params={"loss": "softmax-xent"})
+        with pytest.raises(InvalidArgument, match=r"softmax-xent .* output of shape \(2, 2\)"):
+            train_handler(ctx)
+        assert engine.list_versions(MODEL) == []
+    finally:
+        engine.close()

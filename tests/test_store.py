@@ -360,6 +360,31 @@ class TestStaging:
             s.apply_ops([CommitGroupOp("t")])
             assert s.exists("t/y")
 
+    def test_staged_keys_are_the_uncommitted_group_under_the_prefix(self, tmp_path):
+        path = tmp_path / "s"
+        with make_store(path, create=True) as s:
+            s.put(doc("t/000007"))  # a user document inside the namespace
+            s.apply_ops([PutOp(doc("t/000002"), group="t#0.1"),
+                         PutOp(doc("t/000000"), group="t#0.1"),
+                         PutOp(doc("t/000001"), group="t#0.2"),  # another attempt
+                         PutOp(doc("t2/000000"), group="t#0.1"),  # past the prefix
+                         PutOp(doc("t/000003"), group="t#0.0"),
+                         CommitGroupOp("t#0.0")])
+            assert s.staged_keys("t/", "t#0.1") == ["t/000000", "t/000002"]
+            assert s.staged_keys("t/", "t#0.2") == ["t/000001"]
+            assert s.staged_keys("t2/", "t#0.1") == ["t2/000000"]
+            assert s.staged_keys("t/", "t#0.0") == []  # committed
+            assert s.staged_keys("u/", "t#0.1") == []
+            s.compact()
+            assert s.staged_keys("t/", "t#0.1") == ["t/000000", "t/000002"]
+            assert s.staged_keys("t/", "t#0.0") == []
+        with make_store(path) as s:
+            assert s.staged_keys("t/", "t#0.1") == ["t/000000", "t/000002"]
+            assert s.staged_keys("t/", "t#0.2") == ["t/000001"]
+            s.apply_ops([CommitGroupOp("t#0.1")])
+            assert s.staged_keys("t/", "t#0.1") == []
+            assert s.exists("t/000002") and not s.exists("t/000001")
+
 
 def append_record(path, body: bytes) -> None:
     """Append one framed record body to the store's newest log segment."""

@@ -2,6 +2,7 @@
 no other test makes, argument checks on both sides, protocol errors, and
 garbage frames thrown at a live server."""
 
+import errno
 import inspect
 import json
 import random
@@ -584,12 +585,23 @@ class CutUpload:
         return upload_ids
 
 
+# what sending meets once the server has closed the connection with bytes
+# of ours unread: the reset fails a sendall with EPIPE or ECONNRESET, and a
+# shutdown after it with ENOTCONN (a plain OSError)
+_SERVER_CLOSED = (errno.EPIPE, errno.ECONNRESET, errno.ENOTCONN)
+
+
 def _exchange(address, data: bytes) -> bytes:
     """Send raw bytes, close the sending side and read until the server
-    closes: by then it has finished with this connection."""
+    closes: by then it has finished with this connection. The server may
+    close before it has read everything; what it sent is still read."""
     with socket.create_connection(address, timeout=10) as sock:
-        sock.sendall(data)
-        sock.shutdown(socket.SHUT_WR)
+        try:
+            sock.sendall(data)
+            sock.shutdown(socket.SHUT_WR)
+        except OSError as exc:
+            if exc.errno not in _SERVER_CLOSED:
+                raise
         received = bytearray()
         try:
             while chunk := sock.recv(65536):

@@ -11,7 +11,16 @@ from conftest import AgentHarness, make_engine
 from forge import faults
 from forge.clock import FakeClock
 from forge.engine import Forge
-from forge.errors import DuplicateKey, InvalidArgument, NotFound, StaleLease
+from forge.dataset import MIN_MAX_AGE_MS
+from forge.errors import (
+    CycleDetected,
+    DuplicateKey,
+    InvalidArgument,
+    ModelNotFound,
+    NotFound,
+    StaleLease,
+    ViewNotFound,
+)
 from forge.handlers import DEFAULT_HANDLERS, encode_sample, register_user_fn
 from forge.store import Document
 from forge.store.types import DEFAULT_INLINE_THRESHOLD, MAX_PAYLOAD
@@ -304,11 +313,49 @@ class TestOutputs:
         rest = [output_document("t", 1, b"one", "L", {"dataset": "out"}),
                 output_document("t", 2, ptr, None, {"dataset": "out"})]
         keys = (key0, "t/000001", "t/000002")
-        api.complete_task("t", "agent", "ok", None, keys, outputs=rest)
+        api.complete_task("t", "agent", "ok", None, outputs=rest)
         assert _visible(api, "out") == list(keys)
         assert api.get_document("t/000001").label == "L"
         assert api.get_document("t/000002").payload == ptr
         assert api.get_task("t").output_keys == keys
+
+    @pytest.mark.parametrize("ahead,sent", [
+        ([0], [1]), ([], [0, 1, 2]), ([0, 1, 2], []), ([0, 2], [1, 3]), ([3], [0]),
+    ])
+    def test_the_record_lists_what_the_completion_commits(self, api, ahead, sent):
+        api.submit_task(kind="user_fn", task_id="t")
+        api.lease_task("agent", TTL)
+        for i in ahead:
+            api.write_output("t", "agent", i, b"ahead", tags={"dataset": "out"})
+        api.complete_task("t", "agent", "ok", outputs=[
+            output_document("t", i, b"sent", None, {"dataset": "out"}) for i in sent])
+        task = api.get_task("t")
+        assert task.status == COMPLETED
+        assert list(task.output_keys) == _visible(api, "out")
+        assert task.output_keys == tuple(f"t/{i:06d}" for i in sorted(ahead + sent))
+
+    def test_a_user_document_in_the_namespace_is_not_listed(self, api):
+        api.submit_task(kind="user_fn", task_id="t")
+        api.put_document(Document(key="t/000007", payload=b"user", tags={"dataset": "out"}))
+        api.lease_task("agent", TTL)
+        api.write_output("t", "agent", 0, b"ahead", tags={"dataset": "out"})
+        api.complete_task("t", "agent", "ok",
+                          outputs=[output_document("t", 1, b"sent", None, {"dataset": "out"})])
+        assert api.get_task("t").output_keys == ("t/000000", "t/000001")
+        assert _visible(api, "out") == ["t/000000", "t/000001", "t/000007"]
+        assert api.get_document("t/000007").payload == b"user"
+
+    def test_output_keys_are_no_argument(self, api):
+        api.submit_task(kind="user_fn", task_id="t")
+        api.lease_task("agent", TTL)
+        api.write_output("t", "agent", 0, b"staged", tags={"dataset": "out"})
+        with pytest.raises(TypeError):
+            api.complete_task("t", "agent", "ok", None, ("t/000000",))
+        with pytest.raises(TypeError):
+            api.complete_task("t", "agent", "ok", output_keys=("t/000000",))
+        assert _visible(api, "out") == []
+        task = api.get_task("t")
+        assert (task.status, task.output_keys) == ("leased", ())
 
     def test_discarded_on_error_outcome(self, api):
         api.submit_task(kind="user_fn", task_id="t")
@@ -332,7 +379,7 @@ class TestOutputs:
         api.lease_task("agent", TTL)
         keys = tuple(api.write_output("t", "agent", i, b"attempt2", tags={"dataset": "out"})
                      for i in range(2))
-        api.complete_task("t", "agent", "ok", output_keys=keys)
+        api.complete_task("t", "agent", "ok")
         assert _visible(api, "out") == list(keys)
         assert all(api.get_document(k).payload == b"attempt2" for k in keys)
         assert api.get_task("t").output_keys == keys
@@ -346,9 +393,10 @@ class TestOutputs:
         api.replay_task("t")  # attempts restart at 0: attempt 1 runs again
         assert api.lease_task("agent", TTL).attempts == 1
         key = api.write_output("t", "agent", 0, b"after", tags={"dataset": "out"})
-        api.complete_task("t", "agent", "ok", output_keys=(key,))
+        api.complete_task("t", "agent", "ok")
         assert _visible(api, "out") == [key]
         assert api.get_document(key).payload == b"after"
+        assert api.get_task("t").output_keys == (key,)
 
     def test_keys_outside_the_task_namespace_are_rejected(self, api):
         api.submit_task(kind="user_fn", task_id="t")
@@ -360,24 +408,9 @@ class TestOutputs:
             with pytest.raises(InvalidArgument):
                 api.complete_task("t", "agent", "ok",
                                   outputs=[Document(key=key, payload=b"x")])
-        # the task record keeps output_keys, so they may not name a user
-        # document or another task's output either
-        for keys in (("victim",), ("t/000000", "other/000001"), ("t/000000", 7)):
-            with pytest.raises(InvalidArgument, match="outside the task's namespace"):
-                api.complete_task("t", "agent", "ok", output_keys=keys)
         with pytest.raises(DuplicateKey):
             api.write_output("t", "agent", 7, b"clash", tags={})
-        # inside the namespace, a key must still name an output of this
-        # attempt: staged under its lease or sent with the completion
-        api.write_output("t", "agent", 1, b"staged", tags={})
-        for keys in (("t/000007",), ("t/000099",), ("t/000001", "t/000002")):
-            with pytest.raises(InvalidArgument, match="no output of this attempt"):
-                api.complete_task("t", "agent", "ok", output_keys=keys,
-                                  outputs=[Document(key="t/000003", payload=b"x")])
         assert api.get_document("t/000007").payload == b"user"
-        for key in ("t/000001", "t/000003"):
-            with pytest.raises(NotFound):
-                api.get_document(key)
         task = api.get_task("t")
         assert (task.status, task.output_keys) == ("leased", ())
 
@@ -561,3 +594,49 @@ def test_submit_task_fields_are_typed(engine, field, value):
     with pytest.raises(InvalidArgument, match=f"^{field} must be "):
         engine.submit_task(**{"kind": "user_fn", "task_id": "t", field: value})
     assert engine.list_tasks() == []
+
+
+def test_a_missing_model_or_view_is_not_found(api, engine):
+    """Every way in names a missing model or view with the error its own
+    read would raise, and writes nothing."""
+    api.register_model(MODEL, SPEC)
+    api.define_view("v", "")
+    seq = engine.store.snapshot_seq()
+    for error, model, view in [(ModelNotFound, "ghost", "v"), (ViewNotFound, MODEL, "ghost")]:
+        with pytest.raises(error):
+            api.submit_task(kind="train", task_id="t", input_dataset=view, model_key=model)
+        for model_field in ("model", "model_key"):
+            with pytest.raises(error):
+                api.submit_plan({"plan_id": "p", "tasks": [
+                    {"task_id": "t", "kind": "train", "input_dataset": view,
+                     model_field: model}]})
+        with pytest.raises(error):
+            api.attach_stream(view, 1, MIN_MAX_AGE_MS, model, "out")
+    assert engine.store.snapshot_seq() == seq
+    assert api.list_tasks() == [] and engine.workflow.plans == {}
+    assert engine.datasets.list_controllers() == []
+
+
+def _entry(task_id: str, **fields) -> dict:
+    return {"task_id": task_id, "kind": "user_fn", **fields}
+
+
+@pytest.mark.parametrize("tasks,error,message", [
+    ([["t"]], InvalidArgument, r"plan\.tasks\[0\] must be an object"),
+    ([{"kind": "user_fn"}], InvalidArgument, r"plan\.tasks\[0\]\.task_id is required"),
+    ([{"task_id": "t"}], InvalidArgument, r"plan\.tasks\[0\]\.kind is required"),
+    ([_entry("t", kind="sweep")], InvalidArgument, "unknown task kind 'sweep'"),
+    ([_entry("t", max_attempts=0)], InvalidArgument,
+     r"plan\.tasks\[0\]\.max_attempts must be >= 1"),
+    ([_entry("t"), _entry("t")], InvalidArgument, "plan task ids must be unique"),
+    ([_entry("t"), _entry("u", depends_on=["x"])], InvalidArgument,
+     r"plan\.tasks\[1\]\.depends_on references unknown task 'x'"),
+    ([_entry("a", depends_on=["b"]), _entry("b", depends_on=["a"])], CycleDetected, "cycle"),
+], ids=["not-an-object", "no-task-id", "no-kind", "unknown-kind", "no-attempts",
+        "duplicate-id", "unknown-dependency", "cycle"])
+def test_a_malformed_plan_is_refused_whole(api, engine, tasks, error, message):
+    seq = engine.store.snapshot_seq()
+    with pytest.raises(error, match=message):
+        api.submit_plan({"plan_id": "p", "tasks": tasks})
+    assert engine.store.snapshot_seq() == seq
+    assert api.list_tasks() == [] and engine.workflow.plans == {}
