@@ -20,7 +20,6 @@ which is what keeps "exactly one version per train task" true under crashes.
 
 from __future__ import annotations
 
-import math
 import threading
 
 import numpy as np
@@ -57,22 +56,28 @@ def _parse_label(doc, parse, what: str):
         raise InvalidArgument(f"label {doc.label!r} of {doc.key!r} is not {what}") from None
 
 
-def parse_targets(docs: list, loss: str, outputs: int) -> np.ndarray:
-    """The training targets in the labels of ``docs`` for a network with
-    ``outputs`` outputs: int64 classes in ``[0, outputs)`` for softmax-xent,
-    otherwise one ``(len(docs), outputs)`` float32 array, where every label
-    holds ``outputs`` comma-separated floats, each finite as a float32. A
-    label that breaks this is an InvalidArgument naming its document."""
+def parse_targets(docs: list, loss: str, out_dims: tuple[int, ...]) -> np.ndarray:
+    """The training targets in the labels of ``docs`` for a network whose
+    output has shape ``out_dims``: int64 classes in ``[0, out_dims[0])`` for
+    softmax-xent, which needs an output of rank 1; otherwise one
+    ``(len(docs), *out_dims)`` float32 array, where every label holds the
+    ``prod(out_dims)`` values of an output as comma-separated floats in
+    row-major order, each finite as a float32. A label that breaks this is an
+    InvalidArgument naming its document."""
     for doc in docs:
         if doc.label is None:
             raise InvalidArgument("training documents need a label")
     if loss == "softmax-xent":
+        if len(out_dims) > 1:
+            raise InvalidArgument(f"softmax-xent needs an output of rank 1, the network "
+                                  f"has an output of shape {out_dims}")
         labels = [_parse_label(doc, int, "an integer class") for doc in docs]
         for doc, label in zip(docs, labels):
-            if not 0 <= label < outputs:
+            if not 0 <= label < out_dims[0]:
                 raise InvalidArgument(
-                    f"label {doc.label!r} of {doc.key!r} is not a class in [0, {outputs})")
+                    f"label {doc.label!r} of {doc.key!r} is not a class in [0, {out_dims[0]})")
         return np.array(labels, dtype=np.int64)
+    outputs = int(np.prod(out_dims))
     rows = [_parse_label(doc, _floats, "comma-separated floats") for doc in docs]
     for doc, row in zip(docs, rows):
         if len(row) != outputs:
@@ -84,7 +89,7 @@ def parse_targets(docs: list, loss: str, outputs: int) -> np.ndarray:
     if not finite.all():
         doc = docs[int(np.argmin(finite))]
         raise InvalidArgument(f"label {doc.label!r} of {doc.key!r} is not finite as float32")
-    return targets
+    return targets.reshape(len(rows), *out_dims)
 
 
 def _batches(xs: np.ndarray, ts: np.ndarray, batch_size: int):
@@ -123,13 +128,7 @@ def train_handler(ctx: TaskContext) -> None:
     kill_point("handler.before_train")
     if docs and epochs > 0:
         out_dims = tuple(nnlayers.infer_shapes(spec)[-1] if spec.layers else spec.input_dims)
-        if loss == "softmax-xent" and len(out_dims) > 1:
-            raise InvalidArgument(
-                f"softmax-xent needs an output of rank 1, the network has an output "
-                f"of shape {out_dims}")
-        ts = parse_targets(docs, loss, math.prod(out_dims))
-        if loss != "softmax-xent":
-            ts = ts.reshape(len(docs), *out_dims)
+        ts = parse_targets(docs, loss, out_dims)
         state, events = nnet.train_epochs(state, _batches(xs, ts, batch_size),
                                           loss, lr, epochs)
     kill_point("handler.before_save")

@@ -226,6 +226,10 @@ class WorkflowManager:
         depends_on = tuple(fields.get("depends_on", ()))
         if not all(type(dep) is str for dep in depends_on):
             raise InvalidArgument(f"{where}depends_on must be a list of str task ids")
+        if depends_on and plan_id is None:
+            # master_step unblocks plan tasks only; such a task would never run
+            raise InvalidArgument(f"{where}depends_on needs a plan: a task outside one "
+                                  f"is never unblocked")
         params = dict(fields.get("params", {}))
         validate_tags(params)
         input_dataset = fields.get("input_dataset", "")

@@ -54,16 +54,25 @@ def _labelled(*labels):
 
 
 def test_labels_parse_into_one_target_array():
-    targets = parse_targets(_labelled("0.5,-1.25,3", "1e-3,7,-0"), "mse", 3)
+    targets = parse_targets(_labelled("0.5,-1.25,3", "1e-3,7,-0"), "mse", (3,))
     assert targets.dtype == np.float32 and targets.shape == (2, 3)
     want = np.stack([np.array([float(part) for part in label.split(",")], dtype=np.float32)
                      for label in ("0.5,-1.25,3", "1e-3,7,-0")])
     assert targets.tobytes() == want.tobytes()
-    classes = parse_targets(_labelled("3", "0"), "softmax-xent", 4)
+    classes = parse_targets(_labelled("3", "0"), "softmax-xent", (4,))
     assert classes.dtype == np.int64 and classes.tolist() == [3, 0]
     for loss in ("mse", "softmax-xent"):
         with pytest.raises(InvalidArgument, match="need a label"):
-            parse_targets(_labelled("1", None), loss, 2)
+            parse_targets(_labelled("1", None), loss, (2,))
+
+
+def test_mse_targets_take_the_output_shape():
+    targets = parse_targets(_labelled("1,2,3,4", "0,0.5,0,-1"), "mse", (2, 2))
+    assert targets.shape == (2, 2, 2) and targets[1].tolist() == [[0, 0.5], [0, -1]]
+    with pytest.raises(InvalidArgument, match=r"^label of 'k0' has 2 values, .* 4 outputs"):
+        parse_targets(_labelled("1,2"), "mse", (2, 2))
+    with pytest.raises(InvalidArgument, match=r"^softmax-xent needs an output of rank 1"):
+        parse_targets(_labelled("1"), "softmax-xent", (2, 2))
 
 
 @pytest.mark.parametrize("labels,loss,message", [
@@ -84,7 +93,7 @@ def test_labels_parse_into_one_target_array():
         "class-past-outputs", "negative-class", "int64-overflow"])
 def test_a_label_that_is_no_target_names_its_document(labels, loss, message):
     with pytest.raises(InvalidArgument, match=f"^{message}"):
-        parse_targets(_labelled(*labels), loss, 2)
+        parse_targets(_labelled(*labels), loss, (2,))
 
 
 def _engine_with_samples(path, count=6):

@@ -588,12 +588,22 @@ def test_train_events_are_recorded_once_across_a_kill(tmp_path, harness):
 
 @pytest.mark.parametrize("field,value", [
     ("task_id", 7), ("params", [1]), ("input_dataset", 3), ("model_key", ["m"]),
-    ("max_attempts", True), ("max_attempts", "3"),
+    ("max_attempts", True), ("max_attempts", "3"), ("task_id", ""),
 ])
 def test_submit_task_fields_are_typed(engine, field, value):
     with pytest.raises(InvalidArgument, match=f"^{field} must be "):
         engine.submit_task(**{"kind": "user_fn", "task_id": "t", field: value})
     assert engine.list_tasks() == []
+
+
+def test_depends_on_outside_a_plan_is_refused(engine):
+    """Only plan tasks are ever unblocked, so a dependent task outside a plan
+    would stay pending for good."""
+    with pytest.raises(InvalidArgument, match="^depends_on needs a plan"):
+        engine.workflow.submit_task(task_id="x", kind="user_fn", depends_on=["y"])
+    assert engine.list_tasks() == []
+    engine.workflow.submit_task(task_id="x", kind="user_fn", depends_on=[])
+    assert engine.get_task("x").unblocked
 
 
 def test_a_missing_model_or_view_is_not_found(api, engine):
