@@ -123,7 +123,7 @@ class DatasetManager:
 
     def _persist_cursor(self, cursor: BatchCursor) -> None:
         key = f"{CURSOR_PREFIX}{cursor.view_key}/{cursor.cursor_id}"
-        self.store.put_system(json_doc(key, {"position": cursor.position}), replace=True)
+        self.store.put_system(json_doc(key, {"position": cursor.position}))
 
     def read_batch(self, cursor: BatchCursor):
         """(documents, advanced cursor, end flag). Blob payloads are resolved;
@@ -222,4 +222,4 @@ class DatasetManager:
     def advance_op(self, ctl: StreamController, trigger: Trigger) -> PutOp:
         """Controller replacement op advancing the watermark past a trigger."""
         advanced = replace(ctl, watermark=trigger.upto_key)
-        return PutOp(self.controller_doc(advanced), replace=True)
+        return PutOp(self.controller_doc(advanced))

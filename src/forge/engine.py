@@ -19,11 +19,15 @@ state in memory beside the store:
   ``heartbeat``, ``write_output(s)``, ``complete_task``, ``replay_task``):
   check task leases or the workflow's in-memory tables, commit, then update
   the tables. ``submit_task`` and ``submit_plan`` check that the views and
-  models their tasks name exist; ``complete_task`` reads the keys its
-  attempt staged, to list them in the task record beside the ones it sends.
+  models their tasks name exist, and ``submit_plan`` that neither its id nor
+  its task ids are taken; ``complete_task`` reads the keys its attempt
+  staged, to list them in the task record beside the ones it sends.
 - ``define_view``, ``open_cursor``, ``attach_stream``, ``register_model``,
   ``save_state``: check existence, then write; ``read_batch``: scan, then
   write the cursor; ``record_event``: the event sequence kept in memory.
+  The store replaces a reserved key's current version on every put, so
+  these existence checks, and ``submit_plan``'s, are the only ones: the
+  engine lock keeps two calls from both passing them.
 - ``put_blob`` and ``compact``: chunk files are written outside
   ``Store._lock``, so only the engine lock keeps a blob write, in-process
   or over the wire, from interleaving with compaction's garbage collection.

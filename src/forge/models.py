@@ -245,6 +245,10 @@ class ModelStore:
     def query_events(self, model_key: str, name: str | None = None,
                      step_range: tuple[int, int] | None = None) -> list[ModelEvent]:
         """Events ordered by (step, at, insertion); step_range is [lo, hi)."""
+        if step_range is not None and not (
+                type(step_range) is tuple and len(step_range) == 2
+                and all(type(bound) is int for bound in step_range)):
+            raise InvalidArgument(f"step_range must be a tuple of two ints, got {step_range!r}")
         if not self.has_model(model_key):
             raise ModelNotFound(f"model {model_key!r} not registered")
         prefix = f"{EVENT_PREFIX}{model_key}/"

@@ -23,16 +23,18 @@ Every mutation is one framed record (see log.py for framing). A record body
 is ``u8 op`` followed by op-specific fields:
 
     PUT, REPLACE   u8 op | u64 seq | u64 arrived_ms | u8 has_group
-                   | [u16 group_len | group] | document
+                   | [u16 group_len | group] | document   (REPLACE read only)
     DELETE         u8 3 | u64 seq | u16 key_len | key   (read only)
     COMMIT_GROUP   u8 4 | u64 seq | u16 group_len | group
     SNAPSHOT       u8 6 | u64 next_seq
     BATCH          u8 5 | u16 count | (u32 body_len | body) * count
 
-Nothing writes DELETE any more; it is decoded from logs that hold one, and
-the store replays it as a tombstone. A decoder ignores bytes after a body it
-has read (a batch's sub-bodies included); every truncated or malformed input
-raises ``CorruptStore``.
+Nothing writes REPLACE or DELETE any more: every put is a PUT, and the store
+decides whether it may replace the key's current version. Both are decoded
+from logs that hold them; the store replays a REPLACE as a PUT and a DELETE
+as a tombstone. A decoder ignores bytes after a body it has read (a batch's
+sub-bodies included); every truncated or malformed input raises
+``CorruptStore``.
 """
 
 from __future__ import annotations

@@ -19,9 +19,11 @@ re-verify candidates against the snapshot.
 Staged writes: a document put with a staging ``group`` stays invisible to
 readers until the group is committed (one op, usually inside the same batch
 that records the producing task's completion). That is the commit-marker
-mechanism making task outputs appear all-or-nothing. ``staged_keys`` reads
-what a group would make visible under a key prefix, so the completion
-records exactly the outputs its commit shows.
+mechanism making task outputs appear all-or-nothing. Whether a put may
+replace a key's current version is the store's rule (``_validate_ops``). The
+store keeps the keys each uncommitted group staged, so ``staged_keys`` reads
+what the group's commit would make visible without a walk, and the
+completion records exactly the outputs its commit shows.
 
 Read paths cost O(log n + keys visited). The store's keys, and each index
 bucket's, are one ``_SortedKeys``: a large sorted ``main`` list, a small
@@ -32,11 +34,10 @@ it outgrows a fixed fraction of ``main``, so that O(n) merge is paid once per
 many puts, not on every read (the two-level scheme of O'Neil et al., "The
 Log-Structured Merge-Tree", 1996). A scan bisects both levels at its cursor
 and walks them as one ascending sequence, a slice of ``main`` at a time with
-the ``run`` keys that fall inside it; prefix walks (``keys_with_prefix``,
-``staged_keys``) start the same way at the prefix. A one-bucket ``=``
-lookup hands the bucket's own keys to the scan without a copy. Compaction
-and replay start every structure empty, so the first read after them sorts
-everything once.
+the ``run`` keys that fall inside it; a prefix walk (``keys_with_prefix``)
+starts the same way at the prefix. A one-bucket ``=`` lookup hands the
+bucket's own keys to the scan without a copy. Compaction and replay start
+every structure empty, so the first read after them sorts everything once.
 """
 
 from __future__ import annotations
@@ -81,7 +82,6 @@ FORMAT_VERSION = 1
 @dataclass(frozen=True)
 class PutOp:
     doc: Document
-    replace: bool = False
     group: str | None = None
 
 
@@ -252,6 +252,7 @@ class Store:
         self._entries: dict[str, _Entry] = {}
         self._indexes: dict[str, _Index] = {}
         self._committed_groups: dict[str, int] = {}  # group -> commit seq
+        self._staged: dict[str, set[str]] = {}  # uncommitted group -> keys it staged
         self._next_seq = 1
         self._keys = _SortedKeys()
         self._closed = False
@@ -347,6 +348,8 @@ class Store:
                 entry = self._entries[op.doc.key] = _Entry()
                 self._keys.add(op.doc.key)
             entry.versions.append((op.seq, _State(op.doc, op.group, op.arrived_ms)))
+            if op.group is not None and op.group not in self._committed_groups:
+                self._staged.setdefault(op.group, set()).add(op.doc.key)
             self._index_doc(op.doc)
         elif op.op == records.OP_DELETE:  # only older logs hold one
             entry = self._entries.get(op.key)
@@ -354,6 +357,7 @@ class Store:
                 entry.versions.append((op.seq, None))
         elif op.op == records.OP_COMMIT_GROUP:
             self._committed_groups[op.group] = op.seq
+            self._staged.pop(op.group, None)
         elif op.op == records.OP_SNAPSHOT:
             self._next_seq = max(self._next_seq, op.next_seq)
         if op.seq >= self._next_seq:
@@ -403,10 +407,11 @@ class Store:
         self.apply_ops([PutOp(doc)])
         return doc.key
 
-    def put_system(self, doc: Document, *, replace: bool = False) -> None:
+    def put_system(self, doc: Document) -> None:
+        """Write a reserved key, replacing its current version if it has one."""
         if not doc.key.startswith(SYSTEM_PREFIX):
             raise InvalidArgument("put_system is for reserved keys only")
-        self.apply_ops([PutOp(doc, replace=replace)])
+        self.apply_ops([PutOp(doc)])
 
     def apply_ops(self, ops: list[StoreOp]) -> None:
         """Validate and apply a list of ops as one atomic, durable record."""
@@ -422,9 +427,9 @@ class Store:
             seq = self._next_seq
             for op in ops:
                 if isinstance(op, PutOp):
-                    kind = records.OP_REPLACE if op.replace else records.OP_PUT
-                    bodies.append(records.encode_doc_op(kind, seq, now, op.group, op.doc))
-                    decoded.append(records.DecodedOp(kind, seq=seq, arrived_ms=now,
+                    bodies.append(records.encode_doc_op(records.OP_PUT, seq, now,
+                                                        op.group, op.doc))
+                    decoded.append(records.DecodedOp(records.OP_PUT, seq=seq, arrived_ms=now,
                                                      group=op.group, doc=op.doc))
                 else:
                     bodies.append(records.encode_commit_group(seq, op.group))
@@ -437,26 +442,25 @@ class Store:
                 self._apply(op)
 
     def _validate_ops(self, ops: list[StoreOp]) -> None:
-        staged_new = set()
+        """The write rule. A put to a reserved key replaces its current
+        version, and is never staged. Any other key is written once: an
+        unstaged put needs a key with no current version, a staged put one
+        whose current version no reader sees, which is how an attempt reruns
+        over what it or an earlier one staged."""
         for op in ops:
             if isinstance(op, PutOp):
                 validate_document(op.doc)
-                entry = self._entries.get(op.doc.key)
-                current = entry.latest()[1] if entry and entry.versions else None
-                exists = current is not None
-                if exists and not op.replace:
-                    # overwriting an uncommitted staged version of the same
-                    # group is the deterministic-replay path and is allowed
-                    same_stage = (current.group is not None
-                                  and current.group not in self._committed_groups
-                                  and current.group == op.group)
-                    if not (same_stage or op.doc.key in staged_new):
-                        raise DuplicateKey(f"document key {op.doc.key!r} already exists")
-                if op.group is not None:
-                    staged_new.add(op.doc.key)
-            elif isinstance(op, CommitGroupOp):
-                pass
-            else:
+                key = op.doc.key
+                if key.startswith(SYSTEM_PREFIX):
+                    if op.group is not None:
+                        raise InvalidArgument(f"reserved key {key!r} cannot be staged")
+                    continue
+                entry = self._entries.get(key)
+                current = entry.latest()[1] if entry is not None else None
+                if current is not None and (
+                        op.group is None or self._visible(current, self._next_seq - 1)):
+                    raise DuplicateKey(f"document key {key!r} already exists")
+            elif not isinstance(op, CommitGroupOp):
                 raise InvalidArgument(f"unknown store op {op!r}")
 
     # -- reads ----------------------------------------------------------------
@@ -483,21 +487,15 @@ class Store:
         with self._lock:
             return self._state_at(key, self._next_seq - 1) is not None
 
-    def staged_keys(self, prefix: str, group: str) -> list[str]:
-        """Keys under a prefix whose newest version is staged under ``group``,
-        ascending: what committing the group would make visible there. Empty
-        once the group is committed."""
+    def staged_keys(self, group: str) -> list[str]:
+        """Keys whose newest version is staged under ``group``, ascending:
+        what committing the group would make visible. Empty once the group
+        is committed."""
         with self._lock:
-            if group in self._committed_groups:
-                return []
-            out = []
-            for key in self._keys.walk(prefix):
-                if not key.startswith(prefix):
-                    break
-                state = self._entries[key].latest()[1]
-                if state is not None and state.group == group:
-                    out.append(key)
-            return out
+            keys = self._staged.get(group, ())
+            return sorted(key for key in keys
+                          if (state := self._entries[key].latest()[1]) is not None
+                          and state.group == group)
 
     def keys_with_prefix(self, prefix: str) -> list[str]:
         """Visible keys under a prefix, ascending. System keys included."""
@@ -681,6 +679,7 @@ class Store:
             # groups committed before compaction were folded in; uncommitted
             # staged docs keep their group and still need a commit op later
             self._committed_groups = {}
+            self._staged = {}
             self._keys = _SortedKeys()
             next_seq = self._next_seq
             for name in list(self._indexes):

@@ -15,10 +15,11 @@ Each row of ``OPS`` names the ``Forge`` method its opcode calls. A request
 head maps that method's parameter names to arguments; a parameter with a
 default may be left out, and a head that names an unknown parameter or
 leaves out a required one is answered with ``invalid_argument``. So is a
-head value of another type than its parameter's annotation, where that is
-``str``, ``int``, ``float`` (an int is taken), ``bool``, ``dict`` or
-``list[...]``, each optionally ``| None``; a bool is not an int. An ok
-response head is ``{"result": value}``. Heads are plain JSON, except that
+head value of another type than its parameter's annotation, a union of
+``str``, ``int``, ``float`` (an int is taken), ``bool``, ``dict``,
+``list[...]``, ``tuple[...]``, ``None``, ``TagQuery``, ``ScanCursor`` and
+``BatchCursor``, which every head parameter has; a bool is not an int. An
+ok response head is ``{"result": value}``. Heads are plain JSON, except that
 tuples, bytes, queries and the wire's dataclasses travel as objects tagged
 with a ``"$type"`` key (``to_wire``). At most one value per op rides in the
 tail instead of the head: a document, a document list (each one prefixed by
@@ -116,18 +117,22 @@ class Op:
 
 
 _TYPES = {"str": (str,), "int": (int,), "float": (float, int), "bool": (bool,),
-          "dict": (dict,), "list": (list,)}
+          "dict": (dict,), "list": (list,), "tuple": (tuple,), "None": (type(None),),
+          "TagQuery": (TagQuery,), "ScanCursor": (ScanCursor,),
+          "BatchCursor": (BatchCursor,)}
 
 
 def _head_types(annotation) -> tuple[type, ...] | None:
     """The exact types a head value may take for a parameter so annotated
     (as text, under ``from __future__ import annotations``); None when the
     wire does not check it."""
-    base = str(annotation).removesuffix(" | None")
-    types = _TYPES.get("list" if base.startswith("list[") else base)
-    if types is None or base == annotation:
-        return types
-    return (*types, type(None))
+    types: tuple[type, ...] = ()
+    for part in str(annotation).split(" | "):
+        accepted = _TYPES.get(part.partition("[")[0])
+        if accepted is None:
+            return None
+        types += accepted
+    return types
 
 
 def type_error(name: str, head: dict, types: dict[str, tuple[type, ...]]) -> str | None:

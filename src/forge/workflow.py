@@ -19,9 +19,12 @@ alone, so outputs a failed attempt left behind never surface. Agents buffer
 outputs and send them with the completion, so a task's outputs and its
 completion record are one log frame; a buffer that would pass
 OUTPUT_FLUSH_BYTES is staged ahead. The engine, not the agent, lists the
-keys the completion's commit makes visible in the task record. Every task,
-from a plan, ``submit_task`` or a stream, is built and checked by
-``build_task``.
+keys the completion's commit makes visible in the task record. Whether a
+write may replace a key is the store's rule: task and plan records are
+reserved keys, replaced on every write, and an output may be staged again
+until a commit makes it visible. Every task, from a plan, ``submit_task`` or
+a stream, is built and checked by ``build_task``; a task id may not start
+with the reserved prefix, under which its outputs would land.
 """
 
 from __future__ import annotations
@@ -47,7 +50,7 @@ from forge.faults import KillPoint, kill_point
 from forge.query import TagScalar
 from forge.store import Document, PutOp, Store
 from forge.store.store import CommitGroupOp
-from forge.store.types import MAX_PAYLOAD, json_doc, validate_tags
+from forge.store.types import MAX_PAYLOAD, SYSTEM_PREFIX, json_doc, validate_tags
 
 TASK_PREFIX = "__sys/task/"
 PLAN_PREFIX = "__sys/plan/"
@@ -199,13 +202,13 @@ class WorkflowManager:
         for task in tasks:
             self._track(task)
 
-    def _task_op(self, task: Task, *, exists: bool) -> PutOp:
-        return PutOp(json_doc(TASK_PREFIX + task.task_id, task.to_dict()), replace=exists)
+    def _task_op(self, task: Task) -> PutOp:
+        return PutOp(json_doc(TASK_PREFIX + task.task_id, task.to_dict()))
 
-    def _plan_op(self, plan: Plan, *, exists: bool) -> PutOp:
+    def _plan_op(self, plan: Plan) -> PutOp:
         payload = {"plan_id": plan.plan_id, "task_ids": list(plan.task_ids),
                    "status": plan.status, "submitted_at": plan.submitted_at}
-        return PutOp(json_doc(PLAN_PREFIX + plan.plan_id, payload), replace=exists)
+        return PutOp(json_doc(PLAN_PREFIX + plan.plan_id, payload))
 
     # -- submission ------------------------------------------------------
 
@@ -220,6 +223,9 @@ class WorkflowManager:
         _check_types(where, fields)
         if not fields["task_id"]:
             raise InvalidArgument(f"{where}task_id must be a non-empty str")
+        if fields["task_id"].startswith(SYSTEM_PREFIX):
+            # its outputs, {task_id}/NNNNNN, would land among the system docs
+            raise InvalidArgument(f"{where}task_id must not start with {SYSTEM_PREFIX!r}")
         kind = fields["kind"]
         if kind not in TASK_KINDS:
             raise InvalidArgument(f"unknown task kind {kind!r}; choose from {TASK_KINDS}")
@@ -255,7 +261,7 @@ class WorkflowManager:
         fields.setdefault("task_id", self._generate_id())
         task = self.build_task("", fields)
         if task.task_id not in self.tasks:
-            self._commit([self._task_op(task, exists=False)], [task])
+            self._commit([self._task_op(task)], [task])
         return task.task_id
 
     @staticmethod
@@ -272,19 +278,23 @@ class WorkflowManager:
         task = self.build_task("", {"task_id": task_id, "kind": KIND_TRAIN,
                                     "input_dataset": view_key, "model_key": model_key,
                                     "output_dataset": output_dataset, "params": params})
-        return task, [self._task_op(task, exists=False)]
+        return task, [self._task_op(task)]
 
     def register_task(self, task: Task) -> None:
         self._track(task)
 
     # -- leases ----------------------------------------------------------------
 
+    @staticmethod
+    def _check_ttl(lease_ttl_ms: int) -> None:
+        if lease_ttl_ms < MIN_LEASE_TTL_MS:
+            raise InvalidArgument(f"lease ttl must be >= {MIN_LEASE_TTL_MS} ms")
+
     def lease_task(self, agent_id: str, lease_ttl_ms: int,
                    kinds: list[str] | None = None) -> Task | None:
         """Atomically claim the oldest dispatchable task, or None. Only live
         (pending or leased) tasks are considered."""
-        if lease_ttl_ms < MIN_LEASE_TTL_MS:
-            raise InvalidArgument(f"lease ttl must be >= {MIN_LEASE_TTL_MS} ms")
+        self._check_ttl(lease_ttl_ms)
         now = self.clock.now_ms()
         ordered = sorted((self.tasks[tid] for tid in self._live),
                          key=lambda t: (t.submitted_at, t.task_id))
@@ -301,12 +311,12 @@ class WorkflowManager:
             if task.attempts >= task.max_attempts:
                 dead = replace(task, status=DEAD, lease_holder=None, lease_until=0,
                                last_error=task.last_error or "lease expired; attempts exhausted")
-                ops.append(self._task_op(dead, exists=True))
+                ops.append(self._task_op(dead))
                 newly_dead.append(dead)
                 continue
             chosen = replace(task, status=LEASED, attempts=task.attempts + 1,
                              lease_holder=agent_id, lease_until=now + lease_ttl_ms)
-            ops.append(self._task_op(chosen, exists=True))
+            ops.append(self._task_op(chosen))
             break
         if ops:
             self._commit(ops, newly_dead + ([chosen] if chosen is not None else []))
@@ -324,9 +334,10 @@ class WorkflowManager:
         return task
 
     def heartbeat(self, task_id: str, agent_id: str, lease_ttl_ms: int) -> None:
+        self._check_ttl(lease_ttl_ms)
         task = self._current_lease(task_id, agent_id)
         extended = replace(task, lease_until=self.clock.now_ms() + lease_ttl_ms)
-        self._commit([self._task_op(extended, exists=True)], [extended])
+        self._commit([self._task_op(extended)], [extended])
 
     # -- outputs and completion -------------------------------------------------
 
@@ -338,13 +349,9 @@ class WorkflowManager:
 
     def _stage_ops(self, task: Task, outputs: Sequence[Document]) -> list[PutOp]:
         group = self._stage_group(task)
-        ops = []
         for doc in outputs:
             _check_output_key(task.task_id, doc.key)
-            # a key no reader sees is new or was staged by an attempt that never
-            # committed, which this attempt may overwrite; a visible key is not
-            ops.append(PutOp(doc, replace=not self.store.exists(doc.key), group=group))
-        return ops
+        return [PutOp(doc, group=group) for doc in outputs]
 
     def write_outputs(self, task_id: str, agent_id: str,
                       outputs: Sequence[Document]) -> list[str]:
@@ -374,15 +381,15 @@ class WorkflowManager:
             group = self._stage_group(task)
             ops = self._stage_ops(task, outputs)
             keys = {doc.key for doc in outputs}
-            keys.update(self.store.staged_keys(task_id + "/", group))
+            keys.update(self.store.staged_keys(group))
             done = replace(task, status=COMPLETED, lease_holder=None, lease_until=0,
                            output_keys=tuple(sorted(keys)), last_error=None)
-            ops += [self._task_op(done, exists=True), CommitGroupOp(group)]
+            ops += [self._task_op(done), CommitGroupOp(group)]
         else:
             exhausted = task.attempts >= task.max_attempts
             done = replace(task, status=DEAD if exhausted else PENDING,
                            lease_holder=None, lease_until=0, last_error=message)
-            ops = [self._task_op(done, exists=True)]
+            ops = [self._task_op(done)]
         self._commit(ops, [done])
 
     # -- plans ---------------------------------------------------------------
@@ -396,8 +403,8 @@ class WorkflowManager:
                 raise DuplicateKey(f"task id {task.task_id!r} already exists in the queue")
         plan = Plan(plan_id=plan_id, task_ids=tuple(t.task_id for t in tasks),
                     submitted_at=self.clock.now_ms())
-        ops = [self._plan_op(plan, exists=False)]
-        ops.extend(self._task_op(t, exists=False) for t in tasks)
+        ops = [self._plan_op(plan)]
+        ops.extend(self._task_op(t) for t in tasks)
         self._commit(ops, tasks)
         self.plans[plan_id] = plan
         return plan_id
@@ -469,7 +476,7 @@ class WorkflowManager:
             raise InvalidArgument(f"task {task_id!r} is {task.status}, not dead")
         revived = replace(task, status=PENDING, attempts=0, lease_holder=None,
                           lease_until=0, last_error=None, replays=task.replays + 1)
-        ops = [self._task_op(revived, exists=True)]
+        ops = [self._task_op(revived)]
         plan = self.plans.get(task.plan_id) if task.plan_id else None
         revived_plan = None
         if plan is not None and plan.status == PLAN_FAILED:
@@ -477,7 +484,7 @@ class WorkflowManager:
                               if tid != task_id)
             if not others_dead:
                 revived_plan = replace(plan, status=PLAN_RUNNING)
-                ops.append(self._plan_op(revived_plan, exists=True))
+                ops.append(self._plan_op(revived_plan))
         self._commit(ops, [revived])
         if revived_plan is not None:
             self.plans[plan.plan_id] = revived_plan
@@ -505,18 +512,18 @@ class WorkflowManager:
                 if task.status == PENDING and not task.unblocked:
                     if all(statuses[d] == COMPLETED for d in task.depends_on):
                         unblocked = replace(task, unblocked=True)
-                        ops.append(self._task_op(unblocked, exists=True))
+                        ops.append(self._task_op(unblocked))
                         new_tasks.append(unblocked)
                         actions["unblocked"].append(tid)
             if plan.status == PLAN_RUNNING:
                 if any(s == DEAD for s in statuses.values()):
                     failed = replace(plan, status=PLAN_FAILED)
-                    ops.append(self._plan_op(failed, exists=True))
+                    ops.append(self._plan_op(failed))
                     new_plans[plan.plan_id] = failed
                     actions["plans_failed"].append(plan.plan_id)
                 elif all(s == COMPLETED for s in statuses.values()):
                     done = replace(plan, status=PLAN_COMPLETED)
-                    ops.append(self._plan_op(done, exists=True))
+                    ops.append(self._plan_op(done))
                     new_plans[plan.plan_id] = done
                     actions["plans_completed"].append(plan.plan_id)
 

@@ -5,6 +5,7 @@ import pytest
 
 from forge.errors import (
     DuplicateKey,
+    InvalidArgument,
     InvalidSpec,
     ModelNotFound,
     ShapeMismatch,
@@ -167,6 +168,14 @@ class TestEvents:
         got = api.query_events("mlp", step_range=(10, 20))
         expected = [s for s in recorded if 10 <= s < 20]
         assert [e.step for e in got] == expected
+
+    def test_step_range_is_two_ints(self, api):
+        api.register_model("mlp", MLP)
+        api.record_event("mlp", 1, "loss", 0.5)
+        for bad in [(1, "x"), (1,), (1, 2, 3), (1.0, 2), (True, 2)]:
+            with pytest.raises(InvalidArgument, match="step_range must be"):
+                api.query_events("mlp", step_range=bad)
+        assert [e.step for e in api.query_events("mlp", step_range=(0, 2))] == [1]
 
     def test_name_filter(self, api):
         api.register_model("mlp", MLP)

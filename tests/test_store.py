@@ -36,7 +36,8 @@ from forge.store import (
     Store,
 )
 from forge.store.blob import PROBE
-from forge.store.log import frame, iter_frames, list_segments
+from forge.store import records
+from forge.store.log import frame, iter_frames, list_segments, replay
 from forge.tensorio import encode_tensors
 
 from conftest import write_raw_blob
@@ -351,6 +352,31 @@ class TestStaging:
             with pytest.raises(DuplicateKey):
                 s.apply_ops([PutOp(doc("t/x"), group="t")])
 
+    def test_a_later_group_restages_but_no_put_overwrites_a_visible_key(self, tmp_path):
+        with make_store(tmp_path / "s", create=True) as s:
+            s.apply_ops([PutOp(doc("t/x", b"a1"), group="t#0.1")])
+            s.apply_ops([PutOp(doc("t/x", b"a2"), group="t#0.2")])  # no reader saw a1
+            with pytest.raises(DuplicateKey):
+                s.put(doc("t/x", b"user"))  # staged versions count for a user put
+            with pytest.raises(DuplicateKey):
+                s.apply_ops([PutOp(doc("t/x", b"user"))])
+            s.apply_ops([CommitGroupOp("t#0.2")])
+            with pytest.raises(DuplicateKey):
+                s.apply_ops([PutOp(doc("t/x", b"a3"), group="t#0.3")])
+            assert s.get("t/x").payload == b"a2"
+
+    def test_a_reserved_key_cannot_be_staged(self, tmp_path):
+        with make_store(tmp_path / "s", create=True) as s:
+            s.put_system(doc("__sys/x", b"1"))
+            seq = s.snapshot_seq()
+            for key in ("__sys/x", "__sys/y"):
+                with pytest.raises(InvalidArgument, match="cannot be staged"):
+                    s.apply_ops([PutOp(doc("t/000000"), group="t#0.1"),
+                                 PutOp(doc(key, b"2"), group="t#0.1")])
+            assert s.snapshot_seq() == seq
+            assert s.get("__sys/x").payload == b"1" and not s.exists("__sys/y")
+            assert s.staged_keys("t#0.1") == []
+
     def test_staging_survives_restart(self, tmp_path):
         path = tmp_path / "s"
         with make_store(path, create=True) as s:
@@ -360,29 +386,33 @@ class TestStaging:
             s.apply_ops([CommitGroupOp("t")])
             assert s.exists("t/y")
 
-    def test_staged_keys_are_the_uncommitted_group_under_the_prefix(self, tmp_path):
+    def test_staged_keys_are_the_uncommitted_group(self, tmp_path):
         path = tmp_path / "s"
+
+        def check(s):
+            assert s.staged_keys("t#0.1") == ["t/000000", "t/000002", "u/000000"]
+            assert s.staged_keys("t#0.2") == ["t/000001"]
+            assert s.staged_keys("t#0.0") == []  # committed
+            assert s.staged_keys("t#0.3") == []  # never staged anything
+
         with make_store(path, create=True) as s:
             s.put(doc("t/000007"))  # a user document inside the namespace
             s.apply_ops([PutOp(doc("t/000002"), group="t#0.1"),
                          PutOp(doc("t/000000"), group="t#0.1"),
-                         PutOp(doc("t/000001"), group="t#0.2"),  # another attempt
-                         PutOp(doc("t2/000000"), group="t#0.1"),  # past the prefix
+                         PutOp(doc("t/000001"), group="t#0.1"),
+                         PutOp(doc("u/000000"), group="t#0.1"),  # any key counts
                          PutOp(doc("t/000003"), group="t#0.0"),
                          CommitGroupOp("t#0.0")])
-            assert s.staged_keys("t/", "t#0.1") == ["t/000000", "t/000002"]
-            assert s.staged_keys("t/", "t#0.2") == ["t/000001"]
-            assert s.staged_keys("t2/", "t#0.1") == ["t2/000000"]
-            assert s.staged_keys("t/", "t#0.0") == []  # committed
-            assert s.staged_keys("u/", "t#0.1") == []
+            # a later attempt stages a key again: it leaves the earlier group
+            s.apply_ops([PutOp(doc("t/000001", b"again"), group="t#0.2")])
+            check(s)
             s.compact()
-            assert s.staged_keys("t/", "t#0.1") == ["t/000000", "t/000002"]
-            assert s.staged_keys("t/", "t#0.0") == []
+            check(s)
         with make_store(path) as s:
-            assert s.staged_keys("t/", "t#0.1") == ["t/000000", "t/000002"]
-            assert s.staged_keys("t/", "t#0.2") == ["t/000001"]
+            check(s)
             s.apply_ops([CommitGroupOp("t#0.1")])
-            assert s.staged_keys("t/", "t#0.1") == []
+            assert s.staged_keys("t#0.1") == []
+            assert s.staged_keys("t#0.2") == ["t/000001"]
             assert s.exists("t/000002") and not s.exists("t/000001")
 
 
@@ -394,13 +424,26 @@ def append_record(path, body: bytes) -> None:
 
 class TestSystemDocs:
     def test_replace_and_delete(self, tmp_path):
-        """A system document is replaced in place. Nothing deletes one any
-        more, but a DELETE record in an older log hides it on replay."""
+        """A system document is replaced in place, by a PUT record. Nothing
+        writes REPLACE or DELETE any more, but the REPLACE records older
+        stores wrote, for a system doc or a staged output, still replay as
+        new versions, and a DELETE record hides a document on replay."""
         path = tmp_path / "s"
         with make_store(path, create=True) as s:
             s.put_system(doc("__sys/x", b"1"))
-            s.put_system(doc("__sys/x", b"2"), replace=True)
+            s.put_system(doc("__sys/x", b"2"))
             assert s.get("__sys/x").payload == b"2"
+            seq = s.snapshot_seq() + 1
+        written = [op.op for body in replay(path) for op in records.decode_body(body)]
+        assert written == [records.OP_PUT, records.OP_PUT]
+        append_record(path, records.encode_batch([
+            records.encode_doc_op(records.OP_REPLACE, seq, 0, None, doc("__sys/x", b"3")),
+            records.encode_doc_op(records.OP_REPLACE, seq + 1, 0, "t#0.1", doc("t/000000"))]))
+        with make_store(path) as s:
+            assert s.get("__sys/x").payload == b"3"
+            assert s.staged_keys("t#0.1") == ["t/000000"]
+            s.apply_ops([CommitGroupOp("t#0.1")])
+            assert s.exists("t/000000")
             seq = s.snapshot_seq() + 1
         append_record(path, delete_body(seq, "__sys/x"))
         with make_store(path) as s:
@@ -611,7 +654,7 @@ class TestCompaction:
             for i in range(20):
                 s.put(doc(f"d{i:02d}", step=i))
             for i in range(50):
-                s.put_system(doc("__sys/churn", payload=str(i).encode()), replace=(i > 0))
+                s.put_system(doc("__sys/churn", payload=str(i).encode()))
             before_segments = sum(p.stat().st_size for p in list_segments(path))
             s.compact()
             after_segments = sum(p.stat().st_size for p in list_segments(path))

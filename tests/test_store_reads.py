@@ -209,11 +209,11 @@ def test_paged_scans_match_the_oracle_under_interleaved_writes(tmp_path_factory,
                 if rng.random() < 0.5:
                     tags = _tags(rng)
                 s.apply_ops([PutOp(Document(key=key, payload=b"", tags=tags),
-                                   replace=True, group=f"g{step}")])
+                                   group=f"g{step}")])
                 model.staged[f"g{step}"] = {key: tags}
             elif action < 0.6:
                 key = f"__sys/p/{rng.randrange(6)}"
-                s.put_system(Document(key=key, payload=b"v"), replace=True)
+                s.put_system(Document(key=key, payload=b"v"))
                 model.system.add(key)
             elif action < 0.68:
                 s.compact()

@@ -341,6 +341,11 @@ def test_put_blob_rejects_an_unknown_codec(api, engine, codec_id):
     ("record_event", ("m", 1, "loss", "0.5"), {}),
     ("register_model", ("m", [MLP]), {}),
     ("list_tasks", (3,), {}),
+    ("scan", (5,), {}),
+    ("scan", ("",), {"cursor": {}}),  # a ScanCursor travels tagged
+    ("define_view", ("v", 5), {}),
+    ("read_batch", ({},), {}),
+    ("query_events", ("m",), {"step_range": [1, "x"]}),  # a tuple travels tagged
 ])
 def test_head_arguments_are_typed(wire_pair, name, args, kwargs):
     engine, _, client = wire_pair
@@ -351,6 +356,14 @@ def test_head_arguments_are_typed(wire_pair, name, args, kwargs):
     assert client._sock is sock  # answered, and the connection is still open
     assert engine.scan("")[0] == [] and engine.list_views() == []
     assert engine.list_tasks() == [] and engine.list_models() == []
+
+
+def test_every_head_parameter_is_typed():
+    """Each parameter an op takes in its head has the types the server
+    checks; only the one that rides in the tail has none."""
+    untyped = [(op.name, name) for op in P.OPS for name in sorted(op.names)
+               if name != op.tail_param and name not in op.types]
+    assert untyped == []
 
 
 def test_typed_arguments_take_none_and_int_for_float(wire_pair):

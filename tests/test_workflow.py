@@ -23,10 +23,12 @@ from forge.errors import (
 )
 from forge.handlers import DEFAULT_HANDLERS, encode_sample, register_user_fn
 from forge.store import Document
+from forge.store.store import _SortedKeys
 from forge.store.types import DEFAULT_INLINE_THRESHOLD, MAX_PAYLOAD
 from forge.workflow import (
     COMPLETED,
     DEAD,
+    MIN_LEASE_TTL_MS,
     PENDING,
     output_document,
     run_agent,
@@ -94,6 +96,18 @@ class TestLeases:
         assert task.last_error == "lease expired; attempts exhausted"
         with pytest.raises(StaleLease):
             api.complete_task("t", "agent2", "ok")
+
+    def test_a_ttl_below_the_minimum_is_refused(self, api, engine):
+        api.submit_task(kind="user_fn", task_id="t")
+        leased = api.lease_task("agent", TTL)
+        seq = engine.store.snapshot_seq()
+        for ttl in (-5, 0, MIN_LEASE_TTL_MS - 1):
+            with pytest.raises(InvalidArgument, match="lease ttl must be >= "):
+                api.heartbeat("t", "agent", ttl)
+            with pytest.raises(InvalidArgument, match="lease ttl must be >= "):
+                api.lease_task("other", ttl)
+        assert engine.store.snapshot_seq() == seq
+        assert api.get_task("t") == leased
 
     def test_kinds_filter_skips_other_kinds(self, api):
         api.submit_task(kind="user_fn", task_id="u")
@@ -196,8 +210,7 @@ def test_store_with_old_lease_docs_steps_and_fires(engine, clock):
     lease = {"holder": "old-master", "until": clock.now_ms() + 10**9}
     ctl = json.loads(engine.get_document("__sys/stream/v").payload)
     engine.store.put_system(Document(key="__sys/stream/v", payload=json.dumps(
-        {**ctl, "lease_holder": "old-master", "lease_until": lease["until"]}).encode()),
-        replace=True)
+        {**ctl, "lease_holder": "old-master", "lease_until": lease["until"]}).encode()))
     engine.store.put_system(Document(key="__sys/master", payload=json.dumps(lease).encode()))
     engine.submit_plan(_plan("p", children=0))
     _finish_next(engine)
@@ -454,6 +467,26 @@ def test_completion_and_its_outputs_are_one_frame(engine, monkeypatch):
     assert len(_visible(engine, "o")) == 50
 
 
+def test_a_completion_walks_no_keys(engine, monkeypatch):
+    """complete_task reads what its attempt staged ahead without a walk over
+    the store's keys, so it never sorts the keys that arrived since the last
+    read."""
+    engine.submit_task(kind="user_fn", task_id="t")
+    engine.lease_task("agent", TTL)
+    engine.write_output("t", "agent", 0, b"ahead", tags={"dataset": "out"})
+    for i in range(20):
+        engine.put_document(Document(key=f"d{i:02d}", payload=b"x", tags={"dataset": "in"}))
+    settles = []
+    original = _SortedKeys._settle
+    monkeypatch.setattr(_SortedKeys, "_settle",
+                        lambda keys: (settles.append(len(keys)), original(keys)))
+    engine.complete_task("t", "agent", "ok",
+                         outputs=[output_document("t", 1, b"sent", None, {"dataset": "out"})])
+    assert settles == []
+    assert engine.get_task("t").output_keys == ("t/000000", "t/000001")
+    assert _visible(engine, "out") == ["t/000000", "t/000001"]
+
+
 def test_outputs_beyond_the_frame_cap_complete_over_tcp(wire_pair):
     _, _, client = wire_pair
     size = DEFAULT_INLINE_THRESHOLD
@@ -627,6 +660,17 @@ def test_a_missing_model_or_view_is_not_found(api, engine):
     assert engine.datasets.list_controllers() == []
 
 
+@pytest.mark.parametrize("task_id", ["__sys/stream/x", "__sys/task/t", "__sys/"])
+def test_a_task_id_under_the_reserved_prefix_is_refused(api, engine, task_id):
+    """Its outputs, ``{task_id}/NNNNNN``, would land among the system docs."""
+    seq = engine.store.snapshot_seq()
+    with pytest.raises(InvalidArgument, match="^task_id must not start with '__sys/'"):
+        api.submit_task(kind="user_fn", task_id=task_id)
+    assert engine.store.snapshot_seq() == seq
+    assert api.list_tasks() == []
+    assert api.master_step("m")["stream_tasks"] == []
+
+
 def _entry(task_id: str, **fields) -> dict:
     return {"task_id": task_id, "kind": "user_fn", **fields}
 
@@ -642,11 +686,32 @@ def _entry(task_id: str, **fields) -> dict:
     ([_entry("t"), _entry("u", depends_on=["x"])], InvalidArgument,
      r"plan\.tasks\[1\]\.depends_on references unknown task 'x'"),
     ([_entry("a", depends_on=["b"]), _entry("b", depends_on=["a"])], CycleDetected, "cycle"),
+    ([_entry("t"), _entry("__sys/stream/x")], InvalidArgument,
+     r"plan\.tasks\[1\]\.task_id must not start with '__sys/'"),
 ], ids=["not-an-object", "no-task-id", "no-kind", "unknown-kind", "no-attempts",
-        "duplicate-id", "unknown-dependency", "cycle"])
+        "duplicate-id", "unknown-dependency", "cycle", "reserved-id"])
 def test_a_malformed_plan_is_refused_whole(api, engine, tasks, error, message):
     seq = engine.store.snapshot_seq()
     with pytest.raises(error, match=message):
         api.submit_plan({"plan_id": "p", "tasks": tasks})
     assert engine.store.snapshot_seq() == seq
     assert api.list_tasks() == [] and engine.workflow.plans == {}
+
+
+@pytest.mark.parametrize("plan_id,tasks,message", [
+    ("p", [_entry("x")], "plan 'p' already submitted"),
+    ("q", [_entry("x"), _entry("solo")], "task id 'solo' already exists"),
+    ("q", [_entry("p-c0")], "task id 'p-c0' already exists"),
+], ids=["plan-id", "queued-task", "task-of-another-plan"])
+def test_a_plan_reusing_a_taken_id_is_refused(api, engine, plan_id, tasks, message):
+    """The workflow's own check, not the store, refuses it: task and plan
+    records are system docs, which the store lets every write replace."""
+    api.submit_plan(_plan("p", children=1))
+    api.submit_task(kind="user_fn", task_id="solo")
+    before = api.list_tasks()
+    seq = engine.store.snapshot_seq()
+    with pytest.raises(DuplicateKey, match=message):
+        api.submit_plan({"plan_id": plan_id, "tasks": tasks})
+    assert engine.store.snapshot_seq() == seq
+    assert api.list_tasks() == before and list(engine.workflow.plans) == ["p"]
+    assert api.plan_status("p")["tasks"] == {"p-root": PENDING, "p-c0": PENDING}
