@@ -128,6 +128,8 @@ class DatasetManager:
     def read_batch(self, cursor: BatchCursor):
         """(documents, advanced cursor, end flag). Blob payloads are resolved;
         the new position is persisted before returning."""
+        if cursor.batch_size < 1:
+            raise InvalidArgument("BatchCursor.batch_size must be positive")
         view = self.get_view(cursor.view_key)
         keys, more = self.store.scan(
             view.query,

@@ -151,9 +151,8 @@ def train_handler(ctx: TaskContext) -> None:
             eval_state = nnet.NetworkState(spec=truncated, params=state.params,
                                            seed=state.seed, step=state.step)
         outputs, _ = nnet.forward(eval_state, xs, nnet.EVAL)
-        for doc, vec in zip(docs, outputs):
-            ctx.write_output(encode_sample(vec), label=doc.label,
-                             tags={"dataset": task.output_dataset})
+        ctx.write_outputs([encode_sample(vec) for vec in outputs], [doc.label for doc in docs],
+                          tags={"dataset": task.output_dataset})
         kill_point("handler.after_outputs")
 
 

@@ -77,7 +77,7 @@ def check_tag_value(value: TagScalar) -> None:
         raise InvalidArgument(f"int tag value out of 64-bit range: {value}")
     if code == V_FLOAT and not math.isfinite(value):
         raise InvalidArgument("float tag values must be finite")
-    if code == V_STRING:
+    if code == V_STRING and not value.isascii():
         try:
             value.encode("utf-8")
         except UnicodeEncodeError:

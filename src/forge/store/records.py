@@ -29,6 +29,13 @@ is ``u8 op`` followed by op-specific fields:
     SNAPSHOT       u8 6 | u64 next_seq
     BATCH          u8 5 | u16 count | (u32 body_len | body) * count
 
+A tag section (``u16 tag_count | tag * tag_count``) depends on the tag map
+alone, so the batch encoders take it encoded already: ``BodyWriter`` builds a
+store frame of many PUTs with one join, and the wire's ``docs`` tails encode
+and decode each distinct section once per call (``tag_section``, and the
+``sections`` memo of ``decode_document_at``). The bytes are the same as
+encoding every document on its own.
+
 Nothing writes REPLACE or DELETE any more: every put is a PUT, and the store
 decides whether it may replace the key's current version. Both are decoded
 from logs that hold them; the store replays a REPLACE as a PUT and a DELETE
@@ -39,6 +46,7 @@ sub-bodies included); every truncated or malformed input raises
 
 from __future__ import annotations
 
+import marshal
 import struct
 
 from forge.errors import CorruptStore, InvalidArgument
@@ -75,6 +83,7 @@ _doc_op_at = _DOC_OP.unpack_from
 _seq_op_at = _SEQ_OP.unpack_from
 _seq_str_op_at = _SEQ_STR_OP.unpack_from
 
+_NO_LABEL = b"\x00"
 _TAG_TRUE = bytes([V_BOOL, 1])
 _TAG_FALSE = bytes([V_BOOL, 0])
 
@@ -84,24 +93,25 @@ _MALFORMED = (IndexError, struct.error, ValueError, ZeroDivisionError, InvalidAr
 
 # --- encoding ---------------------------------------------------------------
 
-def _document_parts(doc: Document, parts: list) -> None:
-    """Append the encoding of ``doc`` to ``parts`` for one ``b"".join``."""
-    key = doc.key.encode()
-    payload = doc.payload
-    if isinstance(payload, bytes):
-        parts += (_U16.pack(len(key)), key, _KIND32.pack(0, len(payload)), payload)
-    else:
-        blob_id = payload.blob_id.encode()
-        parts += (_U16.pack(len(key)), key, _KIND16.pack(1, len(blob_id)), blob_id,
-                  _POINTER.pack(payload.total_size, payload.chunk_count,
-                                payload.chunk_size, payload.codec_id),
-                  payload.checksum)
-    tags = doc.tags
-    if doc.label is None:
-        parts.append(_KIND16.pack(0, len(tags)))
-    else:
-        label = doc.label.encode()
-        parts += (_KIND32.pack(1, len(label)), label, _U16.pack(len(tags)))
+def tags_key(tags: dict) -> bytes | object:
+    """A key for a tag map that two maps share only when they encode alike.
+
+    It is the map's ``marshal`` form (version 2, which writes no back
+    references), and that holds each value's type and a float's bits:
+    ``True``, ``1`` and ``1.0`` are equal in Python, as are ``-0.0`` and
+    ``0.0``, and a NaN equals nothing. Maps that differ only in insertion
+    order get different keys, which costs a memo a miss, never a wrong
+    encoding. A map marshal refuses (a value of a subclass or of no tag
+    type) gets a key of its own."""
+    try:
+        return marshal.dumps(tags, 2)
+    except ValueError:
+        return object()
+
+
+def encode_tags(tags: dict) -> bytes:
+    """A document's tag section: ``u16 tag_count | tag * tag_count``."""
+    parts = [_U16.pack(len(tags))]
     for name in sorted(tags):
         value = tags[name]
         raw = name.encode()
@@ -116,21 +126,62 @@ def _document_parts(doc: Document, parts: list) -> None:
             variant_of(value)  # raises InvalidArgument for an unsupported type
             raw = value.encode()
             parts += (_KIND32.pack(V_STRING, len(raw)), raw)
+    return b"".join(parts)
+
+
+def tag_section(tags: dict, memo: dict) -> bytes:
+    """``encode_tags(tags)``, encoded once per distinct map that ``memo``
+    (``tags_key`` to section, kept by the caller for one call) has seen."""
+    raw = memo.get(key := tags_key(tags))
+    if raw is None:
+        raw = memo[key] = encode_tags(tags)
+    return raw
+
+
+def document_parts(doc: Document, tags: bytes, parts: list) -> int:
+    """Append the encoding of ``doc``, whose tag section is ``tags``, to
+    ``parts`` for one ``b"".join``; return its length in bytes."""
+    key = doc.key.encode()
+    payload = doc.payload
+    if isinstance(payload, bytes):
+        parts += (_U16.pack(len(key)), key, _KIND32.pack(0, len(payload)), payload)
+        size = 7 + len(key) + len(payload)
+    else:
+        blob_id = payload.blob_id.encode()
+        parts += (_U16.pack(len(key)), key, _KIND16.pack(1, len(blob_id)), blob_id,
+                  _POINTER.pack(payload.total_size, payload.chunk_count,
+                                payload.chunk_size, payload.codec_id),
+                  payload.checksum)
+        size = 5 + len(key) + len(blob_id) + _POINTER.size + len(payload.checksum)
+    if doc.label is None:
+        parts += (_NO_LABEL, tags)
+        return size + 1 + len(tags)
+    label = doc.label.encode()
+    parts += (_KIND32.pack(1, len(label)), label, tags)
+    return size + 5 + len(label) + len(tags)
 
 
 def encode_document(doc: Document) -> bytes:
     parts: list[bytes] = []
-    _document_parts(doc, parts)
+    document_parts(doc, encode_tags(doc.tags), parts)
     return b"".join(parts)
 
 
-def encode_doc_op(op: int, seq: int, arrived_ms: int, group: str | None, doc: Document) -> bytes:
+_NO_GROUP = (0, b"")
+
+
+def _group_field(group: str | None) -> tuple[int, bytes]:
+    """A doc op's has_group flag and its ``u16 group_len | group``, if any."""
     if group is None:
-        parts = [_DOC_OP.pack(op, seq, arrived_ms, 0)]
-    else:
-        raw = group.encode()
-        parts = [_DOC_OP.pack(op, seq, arrived_ms, 1), _U16.pack(len(raw)), raw]
-    _document_parts(doc, parts)
+        return _NO_GROUP
+    raw = group.encode()
+    return 1, _U16.pack(len(raw)) + raw
+
+
+def encode_doc_op(op: int, seq: int, arrived_ms: int, group: str | None, doc: Document) -> bytes:
+    has_group, field = _group_field(group)
+    parts = [_DOC_OP.pack(op, seq, arrived_ms, has_group), field]
+    document_parts(doc, encode_tags(doc.tags), parts)
     return b"".join(parts)
 
 
@@ -150,6 +201,47 @@ def encode_batch(sub_bodies: list[bytes]) -> bytes:
     return b"".join(parts)
 
 
+class BodyWriter:
+    """One record body built with one join: an op's own body when it is
+    alone, else a BATCH of them, byte for byte what ``encode_doc_op`` per
+    put, ``encode_commit_group`` and ``encode_batch`` write. A put takes its
+    document's tag section encoded already, so a batch whose documents share
+    a tag map encodes it once."""
+
+    __slots__ = ("count", "_parts", "_group", "_group_field")
+
+    def __init__(self):
+        self.count = 0  # the ops written so far
+        self._parts: list[bytes] = [b""]  # the BATCH head, which ``body`` sets
+        self._group: str | None = None
+        self._group_field = _NO_GROUP
+
+    def put(self, seq: int, arrived_ms: int, group: str | None, doc: Document,
+            section: bytes) -> None:
+        """A PUT record of ``doc``, whose tag section is ``section``."""
+        if group is not self._group:
+            self._group, self._group_field = group, _group_field(group)
+        has_group, field = self._group_field
+        parts = self._parts
+        slot = len(parts)
+        parts += (b"", _DOC_OP.pack(OP_PUT, seq, arrived_ms, has_group), field)
+        parts[slot] = _U32.pack(_DOC_OP.size + len(field) + document_parts(doc, section, parts))
+        self.count += 1
+
+    def commit_group(self, seq: int, group: str) -> None:
+        body = encode_commit_group(seq, group)
+        self._parts += (_U32.pack(len(body)), body)
+        self.count += 1
+
+    def body(self) -> bytes:
+        parts = self._parts
+        if self.count == 1:
+            parts[1] = b""  # an op alone is its own body: no BATCH head, no length
+        else:
+            parts[0] = _KIND16.pack(OP_BATCH, self.count)
+        return b"".join(parts)
+
+
 # --- decoding ---------------------------------------------------------------
 #
 # The readers below take fields at explicit offsets and let a read past the
@@ -159,7 +251,11 @@ def encode_batch(sub_bodies: list[bytes]) -> bytes:
 # the buffer, which the public entry points check.
 
 
-def _document_at(buf: bytes, off: int) -> tuple[Document, int]:
+def _document_at(buf: bytes, off: int, sections: dict | None = None,
+                 end: int = 0) -> tuple[Document, int]:
+    """The document at ``buf[off:]`` and its end. With ``sections``, the
+    document must end at ``end``: its tag section is ``buf[...:end]``, and
+    ``sections`` maps each section decoded so far to its tags."""
     (n,) = _u16_at(buf, off)
     off += 2
     key = buf[off:off + n].decode()
@@ -187,6 +283,11 @@ def _document_at(buf: bytes, off: int) -> tuple[Document, int]:
     else:
         label = None
         off += 1
+    if sections is not None:
+        raw = buf[off:end]
+        tags = sections.get(raw)
+        if tags is not None:  # every document gets its own dict
+            return Document(key, payload, label, dict(tags)), end
     (count,) = _u16_at(buf, off)
     off += 2
     tags = {}
@@ -212,13 +313,21 @@ def _document_at(buf: bytes, off: int) -> tuple[Document, int]:
             off += 2
         else:
             raise CorruptStore(f"bad tag variant code {code}")
+    if sections is not None and off == end:
+        sections[raw] = tags
     return Document(key, payload, label, tags), off
 
 
-def decode_document_at(buf: bytes, off: int) -> tuple[Document, int]:
-    """The document encoded at ``buf[off:]`` and the offset where it ends."""
+def decode_document_at(buf: bytes, off: int, sections: dict | None = None,
+                       end: int = 0) -> tuple[Document, int]:
+    """The document encoded at ``buf[off:]`` and the offset where it ends.
+
+    A caller that knows where the document must end passes that ``end`` and
+    a ``sections`` dict, which it keeps for one call: a tag section that
+    repeats is then decoded once (a document that does not end at ``end``
+    is the caller's to refuse, and its section is not kept)."""
     try:
-        doc, end = _document_at(buf, off)
+        doc, end = _document_at(buf, off, sections, end)
     except _MALFORMED as exc:
         raise CorruptStore(f"malformed document: {exc}") from exc
     if end > len(buf):

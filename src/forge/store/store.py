@@ -16,6 +16,17 @@ deletes a key (a DELETE record in an older log still replays as a
 tombstone), so index maintenance is add-only between compactions and scans
 re-verify candidates against the snapshot.
 
+Write path: ``apply_ops`` takes ops in order, where one ``PutOp`` carries any
+number of documents (a single ``put`` is a put of one; a task's outputs are
+one put under their staging group). Each document takes its own sequence
+number and its own PUT record, so the frame's bytes are what one record per
+document would be. In one pass the ops are checked against the write rule,
+per key and in order, and encoded into the frame with one join; nothing is
+installed unless every op passes and the frame is appended. A memo that
+lives for the call keys each distinct tag map by its values and their types
+(``records.tags_key``): the map is checked and encoded once, and each index
+bucket it names is looked up once for all the keys put with it.
+
 Staged writes: a document put with a staging ``group`` stays invisible to
 readers until the group is committed (one op, usually inside the same batch
 that records the producing task's completion). That is the commit-marker
@@ -73,16 +84,23 @@ from forge.store.types import (
     Document,
     ScanCursor,
     validate_document,
+    validate_tags,
 )
 
 MANIFEST_MAGIC = b"FGMF"
 FORMAT_VERSION = 1
 
 
-@dataclass(frozen=True)
 class PutOp:
-    doc: Document
-    group: str | None = None
+    """Put each of ``docs``, staged under ``group`` when one is given: a
+    single put is ``PutOp(doc)``, a task's outputs ``PutOp(*outputs,
+    group=...)``. Each document takes its own sequence number."""
+
+    __slots__ = ("docs", "group")
+
+    def __init__(self, *docs: Document, group: str | None = None):
+        self.docs = docs
+        self.group = group
 
 
 @dataclass(frozen=True)
@@ -224,19 +242,33 @@ class _Index:
         self._sorted: list[tuple] = []
         self._dirty = False
 
-    def add(self, value, key: str) -> None:
+    def bucket(self, value) -> _Bucket:
+        """The bucket of ``value``, created empty if there is none."""
         vk = sort_key(value)
         bucket = self.by_value.get(vk)
         if bucket is None:
             bucket = self.by_value[vk] = _Bucket()
             self._dirty = True
-        bucket.add(key)
+        return bucket
 
     def sorted_values(self) -> list[tuple]:
         if self._dirty:
             self._sorted = sorted(self.by_value)
             self._dirty = False
         return self._sorted
+
+
+class _TagMap:
+    """What one ``apply_ops`` call works out once per distinct tag map: the
+    map, checked, its encoded section, and the user keys put with it, which
+    join each of its index buckets after one lookup."""
+
+    __slots__ = ("tags", "section", "keys")
+
+    def __init__(self, tags: dict, section: bytes):
+        self.tags = tags
+        self.section = section
+        self.keys: list[str] = []
 
 
 class Store:
@@ -369,7 +401,7 @@ class Store:
         for name, value in doc.tags.items():
             index = self._indexes.get(name)
             if index is not None:
-                index.add(value, doc.key)
+                index.bucket(value).add(doc.key)
 
     # -- visibility -----------------------------------------------------------
 
@@ -414,54 +446,106 @@ class Store:
         self.apply_ops([PutOp(doc)])
 
     def apply_ops(self, ops: list[StoreOp]) -> None:
-        """Validate and apply a list of ops as one atomic, durable record."""
-        if not ops:
-            return
+        """Validate and apply a list of ops as one atomic, durable record.
+
+        Each document is checked, encoded and installed on its own, but each
+        distinct tag map among them is checked, encoded and resolved to its
+        index buckets once, through a memo that lives for this call."""
         with self._lock:
             if self._closed:
                 raise InvalidArgument("store is closed")
-            self._validate_ops(ops)
             now = self.clock.now_ms()
-            bodies = []
-            decoded: list[records.DecodedOp] = []
+            memo: dict = {}
+            writer = self._validate_ops(ops, now, memo)
+            if not writer.count:
+                return  # no op, or only puts of no documents
+            self._log.append(writer.body())
             seq = self._next_seq
             for op in ops:
                 if isinstance(op, PutOp):
-                    bodies.append(records.encode_doc_op(records.OP_PUT, seq, now,
-                                                        op.group, op.doc))
-                    decoded.append(records.DecodedOp(records.OP_PUT, seq=seq, arrived_ms=now,
-                                                     group=op.group, doc=op.doc))
+                    seq = self._put(op, seq, now)
                 else:
-                    bodies.append(records.encode_commit_group(seq, op.group))
-                    decoded.append(records.DecodedOp(records.OP_COMMIT_GROUP, seq=seq,
-                                                     group=op.group))
-                seq += 1
-            body = bodies[0] if len(bodies) == 1 else records.encode_batch(bodies)
-            self._log.append(body)
-            for op in decoded:
-                self._apply(op)
+                    self._committed_groups[op.group] = seq
+                    self._staged.pop(op.group, None)
+                    seq += 1
+            self._next_seq = seq
+            for tag_map in memo.values():
+                if tag_map.keys and self._indexes:
+                    for name, value in tag_map.tags.items():
+                        index = self._indexes.get(name)
+                        if index is not None:
+                            bucket = index.bucket(value)
+                            for key in tag_map.keys:
+                                bucket.add(key)
 
-    def _validate_ops(self, ops: list[StoreOp]) -> None:
-        """The write rule. A put to a reserved key replaces its current
-        version, and is never staged. Any other key is written once: an
-        unstaged put needs a key with no current version, a staged put one
-        whose current version no reader sees, which is how an attempt reruns
-        over what it or an earlier one staged."""
+    def _put(self, op: PutOp, seq: int, now: int) -> int:
+        """Install a validated put whose first document takes ``seq``;
+        returns the next seq."""
+        entries, group = self._entries, op.group
+        for doc in op.docs:
+            entry = entries.get(doc.key)
+            if entry is None:
+                entry = entries[doc.key] = _Entry()
+                self._keys.add(doc.key)
+            entry.versions.append((seq, _State(doc, group, now)))
+            seq += 1
+        if group is not None and group not in self._committed_groups:
+            self._staged.setdefault(group, set()).update(doc.key for doc in op.docs)
+        return seq
+
+    def _validate_ops(self, ops: list[StoreOp], now: int,
+                      memo: dict) -> records.BodyWriter:
+        """The record that writes ``ops`` at ``now``, once they pass the
+        write rule, which is checked per key in op order, as if each op were
+        applied alone. A put to a reserved key replaces its current version,
+        and is never staged. Any other key is written once: an unstaged put
+        needs a key with no current version, a staged put one whose current
+        version no reader sees, which is how an attempt reruns over what it
+        or an earlier one staged.
+
+        Each distinct tag map is checked and encoded once, into ``memo``
+        (keyed by ``records.tags_key``), which also collects the user keys
+        put with it, for the index."""
+        writer = records.BodyWriter()
+        earlier: dict[str, str | None] = {}  # user key -> group of this batch's put of it
+        committed: set[str] = set()  # groups this batch has committed so far
+        seq = self._next_seq
         for op in ops:
-            if isinstance(op, PutOp):
-                validate_document(op.doc)
-                key = op.doc.key
+            if isinstance(op, CommitGroupOp):
+                committed.add(op.group)
+                writer.commit_group(seq, op.group)
+                seq += 1
+                continue
+            if not isinstance(op, PutOp):
+                raise InvalidArgument(f"unknown store op {op!r}")
+            group = op.group
+            for doc in op.docs:
+                validate_document(doc)
+                tags = doc.tags
+                tag_map = memo.get(memo_key := records.tags_key(tags))
+                if tag_map is None:
+                    validate_tags(tags)
+                    tag_map = memo[memo_key] = _TagMap(tags, records.encode_tags(tags))
+                writer.put(seq, now, group, doc, tag_map.section)
+                seq += 1
+                key = doc.key
                 if key.startswith(SYSTEM_PREFIX):
-                    if op.group is not None:
+                    if group is not None:
                         raise InvalidArgument(f"reserved key {key!r} cannot be staged")
                     continue
-                entry = self._entries.get(key)
-                current = entry.latest()[1] if entry is not None else None
-                if current is not None and (
-                        op.group is None or self._visible(current, self._next_seq - 1)):
+                if key in earlier:
+                    exists, current = True, earlier[key]
+                else:
+                    entry = self._entries.get(key)
+                    state = entry.latest()[1] if entry is not None else None
+                    exists = state is not None
+                    current = state.group if exists else None
+                if exists and (group is None or current is None or current in committed
+                               or current in self._committed_groups):
                     raise DuplicateKey(f"document key {key!r} already exists")
-            elif not isinstance(op, CommitGroupOp):
-                raise InvalidArgument(f"unknown store op {op!r}")
+                earlier[key] = group
+                tag_map.keys.append(key)
+        return writer
 
     # -- reads ----------------------------------------------------------------
 
@@ -524,7 +608,7 @@ class Store:
                     continue
                 for _, state in entry.versions:
                     if state is not None and tag_name in state.doc.tags:
-                        index.add(state.doc.tags[tag_name], key)
+                        index.bucket(state.doc.tags[tag_name]).add(key)
             self._indexes[tag_name] = index
             self._write_manifest(sorted(self._indexes))
 

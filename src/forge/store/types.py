@@ -94,28 +94,32 @@ def validate_key(key: str) -> None:
     if not isinstance(key, str) or not key:
         raise InvalidArgument("document key must be a non-empty string")
     try:
-        raw = key.encode("utf-8")
+        size = len(key) if key.isascii() else len(key.encode("utf-8"))
     except UnicodeEncodeError:
         raise InvalidArgument("document key must be UTF-8 encodable") from None
-    if len(raw) > MAX_KEY_BYTES:
+    if size > MAX_KEY_BYTES:
         raise InvalidArgument(f"document key exceeds {MAX_KEY_BYTES} bytes")
 
 
 def validate_tags(tags: dict[str, TagScalar]) -> None:
+    if not isinstance(tags, dict):
+        raise InvalidArgument(f"a tag map must be a dict, got {type(tags).__name__}")
     if len(tags) > MAX_TAGS:
         raise InvalidArgument(f"tag map has {len(tags)} entries; limit is {MAX_TAGS}")
     for name, value in tags.items():
         if not isinstance(name, str) or not name:
             raise InvalidArgument("tag names must be non-empty strings")
-        if not all(33 <= ord(c) <= 126 for c in name):
+        if not (name.isascii() and name.isprintable()) or " " in name:  # 33..126
             raise InvalidArgument(f"tag name {name!r} must be ASCII without whitespace")
         check_tag_value(value)
 
 
 def validate_document(doc: Document) -> None:
+    """Check a document's key, payload and label. Its tag map is checked
+    apart, by ``validate_tags``, so that a batch checks each distinct map
+    once (``Store.apply_ops``)."""
     validate_key(doc.key)
     if not isinstance(doc.payload, (bytes, BlobPointer)):
         raise InvalidArgument("payload must be bytes or a BlobPointer")
     if doc.label is not None and not isinstance(doc.label, str):
         raise InvalidArgument("label must be a string when present")
-    validate_tags(doc.tags)

@@ -18,14 +18,19 @@ leaves out a required one is answered with ``invalid_argument``. So is a
 head value of another type than its parameter's annotation, a union of
 ``str``, ``int``, ``float`` (an int is taken), ``bool``, ``dict``,
 ``list[...]``, ``tuple[...]``, ``None``, ``TagQuery``, ``ScanCursor`` and
-``BatchCursor``, which every head parameter has; a bool is not an int. An
+``BatchCursor``, which every head parameter has; a bool is not an int. The
+fields of a tagged dataclass (below) are checked against their annotations
+the same way, and the error names the field, as in ``ScanCursor.last_key``. An
 ok response head is ``{"result": value}``. Heads are plain JSON, except that
 tuples, bytes, queries and the wire's dataclasses travel as objects tagged
 with a ``"$type"`` key (``to_wire``). At most one value per op rides in the
 tail instead of the head: a document, a document list (each one prefixed by
 its u32 length) or a tensor container, in the byte layouts of
 ``forge.store.records`` and ``forge.tensorio``. A document must fill its tail
-or its slot exactly; leftover bytes are ``invalid_argument``. An error head
+or its slot exactly; leftover bytes are ``invalid_argument``. A document
+list's codec encodes and decodes a tag section that repeats within the list
+once (a task's outputs, a view's slice), without changing a byte; each
+decoded document still gets its own tags dict. An error head
 is ``{"code", "message", "data"}``.
 
 Blobs cross the wire through four transfer ops (``BLOB_*``) that are not
@@ -45,6 +50,7 @@ chunk in its stored form as the tail.
 
 from __future__ import annotations
 
+import dataclasses
 import inspect
 import json
 import struct
@@ -56,7 +62,13 @@ from forge.errors import CorruptStore, ForgeError, FrameTooLarge, InvalidArgumen
 from forge.models import ModelEvent, ModelRecord, ModelVersion
 from forge.query import TagQuery, parse, render
 from forge.store import BlobPointer, Document, ScanCursor
-from forge.store.records import decode_document, decode_document_at, encode_document
+from forge.store.records import (
+    decode_document,
+    decode_document_at,
+    document_parts,
+    encode_document,
+    tag_section,
+)
 from forge.store.types import MAX_PAYLOAD
 from forge.tensorio import decode_tensors, encode_tensors
 from forge.workflow import Task
@@ -135,14 +147,15 @@ def _head_types(annotation) -> tuple[type, ...] | None:
     return types
 
 
-def type_error(name: str, head: dict, types: dict[str, tuple[type, ...]]) -> str | None:
-    """What is wrong with the types of the head's values for ``name``, whose
-    checked parameters take ``types``; None when nothing is."""
-    for arg, value in head.items():
+def type_error(where: str, values: dict, types: dict[str, tuple[type, ...]]) -> str | None:
+    """What is wrong with the types of ``values``, whose checked names take
+    ``types``, as a message that names each after ``where``; None when
+    nothing is."""
+    for arg, value in values.items():
         accepted = types.get(arg)
         if accepted is not None and type(value) not in accepted:
             takes = " or ".join("None" if t is type(None) else t.__name__ for t in accepted)
-            return f"{name}(): {arg} must be {takes}, got {type(value).__name__}"
+            return f"{where}{arg} must be {takes}, got {type(value).__name__}"
     return None
 
 
@@ -237,6 +250,8 @@ def split_payload(payload: bytes) -> tuple[dict, bytes]:
         head = _DECODER.decode(payload[4:4 + head_len].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ProtocolError(f"malformed JSON head: {exc}") from exc
+    except InvalidArgument:
+        raise  # a tagged value's field of the wrong type, named already
     except (LookupError, TypeError, ValueError, AttributeError, ForgeError) as exc:
         raise InvalidArgument(f"malformed tagged value in head: {exc!r}") from exc
     if not isinstance(head, dict):
@@ -247,24 +262,31 @@ def split_payload(payload: bytes) -> tuple[dict, bytes]:
 # --- tails -------------------------------------------------------------------------
 
 def pack_documents(docs: list[Document]) -> bytes:
-    parts = []
+    """A ``docs`` tail: each document behind its u32 length. A tag map that
+    repeats is encoded once."""
+    parts: list[bytes] = []
+    sections: dict = {}
     for doc in docs:
-        raw = encode_document(doc)
-        parts += (_U32.pack(len(raw)), raw)
+        slot = len(parts)
+        parts.append(b"")
+        parts[slot] = _U32.pack(
+            document_parts(doc, tag_section(doc.tags, sections), parts))
     return b"".join(parts)
 
 
 def unpack_documents(tail: bytes) -> list[Document]:
     """The documents of a ``docs`` tail. Each is decoded in place and must
-    end exactly where its slot's u32 length says it does."""
+    end exactly where its slot's u32 length says it does; a tag section
+    that repeats is decoded once, and each document gets its own tags."""
     docs = []
+    sections: dict = {}
     off = 0
     while off < len(tail):
         if off + 4 > len(tail):
             raise CorruptStore("truncated document slot length")
         (length,) = _U32.unpack_from(tail, off)
         off += 4
-        doc, end = decode_document_at(tail, off)
+        doc, end = decode_document_at(tail, off, sections, off + length)
         if end != off + length:
             raise CorruptStore(f"document of {end - off} bytes in a slot of {length}")
         docs.append(doc)
@@ -284,6 +306,10 @@ _BY_NAME = {cls.__name__: cls for cls in (
     BlobPointer, ScanCursor, BatchCursor, DatasetView, StreamController,
     ModelRecord, ModelVersion, ModelEvent, Task)}
 _NAME = {cls: name for name, cls in _BY_NAME.items()}
+# the checked types of each tagged dataclass's fields, read as head parameters are
+_FIELD_TYPES = {name: {f.name: types for f in dataclasses.fields(cls)
+                       if (types := _head_types(f.type)) is not None}
+                for name, cls in _BY_NAME.items()}
 
 
 def to_wire(value):
@@ -324,6 +350,9 @@ def _from_tagged(obj: dict):
         return bytes.fromhex(obj["hex"])
     if tag == "TagQuery":
         return parse(obj["text"])
+    problem = type_error(f"{tag}.", obj, _FIELD_TYPES[tag])
+    if problem is not None:
+        raise InvalidArgument(problem)
     return _BY_NAME[tag](**obj)
 
 

@@ -149,7 +149,7 @@ def _handler(op: P.Op):
 
     def handle(server, head, tail):
         problem = (P.argument_error(op.name, head.keys(), names, required)
-                   or P.type_error(op.name, head, op.types))
+                   or P.type_error(f"{op.name}(): ", head, op.types))
         if problem is not None:
             raise InvalidArgument(problem)
         if op.tail_param is not None and (tail or op.tail_param in op.required):

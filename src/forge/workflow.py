@@ -15,11 +15,14 @@ Task outputs are staged documents committed atomically with the completion
 record (see store docs), which keeps at-least-once execution observationally
 exactly-once. Staging is fenced by lease: each attempt stages under its own
 group, ``task_id#replays.attempts``, and its completion commits that group
-alone, so outputs a failed attempt left behind never surface. Agents buffer
-outputs and send them with the completion, so a task's outputs and its
-completion record are one log frame; a buffer that would pass
-OUTPUT_FLUSH_BYTES is staged ahead. The engine, not the agent, lists the
-keys the completion's commit makes visible in the task record. Whether a
+alone, so outputs a failed attempt left behind never surface. A handler
+hands its outputs to ``TaskContext`` in batches; agents buffer them and send
+them with the completion, so a task's outputs and its completion record are
+one log frame; a buffer that would pass OUTPUT_FLUSH_BYTES is staged ahead.
+The engine hands the store the outputs as one put under the attempt's
+group, which the store checks, writes and indexes as a batch. The engine,
+not the agent, lists the keys the completion's commit makes visible in the
+task record. Whether a
 write may replace a key is the store's rule: task and plan records are
 reserved keys, replaced on every write, and an output may be staged again
 until a commit makes it visible. Every task, from a plan, ``submit_task`` or
@@ -347,18 +350,18 @@ class WorkflowManager:
         # every lease's group distinct
         return f"{task.task_id}#{task.replays}.{task.attempts}"
 
-    def _stage_ops(self, task: Task, outputs: Sequence[Document]) -> list[PutOp]:
-        group = self._stage_group(task)
+    def _stage_op(self, task: Task, outputs: Sequence[Document]) -> PutOp:
+        """One put of ``outputs``, staged under the attempt's group."""
         for doc in outputs:
             _check_output_key(task.task_id, doc.key)
-        return [PutOp(doc, group=group) for doc in outputs]
+        return PutOp(*outputs, group=self._stage_group(task))
 
     def write_outputs(self, task_id: str, agent_id: str,
                       outputs: Sequence[Document]) -> list[str]:
         """Stage output documents in one frame; invisible until the task
         completes. Keys must be ``{task_id}/NNNNNN``."""
         task = self._current_lease(task_id, agent_id)
-        self.store.apply_ops(self._stage_ops(task, outputs))
+        self.store.apply_ops([self._stage_op(task, outputs)])
         return [doc.key for doc in outputs]
 
     def write_output(self, task_id: str, agent_id: str, index: int, payload,
@@ -378,13 +381,12 @@ class WorkflowManager:
             raise InvalidArgument("outcome must be 'ok' or 'error'")
         task = self._current_lease(task_id, agent_id)
         if outcome == "ok":
-            group = self._stage_group(task)
-            ops = self._stage_ops(task, outputs)
+            stage = self._stage_op(task, outputs)
             keys = {doc.key for doc in outputs}
-            keys.update(self.store.staged_keys(group))
+            keys.update(self.store.staged_keys(stage.group))
             done = replace(task, status=COMPLETED, lease_holder=None, lease_until=0,
                            output_keys=tuple(sorted(keys)), last_error=None)
-            ops += [self._task_op(done), CommitGroupOp(group)]
+            ops = [stage, self._task_op(done), CommitGroupOp(stage.group)]
         else:
             exhausted = task.attempts >= task.max_attempts
             done = replace(task, status=DEAD if exhausted else PENDING,
@@ -538,20 +540,21 @@ class WorkflowManager:
 # --- long-running loops --------------------------------------------------------
 
 
-def _wire_size_hint(doc: Document) -> int:
-    """About the bytes an output adds to a request; OUTPUT_FLUSH_BYTES leaves
-    half a frame for what this misses."""
-    payload = len(doc.payload) if doc.is_inline else 256
-    tags = sum(len(name) + len(str(value)) + 16 for name, value in doc.tags.items())
-    return payload + len(doc.key) + len(doc.label or "") + tags + 32
+def _tags_size_hint(tags: dict) -> int:
+    """About the bytes a tag map adds to each output that carries it. The
+    hint is rough: OUTPUT_FLUSH_BYTES leaves half a frame for what it misses."""
+    return sum(len(name) + len(str(value)) + 16 for name, value in tags.items())
 
 
 class TaskContext:
     """What a handler gets: the api, its task, and an output-writing helper.
 
-    Outputs are counted by ``written`` and buffered in ``pending``, which is
-    sent with the completion; when the buffer would pass OUTPUT_FLUSH_BYTES
-    it is staged first as one batch. The engine lists the task's outputs.
+    A handler hands its outputs over in batches that share a tag map
+    (``write_outputs``; ``write_output`` is a batch of one). They are
+    counted by ``written`` and buffered in ``pending``, which is sent with
+    the completion; when the buffer would pass OUTPUT_FLUSH_BYTES it is
+    staged first as one batch. A batch works out its tag map's share of the
+    size hint once. The engine lists the task's outputs.
     """
 
     def __init__(self, api, task: Task, agent_id: str):
@@ -567,15 +570,32 @@ class TaskContext:
 
     def write_output(self, payload, label: str | None = None,
                      tags: dict | None = None) -> str:
-        doc = output_document(self.task.task_id, self.written, payload, label, tags)
-        size = _wire_size_hint(doc)
-        if self.pending and self._pending_bytes + size > OUTPUT_FLUSH_BYTES:
-            self.api.write_outputs(self.task.task_id, self.agent_id, self.pending)
-            self.pending, self._pending_bytes = [], 0
-        self.pending.append(doc)
-        self._pending_bytes += size
-        self.written += 1
-        return doc.key
+        return self.write_outputs([payload], [label], tags)[0]
+
+    def write_outputs(self, payloads: Sequence, labels: Sequence[str | None] | None = None,
+                      tags: dict | None = None) -> list[str]:
+        """Buffer one output per payload, the i-th labelled ``labels[i]``
+        (no label when ``labels`` is None) and each tagged with its own copy
+        of ``tags``; returns their keys."""
+        if labels is None:
+            labels = [None] * len(payloads)
+        elif len(labels) != len(payloads):
+            raise InvalidArgument(f"{len(payloads)} payloads but {len(labels)} labels")
+        task_id = self.task.task_id
+        tags = tags or {}
+        fixed = _tags_size_hint(tags) + len(task_id) + 7 + 32  # the key's /NNNNNN; framing
+        keys = []
+        for payload, label in zip(payloads, labels):
+            doc = output_document(task_id, self.written, payload, label, tags)
+            size = fixed + (len(payload) if doc.is_inline else 256) + len(label or "")
+            if self.pending and self._pending_bytes + size > OUTPUT_FLUSH_BYTES:
+                self.api.write_outputs(task_id, self.agent_id, self.pending)
+                self.pending, self._pending_bytes = [], 0
+            self.pending.append(doc)
+            self._pending_bytes += size
+            self.written += 1
+            keys.append(doc.key)
+        return keys
 
     def input_docs(self):
         """Documents of the task's input range (or the whole view), resolved."""

@@ -7,9 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from forge.clock import FakeClock
 from forge.errors import CorruptStore, InvalidArgument
-from forge.store import records
-from forge.store.types import BlobPointer, Document
+from forge.store import CommitGroupOp, PutOp, Store, records
+from forge.store.log import replay
+from forge.store.types import BlobPointer, Document, json_doc
+from forge.wire.protocol import pack_documents, unpack_documents
 from forge.tensorio import decode_tensors, encode_tensors
 
 _tag_values = st.one_of(
@@ -161,6 +164,74 @@ def test_golden_document_encoding(doc, hex_):
 def test_golden_body_encoding(encoded, hex_, ops):
     assert encoded == bytes.fromhex(hex_)
     assert [_fields(op) for op in records.decode_body(encoded)] == ops
+
+
+# --- a completion's frame: one batch against the per-op reference ---------------
+
+GROUP = "t#0.1"
+# equal in Python, each its own bytes: 1, True and 1.0; -0.0 and 0.0
+MIXED_TAGS = [{"dataset": "out", "c": v} for v in (1, True, 1.0, -0.0, 0.0, "1")]
+
+
+def _strict(doc: Document) -> tuple:
+    """A document as values that tell 1, True and 1.0, and -0.0 and 0.0, apart."""
+    return (doc.key, doc.payload, doc.label,
+            sorted((name, type(v).__name__, repr(v)) for name, v in doc.tags.items()))
+
+
+def _outputs(n: int, mixed: bool) -> list[Document]:
+    return [Document(key=f"t/{i:06d}", payload=bytes([i % 256]) * 16,
+                     label=None if i % 2 else f"label {i}",
+                     tags=dict(MIXED_TAGS[i % len(MIXED_TAGS)] if mixed else {"dataset": "out"}))
+            for i in range(n)]
+
+
+@pytest.mark.parametrize("n,mixed", [(1, False), (256, False), (12, True)],
+                         ids=["one", "shared-map", "mixed-values"])
+def test_golden_completion_frame(tmp_path, n, mixed):
+    """The frame a completion writes (its staged outputs under one group,
+    the task record, the commit) is byte for byte the per-op reference:
+    ``encode_doc_op`` per put, then ``encode_batch``; and it decodes back to
+    the same documents."""
+    outputs = _outputs(n, mixed)
+    task = json_doc("__sys/task/t", {"task_id": "t", "status": "completed"})
+    clock = FakeClock()
+    with Store(tmp_path / "s", create=True, clock=clock, fsync=False) as s:
+        s.put(Document(key="before", payload=b"x", tags={"dataset": "in"}))
+        seq = s.snapshot_seq() + 1
+        s.apply_ops([PutOp(*outputs, group=GROUP), PutOp(task), CommitGroupOp(GROUP)])
+    now = clock.now_ms()
+    reference = records.encode_batch(
+        [records.encode_doc_op(records.OP_PUT, seq + i, now, GROUP, doc)
+         for i, doc in enumerate(outputs)]
+        + [records.encode_doc_op(records.OP_PUT, seq + n, now, None, task),
+           records.encode_commit_group(seq + n + 1, GROUP)])
+    single, body = replay(tmp_path / "s")
+    assert single == records.encode_doc_op(
+        records.OP_PUT, 1, now, None, Document(key="before", payload=b"x", tags={"dataset": "in"}))
+    assert body == reference
+    ops = records.decode_body(body)
+    assert [_strict(op.doc) for op in ops[:n]] == [_strict(doc) for doc in outputs]
+    assert [(op.seq, op.group) for op in ops] == (
+        [(seq + i, GROUP) for i in range(n)] + [(seq + n, None), (seq + n + 1, GROUP)])
+
+
+@pytest.mark.parametrize("mixed", [False, True], ids=["shared-map", "mixed-values"])
+def test_a_docs_tail_matches_its_documents_one_by_one(mixed):
+    """A ``docs`` tail is each document's own encoding behind its length,
+    and it decodes to the same documents, each with its own tags dict."""
+    outputs = _outputs(48, mixed)
+    if mixed:  # NaNs whose sign bits differ: unequal, and no tag map the store takes
+        nan = struct.unpack("<d", bytes.fromhex("000000000000f87f"))[0]
+        neg_nan = struct.unpack("<d", bytes.fromhex("000000000000f8ff"))[0]
+        outputs += [Document(key=f"n/{i}", payload=b"", tags={"c": v})
+                    for i, v in enumerate([nan, neg_nan, nan, neg_nan])]
+    tail = pack_documents(outputs)
+    assert tail == b"".join(struct.pack("<I", len(raw)) + raw
+                            for raw in map(records.encode_document, outputs))
+    docs = unpack_documents(tail)
+    assert [_strict(doc) for doc in docs] == [_strict(doc) for doc in outputs]
+    assert len({id(doc.tags) for doc in docs}) == len(docs)
 
 
 # --- truncated and malformed input ------------------------------------------------

@@ -725,3 +725,165 @@ class TestCompaction:
         with make_store(path) as s:
             assert "sample/0001" not in s._entries
             assert s.keys_with_prefix("sample/") == ["sample/0002"]
+
+
+# -- batches: one op of many documents against the same ops one at a time ---------
+
+# tag maps that share content, tell equal values of other types apart (1, True,
+# 1.0; -0.0, 0.0) and hold the same items in another order
+BATCH_TAG_MAPS = [{}, {"c": 1}, {"c": True}, {"c": 1.0}, {"c": -0.0}, {"c": 0.0},
+                  {"c": "a", "d": 2}, {"d": 2, "c": "a"}]
+BATCH_KEYS = ["k0", "k1", "k2", "t/000000", "t/000001", "t/000002", "__sys/r0", "__sys/r1"]
+BATCH_GROUPS = ["g0", "g1", "g2"]
+BATCH_QUERIES = ["", "c = 1", "c = true", "c = 1.0", "c = 0.0", 'c = "a"', "c >= 0",
+                 "c < 1.0", "d = 2"]
+
+_batch_docs = st.lists(st.tuples(st.sampled_from(BATCH_KEYS),
+                                 st.integers(0, len(BATCH_TAG_MAPS) - 1),
+                                 st.booleans()),  # its own copy of the map, or the shared one
+                       min_size=1, max_size=5)
+_batch_ops = st.one_of(
+    st.tuples(st.just("put"), _batch_docs, st.sampled_from([None, *BATCH_GROUPS])),
+    st.tuples(st.just("commit"), st.sampled_from(BATCH_GROUPS)))
+
+
+def _batch(spec, step: int) -> list:
+    ops = []
+    for op in spec:
+        if op[0] == "commit":
+            ops.append(CommitGroupOp(op[1]))
+            continue
+        docs = []
+        for key, i, copy in op[1]:
+            tags = dict(BATCH_TAG_MAPS[i]) if copy else BATCH_TAG_MAPS[i]
+            docs.append(Document(key=key, payload=f"{step}:{key}".encode(), tags=tags))
+        ops.append(PutOp(*docs, group=op[2]))
+    return ops
+
+
+def _model_accepts(latest: dict, committed: set, ops: list) -> bool:
+    """The write rule as a model: ``latest`` maps each key to the group of
+    its newest version (None: unstaged). Applies ``ops`` in place when the
+    rule accepts every one of them in turn."""
+    new_latest, new_committed = dict(latest), set(committed)
+    for op in ops:
+        if isinstance(op, CommitGroupOp):
+            new_committed.add(op.group)
+            continue
+        for d in op.docs:
+            if d.key.startswith("__sys/"):
+                if op.group is not None:
+                    return False
+                continue
+            if d.key in new_latest:
+                current = new_latest[d.key]
+                if op.group is None or current is None or current in new_committed:
+                    return False
+            new_latest[d.key] = op.group
+    latest.update(new_latest)
+    committed.update(new_committed)
+    return True
+
+
+def _strict(d: Document) -> tuple:
+    """A document as values that tell 1, True and 1.0, and -0.0 and 0.0, apart."""
+    return (d.key, d.payload, d.label,
+            sorted((name, type(v).__name__, repr(v)) for name, v in d.tags.items()))
+
+
+def _every_read(s: Store) -> dict:
+    visible = {}
+    for key in BATCH_KEYS:
+        try:
+            visible[key] = _strict(s.get(key))
+        except NotFound:
+            pass
+    scans = {}
+    for q in BATCH_QUERIES:
+        scans[q] = s.scan(parse(q))[0]
+        assert s.scan(parse(q), use_index=False)[0] == scans[q], q
+    return {"visible": visible, "listed": s.keys_with_prefix(""), "scans": scans,
+            "staged": {g: s.staged_keys(g) for g in BATCH_GROUPS},
+            "seq": s.snapshot_seq()}
+
+
+def _log_bytes(path) -> int:
+    return sum(p.stat().st_size for p in list_segments(path))
+
+
+class TestBatches:
+    @given(st.lists(st.lists(_batch_ops, min_size=1, max_size=4), min_size=1, max_size=8))
+    @settings(max_examples=60, deadline=None)
+    def test_a_batch_equals_its_ops_one_at_a_time(self, tmp_path_factory, specs):
+        """Each batch that the write rule accepts leaves the store as its ops
+        applied one document at a time do, through compaction and a reopen;
+        a batch it refuses raises and changes nothing."""
+        root = tmp_path_factory.mktemp("batches")
+        latest, committed = {}, set()
+        with make_store(root / "a", create=True) as a, make_store(root / "b", create=True) as b:
+            a.create_index("c")
+            b.create_index("c")
+            for step, spec in enumerate(specs):
+                ops = _batch(spec, step)
+                if _model_accepts(latest, committed, ops):
+                    a.apply_ops(ops)
+                    for op in ops:
+                        singles = ([op] if isinstance(op, CommitGroupOp)
+                                   else [PutOp(d, group=op.group) for d in op.docs])
+                        for single in singles:
+                            b.apply_ops([single])
+                    assert _every_read(a) == _every_read(b)
+                else:
+                    before, size = _every_read(a), _log_bytes(root / "a")
+                    with pytest.raises((DuplicateKey, InvalidArgument)):
+                        a.apply_ops(ops)
+                    assert _every_read(a) == before and _log_bytes(root / "a") == size
+            expected = _every_read(b)
+            a.compact()
+            assert _every_read(a) == expected
+        with make_store(root / "a") as a:
+            assert _every_read(a) == expected
+
+    @pytest.mark.parametrize("bad,error", [
+        (doc("k0"), DuplicateKey),  # a visible key
+        (doc("__sys/r0"), InvalidArgument),  # a reserved key, staged
+        (Document(key="t/000001", payload=b"x", tags={"bad name": 1}), InvalidArgument),
+        (Document(key="t/000001", payload=b"x", tags={"c": float("nan")}), InvalidArgument),
+        (doc("t/000000"), DuplicateKey),  # earlier in the same batch, and visible by then
+    ], ids=["visible-key", "staged-reserved-key", "bad-tag-name", "nan-tag", "visible-in-batch"])
+    def test_a_batch_with_one_bad_output_writes_nothing(self, tmp_path, bad, error):
+        path = tmp_path / "s"
+        with make_store(path, create=True) as s:
+            s.create_index("c")
+            s.put(doc("k0"))
+            s.put_system(doc("__sys/r0"))
+            before, size = _every_read(s), _log_bytes(path)
+            outputs = [doc(f"t/{i:06d}", c=1) for i in range(3)]
+            ops = [PutOp(*outputs[:1], group="g0"), CommitGroupOp("g0"),
+                   PutOp(*outputs[1:], bad, group="g1"), CommitGroupOp("g1")]
+            with pytest.raises(error):
+                s.apply_ops(ops)
+            assert _every_read(s) == before and _log_bytes(path) == size
+        with make_store(path) as s:
+            assert _every_read(s) == before
+
+    def test_a_user_key_put_twice_in_one_batch_is_refused(self, tmp_path):
+        """As it would be one put at a time; a staged key may be staged again."""
+        path = tmp_path / "s"
+        with make_store(path, create=True) as s:
+            with pytest.raises(DuplicateKey):
+                s.apply_ops([PutOp(doc("k0", b"1"), doc("k0", b"2"))])
+            with pytest.raises(DuplicateKey):
+                s.apply_ops([PutOp(doc("k0", b"1")), PutOp(doc("k0", b"2"), group="g")])
+            assert _log_bytes(path) == 0
+            s.apply_ops([PutOp(doc("t/0", b"1"), doc("t/0", b"2"), group="g"),
+                         CommitGroupOp("g")])
+            assert s.get("t/0").payload == b"2"
+            assert s.scan(MATCH_ALL)[0] == ["t/0"]
+
+    def test_a_put_of_no_documents_writes_nothing(self, tmp_path):
+        path = tmp_path / "s"
+        with make_store(path, create=True) as s:
+            s.apply_ops([PutOp(group="g"), PutOp()])
+            s.apply_ops([])
+            assert _log_bytes(path) == 0 and s.snapshot_seq() == 0

@@ -35,7 +35,7 @@ from forge.errors import (
     ViewNotFound,
 )
 from forge.query import parse
-from forge.dataset import DatasetView
+from forge.dataset import BatchCursor, DatasetView
 from forge.store import CHUNK_SIZE, Document, ScanCursor
 from forge.store.records import encode_document
 from forge.store.types import checksum_of
@@ -356,6 +356,39 @@ def test_head_arguments_are_typed(wire_pair, name, args, kwargs):
     assert client._sock is sock  # answered, and the connection is still open
     assert engine.scan("")[0] == [] and engine.list_views() == []
     assert engine.list_tasks() == [] and engine.list_models() == []
+
+
+@pytest.mark.parametrize("name,cursor,field", [
+    ("scan", ScanCursor(snapshot_seq="x", last_key=5), "ScanCursor.last_key"),
+    ("scan", ScanCursor(snapshot_seq="x", last_key="k"), "ScanCursor.snapshot_seq"),
+    ("read_batch", BatchCursor(view_key="v", cursor_id=5, position="", batch_size=10),
+     "BatchCursor.cursor_id"),
+    ("read_batch", BatchCursor(view_key="v", cursor_id="c", position=5, batch_size=10),
+     "BatchCursor.position"),
+    ("read_batch", BatchCursor(view_key="v", cursor_id="c", position="", batch_size="10"),
+     "BatchCursor.batch_size"),
+])
+def test_tagged_fields_in_a_head_are_typed(wire_pair, name, cursor, field):
+    """A tagged dataclass's fields are checked against their annotations as
+    head parameters are, and the error names the field."""
+    engine, _, client = wire_pair
+    engine.define_view("v", "")
+    engine.put_document(Document(key="a", payload=b"x"))
+    client.info()
+    sock = client._sock
+    with pytest.raises(InvalidArgument, match=re.escape(f"{field} must be ")):
+        getattr(client, name)(*(("",) if name == "scan" else ()), cursor)
+    assert client._sock is sock  # answered, and the connection is still open
+    assert engine.store.keys_with_prefix("__sys/cursor/") == []
+
+
+@pytest.mark.parametrize("size", [0, -1])
+def test_a_batch_cursor_of_no_rows_is_refused_naming_its_field(api, size):
+    api.define_view("v", "")
+    api.put_document(Document(key="a", payload=b"x"))
+    cursor = BatchCursor(view_key="v", cursor_id="c", position="", batch_size=size)
+    with pytest.raises(InvalidArgument, match=re.escape("BatchCursor.batch_size must be positive")):
+        api.read_batch(cursor)
 
 
 def test_every_head_parameter_is_typed():

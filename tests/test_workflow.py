@@ -442,6 +442,29 @@ class TestOutputs:
         assert _visible(api, "out") == ["t/000000", "t/000001", "t/000002"]
         assert api.get_task("t").status == COMPLETED
 
+    def test_a_handler_emits_a_batch(self, api):
+        tags = {"dataset": "out", "n": 1}
+
+        def fn(ctx):
+            assert ctx.write_output(b"first") == "t/000000"
+            with pytest.raises(InvalidArgument, match="2 payloads but 1 labels"):
+                ctx.write_outputs([b"a", b"b"], ["only one"])
+            keys = ctx.write_outputs([b"a", b"b", b"c"], ["x", None, "z"], tags)
+            assert keys == ["t/000001", "t/000002", "t/000003"]
+            assert ctx.write_outputs([b"d"], tags=tags) == ["t/000004"]
+            assert len({id(doc.tags) for doc in ctx.pending}) == len(ctx.pending)
+
+        register_user_fn("batch", fn)
+        api.submit_task(kind="user_fn", task_id="t", params={"fn": "batch"})
+        run_agent(api, "agent", DEFAULT_HANDLERS, max_loops=1, poll_interval=0.0)
+        task = api.get_task("t")
+        assert task.status == COMPLETED, task.last_error
+        assert _visible(api, "out") == ["t/000001", "t/000002", "t/000003", "t/000004"]
+        got = [api.get_document(k) for k in task.output_keys]
+        assert [(d.payload, d.label, d.tags) for d in got] == [
+            (b"first", None, {}), (b"a", "x", tags), (b"b", None, tags), (b"c", "z", tags),
+            (b"d", None, tags)]
+
     def test_rejected_outputs_fail_the_attempt(self, api):
         api.put_document(Document(key="t/000000", payload=b"user", tags={}))
         register_user_fn("clash", lambda ctx: ctx.write_output(b"x"))
@@ -485,6 +508,142 @@ def test_a_completion_walks_no_keys(engine, monkeypatch):
     assert settles == []
     assert engine.get_task("t").output_keys == ("t/000000", "t/000001")
     assert _visible(engine, "out") == ["t/000000", "t/000001"]
+
+
+# -- a completion's outputs as one batch ----------------------------------------
+
+# tag maps that share content and tell equal values of other types apart
+OUTPUT_TAG_MAPS = [{"dataset": "out"}, {"dataset": "out", "c": 1}, {"dataset": "out", "c": True},
+                   {"dataset": "out", "c": 1.0}, {"dataset": "out", "c": -0.0},
+                   {"dataset": "out", "c": 0.0}, {"c": 1, "dataset": "out"}, {}]
+OUTPUT_QUERIES = ['dataset = "out"', "c = 1", "c = true", "c = 1.0", "c = 0.0", "c >= 0"]
+
+
+def _strict(doc: Document) -> tuple:
+    """A document as values that tell 1, True and 1.0, and -0.0 and 0.0, apart."""
+    return (doc.key, doc.payload, doc.label,
+            sorted((name, type(v).__name__, repr(v)) for name, v in doc.tags.items()))
+
+
+def _output_reads(engine, keys) -> dict:
+    visible = {}
+    for key in keys:
+        try:
+            visible[key] = _strict(engine.get_document(key))
+        except NotFound:
+            pass
+    scans = {}
+    for q in OUTPUT_QUERIES:
+        scans[q] = engine.scan(q)[0]
+        assert engine.scan(q, use_index=False)[0] == scans[q], q
+    tasks = {t.task_id: (t.status, t.output_keys) for t in engine.list_tasks()}
+    return {"visible": visible, "scans": scans, "tasks": tasks}
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_a_completion_equals_its_outputs_one_at_a_time(api, engine, clock, tmp_path, seed):
+    """Outputs staged ahead in batches and sent with the completion leave the
+    store as the same outputs written one at a time do, on both transports,
+    through compaction and a reopen."""
+    rng = np.random.default_rng(seed)
+    ref = make_engine(tmp_path / "ref", clock)
+    for e in (engine, ref):
+        e.create_index("dataset")
+        e.create_index("c")
+    keys = []
+    for t in range(6):
+        task_id = f"t{t}"
+        for e in (api, ref):
+            e.submit_task(kind="user_fn", task_id=task_id, max_attempts=2)
+        outputs = [output_document(task_id, i, f"{seed}:{t}:{i}".encode(),
+                                   None if i % 3 else f"label{i}",
+                                   OUTPUT_TAG_MAPS[int(rng.integers(len(OUTPUT_TAG_MAPS)))])
+                   for i in range(int(rng.integers(0, 12)))]
+        keys += [doc.key for doc in outputs]
+        if rng.random() < 0.3:  # a failed attempt stages outputs that never show
+            for e in (api, ref):
+                e.lease_task("agent", TTL)
+                e.write_outputs(task_id, "agent", outputs[:3])
+                e.complete_task(task_id, "agent", "error", "first attempt")
+        ahead = int(rng.integers(0, len(outputs) + 1))
+        api.lease_task("agent", TTL)
+        for start in range(0, ahead, 4):
+            api.write_outputs(task_id, "agent", outputs[start:min(start + 4, ahead)])
+        api.complete_task(task_id, "agent", "ok", outputs=outputs[ahead:])
+        ref.lease_task("agent", TTL)
+        for doc in outputs:
+            ref.write_output(task_id, "agent", int(doc.key[-6:]), doc.payload, doc.label,
+                             doc.tags)
+        ref.complete_task(task_id, "agent", "ok")
+        assert _output_reads(engine, keys) == _output_reads(ref, keys)
+    expected = _output_reads(ref, keys)
+    engine.compact()
+    assert _output_reads(engine, keys) == expected
+    ref.close()
+    reopened = _reopen(engine, clock)
+    try:
+        assert _output_reads(reopened, keys) == expected
+    finally:
+        reopened.close()
+
+
+@pytest.mark.parametrize("bad,error", [
+    (Document(key="t/000009", payload=b"x", tags={"dataset": "out"}), DuplicateKey),
+    (Document(key="__sys/x", payload=b"x"), InvalidArgument),  # a reserved key
+    (Document(key="t/000004", payload=b"x", tags={"bad name": 1}), InvalidArgument),
+    (Document(key="u/000004", payload=b"x"), InvalidArgument),  # outside t/NNNNNN
+], ids=["visible-key", "reserved-key", "bad-tag-name", "outside-namespace"])
+def test_a_completion_with_one_bad_output_writes_nothing(api, engine, bad, error):
+    engine.create_index("dataset")
+    api.put_document(Document(key="t/000009", payload=b"user", tags={"dataset": "out"}))
+    api.submit_task(kind="user_fn", task_id="t")
+    api.lease_task("agent", TTL)
+    api.write_outputs("t", "agent", [output_document("t", i, b"ahead", None, {"dataset": "out"})
+                                     for i in range(2)])
+    sent = [output_document("t", i, b"sent", None, {"dataset": "out"}) for i in (2, 3)]
+    keys = [f"t/{i:06d}" for i in range(10)] + [bad.key]
+    before, size = _output_reads(engine, keys), _log_bytes(engine)
+    group = "t#0.1"
+    with pytest.raises(error):
+        api.complete_task("t", "agent", "ok", outputs=[*sent, bad])
+    assert _output_reads(engine, keys) == before and _log_bytes(engine) == size
+    assert engine.store.staged_keys(group) == ["t/000000", "t/000001"]
+    api.complete_task("t", "agent", "ok", outputs=sent)
+    assert api.get_task("t").output_keys == tuple(f"t/{i:06d}" for i in range(4))
+
+
+def test_per_tag_map_work_is_bounded_by_the_distinct_maps(api, engine, monkeypatch):
+    """A 256-output completion whose outputs share one tag map checks,
+    encodes and indexes that map a bounded number of times, not once per
+    output; the calls are counted, never timed."""
+    from forge.store import records
+    from forge.store import store as store_module
+
+    calls = {"validate_tags": 0, "encode_tags": 0, "sort_key": 0}
+
+    def counted(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(store_module, "validate_tags")
+    counted(records, "encode_tags")
+    counted(store_module, "sort_key")
+    engine.create_index("dataset")
+    api.submit_task(kind="user_fn", task_id="t")
+    api.lease_task("agent", TTL)
+    outputs = [output_document("t", i, b"x" * 64, "0.5", {"dataset": "out"}) for i in range(256)]
+    calls.update(dict.fromkeys(calls, 0))
+    api.complete_task("t", "agent", "ok", outputs=outputs)
+    # two distinct maps, the outputs' and the task record's empty one; the
+    # client encodes the outputs' once more to send them
+    assert calls == {"validate_tags": 2, "encode_tags": 3 if api is not engine else 2,
+                     "sort_key": 1}
+    assert len(_visible(api, "out")) == 256
 
 
 def test_outputs_beyond_the_frame_cap_complete_over_tcp(wire_pair):
