@@ -127,7 +127,8 @@ class DatasetManager:
 
     def read_batch(self, cursor: BatchCursor):
         """(documents, advanced cursor, end flag). Blob payloads are resolved;
-        the new position is persisted before returning."""
+        a new position is persisted before returning, and a read that finds
+        no document writes nothing."""
         if cursor.batch_size < 1:
             raise InvalidArgument("BatchCursor.batch_size must be positive")
         view = self.get_view(cursor.view_key)
@@ -136,8 +137,10 @@ class DatasetManager:
             ScanCursor(snapshot_seq=self.store.snapshot_seq(), last_key=cursor.position),
             limit=cursor.batch_size,
         )
+        if not keys:
+            return [], cursor, more is None
         docs = [self.resolve(self.store.get(k)) for k in keys]
-        new_cursor = replace(cursor, position=keys[-1] if keys else cursor.position)
+        new_cursor = replace(cursor, position=keys[-1])
         self._persist_cursor(new_cursor)
         return docs, new_cursor, more is None
 

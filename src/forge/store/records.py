@@ -39,8 +39,8 @@ encoding every document on its own.
 Nothing writes REPLACE or DELETE any more: every put is a PUT, and the store
 decides whether it may replace the key's current version. Both are decoded
 from logs that hold them; the store replays a REPLACE as a PUT and a DELETE
-as a tombstone. A decoder ignores bytes after a body it has read (a batch's
-sub-bodies included); every truncated or malformed input raises
+by emptying the key's slot. A decoder ignores bytes after a body it has read
+(a batch's sub-bodies included); every truncated or malformed input raises
 ``CorruptStore``.
 """
 
@@ -60,6 +60,9 @@ OP_DELETE = 3
 OP_COMMIT_GROUP = 4
 OP_BATCH = 5
 OP_SNAPSHOT = 6
+
+# a BATCH counts its records in a u16, so no frame holds more than this many
+MAX_BATCH_RECORDS = 0xFFFF
 
 _U16 = struct.Struct("<H")
 _U32 = struct.Struct("<I")

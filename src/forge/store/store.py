@@ -8,12 +8,26 @@ Layout of a store directory:
     blobs/              chunk files, <blob_id>.<chunk_index>
 
 Durability model: every mutation is one log frame (a batch of ops is one
-frame, hence atomic). In-memory state is a per-key version chain tagged with
-monotonically increasing sequence numbers, which gives snapshot reads for
-paged scans. User documents are immutable after write; replacement exists
-only for reserved system keys and for staged task outputs, and nothing
-deletes a key (a DELETE record in an older log still replays as a
-tombstone), so index maintenance is add-only between compactions and scans
+frame, hence atomic). In memory each key holds one version, its newest,
+tagged with the monotonically increasing sequence number that wrote it; a
+read at a snapshot sees that version only when its seq (and, for a staged
+version, its group's commit seq) is at or before the snapshot, which gives
+snapshot reads for paged scans. One version per key is enough because the
+write rule (``_validate_ops``) lets a put replace only versions that no
+reader can see at any snapshot:
+
+- a reserved key is read only at the newest seq (``get``, ``exists``,
+  ``get_meta``, ``keys_with_prefix``, the write rule), and scans skip
+  reserved keys;
+- a user key is replaced only while its version is staged under a group
+  that has not committed. Were that group to commit later, its commit seq
+  would come after the replacing version's seq, so at every snapshot at or
+  after the commit the replacing version is the newest: the replaced one
+  was never visible.
+
+User documents are otherwise immutable after write, and nothing deletes a
+key (a DELETE record in an older log still replays, emptying the key's
+slot), so index maintenance is add-only between compactions and scans
 re-verify candidates against the snapshot.
 
 Write path: ``apply_ops`` takes ops in order, where one ``PutOp`` carries any
@@ -60,7 +74,6 @@ import struct
 import threading
 from collections.abc import Iterator
 from dataclasses import dataclass
-from operator import itemgetter
 from pathlib import Path
 
 from forge.clock import Clock, SystemClock
@@ -112,14 +125,18 @@ StoreOp = PutOp | CommitGroupOp
 
 
 class _State:
-    """One visible version of a document."""
+    """A key's one version: the document, the staging group it was put
+    under (None when unstaged), when it arrived, and the seq that wrote it.
+    A newer put of the key replaces it (see the module docstring for why no
+    reader can miss it)."""
 
-    __slots__ = ("doc", "group", "arrived_ms")
+    __slots__ = ("doc", "group", "arrived_ms", "seq")
 
-    def __init__(self, doc: Document, group: str | None, arrived_ms: int):
+    def __init__(self, doc: Document, group: str | None, arrived_ms: int, seq: int):
         self.doc = doc
         self.group = group
         self.arrived_ms = arrived_ms
+        self.seq = seq
 
 
 # ``run`` is merged into ``main`` once it holds more than 1/_RUN_RATIO of
@@ -192,26 +209,6 @@ class _SortedKeys:
                 return
 
 
-class _Entry:
-    """Version chain for one key: list of (seq, state-or-None) in seq order."""
-
-    __slots__ = ("versions",)
-
-    def __init__(self):
-        self.versions: list[tuple[int, _State | None]] = []
-
-    def latest(self) -> tuple[int, _State | None]:
-        return self.versions[-1]
-
-    def at(self, snapshot_seq: int) -> _State | None:
-        versions = self.versions
-        seq, state = versions[-1]
-        if seq <= snapshot_seq:
-            return state
-        i = bisect.bisect_right(versions, snapshot_seq, key=itemgetter(0))
-        return versions[i - 1][1] if i else None
-
-
 class _Bucket:
     """The keys indexed under one value, as a set and as sorted keys."""
 
@@ -281,7 +278,7 @@ class Store:
         self.clock = clock or SystemClock()
         self.fsync = fsync
         self._lock = threading.RLock()
-        self._entries: dict[str, _Entry] = {}
+        self._entries: dict[str, _State | None] = {}  # None: deleted by an older log
         self._indexes: dict[str, _Index] = {}
         self._committed_groups: dict[str, int] = {}  # group -> commit seq
         self._staged: dict[str, set[str]] = {}  # uncommitted group -> keys it staged
@@ -375,18 +372,15 @@ class Store:
 
     def _apply(self, op: records.DecodedOp) -> None:
         if op.op in (records.OP_PUT, records.OP_REPLACE):
-            entry = self._entries.get(op.doc.key)
-            if entry is None:
-                entry = self._entries[op.doc.key] = _Entry()
+            if op.doc.key not in self._entries:
                 self._keys.add(op.doc.key)
-            entry.versions.append((op.seq, _State(op.doc, op.group, op.arrived_ms)))
+            self._entries[op.doc.key] = _State(op.doc, op.group, op.arrived_ms, op.seq)
             if op.group is not None and op.group not in self._committed_groups:
                 self._staged.setdefault(op.group, set()).add(op.doc.key)
             self._index_doc(op.doc)
         elif op.op == records.OP_DELETE:  # only older logs hold one
-            entry = self._entries.get(op.key)
-            if entry is not None:
-                entry.versions.append((op.seq, None))
+            if op.key in self._entries:
+                self._entries[op.key] = None  # the key stays in ``_keys``
         elif op.op == records.OP_COMMIT_GROUP:
             self._committed_groups[op.group] = op.seq
             self._staged.pop(op.group, None)
@@ -414,11 +408,10 @@ class Store:
         return commit_seq is not None and commit_seq <= snapshot_seq
 
     def _state_at(self, key: str, snapshot_seq: int) -> _State | None:
-        entry = self._entries.get(key)
-        if entry is None:
+        state = self._entries.get(key)
+        if state is None or state.seq > snapshot_seq:
             return None
-        state = entry.at(snapshot_seq)
-        if state is None or state.group is None:
+        if state.group is None:
             return state
         return state if self._visible(state, snapshot_seq) else None
 
@@ -450,7 +443,9 @@ class Store:
 
         Each document is checked, encoded and installed on its own, but each
         distinct tag map among them is checked, encoded and resolved to its
-        index buckets once, through a memo that lives for this call."""
+        index buckets once, through a memo that lives for this call. More
+        than ``records.MAX_BATCH_RECORDS`` records do not fit one frame and
+        are refused."""
         with self._lock:
             if self._closed:
                 raise InvalidArgument("store is closed")
@@ -459,6 +454,10 @@ class Store:
             writer = self._validate_ops(ops, now, memo)
             if not writer.count:
                 return  # no op, or only puts of no documents
+            if writer.count > records.MAX_BATCH_RECORDS:
+                raise InvalidArgument(
+                    f"{writer.count} records do not fit one frame; "
+                    f"the most is {records.MAX_BATCH_RECORDS}")
             self._log.append(writer.body())
             seq = self._next_seq
             for op in ops:
@@ -483,11 +482,9 @@ class Store:
         returns the next seq."""
         entries, group = self._entries, op.group
         for doc in op.docs:
-            entry = entries.get(doc.key)
-            if entry is None:
-                entry = entries[doc.key] = _Entry()
+            if doc.key not in entries:
                 self._keys.add(doc.key)
-            entry.versions.append((seq, _State(doc, group, now)))
+            entries[doc.key] = _State(doc, group, now, seq)
             seq += 1
         if group is not None and group not in self._committed_groups:
             self._staged.setdefault(group, set()).update(doc.key for doc in op.docs)
@@ -501,7 +498,8 @@ class Store:
         and is never staged. Any other key is written once: an unstaged put
         needs a key with no current version, a staged put one whose current
         version no reader sees, which is how an attempt reruns over what it
-        or an earlier one staged.
+        or an earlier one staged. Either way the version replaced is one no
+        reader can see at any snapshot, so the store keeps only the new one.
 
         Each distinct tag map is checked and encoded once, into ``memo``
         (keyed by ``records.tags_key``), which also collects the user keys
@@ -536,8 +534,7 @@ class Store:
                 if key in earlier:
                     exists, current = True, earlier[key]
                 else:
-                    entry = self._entries.get(key)
-                    state = entry.latest()[1] if entry is not None else None
+                    state = self._entries.get(key)
                     exists = state is not None
                     current = state.group if exists else None
                 if exists and (group is None or current is None or current in committed
@@ -559,13 +556,10 @@ class Store:
     def get_meta(self, key: str) -> tuple[int, int]:
         """(seq, arrived_ms) of the key's visible version."""
         with self._lock:
-            entry = self._entries.get(key)
-            if entry is None:
-                raise NotFound(f"document {key!r} not found")
-            seq, state = entry.latest()
+            state = self._entries.get(key)
             if not self._visible(state, self._next_seq - 1):
                 raise NotFound(f"document {key!r} not found")
-            return seq, state.arrived_ms
+            return state.seq, state.arrived_ms
 
     def exists(self, key: str) -> bool:
         with self._lock:
@@ -578,7 +572,7 @@ class Store:
         with self._lock:
             keys = self._staged.get(group, ())
             return sorted(key for key in keys
-                          if (state := self._entries[key].latest()[1]) is not None
+                          if (state := self._entries[key]) is not None
                           and state.group == group)
 
     def keys_with_prefix(self, prefix: str) -> list[str]:
@@ -603,12 +597,10 @@ class Store:
             if tag_name in self._indexes:
                 return
             index = _Index()
-            for key, entry in self._entries.items():
-                if key.startswith(SYSTEM_PREFIX):
-                    continue
-                for _, state in entry.versions:
-                    if state is not None and tag_name in state.doc.tags:
-                        index.bucket(state.doc.tags[tag_name]).add(key)
+            for key, state in self._entries.items():
+                if (state is not None and tag_name in state.doc.tags
+                        and not key.startswith(SYSTEM_PREFIX)):
+                    index.bucket(state.doc.tags[tag_name]).add(key)
             self._indexes[tag_name] = index
             self._write_manifest(sorted(self._indexes))
 
@@ -725,11 +717,12 @@ class Store:
     def compact(self) -> None:
         """Rewrite live state into a fresh snapshot segment.
 
-        Drops tombstones and superseded versions, folds committed staging
-        groups into plain documents, and garbage-collects unreferenced blob
-        chunks. Open scan cursors from before the compaction stay valid
-        because surviving versions keep their sequence numbers; a folded
-        staged document takes its group's commit seq.
+        Writes each key's one version, skipping keys an older log deleted,
+        folds committed staging groups into plain documents, and
+        garbage-collects unreferenced blob chunks. Open scan cursors from
+        before the compaction stay valid because every version keeps its
+        sequence number; a folded staged document takes its group's commit
+        seq.
         """
         with self._lock:
             self._log.close()
@@ -739,10 +732,10 @@ class Store:
             with open(tmp, "wb") as f:
                 f.write(logio.frame(records.encode_snapshot_marker(self._next_seq)))
                 for key in self._keys.walk(""):
-                    seq, state = self._entries[key].latest()
+                    state = self._entries[key]
                     if state is None:
                         continue
-                    group = state.group
+                    seq, group = state.seq, state.group
                     if group is not None and group in self._committed_groups:
                         # folded in at its commit's seq, so that snapshots
                         # taken before the commit still do not see it
@@ -758,7 +751,8 @@ class Store:
             os.replace(tmp, logio.segment_path(self.path, number))
             for path in logio.list_segments(self.path)[:-1]:
                 path.unlink()
-            # rebuild in-memory state to shed history
+            # rebuild in-memory state from the new segment alone, which
+            # drops deleted keys, committed groups and stale index entries
             self._entries = {}
             # groups committed before compaction were folded in; uncommitted
             # staged docs keep their group and still need a commit op later

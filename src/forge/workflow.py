@@ -18,12 +18,12 @@ group, ``task_id#replays.attempts``, and its completion commits that group
 alone, so outputs a failed attempt left behind never surface. A handler
 hands its outputs to ``TaskContext`` in batches; agents buffer them and send
 them with the completion, so a task's outputs and its completion record are
-one log frame; a buffer that would pass OUTPUT_FLUSH_BYTES is staged ahead.
-The engine hands the store the outputs as one put under the attempt's
-group, which the store checks, writes and indexes as a batch. The engine,
-not the agent, lists the keys the completion's commit makes visible in the
-task record. Whether a
-write may replace a key is the store's rule: task and plan records are
+one log frame; a buffer that would pass OUTPUT_FLUSH_BYTES or
+OUTPUT_FLUSH_COUNT is staged ahead. The engine hands the store the outputs
+as one put under the attempt's group, which the store checks, writes and
+indexes as a batch. The engine, not the agent, lists the keys the
+completion's commit makes visible in the task record. Whether a write may
+replace a key is the store's rule: task and plan records are
 reserved keys, replaced on every write, and an output may be staged again
 until a commit makes it visible. Every task, from a plan, ``submit_task`` or
 a stream, is built and checked by ``build_task``; a task id may not start
@@ -52,6 +52,7 @@ from forge.errors import (
 from forge.faults import KillPoint, kill_point
 from forge.query import TagScalar
 from forge.store import Document, PutOp, Store
+from forge.store.records import MAX_BATCH_RECORDS
 from forge.store.store import CommitGroupOp
 from forge.store.types import MAX_PAYLOAD, SYSTEM_PREFIX, json_doc, validate_tags
 
@@ -78,6 +79,9 @@ MIN_LEASE_TTL_MS = 1_000
 # an agent stages its buffered outputs ahead of the completion once they would
 # pass this size, so every batch fits one wire frame with room to spare
 OUTPUT_FLUSH_BYTES = MAX_PAYLOAD // 2
+# or once they number this many, so the completion's frame (the outputs, the
+# task record and the commit) fits the records one log frame can count
+OUTPUT_FLUSH_COUNT = MAX_BATCH_RECORDS - 2
 
 # the type of each task field, as a plan's JSON or a caller gives it
 _FIELD_TYPES = {"task_id": str, "kind": str, "input_dataset": str, "model": str,
@@ -552,9 +556,10 @@ class TaskContext:
     A handler hands its outputs over in batches that share a tag map
     (``write_outputs``; ``write_output`` is a batch of one). They are
     counted by ``written`` and buffered in ``pending``, which is sent with
-    the completion; when the buffer would pass OUTPUT_FLUSH_BYTES it is
-    staged first as one batch. A batch works out its tag map's share of the
-    size hint once. The engine lists the task's outputs.
+    the completion; when the buffer would pass OUTPUT_FLUSH_BYTES or
+    OUTPUT_FLUSH_COUNT it is staged first as one batch. A batch works out
+    its tag map's share of the size hint once. The engine lists the task's
+    outputs.
     """
 
     def __init__(self, api, task: Task, agent_id: str):
@@ -588,7 +593,8 @@ class TaskContext:
         for payload, label in zip(payloads, labels):
             doc = output_document(task_id, self.written, payload, label, tags)
             size = fixed + (len(payload) if doc.is_inline else 256) + len(label or "")
-            if self.pending and self._pending_bytes + size > OUTPUT_FLUSH_BYTES:
+            if self.pending and (self._pending_bytes + size > OUTPUT_FLUSH_BYTES
+                                 or len(self.pending) == OUTPUT_FLUSH_COUNT):
                 self.api.write_outputs(task_id, self.agent_id, self.pending)
                 self.pending, self._pending_bytes = [], 0
             self.pending.append(doc)

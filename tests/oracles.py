@@ -1,7 +1,8 @@
 """Independent reference implementations the tests check the engine against.
 
 These deliberately share no code with the package: a straight-line predicate
-evaluator, brute-force document filters, and central finite differences.
+evaluator, brute-force document filters, a version chain of every write, and
+central finite differences.
 Expected values in the test suite come from these, never from the code under
 test.
 """
@@ -86,6 +87,48 @@ def brute_force_scan(docs: dict[str, dict], preds: list[tuple]) -> list[str]:
         except OracleTypeError:
             pass
     return out
+
+
+class VersionChain:
+    """Every version ever written of every key, read as a snapshot.
+
+    Seqs are counted here, one per document put and one per group commit,
+    as the store hands them out. At a snapshot a key shows its newest
+    version written at or before it; a version staged under a group shows
+    only once that group's commit is at or before the snapshot too.
+    """
+
+    def __init__(self):
+        self.seq = 0
+        self.versions: dict[str, list[tuple[int, str | None]]] = {}
+        self.commits: dict[str, int] = {}
+
+    def put(self, key: str, group: str | None = None) -> None:
+        self.seq += 1
+        self.versions.setdefault(key, []).append((self.seq, group))
+
+    def commit(self, group: str) -> None:
+        self.seq += 1
+        self.commits[group] = self.seq
+
+    def at(self, key: str, snapshot: int) -> tuple[int, str | None] | None:
+        """(seq, group) of the key's newest version at ``snapshot``."""
+        newest = None
+        for version in self.versions.get(key, ()):
+            if version[0] <= snapshot:
+                newest = version
+        return newest
+
+    def visible_keys(self, snapshot: int) -> list[str]:
+        out = []
+        for key in sorted(self.versions):
+            version = self.at(key, snapshot)
+            if version is None:
+                continue
+            group = version[1]
+            if group is None or self.commits.get(group, snapshot + 1) <= snapshot:
+                out.append(key)
+        return out
 
 
 def finite_difference_grads(loss_of_params, params: dict[str, np.ndarray],

@@ -24,6 +24,10 @@ def fill(api, n, start=0, **tags):
         api.put_document(doc(f"d{i:04d}", **tags))
 
 
+def _log_bytes(engine) -> int:
+    return sum(p.stat().st_size for p in engine.store.path.glob("segment-*.log"))
+
+
 class TestViews:
     def test_define_over_empty_store(self, api):
         view = api.define_view("v", 'split = "train"')
@@ -110,6 +114,20 @@ class TestBatchCursor:
         assert [d.key for d in docs] == ["d0003", "d0004", "d0005"]
         assert json.loads(eng.store.get("__sys/cursor/v/old").payload) == {"position": "d0005"}
         eng.close()
+
+    def test_an_empty_read_writes_nothing(self, api, engine):
+        """A read that finds no new document leaves the cursor where it was,
+        so it persists nothing: the log and the sequence stay as they were."""
+        fill(api, 4)
+        api.define_view("v", 'split = "train"')
+        _, cursor, end = api.read_batch(api.open_cursor("v", batch_size=4, cursor_id="c"))
+        assert end
+        size, seq = _log_bytes(engine), engine.store.snapshot_seq()
+        for _ in range(100):
+            docs, cursor, end = api.read_batch(cursor)
+            assert (docs, cursor.position, end) == ([], "d0003", True)
+        assert (_log_bytes(engine), engine.store.snapshot_seq()) == (size, seq)
+        assert json.loads(engine.store.get("__sys/cursor/v/c").payload) == {"position": "d0003"}
 
     def test_blob_payloads_resolved_transparently(self, api):
         data = random.Random(5).randbytes(60_000)

@@ -450,6 +450,27 @@ class TestSystemDocs:
             assert not s.exists("__sys/x")
             assert s.snapshot_seq() == seq
 
+    def test_a_key_put_again_after_a_delete_is_listed_once(self, tmp_path):
+        """An older log's DELETE empties a key's slot but keeps the key, so a
+        PUT of it after the DELETE, live or replayed, lists it once, also
+        after compaction and a reopen."""
+        path = tmp_path / "s"
+        with make_store(path, create=True) as s:
+            s.put_system(doc("__sys/x", b"1"))
+            seq = s.snapshot_seq() + 1
+        append_record(path, delete_body(seq, "__sys/x"))
+        with make_store(path) as s:
+            assert s.keys_with_prefix("__sys/") == []
+            s.put_system(doc("__sys/x", b"2"))
+            assert s.keys_with_prefix("__sys/") == ["__sys/x"]
+        with make_store(path) as s:
+            assert s.keys_with_prefix("__sys/") == ["__sys/x"]
+            s.compact()
+            assert s.keys_with_prefix("__sys/") == ["__sys/x"]
+        with make_store(path) as s:
+            assert s.keys_with_prefix("__sys/") == ["__sys/x"]
+            assert s.get("__sys/x").payload == b"2"
+
     def test_sys_keys_hidden_from_scan(self, tmp_path):
         with make_store(tmp_path / "s", create=True) as s:
             s.put_system(doc("__sys/x"))
@@ -880,6 +901,20 @@ class TestBatches:
                          CommitGroupOp("g")])
             assert s.get("t/0").payload == b"2"
             assert s.scan(MATCH_ALL)[0] == ["t/0"]
+
+    def test_a_frame_beyond_the_record_count_writes_nothing(self, tmp_path):
+        """A BATCH counts its records in a u16: a put of one document more
+        is refused before anything is written; one that fills it is taken."""
+        path = tmp_path / "s"
+        with make_store(path, create=True) as s:
+            with pytest.raises(InvalidArgument):
+                s.apply_ops([PutOp(*(doc(f"d{i:05d}", b"") for i in range(65_536)))])
+            assert _log_bytes(path) == 0 and s.snapshot_seq() == 0
+            assert s.scan(MATCH_ALL) == ([], None)
+            s.apply_ops([PutOp(*(doc(f"d{i:05d}", b"") for i in range(65_534)), group="g"),
+                         CommitGroupOp("g")])
+            assert s.snapshot_seq() == 65_535
+            assert len(s.scan(MATCH_ALL)[0]) == 65_534
 
     def test_a_put_of_no_documents_writes_nothing(self, tmp_path):
         path = tmp_path / "s"

@@ -10,11 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from forge.clock import FakeClock
+from forge.errors import DuplicateKey
 from forge.query import MATCH_ALL, parse
 from forge.store import CommitGroupOp, Document, PutOp, ScanCursor, Store
-from forge.store.store import _CHUNK, _RUN_RATIO, _Entry
+from forge.store.store import _CHUNK, _RUN_RATIO
 
-from oracles import brute_force_scan
+from oracles import VersionChain, brute_force_scan
 
 
 def make_store(path):
@@ -124,14 +125,6 @@ def test_a_read_after_a_few_puts_sorts_only_them(tmp_path, query, use_index):
         assert _CountedKey.touches <= 4 * k * k.bit_length() + 2 * _CHUNK + 4 * n.bit_length()
 
 
-def test_version_chain_reads_the_newest_version_at_the_snapshot():
-    entry = _Entry()
-    first, second = object(), object()
-    entry.versions += [(3, first), (5, None), (9, second)]
-    got = {snap: entry.at(snap) for snap in (2, 3, 4, 5, 8, 9, 100)}
-    assert got == {2: None, 3: first, 4: first, 5: None, 8: None, 9: second, 100: second}
-
-
 # -- property test against a brute-force oracle -------------------------------------
 
 QUERIES = [
@@ -178,8 +171,13 @@ def _key(rng, model):
 @settings(max_examples=60, deadline=None)
 def test_paged_scans_match_the_oracle_under_interleaved_writes(tmp_path_factory, seed,
                                                                indexes):
+    """Paged scans concatenate to the oracle's scan at their snapshot. Puts
+    the write rule refuses raise and take no seq, and a whole scan at every
+    snapshot taken so far shows what ``VersionChain``, every version ever
+    written, shows there."""
     rng = random.Random(seed)
     model = _Model()
+    chain = VersionChain()
     walks = []  # [query, limit, snapshot, cursor, pages so far, expected]
     path = tmp_path_factory.mktemp("reads") / "s"
     with make_store(path) as s:
@@ -191,16 +189,20 @@ def test_paged_scans_match_the_oracle_under_interleaved_writes(tmp_path_factory,
                 key, tags = _key(rng, model), _tags(rng)
                 s.put(Document(key=key, payload=b"", tags=tags))
                 model.visible[key] = tags
+                chain.put(key)
             elif action < 0.45:
                 group = f"g{step}"
                 docs = {_key(rng, model): _tags(rng) for _ in range(rng.randrange(1, 4))}
                 s.apply_ops([PutOp(Document(key=k, payload=b"", tags=t), group=group)
                              for k, t in docs.items()])
                 model.staged[group] = docs
+                for k in docs:
+                    chain.put(k, group)
             elif action < 0.5 and model.staged:
                 group = rng.choice(sorted(model.staged))
                 s.apply_ops([CommitGroupOp(group)])
                 model.visible.update(model.staged.pop(group))
+                chain.commit(group)
             elif action < 0.54 and any(model.staged.values()):
                 # a rerun stages a key again under its own group, often the same doc
                 old = rng.choice(sorted(g for g, docs in model.staged.items() if docs))
@@ -211,10 +213,12 @@ def test_paged_scans_match_the_oracle_under_interleaved_writes(tmp_path_factory,
                 s.apply_ops([PutOp(Document(key=key, payload=b"", tags=tags),
                                    group=f"g{step}")])
                 model.staged[f"g{step}"] = {key: tags}
+                chain.put(key, f"g{step}")
             elif action < 0.6:
                 key = f"__sys/p/{rng.randrange(6)}"
                 s.put_system(Document(key=key, payload=b"v"))
                 model.system.add(key)
+                chain.put(key)
             elif action < 0.68:
                 s.compact()
             elif action < 0.76:
@@ -226,9 +230,29 @@ def test_paged_scans_match_the_oracle_under_interleaved_writes(tmp_path_factory,
                 assert s.scan(parse(query), use_index=False) == (expected, None)
                 walks.append([query, rng.randrange(1, 5), s.snapshot_seq(), None, [],
                               expected])
+                for snap in sorted({walk[2] for walk in walks}):
+                    assert s.scan(MATCH_ALL, ScanCursor(snap, ""))[0] == [
+                        k for k in chain.visible_keys(snap) if not k.startswith("__sys/")]
             elif action < 0.82:
                 prefix = rng.choice(["", "k", "k1", "k05", "__sys/", "__sys/p/3", "z"])
                 assert s.keys_with_prefix(prefix) == model.with_prefix(prefix)
+            elif action < 0.9 and model.visible:
+                # the write rule refuses a put over a visible key, staged or
+                # not, an unstaged put over a staged key, and a restage of a
+                # key whose group the same batch commits
+                key = rng.choice(sorted(model.visible))
+                ops = [PutOp(Document(key=key, payload=b"", tags=_tags(rng)),
+                             group=rng.choice([None, f"g{step}"]))]
+                if rng.random() < 0.5 and any(model.staged.values()):
+                    old = rng.choice(sorted(g for g, docs in model.staged.items() if docs))
+                    key = rng.choice(sorted(model.staged[old]))
+                    ops = rng.choice([
+                        [PutOp(Document(key=key, payload=b""))],
+                        [CommitGroupOp(old), PutOp(Document(key=key, payload=b""),
+                                                   group=f"g{step}")]])
+                with pytest.raises(DuplicateKey):
+                    s.apply_ops(ops)
+            assert s.snapshot_seq() == chain.seq
             # advance every open walk by one page
             for walk in walks:
                 query, limit, snap, cursor, pages, expected = walk

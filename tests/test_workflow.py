@@ -1,8 +1,10 @@
 """Task workflow: leases, plans and the master, staged outputs, restarts and
 kill points. Tests on the ``api`` fixture run in-process and over TCP."""
 
+import gc
 import json
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -232,7 +234,7 @@ def test_store_with_old_lease_docs_steps_and_fires(engine, clock):
 
 def test_an_idle_engine_writes_nothing_as_time_passes(api, engine, clock):
     """Steps from two masters, with an idle stream attached, leave the log,
-    the sequence and every system key's version chain as they were."""
+    the sequence and the seq of every system key's version as they were."""
     engine.register_model(MODEL, SPEC)
     engine.define_view("v", 'dataset = "v"')
     engine.attach_stream("v", 4, 1_000, MODEL, "v-out")
@@ -240,15 +242,15 @@ def test_an_idle_engine_writes_nothing_as_time_passes(api, engine, clock):
     _finish_next(engine)
     assert api.master_step("m1")["plans_completed"] == ["p"]
 
-    def chains():
-        return {key: len(entry.versions) for key, entry in engine.store._entries.items()
+    def seqs():
+        return {key: state.seq for key, state in engine.store._entries.items()
                 if key.startswith("__sys/")}
 
-    size, seq, before = _log_bytes(engine), engine.store.snapshot_seq(), chains()
+    size, seq, before = _log_bytes(engine), engine.store.snapshot_seq(), seqs()
     for i in range(1000):
         clock.advance(100)
         api.master_step(f"m{i % 2 + 1}")
-    assert (_log_bytes(engine), engine.store.snapshot_seq(), chains()) == (size, seq, before)
+    assert (_log_bytes(engine), engine.store.snapshot_seq(), seqs()) == (size, seq, before)
 
 
 class TestMasterLease:
@@ -665,6 +667,43 @@ def test_outputs_beyond_the_frame_cap_complete_over_tcp(wire_pair):
     assert visible == list(task.output_keys)
     for i in (0, count // 2, count - 1):
         assert client.get_document(visible[i]).payload == i.to_bytes(4, "little") * (size // 4)
+
+
+def test_outputs_beyond_the_batch_record_count_complete(api):
+    """More outputs than one BATCH can count (a u16) are staged ahead by
+    count, so the completion still commits them all."""
+    count = 70_000
+
+    def many(ctx):
+        ctx.write_outputs([b""] * count, tags={"dataset": "many"})
+
+    register_user_fn("many", many)
+    api.submit_task(kind="user_fn", task_id="t", params={"fn": "many"})
+    run_agent(api, "agent", DEFAULT_HANDLERS, max_loops=1, poll_interval=0.0)
+    task = api.get_task("t")
+    assert task.status == COMPLETED, task.last_error
+    assert task.output_keys == tuple(f"t/{i:06d}" for i in range(count))
+    assert _visible(api, "many") == list(task.output_keys)
+
+
+def test_heartbeats_do_not_grow_memory(engine):
+    """A renewed lease replaces its task record, and the store keeps no
+    version a reader cannot see, so 2000 renewals hold traced memory flat."""
+    engine.submit_task(kind="user_fn", task_id="t")
+    engine.lease_task("agent", TTL)
+    for _ in range(10):
+        engine.heartbeat("t", "agent", TTL)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for _ in range(2000):
+            engine.heartbeat("t", "agent", TTL)
+        gc.collect()
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert grown < 64 * 1024
 
 
 # -- kill points on the completion path ---------------------------------------
