@@ -84,11 +84,11 @@ class DatasetManager:
     def define_view(self, view_key: str, query: TagQuery) -> DatasetView:
         if not view_key or "/" in view_key:
             raise InvalidArgument("view keys must be non-empty and must not contain '/'")
-        key = VIEW_PREFIX + view_key
-        if self.store.exists(key):
+        if self.has_view(view_key):
             raise DuplicateKey(f"view {view_key!r} already exists")
         created = self.store.clock.now_ms()
-        self.store.put_system(json_doc(key, {"query": render(query), "created_at": created}))
+        self.store.put_system(json_doc(VIEW_PREFIX + view_key,
+                                       {"query": render(query), "created_at": created}))
         return DatasetView(view_key=view_key, query=query, created_at=created)
 
     def get_view(self, view_key: str) -> DatasetView:
@@ -99,6 +99,9 @@ class DatasetManager:
         meta = _payload_json(doc)
         return DatasetView(view_key=view_key, query=parse(meta["query"]),
                            created_at=meta["created_at"])
+
+    def has_view(self, view_key: str) -> bool:
+        return self.store.exists(VIEW_PREFIX + view_key)
 
     def list_views(self) -> list[str]:
         return [k[len(VIEW_PREFIX):] for k in self.store.keys_with_prefix(VIEW_PREFIX)]

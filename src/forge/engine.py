@@ -59,6 +59,7 @@ from forge.store import (
     ScanCursor,
     Store,
 )
+from forge.store.store import FORMAT_VERSION
 from forge.workflow import DEFAULT_MAX_ATTEMPTS, Task, WorkflowManager
 
 
@@ -72,7 +73,7 @@ class Forge:
         self.models = ModelStore(self.store)
         self.workflow = WorkflowManager(
             self.store, self.clock,
-            view_exists=lambda key: self.store.exists(f"__sys/view/{key}"),
+            view_exists=self.datasets.has_view,
             model_exists=self.models.has_model)
         self._lock = threading.RLock()
 
@@ -87,7 +88,7 @@ class Forge:
 
     def info(self) -> dict:
         return {
-            "format_version": 1,
+            "format_version": FORMAT_VERSION,
             "inline_threshold": self.store.inline_threshold,
             "indexes": self.store.indexes(),
             "chunk_size": CHUNK_SIZE,

@@ -9,21 +9,22 @@ Layout of a store directory:
 
 Durability model: every mutation is one log frame (a batch of ops is one
 frame, hence atomic). In memory each key holds one version, its newest,
-tagged with the monotonically increasing sequence number that wrote it; a
-read at a snapshot sees that version only when its seq (and, for a staged
-version, its group's commit seq) is at or before the snapshot, which gives
-snapshot reads for paged scans. One version per key is enough because the
-write rule (``_validate_ops``) lets a put replace only versions that no
-reader can see at any snapshot:
+tagged with a monotonically increasing sequence number; a read at a snapshot
+sees that version only when it is not staged and its seq is at or before the
+snapshot, which gives snapshot reads for paged scans. A group's commit folds
+the versions still staged under it into plain ones that take the commit's
+seq, so a snapshot shows exactly what was committed at or before it, and no
+later op changes that. One version per key is enough because the write rule
+(``_validate_ops``) lets a put replace only versions that no reader can see
+at any snapshot:
 
 - a reserved key is read only at the newest seq (``get``, ``exists``,
   ``get_meta``, ``keys_with_prefix``, the write rule), and scans skip
   reserved keys;
-- a user key is replaced only while its version is staged under a group
-  that has not committed. Were that group to commit later, its commit seq
-  would come after the replacing version's seq, so at every snapshot at or
-  after the commit the replacing version is the newest: the replaced one
-  was never visible.
+- a user key is replaced only while its version is still staged. No read
+  sees a staged version, and only its group's commit, by folding it, could
+  make it visible; a replaced version is no longer the key's, so no commit
+  folds it.
 
 User documents are otherwise immutable after write, and nothing deletes a
 key (a DELETE record in an older log still replays, emptying the key's
@@ -44,11 +45,13 @@ bucket it names is looked up once for all the keys put with it.
 Staged writes: a document put with a staging ``group`` stays invisible to
 readers until the group is committed (one op, usually inside the same batch
 that records the producing task's completion). That is the commit-marker
-mechanism making task outputs appear all-or-nothing. Whether a put may
-replace a key's current version is the store's rule (``_validate_ops``). The
-store keeps the keys each uncommitted group staged, so ``staged_keys`` reads
-what the group's commit would make visible without a walk, and the
-completion records exactly the outputs its commit shows.
+mechanism making task outputs appear all-or-nothing. A commit shows what is
+staged under its group at that moment and forgets the group: a later put
+under it waits for the group's next commit. Whether a put may replace a
+key's current version is the store's rule (``_validate_ops``). The store
+keeps the keys each group staged since its last commit, so ``staged_keys``
+reads what the commit would show, and the commit folds them, without a
+walk; the completion records exactly the outputs its commit shows.
 
 Read paths cost O(log n + keys visited). The store's keys, and each index
 bucket's, are one ``_SortedKeys``: a large sorted ``main`` list, a small
@@ -126,9 +129,10 @@ StoreOp = PutOp | CommitGroupOp
 
 class _State:
     """A key's one version: the document, the staging group it was put
-    under (None when unstaged), when it arrived, and the seq that wrote it.
-    A newer put of the key replaces it (see the module docstring for why no
-    reader can miss it)."""
+    under (None when unstaged or folded in by the group's commit), when it
+    arrived, and its seq: the put's, or the commit's once folded in. A newer
+    put of the key replaces it (see the module docstring for why no reader
+    can miss it)."""
 
     __slots__ = ("doc", "group", "arrived_ms", "seq")
 
@@ -280,8 +284,7 @@ class Store:
         self._lock = threading.RLock()
         self._entries: dict[str, _State | None] = {}  # None: deleted by an older log
         self._indexes: dict[str, _Index] = {}
-        self._committed_groups: dict[str, int] = {}  # group -> commit seq
-        self._staged: dict[str, set[str]] = {}  # uncommitted group -> keys it staged
+        self._staged: dict[str, set[str]] = {}  # group -> keys staged since its last commit
         self._next_seq = 1
         self._keys = _SortedKeys()
         self._closed = False
@@ -375,15 +378,14 @@ class Store:
             if op.doc.key not in self._entries:
                 self._keys.add(op.doc.key)
             self._entries[op.doc.key] = _State(op.doc, op.group, op.arrived_ms, op.seq)
-            if op.group is not None and op.group not in self._committed_groups:
+            if op.group is not None:
                 self._staged.setdefault(op.group, set()).add(op.doc.key)
             self._index_doc(op.doc)
         elif op.op == records.OP_DELETE:  # only older logs hold one
             if op.key in self._entries:
                 self._entries[op.key] = None  # the key stays in ``_keys``
         elif op.op == records.OP_COMMIT_GROUP:
-            self._committed_groups[op.group] = op.seq
-            self._staged.pop(op.group, None)
+            self._fold(op.group, op.seq)
         elif op.op == records.OP_SNAPSHOT:
             self._next_seq = max(self._next_seq, op.next_seq)
         if op.seq >= self._next_seq:
@@ -397,23 +399,24 @@ class Store:
             if index is not None:
                 index.bucket(value).add(doc.key)
 
-    # -- visibility -----------------------------------------------------------
+    def _fold(self, group: str, seq: int) -> None:
+        """Commit ``group`` at ``seq``: each key still staged under it
+        becomes a plain version of that seq, and the store forgets the
+        group."""
+        entries = self._entries
+        for key in self._staged.pop(group, ()):
+            state = entries[key]
+            if state is not None and state.group == group:
+                state.group = None
+                state.seq = seq
 
-    def _visible(self, state: _State | None, snapshot_seq: int) -> bool:
-        if state is None:
-            return False
-        if state.group is None:
-            return True
-        commit_seq = self._committed_groups.get(state.group)
-        return commit_seq is not None and commit_seq <= snapshot_seq
+    # -- visibility -----------------------------------------------------------
 
     def _state_at(self, key: str, snapshot_seq: int) -> _State | None:
         state = self._entries.get(key)
-        if state is None or state.seq > snapshot_seq:
+        if state is None or state.seq > snapshot_seq or state.group is not None:
             return None
-        if state.group is None:
-            return state
-        return state if self._visible(state, snapshot_seq) else None
+        return state
 
     def snapshot_seq(self) -> int:
         with self._lock:
@@ -464,8 +467,7 @@ class Store:
                 if isinstance(op, PutOp):
                     seq = self._put(op, seq, now)
                 else:
-                    self._committed_groups[op.group] = seq
-                    self._staged.pop(op.group, None)
+                    self._fold(op.group, seq)
                     seq += 1
             self._next_seq = seq
             for tag_map in memo.values():
@@ -486,7 +488,7 @@ class Store:
                 self._keys.add(doc.key)
             entries[doc.key] = _State(doc, group, now, seq)
             seq += 1
-        if group is not None and group not in self._committed_groups:
+        if group is not None:
             self._staged.setdefault(group, set()).update(doc.key for doc in op.docs)
         return seq
 
@@ -497,20 +499,21 @@ class Store:
         applied alone. A put to a reserved key replaces its current version,
         and is never staged. Any other key is written once: an unstaged put
         needs a key with no current version, a staged put one whose current
-        version no reader sees, which is how an attempt reruns over what it
-        or an earlier one staged. Either way the version replaced is one no
+        version is still staged (not folded in by a commit, also one earlier
+        in the batch), which is how an attempt reruns over what it or an
+        earlier one staged. Either way the version replaced is one no
         reader can see at any snapshot, so the store keeps only the new one.
 
         Each distinct tag map is checked and encoded once, into ``memo``
         (keyed by ``records.tags_key``), which also collects the user keys
         put with it, for the index."""
         writer = records.BodyWriter()
-        earlier: dict[str, str | None] = {}  # user key -> group of this batch's put of it
-        committed: set[str] = set()  # groups this batch has committed so far
-        seq = self._next_seq
+        earlier: dict[str, tuple] = {}  # user key -> (group, seq a commit folds it from)
+        committed: dict[str, int] = {}  # group -> seq of its newest commit in this batch
+        seq = first = self._next_seq
         for op in ops:
             if isinstance(op, CommitGroupOp):
-                committed.add(op.group)
+                committed[op.group] = seq
                 writer.commit_group(seq, op.group)
                 seq += 1
                 continue
@@ -532,15 +535,15 @@ class Store:
                         raise InvalidArgument(f"reserved key {key!r} cannot be staged")
                     continue
                 if key in earlier:
-                    exists, current = True, earlier[key]
+                    exists, (current, since) = True, earlier[key]
                 else:
                     state = self._entries.get(key)
-                    exists = state is not None
+                    exists, since = state is not None, first
                     current = state.group if exists else None
-                if exists and (group is None or current is None or current in committed
-                               or current in self._committed_groups):
+                if exists and (group is None or current is None
+                               or committed.get(current, 0) >= since):
                     raise DuplicateKey(f"document key {key!r} already exists")
-                earlier[key] = group
+                earlier[key] = (group, seq)
                 tag_map.keys.append(key)
         return writer
 
@@ -556,8 +559,8 @@ class Store:
     def get_meta(self, key: str) -> tuple[int, int]:
         """(seq, arrived_ms) of the key's visible version."""
         with self._lock:
-            state = self._entries.get(key)
-            if not self._visible(state, self._next_seq - 1):
+            state = self._state_at(key, self._next_seq - 1)
+            if state is None:
                 raise NotFound(f"document {key!r} not found")
             return state.seq, state.arrived_ms
 
@@ -567,8 +570,8 @@ class Store:
 
     def staged_keys(self, group: str) -> list[str]:
         """Keys whose newest version is staged under ``group``, ascending:
-        what committing the group would make visible. Empty once the group
-        is committed."""
+        what committing the group would make visible. Empty right after the
+        group commits."""
         with self._lock:
             keys = self._staged.get(group, ())
             return sorted(key for key in keys
@@ -717,12 +720,10 @@ class Store:
     def compact(self) -> None:
         """Rewrite live state into a fresh snapshot segment.
 
-        Writes each key's one version, skipping keys an older log deleted,
-        folds committed staging groups into plain documents, and
-        garbage-collects unreferenced blob chunks. Open scan cursors from
-        before the compaction stay valid because every version keeps its
-        sequence number; a folded staged document takes its group's commit
-        seq.
+        Writes each key's one version as it is held, skipping keys an older
+        log deleted, and garbage-collects unreferenced blob chunks. Open scan
+        cursors from before the compaction stay valid because every version
+        keeps its sequence number, and a staged one its group.
         """
         with self._lock:
             self._log.close()
@@ -735,14 +736,8 @@ class Store:
                     state = self._entries[key]
                     if state is None:
                         continue
-                    seq, group = state.seq, state.group
-                    if group is not None and group in self._committed_groups:
-                        # folded in at its commit's seq, so that snapshots
-                        # taken before the commit still do not see it
-                        seq = max(seq, self._committed_groups[group])
-                        group = None
-                    body = records.encode_doc_op(records.OP_PUT, seq, state.arrived_ms,
-                                                 group, state.doc)
+                    body = records.encode_doc_op(records.OP_PUT, state.seq, state.arrived_ms,
+                                                 state.group, state.doc)
                     f.write(logio.frame(body))
                     if not state.doc.is_inline:
                         live_blobs.add(state.doc.payload.blob_id)
@@ -752,11 +747,8 @@ class Store:
             for path in logio.list_segments(self.path)[:-1]:
                 path.unlink()
             # rebuild in-memory state from the new segment alone, which
-            # drops deleted keys, committed groups and stale index entries
+            # drops deleted keys and stale index entries
             self._entries = {}
-            # groups committed before compaction were folded in; uncommitted
-            # staged docs keep their group and still need a commit op later
-            self._committed_groups = {}
             self._staged = {}
             self._keys = _SortedKeys()
             next_seq = self._next_seq

@@ -228,6 +228,8 @@ class WorkflowManager:
             if name not in fields:
                 raise InvalidArgument(f"{where}{name} is required")
         _check_types(where, fields)
+        if "model" in fields and "model_key" in fields:
+            raise InvalidArgument(f"{where}model and model_key name the same field; give one")
         if not fields["task_id"]:
             raise InvalidArgument(f"{where}task_id must be a non-empty str")
         if fields["task_id"].startswith(SYSTEM_PREFIX):

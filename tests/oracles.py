@@ -93,40 +93,41 @@ class VersionChain:
     """Every version ever written of every key, read as a snapshot.
 
     Seqs are counted here, one per document put and one per group commit,
-    as the store hands them out. At a snapshot a key shows its newest
-    version written at or before it; a version staged under a group shows
-    only once that group's commit is at or before the snapshot too.
+    as the store hands them out. A commit folds in the versions still
+    pending under its group, and only those: a version staged under the
+    group after it waits for the group's next commit. At a snapshot a key
+    shows its newest version written at or before it; a staged version
+    shows only once the commit that folded it is at or before the snapshot
+    too.
     """
 
     def __init__(self):
         self.seq = 0
-        self.versions: dict[str, list[tuple[int, str | None]]] = {}
-        self.commits: dict[str, int] = {}
+        # key -> [seq, group, seq of the commit that folded it in or None]
+        self.versions: dict[str, list[list]] = {}
 
     def put(self, key: str, group: str | None = None) -> None:
         self.seq += 1
-        self.versions.setdefault(key, []).append((self.seq, group))
+        self.versions.setdefault(key, []).append([self.seq, group, None])
 
     def commit(self, group: str) -> None:
         self.seq += 1
-        self.commits[group] = self.seq
-
-    def at(self, key: str, snapshot: int) -> tuple[int, str | None] | None:
-        """(seq, group) of the key's newest version at ``snapshot``."""
-        newest = None
-        for version in self.versions.get(key, ()):
-            if version[0] <= snapshot:
-                newest = version
-        return newest
+        for versions in self.versions.values():
+            for version in versions:
+                if version[1] == group and version[2] is None:
+                    version[2] = self.seq
 
     def visible_keys(self, snapshot: int) -> list[str]:
         out = []
         for key in sorted(self.versions):
-            version = self.at(key, snapshot)
-            if version is None:
+            newest = None
+            for version in self.versions[key]:
+                if version[0] <= snapshot:
+                    newest = version
+            if newest is None:
                 continue
-            group = version[1]
-            if group is None or self.commits.get(group, snapshot + 1) <= snapshot:
+            _, group, folded = newest
+            if group is None or (folded is not None and folded <= snapshot):
                 out.append(key)
         return out
 

@@ -1,10 +1,12 @@
 """Store engine internals: durability, crash atomicity, indexes, blobs,
 staging groups, snapshot pagination, compaction, and the writer lock."""
 
+import gc
 import hashlib
 import json
 import os
 import random
+import tracemalloc
 import zlib
 
 import pytest
@@ -144,22 +146,39 @@ class TestDurability:
             segment.write_bytes(intact)
 
     def test_batch_is_all_or_nothing_at_any_cut(self, tmp_path):
-        path = tmp_path / "s"
-        with make_store(path, create=True) as s:
-            s.put(doc("base"))
-            s.apply_ops([PutOp(doc("x1")), PutOp(doc("x2")), PutOp(doc("x3"))])
-        segment = list_segments(path)[-1]
-        intact = segment.read_bytes()
-        frames = iter_frames(segment, tolerate_torn_tail=False)
-        batch_start = frames[-1][0]
-        for cut in range(batch_start, len(intact), 7):
-            segment.write_bytes(intact[:cut])
+        """Three puts, and a frame shaped like a task's completion: its
+        outputs staged, its task record, the commit of its group."""
+        outputs = [doc(f"t/{i:06d}", b"o" * i) for i in range(4)]
+        batches = [
+            [PutOp(doc("x1")), PutOp(doc("x2")), PutOp(doc("x3"))],
+            [PutOp(*outputs, group="t#0.1"), PutOp(doc("__sys/task/t", b"done")),
+             CommitGroupOp("t#0.1")],
+        ]
+        for n, ops in enumerate(batches):
+            path = tmp_path / f"s{n}"
+            with make_store(path, create=True) as s:
+                s.put(doc("base"))
+                s.apply_ops(ops)
+                seq = s.snapshot_seq()
+            written = [d.key for op in ops if isinstance(op, PutOp) for d in op.docs
+                       if not d.key.startswith("__sys/")]
+            segment = list_segments(path)[-1]
+            intact = segment.read_bytes()
+            frames = iter_frames(segment, tolerate_torn_tail=False)
+            batch_start = frames[-1][0]
+            for cut in range(batch_start, len(intact), 7):
+                segment.write_bytes(intact[:cut])
+                with make_store(path) as s:
+                    keys = s.scan(MATCH_ALL)[0]
+                    assert keys == ["base"], f"cut at {cut} leaked a partial batch"
+                    assert s.keys_with_prefix("__sys/") == [] and s.snapshot_seq() == 1
+                    assert s.staged_keys("t#0.1") == []
+                segment.write_bytes(intact)
             with make_store(path) as s:
-                keys = s.scan(MATCH_ALL)[0]
-                assert keys == ["base"], f"cut at {cut} leaked a partial batch"
-            segment.write_bytes(intact)
-        with make_store(path) as s:
-            assert s.scan(MATCH_ALL)[0] == ["base", "x1", "x2", "x3"]
+                assert s.scan(MATCH_ALL)[0] == ["base", *written]
+                if n:  # the outputs are the commit's
+                    assert [s.get_meta(key)[0] for key in written] == [seq] * len(written)
+                    assert s.get("__sys/task/t").payload == b"done"
 
     def test_corrupt_middle_frame_detected(self, tmp_path):
         from forge.errors import CorruptStore
@@ -387,7 +406,8 @@ class TestStaging:
             assert s.exists("t/y")
 
     def test_staged_keys_are_the_uncommitted_group(self, tmp_path):
-        path = tmp_path / "s"
+        """Also when the earlier group commits from a log that still holds
+        the key's first staging, not compacted."""
 
         def check(s):
             assert s.staged_keys("t#0.1") == ["t/000000", "t/000002", "u/000000"]
@@ -395,25 +415,105 @@ class TestStaging:
             assert s.staged_keys("t#0.0") == []  # committed
             assert s.staged_keys("t#0.3") == []  # never staged anything
 
+        for compacted in (True, False):
+            path = tmp_path / f"s{compacted:d}"
+            with make_store(path, create=True) as s:
+                s.put(doc("t/000007"))  # a user document inside the namespace
+                s.apply_ops([PutOp(doc("t/000002"), group="t#0.1"),
+                             PutOp(doc("t/000000"), group="t#0.1"),
+                             PutOp(doc("t/000001"), group="t#0.1"),
+                             PutOp(doc("u/000000"), group="t#0.1"),  # any key counts
+                             PutOp(doc("t/000003"), group="t#0.0"),
+                             CommitGroupOp("t#0.0")])
+                # a later attempt stages a key again: it leaves the earlier group
+                s.apply_ops([PutOp(doc("t/000001", b"again"), group="t#0.2")])
+                check(s)
+                if compacted:
+                    s.compact()
+                    check(s)
+            with make_store(path) as s:
+                check(s)
+                s.apply_ops([CommitGroupOp("t#0.1")])
+                assert s.staged_keys("t#0.1") == []
+                assert s.staged_keys("t#0.2") == ["t/000001"]
+                assert s.exists("t/000002") and not s.exists("t/000001")
+
+
+    def test_a_put_under_a_committed_group_waits_for_its_next_commit(self, tmp_path):
+        def check(s):
+            assert s.scan(MATCH_ALL)[0] == ["t/0"] and not s.exists("t/1")
+            assert s.staged_keys("g") == ["t/1"]
+
+        path = tmp_path / "s"
         with make_store(path, create=True) as s:
-            s.put(doc("t/000007"))  # a user document inside the namespace
-            s.apply_ops([PutOp(doc("t/000002"), group="t#0.1"),
-                         PutOp(doc("t/000000"), group="t#0.1"),
-                         PutOp(doc("t/000001"), group="t#0.1"),
-                         PutOp(doc("u/000000"), group="t#0.1"),  # any key counts
-                         PutOp(doc("t/000003"), group="t#0.0"),
-                         CommitGroupOp("t#0.0")])
-            # a later attempt stages a key again: it leaves the earlier group
-            s.apply_ops([PutOp(doc("t/000001", b"again"), group="t#0.2")])
-            check(s)
-            s.compact()
-            check(s)
+            s.apply_ops([PutOp(doc("t/0"), group="g"), CommitGroupOp("g")])
+            s.apply_ops([PutOp(doc("t/1"), group="g")])
+            _check_live_compacted_reopened(s, check)
         with make_store(path) as s:
-            check(s)
-            s.apply_ops([CommitGroupOp("t#0.1")])
-            assert s.staged_keys("t#0.1") == []
-            assert s.staged_keys("t#0.2") == ["t/000001"]
-            assert s.exists("t/000002") and not s.exists("t/000001")
+            s.apply_ops([PutOp(doc("t/1", b"again"), group="h")])  # still staged: restaged
+            s.apply_ops([CommitGroupOp("g")])
+            assert not s.exists("t/1")
+            s.apply_ops([CommitGroupOp("h")])
+            assert s.scan(MATCH_ALL)[0] == ["t/0", "t/1"]
+            assert s.get("t/1").payload == b"again"
+
+    def test_a_second_commit_changes_no_snapshot(self, tmp_path):
+        with make_store(tmp_path / "s", create=True) as s:
+            s.apply_ops([PutOp(doc("t/0"), group="g"), CommitGroupOp("g")])
+            cursor = ScanCursor(s.snapshot_seq(), "")
+            meta = s.get_meta("t/0")
+            assert s.scan(MATCH_ALL, cursor)[0] == ["t/0"]
+            s.apply_ops([CommitGroupOp("g")])
+            assert s.snapshot_seq() == cursor.snapshot_seq + 1
+
+            def check(s):
+                assert s.scan(MATCH_ALL, cursor)[0] == ["t/0"]
+                assert s.get_meta("t/0") == meta
+
+            _check_live_compacted_reopened(s, check)
+
+    def test_a_committed_output_takes_the_seq_of_its_commit(self, tmp_path):
+        with make_store(tmp_path / "s", create=True) as s:
+            s.apply_ops([PutOp(doc("t/0"), group="g")])
+            s.put(doc("a"))
+            s.apply_ops([CommitGroupOp("g")])
+            assert s.snapshot_seq() == 3
+
+            def check(s):
+                assert s.get_meta("t/0")[0] == 3
+                assert s.scan(MATCH_ALL, ScanCursor(2, ""))[0] == ["a"]
+                assert s.scan(MATCH_ALL, ScanCursor(3, ""))[0] == ["a", "t/0"]
+
+            _check_live_compacted_reopened(s, check)
+
+    def test_commits_do_not_grow_memory(self, tmp_path):
+        """A commit forgets its group: groups that staged nothing leave no
+        trace in memory."""
+        with make_store(tmp_path / "s", create=True) as s:
+            for i in range(10):
+                s.apply_ops([CommitGroupOp(f"warm#{i}")])
+            gc.collect()
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                for i in range(2000):
+                    s.apply_ops([CommitGroupOp(f"t{i:06d}#0.1")])
+                gc.collect()
+                grown = tracemalloc.get_traced_memory()[0] - before
+            finally:
+                tracemalloc.stop()
+        assert grown < 16 * 1024
+
+
+def _check_live_compacted_reopened(s: Store, check) -> None:
+    """Run ``check`` on ``s`` as it is, after ``compact()`` and, once ``s``
+    is closed, on the store reopened."""
+    check(s)
+    s.compact()
+    check(s)
+    s.close()
+    with make_store(s.path) as s:
+        check(s)
 
 
 def append_record(path, body: bytes) -> None:
@@ -782,14 +882,17 @@ def _batch(spec, step: int) -> list:
     return ops
 
 
-def _model_accepts(latest: dict, committed: set, ops: list) -> bool:
-    """The write rule as a model: ``latest`` maps each key to the group of
-    its newest version (None: unstaged). Applies ``ops`` in place when the
-    rule accepts every one of them in turn."""
-    new_latest, new_committed = dict(latest), set(committed)
+def _model_accepts(latest: dict, ops: list) -> bool:
+    """The write rule as a model: ``latest`` maps each key to the group its
+    newest version is still staged under (None: visible). A commit folds
+    what is staged under its group at that moment. Applies ``ops`` in place
+    when the rule accepts every one of them in turn."""
+    new_latest = dict(latest)
     for op in ops:
         if isinstance(op, CommitGroupOp):
-            new_committed.add(op.group)
+            for key, group in new_latest.items():
+                if group == op.group:
+                    new_latest[key] = None
             continue
         for d in op.docs:
             if d.key.startswith("__sys/"):
@@ -797,12 +900,10 @@ def _model_accepts(latest: dict, committed: set, ops: list) -> bool:
                     return False
                 continue
             if d.key in new_latest:
-                current = new_latest[d.key]
-                if op.group is None or current is None or current in new_committed:
+                if op.group is None or new_latest[d.key] is None:
                     return False
             new_latest[d.key] = op.group
     latest.update(new_latest)
-    committed.update(new_committed)
     return True
 
 
@@ -840,13 +941,13 @@ class TestBatches:
         applied one document at a time do, through compaction and a reopen;
         a batch it refuses raises and changes nothing."""
         root = tmp_path_factory.mktemp("batches")
-        latest, committed = {}, set()
+        latest = {}
         with make_store(root / "a", create=True) as a, make_store(root / "b", create=True) as b:
             a.create_index("c")
             b.create_index("c")
             for step, spec in enumerate(specs):
                 ops = _batch(spec, step)
-                if _model_accepts(latest, committed, ops):
+                if _model_accepts(latest, ops):
                     a.apply_ops(ops)
                     for op in ops:
                         singles = ([op] if isinstance(op, CommitGroupOp)
@@ -901,6 +1002,10 @@ class TestBatches:
                          CommitGroupOp("g")])
             assert s.get("t/0").payload == b"2"
             assert s.scan(MATCH_ALL)[0] == ["t/0"]
+            # staged under g after its commit, so it may be staged again
+            s.apply_ops([CommitGroupOp("g"), PutOp(doc("t/1", b"1"), group="g"),
+                         PutOp(doc("t/1", b"2"), group="h")])
+            assert s.staged_keys("g") == [] and s.staged_keys("h") == ["t/1"]
 
     def test_a_frame_beyond_the_record_count_writes_nothing(self, tmp_path):
         """A BATCH counts its records in a u16: a put of one document more

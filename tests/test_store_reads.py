@@ -174,10 +174,12 @@ def test_paged_scans_match_the_oracle_under_interleaved_writes(tmp_path_factory,
     """Paged scans concatenate to the oracle's scan at their snapshot. Puts
     the write rule refuses raise and take no seq, and a whole scan at every
     snapshot taken so far shows what ``VersionChain``, every version ever
-    written, shows there."""
+    written, shows there. A group commits again, and stages new keys after
+    its commit, which wait for its next commit."""
     rng = random.Random(seed)
     model = _Model()
     chain = VersionChain()
+    committed = set()  # groups committed at least once
     walks = []  # [query, limit, snapshot, cursor, pages so far, expected]
     path = tmp_path_factory.mktemp("reads") / "s"
     with make_store(path) as s:
@@ -203,6 +205,7 @@ def test_paged_scans_match_the_oracle_under_interleaved_writes(tmp_path_factory,
                 s.apply_ops([CommitGroupOp(group)])
                 model.visible.update(model.staged.pop(group))
                 chain.commit(group)
+                committed.add(group)
             elif action < 0.54 and any(model.staged.values()):
                 # a rerun stages a key again under its own group, often the same doc
                 old = rng.choice(sorted(g for g, docs in model.staged.items() if docs))
@@ -252,6 +255,19 @@ def test_paged_scans_match_the_oracle_under_interleaved_writes(tmp_path_factory,
                                                    group=f"g{step}")]])
                 with pytest.raises(DuplicateKey):
                     s.apply_ops(ops)
+            elif action < 0.95 and committed:
+                # a committed group commits again
+                group = rng.choice(sorted(committed))
+                s.apply_ops([CommitGroupOp(group)])
+                model.visible.update(model.staged.pop(group, {}))
+                chain.commit(group)
+            elif committed:
+                # a new key staged under a committed group
+                group = rng.choice(sorted(committed))
+                key, tags = _key(rng, model), _tags(rng)
+                s.apply_ops([PutOp(Document(key=key, payload=b"", tags=tags), group=group)])
+                model.staged.setdefault(group, {})[key] = tags
+                chain.put(key, group)
             assert s.snapshot_seq() == chain.seq
             # advance every open walk by one page
             for walk in walks:

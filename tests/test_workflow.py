@@ -886,9 +886,12 @@ def _entry(task_id: str, **fields) -> dict:
     ([_entry("a", depends_on=["b"]), _entry("b", depends_on=["a"])], CycleDetected, "cycle"),
     ([_entry("t"), _entry("__sys/stream/x")], InvalidArgument,
      r"plan\.tasks\[1\]\.task_id must not start with '__sys/'"),
+    ([_entry("t", model=MODEL, model_key="nope")], InvalidArgument,
+     r"plan\.tasks\[0\]\.model and model_key name the same field"),
 ], ids=["not-an-object", "no-task-id", "no-kind", "unknown-kind", "no-attempts",
-        "duplicate-id", "unknown-dependency", "cycle", "reserved-id"])
+        "duplicate-id", "unknown-dependency", "cycle", "reserved-id", "model-and-model-key"])
 def test_a_malformed_plan_is_refused_whole(api, engine, tasks, error, message):
+    api.register_model(MODEL, SPEC)
     seq = engine.store.snapshot_seq()
     with pytest.raises(error, match=message):
         api.submit_plan({"plan_id": "p", "tasks": tasks})
