@@ -276,9 +276,9 @@ class Forge:
             self.workflow.replay_task(task_id)
 
     def master_step(self, master_id: str) -> dict:
-        """One master cycle: advance the plans whose tasks changed status, then
-        poll every stream controller. The engine does not read ``master_id``:
-        the engine lock keeps concurrent masters apart."""
+        """One master cycle: complete or fail the plans whose tasks changed
+        status, then poll every stream controller. The engine does not read
+        ``master_id``: the engine lock keeps concurrent masters apart."""
         with self._lock:
             actions = self.workflow.master_step()
             stream_tasks = []

@@ -3,13 +3,14 @@
 Tasks are identified by their 3-tuple (input dataset, model, output dataset)
 plus an explicit id, queued durably in the store, and pulled by agents under
 time-bounded leases; an expired lease makes the task claimable again, so a
-dead agent's work is replayed automatically. Leases are for tasks only. The
-master advances plan DAGs and holds no lease: it recomputes each plan's state
-from the task table, so a step is idempotent, the engine lock keeps
-concurrent masters apart, and a crash-restarted master simply steps again. A
-step with nothing to do writes nothing. In memory the manager keeps the set
-of plans whose tasks changed status since the last step (every plan after
-open) and visits only those.
+dead agent's work is replayed automatically. Leases are for tasks only. A
+lease reads from the task table whether a plan task's dependencies have all
+completed, so it starts once the last one does. The master completes and
+fails plans and holds no lease: it recomputes their state from the task
+table, so a step is idempotent, the engine lock keeps concurrent masters
+apart, and a crash-restarted master simply steps again. In memory the
+manager keeps the set of plans whose tasks changed status since the last
+step (every plan after open) and visits only those.
 
 Task outputs are staged documents committed atomically with the completion
 record (see store docs), which keeps at-least-once execution observationally
@@ -40,6 +41,7 @@ from dataclasses import dataclass, field, replace
 
 from forge.clock import Clock
 from forge.errors import (
+    ConnectionLost,
     CycleDetected,
     DuplicateKey,
     InvalidArgument,
@@ -89,6 +91,11 @@ _FIELD_TYPES = {"task_id": str, "kind": str, "input_dataset": str, "model": str,
                 "depends_on": list, "max_attempts": int}
 
 
+def _check_kind(kind: str) -> None:
+    if kind not in TASK_KINDS:
+        raise InvalidArgument(f"unknown task kind {kind!r}; choose from {TASK_KINDS}")
+
+
 def _check_types(where: str, fields: dict) -> None:
     """InvalidArgument naming ``where`` + the field for the first field that
     ``_FIELD_TYPES`` does not name or whose value is not of the type it gives
@@ -115,7 +122,6 @@ class Task:
     max_attempts: int = DEFAULT_MAX_ATTEMPTS
     lease_holder: str | None = None
     lease_until: int = 0
-    unblocked: bool = True
     plan_id: str | None = None
     depends_on: tuple[str, ...] = ()
     submitted_at: int = 0
@@ -132,6 +138,7 @@ class Task:
     @classmethod
     def from_dict(cls, d: dict) -> "Task":
         d = dict(d)
+        d.pop("unblocked", None)  # older versions kept readiness in the doc
         d["depends_on"] = tuple(d.get("depends_on", ()))
         d["output_keys"] = tuple(d.get("output_keys", ()))
         return cls(**d)
@@ -142,7 +149,6 @@ class Plan:
     plan_id: str
     task_ids: tuple[str, ...]
     status: str = PLAN_RUNNING
-    submitted_at: int = 0
 
 
 def output_document(task_id: str, index: int, payload, label: str | None = None,
@@ -186,8 +192,7 @@ class WorkflowManager:
             meta = json.loads(self.store.get(key).payload.decode())
             self.plans[meta["plan_id"]] = Plan(plan_id=meta["plan_id"],
                                                task_ids=tuple(meta["task_ids"]),
-                                               status=meta["status"],
-                                               submitted_at=meta["submitted_at"])
+                                               status=meta["status"])
         self._dirty = set(self.plans)
 
     # -- helpers ----------------------------------------------------------
@@ -214,7 +219,7 @@ class WorkflowManager:
 
     def _plan_op(self, plan: Plan) -> PutOp:
         payload = {"plan_id": plan.plan_id, "task_ids": list(plan.task_ids),
-                   "status": plan.status, "submitted_at": plan.submitted_at}
+                   "status": plan.status}
         return PutOp(json_doc(PLAN_PREFIX + plan.plan_id, payload))
 
     # -- submission ------------------------------------------------------
@@ -236,15 +241,15 @@ class WorkflowManager:
             # its outputs, {task_id}/NNNNNN, would land among the system docs
             raise InvalidArgument(f"{where}task_id must not start with {SYSTEM_PREFIX!r}")
         kind = fields["kind"]
-        if kind not in TASK_KINDS:
-            raise InvalidArgument(f"unknown task kind {kind!r}; choose from {TASK_KINDS}")
+        _check_kind(kind)
         depends_on = tuple(fields.get("depends_on", ()))
         if not all(type(dep) is str for dep in depends_on):
             raise InvalidArgument(f"{where}depends_on must be a list of str task ids")
         if depends_on and plan_id is None:
-            # master_step unblocks plan tasks only; such a task would never run
-            raise InvalidArgument(f"{where}depends_on needs a plan: a task outside one "
-                                  f"is never unblocked")
+            # only a plan checks that the ids exist and form no cycle, so such a
+            # task could wait for good
+            raise InvalidArgument(f"{where}depends_on needs a plan, which checks the "
+                                  f"ids it names")
         params = dict(fields.get("params", {}))
         validate_tags(params)
         input_dataset = fields.get("input_dataset", "")
@@ -259,8 +264,7 @@ class WorkflowManager:
         return Task(task_id=fields["task_id"], kind=kind, input_dataset=input_dataset,
                     model_key=model_key, output_dataset=fields.get("output_dataset", ""),
                     params=params, max_attempts=max_attempts, plan_id=plan_id,
-                    depends_on=depends_on, unblocked=not depends_on,
-                    submitted_at=self.clock.now_ms())
+                    depends_on=depends_on, submitted_at=self.clock.now_ms())
 
     def submit_task(self, **fields) -> str:
         """Durable enqueue of the task ``fields`` describe (a None field takes
@@ -301,9 +305,15 @@ class WorkflowManager:
 
     def lease_task(self, agent_id: str, lease_ttl_ms: int,
                    kinds: list[str] | None = None) -> Task | None:
-        """Atomically claim the oldest dispatchable task, or None. Only live
-        (pending or leased) tasks are considered."""
+        """Atomically claim the oldest dispatchable task of ``kinds`` (every
+        kind when None), or None. Only live (pending or leased) tasks are
+        considered; a pending one is ready once its dependencies completed."""
         self._check_ttl(lease_ttl_ms)
+        if kinds is not None:
+            if not kinds:
+                raise InvalidArgument("kinds must name at least one task kind")
+            for kind in kinds:
+                _check_kind(kind)
         now = self.clock.now_ms()
         ordered = sorted((self.tasks[tid] for tid in self._live),
                          key=lambda t: (t.submitted_at, t.task_id))
@@ -311,7 +321,9 @@ class WorkflowManager:
         newly_dead: list[Task] = []
         chosen: Task | None = None
         for task in ordered:
-            claimable = ((task.status == PENDING and task.unblocked)
+            claimable = ((task.status == PENDING
+                          and all(self.tasks[dep].status == COMPLETED
+                                  for dep in task.depends_on))
                          or (task.status == LEASED and task.lease_until <= now))
             if not claimable:
                 continue
@@ -409,8 +421,7 @@ class WorkflowManager:
         for task in tasks:
             if task.task_id in self.tasks:
                 raise DuplicateKey(f"task id {task.task_id!r} already exists in the queue")
-        plan = Plan(plan_id=plan_id, task_ids=tuple(t.task_id for t in tasks),
-                    submitted_at=self.clock.now_ms())
+        plan = Plan(plan_id=plan_id, task_ids=tuple(t.task_id for t in tasks))
         ops = [self._plan_op(plan)]
         ops.extend(self._task_op(t) for t in tasks)
         self._commit(ops, tasks)
@@ -500,43 +511,36 @@ class WorkflowManager:
     # -- master --------------------------------------------------------------
 
     def master_step(self) -> dict:
-        """One scheduling cycle over the plans whose tasks changed status since
-        the last step; all effects commit in one atomic batch, and a step
-        without effects writes nothing. Returns the tasks it unblocked and
-        the plans it completed or failed."""
+        """One pass over the plans whose tasks changed status since the last
+        step: a running plan with a dead task fails, and one whose tasks all
+        completed completes. Both commit in one atomic batch, and a step
+        with neither writes nothing. Returns the plans it completed or
+        failed."""
         kill_point("master.before_step")
         ops: list = []
-        actions = {"unblocked": [], "plans_completed": [], "plans_failed": []}
-        new_tasks: list[Task] = []
+        actions = {"plans_completed": [], "plans_failed": []}
         new_plans: dict[str, Plan] = {}
 
-        # plan bookkeeping is recomputed from the task table, which makes the
+        # plan status is recomputed from the task table, which makes the
         # step idempotent under replay after a crash
         for plan_id in sorted(self._dirty):
             plan = self.plans[plan_id]
-            statuses = {tid: self.tasks[tid].status for tid in plan.task_ids}
-            for tid in plan.task_ids:
-                task = self.tasks[tid]
-                if task.status == PENDING and not task.unblocked:
-                    if all(statuses[d] == COMPLETED for d in task.depends_on):
-                        unblocked = replace(task, unblocked=True)
-                        ops.append(self._task_op(unblocked))
-                        new_tasks.append(unblocked)
-                        actions["unblocked"].append(tid)
-            if plan.status == PLAN_RUNNING:
-                if any(s == DEAD for s in statuses.values()):
-                    failed = replace(plan, status=PLAN_FAILED)
-                    ops.append(self._plan_op(failed))
-                    new_plans[plan.plan_id] = failed
-                    actions["plans_failed"].append(plan.plan_id)
-                elif all(s == COMPLETED for s in statuses.values()):
-                    done = replace(plan, status=PLAN_COMPLETED)
-                    ops.append(self._plan_op(done))
-                    new_plans[plan.plan_id] = done
-                    actions["plans_completed"].append(plan.plan_id)
+            if plan.status != PLAN_RUNNING:
+                continue
+            statuses = [self.tasks[tid].status for tid in plan.task_ids]
+            if DEAD in statuses:
+                failed = replace(plan, status=PLAN_FAILED)
+                ops.append(self._plan_op(failed))
+                new_plans[plan.plan_id] = failed
+                actions["plans_failed"].append(plan.plan_id)
+            elif all(s == COMPLETED for s in statuses):
+                done = replace(plan, status=PLAN_COMPLETED)
+                ops.append(self._plan_op(done))
+                new_plans[plan.plan_id] = done
+                actions["plans_completed"].append(plan.plan_id)
 
         kill_point("master.before_apply")
-        self._commit(ops, new_tasks)
+        self._commit(ops)
         self.plans.update(new_plans)
         self._dirty.clear()
         kill_point("master.after_apply")
@@ -618,8 +622,11 @@ def run_agent(api, agent_id: str, handlers: dict, kinds: list[str] | None = None
               poll_interval: float = 0.2, lease_ttl_ms: int = DEFAULT_LEASE_TTL_MS,
               stop: threading.Event | None = None, max_loops: int | None = None) -> None:
     """Agent loop: lease, heartbeat, execute, complete. Handler failures, and
-    outputs the completion's commit rejects, become error outcomes; only a
-    simulated kill escapes the loop."""
+    outputs the completion's commit rejects, become error outcomes. A lost
+    connection is waited out: a lost lease call is polled again, and a task
+    whose run or completion loses it is given up without an outcome, so its
+    lease runs out and it reruns. Only a simulated kill, or kinds the engine
+    refuses, escapes the loop."""
     stop = stop or threading.Event()
     kinds = kinds if kinds is not None else sorted(handlers)
     loops = 0
@@ -627,7 +634,10 @@ def run_agent(api, agent_id: str, handlers: dict, kinds: list[str] | None = None
         loops += 1
         if max_loops is not None and loops > max_loops:
             return
-        task = api.lease_task(agent_id, lease_ttl_ms, kinds)
+        try:
+            task = api.lease_task(agent_id, lease_ttl_ms, kinds)
+        except ConnectionLost:
+            task = None
         if task is None:
             stop.wait(poll_interval)
             continue
@@ -635,11 +645,14 @@ def run_agent(api, agent_id: str, handlers: dict, kinds: list[str] | None = None
         done = threading.Event()
 
         def beat(task_id=task.task_id):
+            # a failed beat is followed by the next, until the lease is gone
             while not done.wait(lease_ttl_ms / 3000.0):
                 try:
                     api.heartbeat(task_id, agent_id, lease_ttl_ms)
-                except Exception:
+                except (StaleLease, TaskNotFound):
                     return
+                except Exception:
+                    pass
 
         beater = threading.Thread(target=beat, daemon=True)
         beater.start()
@@ -655,12 +668,12 @@ def run_agent(api, agent_id: str, handlers: dict, kinds: list[str] | None = None
             kill_point("agent.after_complete")
         except KillPoint:
             raise
-        except StaleLease:
-            pass  # lease lost mid-run; another agent owns the replay
+        except (StaleLease, ConnectionLost):
+            pass  # lease or connection lost mid-run; the task reruns
         except Exception as exc:
             try:
                 api.complete_task(task.task_id, agent_id, "error", message=str(exc))
-            except StaleLease:
+            except (StaleLease, ConnectionLost):
                 pass
         finally:
             done.set()

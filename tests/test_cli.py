@@ -254,3 +254,15 @@ def test_agent_run_trains_a_queued_task(served):
     task = engine.get_task("t")
     assert (task.status, task.attempts, task.last_error) == ("completed", 1, None)
     assert len(engine.list_versions("m")) == 1
+
+
+@pytest.mark.parametrize("kinds,message", [
+    ("usr_fn", "unknown task kind 'usr_fn'"),
+    ("", "kinds must name at least one task kind"),
+])
+def test_agent_run_refuses_kinds_no_task_can_have(served, kinds, message):
+    engine, addr = served
+    engine.submit_task(kind="user_fn", task_id="t")
+    status, err = _run_cli("--addr", addr, "agent", "run", "--id", "a", "--kinds", kinds)
+    assert status == 1 and f"error [invalid_argument]: {message}" in err, err
+    assert engine.get_task("t").status == "pending"

@@ -3,6 +3,7 @@ kill points. Tests on the ``api`` fixture run in-process and over TCP."""
 
 import gc
 import json
+import threading
 import time
 import tracemalloc
 
@@ -15,12 +16,14 @@ from forge.clock import FakeClock
 from forge.engine import Forge
 from forge.dataset import MIN_MAX_AGE_MS
 from forge.errors import (
+    ConnectionLost,
     CycleDetected,
     DuplicateKey,
     InvalidArgument,
     ModelNotFound,
     NotFound,
     StaleLease,
+    TaskNotFound,
     ViewNotFound,
 )
 from forge.handlers import DEFAULT_HANDLERS, encode_sample, register_user_fn
@@ -32,6 +35,7 @@ from forge.workflow import (
     DEAD,
     MIN_LEASE_TTL_MS,
     PENDING,
+    Task,
     output_document,
     run_agent,
     run_master,
@@ -111,29 +115,74 @@ class TestLeases:
         assert engine.store.snapshot_seq() == seq
         assert api.get_task("t") == leased
 
-    def test_kinds_filter_skips_other_kinds(self, api):
+    def test_kinds_filter_skips_other_kinds(self, api, engine):
         api.submit_task(kind="user_fn", task_id="u")
         assert api.lease_task("agent", TTL, ["train"]) is None
+        # a kind no task can have, or none at all, would match nothing for good
+        seq = engine.store.snapshot_seq()
+        with pytest.raises(InvalidArgument, match="^unknown task kind 'usr_fn'; choose from "):
+            api.lease_task("agent", TTL, ["user_fn", "usr_fn"])
+        with pytest.raises(InvalidArgument, match="^kinds must name at least one task kind"):
+            api.lease_task("agent", TTL, [])
+        assert engine.store.snapshot_seq() == seq
         assert api.lease_task("agent", TTL, ["user_fn"]).task_id == "u"
 
 
-class TestPlans:
-    def test_master_unblocks_then_completes(self, api):
-        api.submit_plan(_plan("p"))
-        assert _finish_next(api) == "p-root"
-        assert api.lease_task("agent", TTL) is None  # children are blocked
-        step = api.master_step("m")
-        assert sorted(step["unblocked"]) == ["p-c0", "p-c1"]
-        assert step["plans_completed"] == step["plans_failed"] == []
+IDLE_STEP = {"plans_completed": [], "plans_failed": [], "stream_tasks": []}
 
+
+class TestPlans:
+    def test_dependents_start_without_a_step_then_the_master_completes(self, api):
+        api.submit_plan(_plan("p"))
+        assert api.lease_task("agent", TTL).task_id == "p-root"
+        assert api.lease_task("agent", TTL) is None  # the children wait for the root
+        api.complete_task("p-root", "agent", "ok")
         assert sorted([_finish_next(api), _finish_next(api)]) == ["p-c0", "p-c1"]
+        assert api.plan_status("p")["status"] == "running"
+
         step = api.master_step("m")
-        assert step["plans_completed"] == ["p"]
+        assert step == {**IDLE_STEP, "plans_completed": ["p"]}
         assert api.plan_status("p") == {"plan_id": "p", "status": "completed",
                                         "tasks": dict.fromkeys(
                                             ["p-root", "p-c0", "p-c1"], COMPLETED)}
-        idle = api.master_step("m")
-        assert (idle["unblocked"], idle["plans_completed"]) == ([], [])
+        assert api.master_step("m") == IDLE_STEP
+
+    def test_a_task_starts_when_its_last_dependency_completes(self, api, engine, clock):
+        """No step runs here: readiness is read from the task table at lease
+        time, and a reopen rebuilds the table it is read from."""
+        api.submit_plan({"plan_id": "p", "tasks": [
+            {"task_id": "a", "kind": "user_fn"}, {"task_id": "b", "kind": "user_fn"},
+            {"task_id": "c", "kind": "user_fn", "depends_on": ["a", "b"]}]})
+        assert _finish_next(api) == "a"
+        assert api.lease_task("agent", TTL).task_id == "b"
+        assert api.lease_task("agent", TTL) is None  # c still waits for b
+        api.complete_task("b", "agent", "error", "first attempt")  # b is pending again
+        assert api.lease_task("agent", TTL).task_id == "b"
+        assert api.lease_task("agent", TTL) is None
+
+        reopened = _reopen(engine, clock)
+        try:
+            clock.advance(TTL)  # b's lease runs out
+            assert reopened.lease_task("agent", TTL).task_id == "b"
+            assert reopened.lease_task("agent", TTL) is None
+            reopened.complete_task("b", "agent", "ok")
+            reopened = _reopen(reopened, clock)
+            assert reopened.lease_task("agent", TTL).task_id == "c"
+            assert reopened.get_task("c").attempts == 1
+        finally:
+            reopened.close()
+
+    def test_a_step_writes_only_plan_status_changes(self, api, engine):
+        api.submit_plan(_plan("p"))
+        for finished in ("p-root", "p-c0"):
+            assert _finish_next(api) == finished
+            size, seq = _log_bytes(engine), engine.store.snapshot_seq()
+            assert api.master_step("m") == IDLE_STEP
+            assert (_log_bytes(engine), engine.store.snapshot_seq()) == (size, seq)
+        assert _finish_next(api) == "p-c1"
+        seq = engine.store.snapshot_seq()
+        assert api.master_step("m")["plans_completed"] == ["p"]
+        assert engine.store.snapshot_seq() == seq + 1
 
     def test_dead_task_fails_plan_and_replay_revives_it(self, api):
         api.submit_plan(_plan("p", max_attempts=1))
@@ -148,31 +197,27 @@ class TestPlans:
         assert api.plan_status("p")["status"] == "running"
         assert api.get_task("p-root").attempts == 0
         assert _finish_next(api) == "p-root"
-        assert len(api.master_step("m")["unblocked"]) == 2
-        _finish_next(api)
-        _finish_next(api)
+        assert sorted([_finish_next(api), _finish_next(api)]) == ["p-c0", "p-c1"]
         assert api.master_step("m")["plans_completed"] == ["p"]
 
     def test_same_outcome_after_reopen(self, api, engine, clock):
         api.submit_plan(_plan("done"))
         api.submit_plan(_plan("fails", max_attempts=1))
         api.submit_plan(_plan("open"))
-        for _ in range(3):  # done-root, fails-root, open-root
-            task = api.lease_task("agent", TTL)
-            outcome = "error" if task.task_id == "fails-root" else "ok"
-            api.complete_task(task.task_id, "agent", outcome)
-        api.master_step("m")
-        _finish_next(api)
-        _finish_next(api)  # done-c0 and done-c1 finish; the master has not seen them
+        roots = [api.lease_task("agent", TTL).task_id for _ in range(3)]
+        assert roots == ["done-root", "fails-root", "open-root"]
+        for task_id in roots:
+            api.complete_task(task_id, "agent", "error" if task_id == "fails-root" else "ok")
+        assert api.master_step("m") == {**IDLE_STEP, "plans_failed": ["fails"]}
+        assert _finish_next(api) == "done-c0"
+        assert _finish_next(api) == "done-c1"  # the master has not seen them finish
         before = {pid: api.plan_status(pid) for pid in ("done", "fails", "open")}
 
         reopened = _reopen(engine, clock)
         try:
             assert {pid: reopened.plan_status(pid)
                     for pid in ("done", "fails", "open")} == before
-            step = reopened.master_step("m")
-            assert step["plans_completed"] == ["done"]
-            assert step["unblocked"] == step["plans_failed"] == []
+            assert reopened.master_step("m") == {**IDLE_STEP, "plans_completed": ["done"]}
             assert reopened.plan_status("fails")["status"] == "failed"
             while (task := reopened.lease_task("agent", TTL)) is not None:
                 reopened.complete_task(task.task_id, "agent", "ok")
@@ -194,12 +239,34 @@ class TestPlans:
 
         reopened = _reopen(engine, clock)
         try:
-            assert reopened.master_step("m")["unblocked"] == ["p-c0"]
-            _finish_next(reopened)
+            assert reopened.master_step("m") == IDLE_STEP
+            assert _finish_next(reopened) == "p-c0"
             assert reopened.master_step("m")["plans_completed"] == ["p"]
             assert len(reopened.store.keys_with_prefix("__sys/notify/")) == 3
         finally:
             reopened.close()
+
+
+def test_task_docs_with_an_unblocked_flag_are_leased_without_a_step(engine, clock):
+    """Older versions kept an ``unblocked`` flag in each task doc, which only
+    a step set, and a ``submitted_at`` in each plan doc. A store holding
+    them opens, and a task whose dependencies have completed is leased
+    whatever its flag says."""
+    engine.submit_plan(_plan("p", children=1))
+    _finish_next(engine)
+    for key, old in [("__sys/task/p-c0", {"unblocked": False}),
+                     ("__sys/task/p-root", {"unblocked": True}),
+                     ("__sys/plan/p", {"submitted_at": 0})]:
+        doc = json.loads(engine.get_document(key).payload)
+        engine.store.put_system(Document(key=key, payload=json.dumps({**doc, **old}).encode()))
+
+    reopened = _reopen(engine, clock)
+    try:
+        assert reopened.lease_task("agent", TTL).task_id == "p-c0"
+        reopened.complete_task("p-c0", "agent", "ok")
+        assert reopened.master_step("m")["plans_completed"] == ["p"]
+    finally:
+        reopened.close()
 
 
 def test_store_with_old_lease_docs_steps_and_fires(engine, clock):
@@ -263,8 +330,7 @@ class TestMasterLease:
         size = _log_bytes(engine)
         for _ in range(100):
             clock.advance(TTL // 200)
-            assert api.master_step("m1") == {"unblocked": [], "plans_completed": [],
-                                             "plans_failed": [], "stream_tasks": []}
+            assert api.master_step("m1") == IDLE_STEP
         assert _log_bytes(engine) == size
         assert api.lease_task("agent2", TTL) is None
         assert api.get_task("t").lease_holder == "agent"
@@ -769,10 +835,20 @@ def _kill(tmp_path, harness, point, hits) -> tuple[dict, FakeClock]:
 
 
 @pytest.mark.parametrize("point,hits", [
+    ("agent.after_lease", 1),  # the train task
+    ("agent.after_lease", 2),  # the first user_fn task
+    ("handler.before_train", 1),
+    ("handler.before_save", 1),
+    ("handler.after_outputs", 1),
     ("agent.before_complete", 1),  # the train task, after its version is saved
     ("agent.before_complete", 2),  # the first user_fn task
+    ("agent.after_complete", 1),  # the train task is committed; its dependents are ready
+    ("agent.after_complete", 2),
+    ("master.before_step", 2),
     ("master.before_apply", 1),
     ("master.before_apply", 3),
+    ("master.after_apply", 1),
+    ("master.after_apply", 2),
 ])
 def test_kill_then_restart_is_exactly_once(tmp_path, harness, point, hits):
     plan, clock = _kill(tmp_path, harness, point, hits)
@@ -817,6 +893,85 @@ def test_train_events_are_recorded_once_across_a_kill(tmp_path, harness):
         engine.close()
 
 
+# -- the agent loop against an unreliable connection ----------------------------
+
+
+class _FlakyApi:
+    """The agent's view of an engine holding one user_fn task. The n-th call
+    of a method raises ``errors[method][n]`` when it names one; every call
+    is recorded in ``calls``."""
+
+    def __init__(self, errors: dict):
+        self.errors = errors
+        self.calls: list[tuple] = []
+        self.leased = False
+        self.beats = threading.Semaphore(0)  # released once per heartbeat call
+
+    def _record(self, name: str, *args) -> None:
+        self.calls.append((name, *args))
+        hit = sum(call[0] == name for call in self.calls)
+        error = self.errors.get(name, {}).get(hit)
+        if error is not None:
+            raise error(f"{name} call {hit}")
+
+    def lease_task(self, agent_id, lease_ttl_ms, kinds=None):
+        self._record("lease_task")
+        if self.leased:
+            return None
+        self.leased = True
+        return Task(task_id="t", kind="user_fn", input_dataset="", model_key="",
+                    output_dataset="", status="leased", attempts=1, lease_holder=agent_id)
+
+    def heartbeat(self, task_id, agent_id, lease_ttl_ms):
+        self.beats.release()
+        self._record("heartbeat")
+
+    def complete_task(self, task_id, agent_id, outcome, message=None, *, outputs=()):
+        self._record("complete_task", outcome)
+
+    def work(self) -> list[tuple]:
+        """The calls other than heartbeats, in order."""
+        return [call for call in self.calls if call[0] != "heartbeat"]
+
+
+def _fails(ctx):
+    raise ValueError("handler failed")
+
+
+def test_an_agent_polls_again_after_a_lost_lease_call():
+    api = _FlakyApi({"lease_task": {1: ConnectionLost}})
+    run_agent(api, "agent", {"user_fn": lambda ctx: None}, max_loops=3, poll_interval=0.0)
+    assert api.work() == [("lease_task",), ("lease_task",), ("complete_task", "ok"),
+                          ("lease_task",)]
+
+
+@pytest.mark.parametrize("handler,outcome", [(lambda ctx: None, "ok"), (_fails, "error")],
+                         ids=["ok", "error"])
+def test_an_agent_gives_up_a_task_whose_completion_is_lost(handler, outcome):
+    """No error outcome follows a lost completion: the lease runs out and the
+    task reruns, and its commit keeps the outputs exactly-once."""
+    api = _FlakyApi({"complete_task": {1: ConnectionLost}})
+    run_agent(api, "agent", {"user_fn": handler}, max_loops=2, poll_interval=0.0)
+    assert api.work() == [("lease_task",), ("complete_task", outcome), ("lease_task",)]
+
+
+@pytest.mark.parametrize("stop", [StaleLease, TaskNotFound])
+def test_a_heartbeat_outlives_a_lost_beat(stop):
+    """A beat that loses its connection is followed by the next; only a lease
+    the engine no longer grants ends the beats before the task does."""
+    api = _FlakyApi({"heartbeat": {1: ConnectionLost, 3: stop}})
+
+    def slow(ctx):
+        for _ in range(3):
+            assert api.beats.acquire(timeout=10)
+        time.sleep(3 * MIN_LEASE_TTL_MS / 3000)  # room for three more beats
+
+    run_agent(api, "agent", {"user_fn": slow}, max_loops=1, poll_interval=0.0,
+              lease_ttl_ms=MIN_LEASE_TTL_MS)
+    assert [call for call in api.calls if call[0] == "heartbeat"] == [("heartbeat",)] * 3
+    assert api.work() == [("lease_task",), ("complete_task", "ok")]
+
+
 @pytest.mark.parametrize("field,value", [
     ("task_id", 7), ("params", [1]), ("input_dataset", 3), ("model_key", ["m"]),
     ("max_attempts", True), ("max_attempts", "3"), ("task_id", ""),
@@ -828,13 +983,13 @@ def test_submit_task_fields_are_typed(engine, field, value):
 
 
 def test_depends_on_outside_a_plan_is_refused(engine):
-    """Only plan tasks are ever unblocked, so a dependent task outside a plan
-    would stay pending for good."""
+    """Only a plan checks that the ids its tasks depend on exist and form no
+    cycle, so a dependent task outside one could wait for good."""
     with pytest.raises(InvalidArgument, match="^depends_on needs a plan"):
         engine.workflow.submit_task(task_id="x", kind="user_fn", depends_on=["y"])
     assert engine.list_tasks() == []
     engine.workflow.submit_task(task_id="x", kind="user_fn", depends_on=[])
-    assert engine.get_task("x").unblocked
+    assert engine.lease_task("agent", TTL).task_id == "x"
 
 
 def test_a_missing_model_or_view_is_not_found(api, engine):
