@@ -36,11 +36,15 @@ and decode each distinct section once per call (``tag_section``, and the
 ``sections`` memo of ``decode_document_at``). The bytes are the same as
 encoding every document on its own.
 
-Nothing writes REPLACE or DELETE any more: every put is a PUT, and the store
-decides whether it may replace the key's current version. Both are decoded
-from logs that hold them; the store replays a REPLACE as a PUT and a DELETE
-by emptying the key's slot. A decoder ignores bytes after a body it has read
-(a batch's sub-bodies included); every truncated or malformed input raises
+A body is decoded into calls on a sink, one per record and a batch's
+records in order (``decode_body``): a record is handed on once it is read
+whole, so replay installs it with no decoded-op object or op list between
+the bytes and the store. Nothing writes REPLACE or DELETE any more: every
+put is a PUT, and the store decides whether it may replace the key's
+current version. Both are decoded from logs that hold them: a REPLACE is
+handed on as a put, and the store replays a DELETE by emptying the key's
+slot. A decoder ignores bytes after a body it has read (a batch's
+sub-bodies included); every truncated or malformed input raises
 ``CorruptStore``.
 """
 
@@ -51,7 +55,7 @@ import struct
 
 from forge.errors import CorruptStore, InvalidArgument
 from forge.query import V_BOOL, V_FLOAT, V_INT, V_STRING, variant_of
-from forge.store.types import BlobPointer, Document
+from forge.store.types import BlobPointer, Document, decoded_document
 
 # log record op codes
 OP_PUT = 1
@@ -290,7 +294,7 @@ def _document_at(buf: bytes, off: int, sections: dict | None = None,
         raw = buf[off:end]
         tags = sections.get(raw)
         if tags is not None:  # every document gets its own dict
-            return Document(key, payload, label, dict(tags)), end
+            return decoded_document(key, payload, label, dict(tags)), end
     (count,) = _u16_at(buf, off)
     off += 2
     tags = {}
@@ -318,7 +322,7 @@ def _document_at(buf: bytes, off: int, sections: dict | None = None,
             raise CorruptStore(f"bad tag variant code {code}")
     if sections is not None and off == end:
         sections[raw] = tags
-    return Document(key, payload, label, tags), off
+    return decoded_document(key, payload, label, tags), off
 
 
 def decode_document_at(buf: bytes, off: int, sections: dict | None = None,
@@ -346,22 +350,10 @@ def decode_document(buf: bytes) -> Document:
     return doc
 
 
-class DecodedOp:
-    __slots__ = ("op", "seq", "arrived_ms", "group", "doc", "key", "next_seq")
-
-    def __init__(self, op, seq=0, arrived_ms=0, group=None, doc=None, key=None, next_seq=0):
-        self.op = op
-        self.seq = seq
-        self.arrived_ms = arrived_ms
-        self.group = group
-        self.doc = doc
-        self.key = key
-        self.next_seq = next_seq
-
-
-def _ops_at(buf: bytes, off: int, end: int, out: list[DecodedOp]) -> None:
-    """Append the ops of the body at ``buf[off:end]`` to ``out``; bytes
-    after the body are ignored, a body that runs past ``end`` is corrupt."""
+def _records_at(buf: bytes, off: int, end: int, sink) -> None:
+    """Hand the records of the body at ``buf[off:end]`` to ``sink``, one
+    call each, once each is read whole; bytes after the body are ignored, a
+    body that runs past ``end`` is corrupt."""
     op = buf[off]
     if op == OP_PUT or op == OP_REPLACE:
         _, seq, arrived, has_group = _doc_op_at(buf, off)
@@ -373,39 +365,45 @@ def _ops_at(buf: bytes, off: int, end: int, out: list[DecodedOp]) -> None:
             group = buf[off:off + n].decode()
             off += n
         doc, off = _document_at(buf, off)
-        out.append(DecodedOp(op, seq, arrived, group, doc))
-    elif op == OP_DELETE or op == OP_COMMIT_GROUP:
-        _, seq, n = _seq_str_op_at(buf, off)
-        off += 11
-        name = buf[off:off + n].decode()
-        off += n
-        if op == OP_DELETE:
-            out.append(DecodedOp(op, seq, key=name))
-        else:
-            out.append(DecodedOp(op, seq, group=name))
-    elif op == OP_SNAPSHOT:
-        _, next_seq = _seq_op_at(buf, off)
-        off += 9
-        out.append(DecodedOp(op, next_seq=next_seq))
+        if off > end:
+            raise CorruptStore("truncated record")
+        sink.put(seq, arrived, group, doc)
     elif op == OP_BATCH:
         (count,) = _u16_at(buf, off + 1)
         off += 3
         for _ in range(count):
             (n,) = _u32_at(buf, off)
             off += 4
-            _ops_at(buf, off, off + n, out)
+            if off + n > end:
+                raise CorruptStore("truncated record")
+            _records_at(buf, off, off + n, sink)
             off += n
+    elif op == OP_DELETE or op == OP_COMMIT_GROUP:
+        _, seq, n = _seq_str_op_at(buf, off)
+        off += 11 + n
+        if off > end:
+            raise CorruptStore("truncated record")
+        name = buf[off - n:off].decode()
+        if op == OP_DELETE:
+            sink.delete(seq, name)
+        else:
+            sink.commit(seq, name)
+    elif op == OP_SNAPSHOT:
+        _, next_seq = _seq_op_at(buf, off)
+        if off + 9 > end:
+            raise CorruptStore("truncated record")
+        sink.snapshot(next_seq)
     else:
         raise CorruptStore(f"unknown log op {op}")
-    if off > end:
-        raise CorruptStore("truncated record")
 
 
-def decode_body(body: bytes) -> list[DecodedOp]:
-    """Decode a record body into its flat list of ops (batches are inlined)."""
-    ops: list[DecodedOp] = []
+def decode_body(body: bytes, sink) -> None:
+    """Decode a record body into one call on ``sink`` per record, a batch's
+    records in order: ``sink.put(seq, arrived_ms, group, doc)`` for a PUT or
+    a REPLACE, ``sink.delete(seq, key)``, ``sink.commit(seq, group)`` and
+    ``sink.snapshot(next_seq)``. A truncated or malformed body raises
+    ``CorruptStore``, after the calls for the records before the bad one."""
     try:
-        _ops_at(body, 0, len(body), ops)
+        _records_at(body, 0, len(body), sink)
     except _MALFORMED as exc:
         raise CorruptStore(f"malformed record: {exc}") from exc
-    return ops

@@ -49,9 +49,22 @@ mechanism making task outputs appear all-or-nothing. A commit shows what is
 staged under its group at that moment and forgets the group: a later put
 under it waits for the group's next commit. Whether a put may replace a
 key's current version is the store's rule (``_validate_ops``). The store
-keeps the keys each group staged since its last commit, so ``staged_keys``
-reads what the commit would show, and the commit folds them, without a
-walk; the completion records exactly the outputs its commit shows.
+keeps, for each group, exactly the keys whose version is staged under it: a
+key staged again under another group (a retried attempt's) leaves the
+earlier group's set, and a set left empty is dropped with its group. So
+``staged_keys`` reads what the commit would show, and the commit folds
+them, without a walk; the completion records exactly the outputs its commit
+shows.
+
+Replay decodes each log record straight into that state in one pass:
+``records.decode_body`` hands every record to ``_Replay``, which installs a
+put as ``apply_ops`` did, folds a commit and keeps the next seq. Index
+buckets are looked up through a memo that lives for the replay and keys
+each value with its class (``_BucketMemo``), so each distinct (tag, value)
+costs one ``sort_key``. Compaction writes every live version into a fresh
+segment and rebuilds memory from the same walk without decoding a record:
+the walk is in key order, so the store's and each bucket's keys become
+sorted lists as they are written.
 
 Read paths cost O(log n + keys visited). The store's keys, and each index
 bucket's, are one ``_SortedKeys``: a large sorted ``main`` list, a small
@@ -64,8 +77,9 @@ Log-Structured Merge-Tree", 1996). A scan bisects both levels at its cursor
 and walks them as one ascending sequence, a slice of ``main`` at a time with
 the ``run`` keys that fall inside it; a prefix walk (``keys_with_prefix``)
 starts the same way at the prefix. A one-bucket ``=`` lookup hands the
-bucket's own keys to the scan without a copy. Compaction and replay start
-every structure empty, so the first read after them sorts everything once.
+bucket's own keys to the scan without a copy. Replay adds every key to the
+arrivals, so the first read after it sorts everything once; compaction
+leaves every structure sorted.
 """
 
 from __future__ import annotations
@@ -272,6 +286,76 @@ class _TagMap:
         self.keys: list[str] = []
 
 
+class _BucketMemo:
+    """Each indexed (tag, value) resolved to its bucket once for one replay
+    or compaction, where ``index.bucket`` would build a ``sort_key`` for
+    every tag of every document. A hit needs the value's class as well as
+    an equal value: 1, True and 1.0 are equal in Python but are three
+    buckets; -0.0 and 0.0, both floats, get the one bucket ``by_value``
+    holds for both."""
+
+    __slots__ = ("_memos", "_ascending")
+
+    def __init__(self, indexes: dict[str, _Index], *, ascending: bool = False):
+        self._memos = [(name, index, {}) for name, index in indexes.items()]
+        # keys come each once and in ascending order (compaction's walk), so
+        # they go straight onto the end of each bucket's sorted ``main``
+        self._ascending = ascending
+
+    def add(self, key: str, tags: dict) -> None:
+        for name, index, memo in self._memos:
+            value = tags.get(name)
+            if value is None:
+                continue
+            hit = memo.get(value)  # (class, the bucket's key set, its sorted keys' add)
+            if hit is None or hit[0] is not value.__class__:
+                bucket = index.bucket(value)
+                hit = memo[value] = (value.__class__, bucket.keys, bucket.sorted.main.append
+                                     if self._ascending else bucket.sorted.add)
+            keys = hit[1]
+            if key not in keys:
+                keys.add(key)
+                hit[2](key)
+
+
+class _Replay:
+    """What ``records.decode_body`` hands each replayed record to: the
+    record goes straight into the store's state, as the write that made it
+    left that state."""
+
+    __slots__ = ("_store", "_buckets", "next_seq")
+
+    def __init__(self, store: Store):
+        self._store = store
+        self._buckets = _BucketMemo(store._indexes) if store._indexes else None
+        self.next_seq = store._next_seq
+
+    def put(self, seq: int, arrived_ms: int, group: str | None, doc: Document) -> None:
+        self._store._install(doc, group, arrived_ms, seq)
+        if seq >= self.next_seq:
+            self.next_seq = seq + 1
+        if self._buckets is not None and not doc.key.startswith(SYSTEM_PREFIX):
+            self._buckets.add(doc.key, doc.tags)
+
+    def delete(self, seq: int, key: str) -> None:  # only older logs hold one
+        entries = self._store._entries
+        state = entries.get(key)
+        if state is not None:
+            if state.group is not None:
+                self._store._unstage(key, state.group)
+            entries[key] = None  # the key stays in ``_keys``
+        if seq >= self.next_seq:
+            self.next_seq = seq + 1
+
+    def commit(self, seq: int, group: str) -> None:
+        self._store._fold(group, seq)
+        if seq >= self.next_seq:
+            self.next_seq = seq + 1
+
+    def snapshot(self, next_seq: int) -> None:
+        self.next_seq = max(self.next_seq, next_seq)
+
+
 class Store:
     """The single persistence substrate. One writable process per directory."""
 
@@ -284,7 +368,7 @@ class Store:
         self._lock = threading.RLock()
         self._entries: dict[str, _State | None] = {}  # None: deleted by an older log
         self._indexes: dict[str, _Index] = {}
-        self._staged: dict[str, set[str]] = {}  # group -> keys staged since its last commit
+        self._staged: dict[str, set[str]] = {}  # group -> keys whose version is staged under it
         self._next_seq = 1
         self._keys = _SortedKeys()
         self._closed = False
@@ -367,48 +451,46 @@ class Store:
         return names
 
     def _replay(self) -> None:
+        replay = _Replay(self)
         for body in logio.replay(self.path):
-            for op in records.decode_body(body):
-                self._apply(op)
+            records.decode_body(body, replay)
+        self._next_seq = replay.next_seq
 
     # -- in-memory application ------------------------------------------------
 
-    def _apply(self, op: records.DecodedOp) -> None:
-        if op.op in (records.OP_PUT, records.OP_REPLACE):
-            if op.doc.key not in self._entries:
-                self._keys.add(op.doc.key)
-            self._entries[op.doc.key] = _State(op.doc, op.group, op.arrived_ms, op.seq)
-            if op.group is not None:
-                self._staged.setdefault(op.group, set()).add(op.doc.key)
-            self._index_doc(op.doc)
-        elif op.op == records.OP_DELETE:  # only older logs hold one
-            if op.key in self._entries:
-                self._entries[op.key] = None  # the key stays in ``_keys``
-        elif op.op == records.OP_COMMIT_GROUP:
-            self._fold(op.group, op.seq)
-        elif op.op == records.OP_SNAPSHOT:
-            self._next_seq = max(self._next_seq, op.next_seq)
-        if op.seq >= self._next_seq:
-            self._next_seq = op.seq + 1
+    def _install(self, doc: Document, group: str | None, arrived_ms: int, seq: int) -> None:
+        """Make ``doc`` its key's one version. A staged version it replaces
+        leaves its group's set of keys, so ``_staged`` holds exactly the
+        keys staged under each group."""
+        key = doc.key
+        entries = self._entries
+        if key not in entries:
+            self._keys.add(key)
+        elif (old := entries[key]) is not None and old.group is not None and old.group != group:
+            self._unstage(key, old.group)
+        entries[key] = _State(doc, group, arrived_ms, seq)
+        if group is not None:
+            staged = self._staged.get(group)
+            if staged is None:
+                staged = self._staged[group] = set()
+            staged.add(key)
 
-    def _index_doc(self, doc: Document) -> None:
-        if doc.key.startswith(SYSTEM_PREFIX) or not self._indexes:
-            return
-        for name, value in doc.tags.items():
-            index = self._indexes.get(name)
-            if index is not None:
-                index.bucket(value).add(doc.key)
+    def _unstage(self, key: str, group: str) -> None:
+        """Take ``key`` out of ``group``'s staged keys; a group left with
+        none is forgotten."""
+        staged = self._staged[group]
+        staged.discard(key)
+        if not staged:
+            del self._staged[group]
 
     def _fold(self, group: str, seq: int) -> None:
-        """Commit ``group`` at ``seq``: each key still staged under it
-        becomes a plain version of that seq, and the store forgets the
-        group."""
+        """Commit ``group`` at ``seq``: each key staged under it becomes a
+        plain version of that seq, and the store forgets the group."""
         entries = self._entries
         for key in self._staged.pop(group, ()):
             state = entries[key]
-            if state is not None and state.group == group:
-                state.group = None
-                state.seq = seq
+            state.group = None
+            state.seq = seq
 
     # -- visibility -----------------------------------------------------------
 
@@ -482,14 +564,10 @@ class Store:
     def _put(self, op: PutOp, seq: int, now: int) -> int:
         """Install a validated put whose first document takes ``seq``;
         returns the next seq."""
-        entries, group = self._entries, op.group
+        install, group = self._install, op.group
         for doc in op.docs:
-            if doc.key not in entries:
-                self._keys.add(doc.key)
-            entries[doc.key] = _State(doc, group, now, seq)
+            install(doc, group, now, seq)
             seq += 1
-        if group is not None:
-            self._staged.setdefault(group, set()).update(doc.key for doc in op.docs)
         return seq
 
     def _validate_ops(self, ops: list[StoreOp], now: int,
@@ -573,10 +651,7 @@ class Store:
         what committing the group would make visible. Empty right after the
         group commits."""
         with self._lock:
-            keys = self._staged.get(group, ())
-            return sorted(key for key in keys
-                          if (state := self._entries[key]) is not None
-                          and state.group == group)
+            return sorted(self._staged.get(group, ()))
 
     def keys_with_prefix(self, prefix: str) -> list[str]:
         """Visible keys under a prefix, ascending. System keys included."""
@@ -721,15 +796,23 @@ class Store:
         """Rewrite live state into a fresh snapshot segment.
 
         Writes each key's one version as it is held, skipping keys an older
-        log deleted, and garbage-collects unreferenced blob chunks. Open scan
-        cursors from before the compaction stay valid because every version
-        keeps its sequence number, and a staged one its group.
+        log deleted, and garbage-collects unreferenced blob chunks. Memory is
+        rebuilt from the same walk, with no record decoded: the walk's keys
+        come in ascending order, so they become the store's and each index
+        bucket's sorted ``main`` as they are written, which drops deleted
+        keys and stale index entries. The staged keys of each group stay as
+        they are. Open scan cursors from before the compaction stay valid
+        because every version keeps its sequence number, and a staged one its
+        group.
         """
         with self._lock:
             self._log.close()
             number = logio.segment_number(logio.list_segments(self.path)[-1]) + 1
             tmp = self.path / f"segment-{number:06d}.log.tmp"
             live_blobs: set[str] = set()
+            entries: dict[str, _State | None] = {}
+            indexes = {name: _Index() for name in self._indexes}
+            buckets = _BucketMemo(indexes, ascending=True)
             with open(tmp, "wb") as f:
                 f.write(logio.frame(records.encode_snapshot_marker(self._next_seq)))
                 for key in self._keys.walk(""):
@@ -739,22 +822,19 @@ class Store:
                     body = records.encode_doc_op(records.OP_PUT, state.seq, state.arrived_ms,
                                                  state.group, state.doc)
                     f.write(logio.frame(body))
+                    entries[key] = state
                     if not state.doc.is_inline:
                         live_blobs.add(state.doc.payload.blob_id)
+                    if not key.startswith(SYSTEM_PREFIX):
+                        buckets.add(key, state.doc.tags)
                 f.flush()
                 os.fsync(f.fileno())
             os.replace(tmp, logio.segment_path(self.path, number))
             for path in logio.list_segments(self.path)[:-1]:
                 path.unlink()
-            # rebuild in-memory state from the new segment alone, which
-            # drops deleted keys and stale index entries
-            self._entries = {}
-            self._staged = {}
+            self._entries = entries
             self._keys = _SortedKeys()
-            next_seq = self._next_seq
-            for name in list(self._indexes):
-                self._indexes[name] = _Index()
-            self._replay()
-            self._next_seq = max(self._next_seq, next_seq)
+            self._keys.main = list(entries)
+            self._indexes = indexes
             self.blobs.collect_garbage(live_blobs)
             self._log = logio.LogWriter(self.path, fsync=self.fsync)

@@ -45,7 +45,7 @@ class BlobPointer:
             raise InvalidArgument(f"unknown codec_id {self.codec_id}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Document:
     """One sample/prediction row: key, payload (inline bytes or blob pointer),
     optional label, and a tag map."""
@@ -58,6 +58,27 @@ class Document:
     @property
     def is_inline(self) -> bool:
         return isinstance(self.payload, bytes)
+
+
+_new_object = object.__new__
+_set_key = Document.key.__set__
+_set_payload = Document.payload.__set__
+_set_label = Document.label.__set__
+_set_tags = Document.tags.__set__
+
+
+def decoded_document(key: str, payload: bytes | BlobPointer, label: str | None,
+                     tags: dict[str, TagScalar]) -> Document:
+    """``Document(key, payload, label, tags)`` for a decoder, whose fields
+    need no defaults: the slots are filled through their descriptors, which
+    skips the frozen ``__setattr__`` that ``__init__`` goes through (about
+    half the cost of building one)."""
+    doc = _new_object(Document)
+    _set_key(doc, key)
+    _set_payload(doc, payload)
+    _set_label(doc, label)
+    _set_tags(doc, tags)
+    return doc
 
 
 def json_doc(key: str, payload: dict) -> Document:

@@ -618,10 +618,72 @@ class TaskContext:
         return self.api.view_slice(self.task.input_dataset, after_key=after, upto_key=upto)
 
 
+class _Heartbeats:
+    """The one thread of a process that renews the leases of its running
+    tasks, started with the first lease. Each lease is renewed every
+    ``lease_ttl_ms / 3`` until its task ends or the engine answers
+    ``StaleLease`` or ``TaskNotFound``; after any other error the next beat
+    is tried. A task's lease costs a dict entry, not a thread: the thread
+    is woken only when a lease falls due before it would wake anyway."""
+
+    def __init__(self):
+        self._cond = threading.Condition()
+        # token -> [next beat (time.monotonic()), api, task_id, agent_id, lease_ttl_ms]
+        self._leases: dict[object, list] = {}
+        self._wake_at: float | None = None  # None: asleep until a lease is added
+        self._thread: threading.Thread | None = None
+
+    def add(self, api, task_id: str, agent_id: str, lease_ttl_ms: int) -> object:
+        """Start renewing a lease; returns the token that ``remove`` takes."""
+        token = object()
+        due = time.monotonic() + lease_ttl_ms / 3000.0
+        with self._cond:
+            self._leases[token] = [due, api, task_id, agent_id, lease_ttl_ms]
+            if self._thread is None or not self._thread.is_alive():  # first, or killed
+                self._thread = threading.Thread(target=self._run, name="forge-heartbeats",
+                                                daemon=True)
+                self._thread.start()
+            elif self._wake_at is None or due < self._wake_at:
+                self._cond.notify()
+        return token
+
+    def remove(self, token: object) -> None:
+        with self._cond:
+            self._leases.pop(token, None)
+
+    def _run(self) -> None:
+        cond, leases = self._cond, self._leases
+        while True:
+            with cond:
+                now = time.monotonic()
+                self._wake_at = min((lease[0] for lease in leases.values()), default=None)
+                if self._wake_at is None or self._wake_at > now:
+                    cond.wait(None if self._wake_at is None else self._wake_at - now)
+                    continue
+                due = []
+                for token, lease in leases.items():
+                    if lease[0] <= now:
+                        lease[0] = now + lease[4] / 3000.0
+                        due.append((token, lease))
+            for token, (_, api, task_id, agent_id, lease_ttl_ms) in due:
+                if token not in leases:
+                    continue  # its task ended since
+                try:
+                    api.heartbeat(task_id, agent_id, lease_ttl_ms)
+                except (StaleLease, TaskNotFound):
+                    self.remove(token)
+                except Exception:
+                    pass
+
+
+_HEARTBEATS = _Heartbeats()
+
+
 def run_agent(api, agent_id: str, handlers: dict, kinds: list[str] | None = None,
               poll_interval: float = 0.2, lease_ttl_ms: int = DEFAULT_LEASE_TTL_MS,
               stop: threading.Event | None = None, max_loops: int | None = None) -> None:
-    """Agent loop: lease, heartbeat, execute, complete. Handler failures, and
+    """Agent loop: lease, execute, complete, with the lease renewed by the
+    process's heartbeat thread while the handler runs. Handler failures, and
     outputs the completion's commit rejects, become error outcomes. A lost
     connection is waited out: a lost lease call is polled again, and a task
     whose run or completion loses it is given up without an outcome, so its
@@ -642,27 +704,14 @@ def run_agent(api, agent_id: str, handlers: dict, kinds: list[str] | None = None
             stop.wait(poll_interval)
             continue
         kill_point("agent.after_lease")
-        done = threading.Event()
-
-        def beat(task_id=task.task_id):
-            # a failed beat is followed by the next, until the lease is gone
-            while not done.wait(lease_ttl_ms / 3000.0):
-                try:
-                    api.heartbeat(task_id, agent_id, lease_ttl_ms)
-                except (StaleLease, TaskNotFound):
-                    return
-                except Exception:
-                    pass
-
-        beater = threading.Thread(target=beat, daemon=True)
-        beater.start()
+        lease = _HEARTBEATS.add(api, task.task_id, agent_id, lease_ttl_ms)
         ctx = TaskContext(api, task, agent_id)
         try:
             handler = handlers.get(task.kind)
             if handler is None:
                 raise InvalidArgument(f"agent has no handler for kind {task.kind!r}")
             handler(ctx)
-            done.set()
+            _HEARTBEATS.remove(lease)
             kill_point("agent.before_complete")
             api.complete_task(task.task_id, agent_id, "ok", outputs=ctx.pending)
             kill_point("agent.after_complete")
@@ -676,7 +725,7 @@ def run_agent(api, agent_id: str, handlers: dict, kinds: list[str] | None = None
             except (StaleLease, ConnectionLost):
                 pass
         finally:
-            done.set()
+            _HEARTBEATS.remove(lease)
 
 
 def run_master(api, master_id: str, interval: float = 0.2,

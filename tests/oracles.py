@@ -1,8 +1,8 @@
 """Independent reference implementations the tests check the engine against.
 
 These deliberately share no code with the package: a straight-line predicate
-evaluator, brute-force document filters, a version chain of every write, and
-central finite differences.
+evaluator, brute-force document filters, a version chain of every write, a
+model of the store's reads, and central finite differences.
 Expected values in the test suite come from these, never from the code under
 test.
 """
@@ -130,6 +130,86 @@ class VersionChain:
             if group is None or (folded is not None and folded <= snapshot):
                 out.append(key)
         return out
+
+
+class StoreModel:
+    """A document store's reads, kept as a map of each key's newest version.
+
+    The write rule, one op at a time: a reserved key (``__sys/``) is never
+    staged and every put replaces it; any other key takes an unstaged put
+    only when it holds no version, and a staged put only when it holds none
+    or one still staged. Seqs are counted one per document put and one per
+    group commit. A commit folds every version still staged under its group
+    into a visible one that takes the commit's seq. Records replayed from an
+    older log (``replay_put``, ``replay_delete``) carry their own seq and
+    bypass the rule.
+    """
+
+    RESERVED = "__sys/"
+
+    def __init__(self):
+        self.seq = 0
+        # key -> [document, staging group or None, seq, arrived_ms]; None once deleted
+        self.versions: dict[str, list | None] = {}
+
+    def accepts(self, ops: list[tuple]) -> bool:
+        """Whether the rule takes ``ops`` (``("put", group, docs)`` or
+        ``("commit", group)``) applied in turn."""
+        staged = {key: v[1] for key, v in self.versions.items() if v is not None}
+        for op in ops:
+            if op[0] == "commit":
+                staged = {key: None if group == op[1] else group
+                          for key, group in staged.items()}
+                continue
+            _, group, docs = op
+            for doc in docs:
+                if doc.key.startswith(self.RESERVED):
+                    if group is not None:
+                        return False
+                    continue
+                if doc.key in staged and (group is None or staged[doc.key] is None):
+                    return False
+                staged[doc.key] = group
+        return True
+
+    def apply(self, ops: list[tuple], arrived_ms: int) -> None:
+        for op in ops:
+            if op[0] == "commit":
+                self.seq += 1
+                for version in self.versions.values():
+                    if version is not None and version[1] == op[1]:
+                        version[1], version[2] = None, self.seq
+                continue
+            _, group, docs = op
+            for doc in docs:
+                self.seq += 1
+                self.versions[doc.key] = [doc, group, self.seq, arrived_ms]
+
+    def replay_put(self, seq: int, arrived_ms: int, group, doc) -> None:
+        self.versions[doc.key] = [doc, group, seq, arrived_ms]
+        self.seq = max(self.seq, seq)
+
+    def replay_delete(self, seq: int, key: str) -> None:
+        if key in self.versions:
+            self.versions[key] = None
+        self.seq = max(self.seq, seq)
+
+    def visible(self, key: str):
+        version = self.versions.get(key)
+        return version if version is not None and version[1] is None else None
+
+    def staged_keys(self, group: str) -> list[str]:
+        return sorted(key for key, v in self.versions.items()
+                      if v is not None and v[1] == group)
+
+    def keys_with_prefix(self, prefix: str) -> list[str]:
+        return sorted(key for key in self.versions
+                      if key.startswith(prefix) and self.visible(key) is not None)
+
+    def scan(self, preds: list[tuple]) -> list[str]:
+        docs = {key: self.visible(key)[0].tags for key in self.versions
+                if not key.startswith(self.RESERVED) and self.visible(key) is not None}
+        return brute_force_scan(docs, preds)
 
 
 def finite_difference_grads(loss_of_params, params: dict[str, np.ndarray],

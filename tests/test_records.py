@@ -53,17 +53,37 @@ def test_pointer_chunk_count_invariant():
                     codec_id=0, checksum=bytes(32))
 
 
+class Records(list):
+    """A ``records.decode_body`` sink that keeps each record it is handed as
+    a tuple: ``("put", seq, arrived_ms, group, doc)`` (a REPLACE reads as a
+    put), ``("delete", seq, key)``, ``("commit", seq, group)`` or
+    ``("snapshot", next_seq)``."""
+
+    def put(self, seq, arrived_ms, group, doc):
+        self.append(("put", seq, arrived_ms, group, doc))
+
+    def delete(self, seq, key):
+        self.append(("delete", seq, key))
+
+    def commit(self, seq, group):
+        self.append(("commit", seq, group))
+
+    def snapshot(self, next_seq):
+        self.append(("snapshot", next_seq))
+
+
+def decoded(body: bytes) -> Records:
+    out = Records()
+    records.decode_body(body, out)
+    return out
+
+
 @given(_documents, st.integers(min_value=0, max_value=2**40),
        st.sampled_from([records.OP_PUT, records.OP_REPLACE]))
 @settings(max_examples=200, deadline=None)
 def test_doc_op_round_trip(doc, seq, op):
     body = records.encode_doc_op(op, seq, 12345, "grp", doc)
-    [decoded] = records.decode_body(body)
-    assert decoded.op == op
-    assert decoded.seq == seq
-    assert decoded.arrived_ms == 12345
-    assert decoded.group == "grp"
-    assert decoded.doc == doc
+    assert decoded(body) == [("put", seq, 12345, "grp", doc)]
 
 
 def delete_body(seq: int, key: str) -> bytes:
@@ -80,11 +100,8 @@ def test_batch_round_trip():
         delete_body(2, "k"),
         records.encode_commit_group(3, "g"),
     ]
-    ops = records.decode_body(records.encode_batch(bodies))
-    assert [o.op for o in ops] == [records.OP_PUT, records.OP_DELETE,
-                                   records.OP_COMMIT_GROUP]
-    assert ops[1].key == "k"
-    assert ops[2].group == "g"
+    assert decoded(records.encode_batch(bodies)) == [
+        ("put", 1, 0, None, doc), ("delete", 2, "k"), ("commit", 3, "g")]
 
 
 
@@ -125,28 +142,23 @@ SNAPSHOT_HEX = "06 2a00000000000000"
 BATCH_HEX = ("05 0300 6b000000" + PUT_GROUP_HEX + "16000000" + DELETE_HEX
              + "11000000" + COMMIT_HEX)
 
-PUT_GROUP_OP = (records.OP_PUT, 7, 1700000000123, "task-1", INLINE, None, 0)
-DELETE_OP = (records.OP_DELETE, 10, 0, None, None, "sample/0001", 0)
-COMMIT_OP = (records.OP_COMMIT_GROUP, 11, 0, "task-1", None, None, 0)
-GOLDEN_BODIES = [  # (encoding, hex, decoded ops as DecodedOp field tuples)
+PUT_GROUP_OP = ("put", 7, 1700000000123, "task-1", INLINE)
+DELETE_OP = ("delete", 10, "sample/0001")
+COMMIT_OP = ("commit", 11, "task-1")
+GOLDEN_BODIES = [  # (encoding, hex, decoded records as ``Records`` tuples)
     (records.encode_doc_op(records.OP_PUT, 7, 1700000000123, "task-1", INLINE),
      PUT_GROUP_HEX, [PUT_GROUP_OP]),
     (records.encode_doc_op(records.OP_PUT, 8, 1700000000124, None, POINTER),
-     PUT_HEX, [(records.OP_PUT, 8, 1700000000124, None, POINTER, None, 0)]),
+     PUT_HEX, [("put", 8, 1700000000124, None, POINTER)]),
     (records.encode_doc_op(records.OP_REPLACE, 9, 5, None, INLINE),
-     REPLACE_HEX, [(records.OP_REPLACE, 9, 5, None, INLINE, None, 0)]),
+     REPLACE_HEX, [("put", 9, 5, None, INLINE)]),  # read only, as a put
     (delete_body(10, "sample/0001"), DELETE_HEX, [DELETE_OP]),  # decoded, never written
     (records.encode_commit_group(11, "task-1"), COMMIT_HEX, [COMMIT_OP]),
-    (records.encode_snapshot_marker(42), SNAPSHOT_HEX,
-     [(records.OP_SNAPSHOT, 0, 0, None, None, None, 42)]),
+    (records.encode_snapshot_marker(42), SNAPSHOT_HEX, [("snapshot", 42)]),
     (records.encode_batch([bytes.fromhex(PUT_GROUP_HEX), bytes.fromhex(DELETE_HEX),
                            bytes.fromhex(COMMIT_HEX)]),
      BATCH_HEX, [PUT_GROUP_OP, DELETE_OP, COMMIT_OP]),
 ]
-
-
-def _fields(op: records.DecodedOp) -> tuple:
-    return tuple(getattr(op, name) for name in records.DecodedOp.__slots__)
 
 
 @pytest.mark.parametrize("doc,hex_", [(INLINE, INLINE_HEX), (POINTER, POINTER_HEX)],
@@ -163,7 +175,7 @@ def test_golden_document_encoding(doc, hex_):
                               "snapshot", "batch"])
 def test_golden_body_encoding(encoded, hex_, ops):
     assert encoded == bytes.fromhex(hex_)
-    assert [_fields(op) for op in records.decode_body(encoded)] == ops
+    assert decoded(encoded) == ops
 
 
 # --- a completion's frame: one batch against the per-op reference ---------------
@@ -210,10 +222,11 @@ def test_golden_completion_frame(tmp_path, n, mixed):
     assert single == records.encode_doc_op(
         records.OP_PUT, 1, now, None, Document(key="before", payload=b"x", tags={"dataset": "in"}))
     assert body == reference
-    ops = records.decode_body(body)
-    assert [_strict(op.doc) for op in ops[:n]] == [_strict(doc) for doc in outputs]
-    assert [(op.seq, op.group) for op in ops] == (
-        [(seq + i, GROUP) for i in range(n)] + [(seq + n, None), (seq + n + 1, GROUP)])
+    recs = decoded(body)
+    assert [_strict(rec[4]) for rec in recs[:n]] == [_strict(doc) for doc in outputs]
+    assert [rec[:2] + rec[3:4] if rec[0] == "put" else rec for rec in recs] == (
+        [("put", seq + i, GROUP) for i in range(n)]
+        + [("put", seq + n, None), ("commit", seq + n + 1, GROUP)])
 
 
 @pytest.mark.parametrize("mixed", [False, True], ids=["shared-map", "mixed-values"])
@@ -278,10 +291,15 @@ def test_every_proper_prefix_of_a_document_is_corrupt(doc):
 @given(_bodies)
 @settings(max_examples=200, deadline=None)
 def test_every_proper_prefix_of_a_body_is_corrupt(body):
-    records.decode_body(body)
+    """Each cut raises, and only records read whole before the cut were
+    handed on: a prefix of the body's records, short of the last."""
+    whole = decoded(body)
     for cut in range(len(body)):
+        out = Records()
         with pytest.raises(CorruptStore):
-            records.decode_body(body[:cut])
+            records.decode_body(body[:cut], out)
+        assert out == whole[:len(out)]
+        assert not whole or len(out) < len(whole)
 
 
 def _replace(hex_: str, old: str, new: str) -> bytes:
@@ -301,7 +319,7 @@ def test_malformed_document_is_corrupt(raw):
     with pytest.raises(CorruptStore):
         records.decode_document(raw)
     with pytest.raises(CorruptStore):
-        records.decode_body(bytes.fromhex(PUT_HEAD_HEX) + raw)
+        decoded(bytes.fromhex(PUT_HEAD_HEX) + raw)
 
 
 def test_document_with_bytes_left_over_is_corrupt():
@@ -320,7 +338,7 @@ def test_document_with_bytes_left_over_is_corrupt():
 ], ids=["empty", "op", "utf8", "sub_body_overrun", "empty_sub_body"])
 def test_malformed_body_is_corrupt(raw):
     with pytest.raises(CorruptStore):
-        records.decode_body(raw)
+        decoded(raw)
 
 
 # --- tensor container ----------------------------------------------------------

@@ -24,7 +24,7 @@ from forge.errors import (
     ReservedKey,
     StoreLocked,
 )
-from forge.query import MATCH_ALL, Predicate, TagQuery, parse
+from forge.query import MATCH_ALL, Predicate, TagQuery, parse, sort_key
 from forge.nn import layers as nnlayers
 from forge.nn import network as nnet
 from forge.store import (
@@ -43,8 +43,8 @@ from forge.store.log import frame, iter_frames, list_segments, replay
 from forge.tensorio import encode_tensors
 
 from conftest import write_raw_blob
-from oracles import brute_force_filter
-from test_records import DELETE_HEX, delete_body
+from oracles import StoreModel, brute_force_filter
+from test_records import DELETE_HEX, decoded, delete_body
 
 
 def make_store(path, **kw):
@@ -534,8 +534,8 @@ class TestSystemDocs:
             s.put_system(doc("__sys/x", b"2"))
             assert s.get("__sys/x").payload == b"2"
             seq = s.snapshot_seq() + 1
-        written = [op.op for body in replay(path) for op in records.decode_body(body)]
-        assert written == [records.OP_PUT, records.OP_PUT]
+        written = [rec[0] for body in replay(path) for rec in decoded(body)]
+        assert written == ["put", "put"]
         append_record(path, records.encode_batch([
             records.encode_doc_op(records.OP_REPLACE, seq, 0, None, doc("__sys/x", b"3")),
             records.encode_doc_op(records.OP_REPLACE, seq + 1, 0, "t#0.1", doc("t/000000"))]))
@@ -1027,3 +1027,151 @@ class TestBatches:
             s.apply_ops([PutOp(group="g"), PutOp()])
             s.apply_ops([])
             assert _log_bytes(path) == 0 and s.snapshot_seq() == 0
+
+
+# -- replay and compaction against a model of the store's reads --------------------
+
+# BATCH_QUERIES as the oracle's predicate lists
+REPLAY_QUERIES = {"": [], "c = 1": [("c", "=", 1)], "c = true": [("c", "=", True)],
+                  "c = 1.0": [("c", "=", 1.0)], "c = 0.0": [("c", "=", 0.0)],
+                  'c = "a"': [("c", "=", "a")], "c >= 0": [("c", ">=", 0)],
+                  "c < 1.0": [("c", "<", 1.0)], "d = 2": [("d", "=", 2)]}
+REPLAY_PREFIXES = ["", "k", "t/", "__sys/"]
+
+
+def _store_reads(s: Store) -> dict:
+    """Every read the model answers, with each indexed scan checked against
+    the same scan without the index."""
+    scans = {}
+    for q in REPLAY_QUERIES:
+        scans[q] = s.scan(parse(q))[0]
+        assert s.scan(parse(q), use_index=False)[0] == scans[q], q
+    return {"get": {key: _strict(s.get(key)) for key in BATCH_KEYS if s.exists(key)},
+            "meta": {key: s.get_meta(key) for key in BATCH_KEYS if s.exists(key)},
+            "exists": [key for key in BATCH_KEYS if s.exists(key)],
+            "staged": {g: s.staged_keys(g) for g in BATCH_GROUPS},
+            "prefix": {p: s.keys_with_prefix(p) for p in REPLAY_PREFIXES},
+            "seq": s.snapshot_seq(), "scans": scans}
+
+
+def _model_reads(m: StoreModel) -> dict:
+    visible = [key for key in BATCH_KEYS if m.visible(key) is not None]
+    return {"get": {key: _strict(m.visible(key)[0]) for key in visible},
+            "meta": {key: tuple(m.visible(key)[2:]) for key in visible},
+            "exists": visible,
+            "staged": {g: m.staged_keys(g) for g in BATCH_GROUPS},
+            "prefix": {p: m.keys_with_prefix(p) for p in REPLAY_PREFIXES},
+            "seq": m.seq, "scans": {q: m.scan(preds) for q, preds in REPLAY_QUERIES.items()}}
+
+
+_replay_steps = st.one_of(
+    st.tuples(st.just("batch"), st.lists(_batch_ops, min_size=1, max_size=4)),
+    st.tuples(st.just("compact")),
+    st.tuples(st.just("reopen")),
+    # records as older stores wrote them, appended to the log while it is closed
+    st.tuples(st.just("replace"), st.sampled_from(BATCH_KEYS),
+              st.sampled_from([None, *BATCH_GROUPS]), st.integers(0, len(BATCH_TAG_MAPS) - 1)),
+    st.tuples(st.just("delete"), st.sampled_from(BATCH_KEYS)),
+    st.tuples(st.just("torn"), st.integers(1, 30)),
+)
+
+
+@given(st.lists(_replay_steps, min_size=1, max_size=12))
+@settings(max_examples=80, deadline=None)
+def test_replay_answers_as_the_store_did_and_as_the_model(tmp_path_factory, steps):
+    """Any mix of puts, restages, commits, compactions, reopens, older REPLACE
+    and DELETE records and a torn tail: after every step the store answers
+    every read as the model does, and a reopen (with or without a torn tail)
+    answers as the store did before it closed."""
+    path = tmp_path_factory.mktemp("replay") / "s"
+    clock = FakeClock()
+    model = StoreModel()
+    s = make_store(path, create=True, clock=clock)
+    s.create_index("c")
+    try:
+        for step, (kind, *args) in enumerate(steps):
+            clock.advance(7)
+            if kind == "batch":
+                ops = _batch(args[0], step)
+                spec = [("commit", op.group) if isinstance(op, CommitGroupOp)
+                        else ("put", op.group, op.docs) for op in ops]
+                if model.accepts(spec):
+                    s.apply_ops(ops)
+                    model.apply(spec, clock.now_ms())
+                else:
+                    with pytest.raises((DuplicateKey, InvalidArgument)):
+                        s.apply_ops(ops)
+            elif kind == "compact":
+                s.compact()
+            else:
+                before = _store_reads(s)
+                s.close()
+                seq = model.seq + 1
+                if kind == "replace":
+                    key, group, tags = args
+                    new = Document(key=key, payload=f"old {step}".encode(),
+                                   tags=dict(BATCH_TAG_MAPS[tags]))
+                    append_record(path, records.encode_doc_op(
+                        records.OP_REPLACE, seq, clock.now_ms(), group, new))
+                    model.replay_put(seq, clock.now_ms(), group, new)
+                elif kind == "delete":
+                    append_record(path, delete_body(seq, args[0]))
+                    model.replay_delete(seq, args[0])
+                elif kind == "torn":
+                    torn = frame(delete_body(seq, BATCH_KEYS[0]))
+                    with open(list_segments(path)[-1], "ab") as f:
+                        f.write(torn[:min(args[0], len(torn) - 1)])
+                s = make_store(path, clock=clock)
+                if kind in ("reopen", "torn"):
+                    assert _store_reads(s) == before
+            assert _store_reads(s) == _model_reads(model), (step, kind)
+    finally:
+        s.close()
+
+
+def test_compaction_decodes_no_record(tmp_path, monkeypatch):
+    """compact() rebuilds memory from the versions it walks and writes: with
+    the record decoder refusing every call, it still answers every read as
+    before, leaves each index bucket holding exactly the keys whose version
+    carries its value, and a reopen answers the same."""
+    path = tmp_path / "s"
+    clock = FakeClock()
+    with make_store(path, create=True, clock=clock) as s:
+        s.create_index("c")
+        s.create_index("d")
+        for i, tags in enumerate(BATCH_TAG_MAPS):
+            s.put(Document(key=f"k{i}", payload=b"x", tags=dict(tags)))
+        s.put_system(doc("__sys/r0", b"1"))
+        s.put_system(doc("__sys/r0", b"2"))
+        s.apply_ops([PutOp(doc("t/000000", c=1), doc("t/000001", c="a"), group="g0")])
+        s.apply_ops([PutOp(doc("t/000001", c=True), doc("t/000002", d=2), group="g1"),
+                     CommitGroupOp("g1")])
+        s.apply_ops([PutOp(doc("t/000003", c=0.0), group="g2")])
+    append_record(path, delete_body(100, "k1"))  # an older log's DELETE
+    s = make_store(path, clock=clock)
+    try:
+        before = _store_reads(s)
+        assert before["staged"] == {"g0": ["t/000000"], "g1": [], "g2": ["t/000003"]}
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("compact() decoded a record")
+
+        with monkeypatch.context() as patched:
+            for name in ("decode_body", "_document_at"):  # a body, a document
+                patched.setattr(records, name, refuse)
+            s.compact()
+            assert _store_reads(s) == before
+        assert "k1" not in s._entries
+        buckets = {name: {vk: sorted(b.keys) for vk, b in index.by_value.items() if b.keys}
+                   for name, index in s._indexes.items()}
+        expected = {name: {} for name in ("c", "d")}
+        for key, state in sorted(s._entries.items()):
+            for name, value in state.doc.tags.items():
+                if name in expected and not key.startswith("__sys/"):
+                    expected[name].setdefault(sort_key(value), []).append(key)
+        assert buckets == expected
+        assert s._keys.main == sorted(s._entries)
+    finally:
+        s.close()
+    with make_store(path, clock=clock) as s:
+        assert _store_reads(s) == before

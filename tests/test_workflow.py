@@ -3,6 +3,7 @@ kill points. Tests on the ``api`` fixture run in-process and over TCP."""
 
 import gc
 import json
+import sys
 import threading
 import time
 import tracemalloc
@@ -35,6 +36,7 @@ from forge.workflow import (
     DEAD,
     MIN_LEASE_TTL_MS,
     PENDING,
+    _HEARTBEATS,
     Task,
     output_document,
     run_agent,
@@ -770,6 +772,94 @@ def test_heartbeats_do_not_grow_memory(engine):
     finally:
         tracemalloc.stop()
     assert grown < 64 * 1024
+
+
+def test_a_retried_attempt_leaves_no_staging_group_behind(engine, clock):
+    """A second attempt that stages the keys its failed first attempt staged
+    takes them out of the first attempt's group, which the store then
+    forgets: 20 such tasks leave no group, live or after a reopen."""
+    for t in range(20):
+        task_id = f"t{t}"
+        engine.submit_task(kind="user_fn", task_id=task_id, max_attempts=2)
+        outputs = [output_document(task_id, i, b"x" * 1000, None, {}) for i in range(50)]
+        engine.lease_task("agent", TTL)
+        engine.write_outputs(task_id, "agent", outputs)
+        engine.complete_task(task_id, "agent", "error", "first attempt")
+        engine.lease_task("agent", TTL)
+        engine.write_outputs(task_id, "agent", outputs)
+        engine.complete_task(task_id, "agent", "ok")
+        assert engine.get_task(task_id).status == COMPLETED
+    assert engine.store._staged == {}
+    reopened = _reopen(engine, clock)
+    try:
+        assert reopened.store._staged == {}
+        assert all(reopened.get_document(f"t{t}/{i:06d}").payload == b"x" * 1000
+                   for t in range(20) for i in range(50))
+    finally:
+        reopened.close()
+
+
+def test_back_to_back_tasks_share_one_heartbeat_thread(engine, monkeypatch):
+    """The process's heartbeat thread renews every running task's lease, so
+    50 tasks in a row start at most one thread between them (none when an
+    earlier agent in this process started it)."""
+    register_user_fn("noop", lambda ctx: None)
+    for t in range(50):
+        engine.submit_task(kind="user_fn", task_id=f"t{t}", params={"fn": "noop"})
+    started = []
+    start = threading.Thread.start
+
+    def counted(thread):
+        started.append(thread.name)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", counted)
+    for _ in range(50):
+        run_agent(engine, "agent", DEFAULT_HANDLERS, max_loops=1, poll_interval=0.0)
+    assert len(started) <= 1, started
+    assert all(task.status == COMPLETED for task in engine.list_tasks())
+
+
+def test_one_heartbeat_thread_serves_agents_in_many_threads():
+    """Six agent threads add and end 100 leases each, every 25th held for
+    50 ms, while the one heartbeat thread renews them at ttl/3 = 10 ms:
+    each held lease is renewed, no lease is left behind, and no renewal
+    comes once every task has ended."""
+    beats: dict[str, int] = {}
+    lock = threading.Lock()
+
+    class Api:
+        def heartbeat(self, task_id, agent_id, lease_ttl_ms):
+            with lock:
+                beats[task_id] = beats.get(task_id, 0) + 1
+
+    api = Api()
+
+    def agent(n):
+        for i in range(100):
+            lease = _HEARTBEATS.add(api, f"a{n}/{i}", "agent", 30)
+            if i % 25 == 0:
+                time.sleep(0.05)
+            _HEARTBEATS.remove(lease)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        agents = [threading.Thread(target=agent, args=(n,)) for n in range(6)]
+        for thread in agents:
+            thread.start()
+        for thread in agents:
+            thread.join(timeout=30)
+        assert not any(thread.is_alive() for thread in agents)
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(lease[1] is not api for lease in list(_HEARTBEATS._leases.values()))
+    assert all(beats.get(f"a{n}/{i}", 0) >= 1 for n in range(6) for i in range(0, 100, 25))
+    time.sleep(0.05)  # a beat already under way lands
+    with lock:
+        settled = dict(beats)
+    time.sleep(0.1)
+    assert beats == settled
 
 
 # -- kill points on the completion path ---------------------------------------
