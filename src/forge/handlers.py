@@ -11,11 +11,14 @@ order). A label that does not parse, a class or an mse width that does not
 fit the network's outputs, or a target that is not finite, fails the task
 naming the document. Softmax-xent needs an output of rank 1.
 
-The train handler is deterministic given its task: it starts from the
-explicit ``init_version`` param or a fresh seed, and the input slice and
-data order are fixed by the task's key range. A replayed attempt therefore
-reproduces the same trained bytes and the same content-addressed version id,
-which is what keeps "exactly one version per train task" true under crashes.
+The train handler is deterministic given its task and its input: it starts
+from the explicit ``init_version`` param or a fresh seed, and trains on its
+input slice in order. That slice is read when an attempt runs: a stream
+task's key range, or a plan task's whole view. A replayed attempt therefore
+reproduces the same trained bytes and the same content-addressed version id
+only while the view's documents are unchanged. A document put into the view
+between two attempts makes the second save a second version (ROADMAP item 2
+fixes a task's input once).
 """
 
 from __future__ import annotations

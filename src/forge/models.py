@@ -1,15 +1,23 @@
 """Model registry: immutable architecture specs, versioned parameter states,
 and the append-only event log.
 
-A version's state lives in the blob store; the version document's payload IS
-the blob pointer, so compaction's pointer-occurrence refcounting keeps state
-blobs alive for free. Version ids are content-addressed
-(``s<step>-<8-hex digest prefix>``), which makes saving a deterministically
-retrained state idempotent — the property task replay relies on.
+A version's state is its ``tensorio`` encoding. When the encoding is no
+longer than the store's ``inline_threshold``, it is the version document's
+payload, so a save is one durable log frame. A larger state goes to the blob
+store and the payload is its pointer, so compaction's pointer-occurrence
+refcounting keeps state blobs alive for free. An inline state stays in memory
+with its document, as every inline payload does: at most ``inline_threshold``
+bytes per version, for the store's whole life. ``ModelVersion`` carries no
+state bytes either way, so listing versions ships none.
+
+Version ids are content-addressed (``s<step>-<8-hex digest prefix>`` of the
+encoding), which makes saving a deterministically retrained state
+idempotent — the property task replay relies on.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -38,6 +46,10 @@ CACHE_BYTES = 256 * 1024 * 1024  # decoded states kept for load_state
 _METRIC_TAG = "m."
 
 
+def _version_key(model_key: str, step: int, version_id: str) -> str:
+    return f"{VERSION_PREFIX}{model_key}/{step:012d}/{version_id}"
+
+
 @dataclass(frozen=True)
 class ModelRecord:
     model_key: str
@@ -50,7 +62,7 @@ class ModelVersion:
     model_key: str
     version_id: str
     step: int
-    state: BlobPointer
+    state: BlobPointer | None  # None: the state is inline in the version document
     metrics: dict[str, TagScalar]
     parent_version: str | None
     created_at: int
@@ -147,27 +159,28 @@ class ModelStore:
                    events: list[tuple[int, str, float]] = ()) -> ModelVersion:
         """Save a version; ``events`` are (step, name, value) triples recorded
         in the same log frame, and only when the version is new, so a
-        replayed save records them once."""
+        replayed save records them once. A state whose encoding fits the
+        store's ``inline_threshold`` is that frame's version payload; a
+        larger one is put as a blob first."""
         record = self.get_model(model_key)
         if step < 0:
             raise InvalidArgument("step must be >= 0")
         metrics = metrics or {}
         validate_tags(metrics)
         nnet.check_tensors(nnlayers.spec_from_dict(record.spec), tensors)
-        blob = encode_tensors(tensors)
-        import hashlib
-
-        version_id = f"s{step}-{hashlib.sha256(blob).hexdigest()[:8]}"
-        key = f"{VERSION_PREFIX}{model_key}/{step:012d}/{version_id}"
+        state = encode_tensors(tensors)
+        version_id = f"s{step}-{hashlib.sha256(state).hexdigest()[:8]}"
+        key = _version_key(model_key, step, version_id)
         if self.store.exists(key):
             return self._version_from_doc(model_key, self.store.get(key))
-        ptr = self.store.put_blob(blob)
+        if len(state) > self.store.inline_threshold:
+            state = self.store.put_blob(state)
         tags: dict[str, TagScalar] = {"step": step, "at": self.store.clock.now_ms()}
         if parent_version is not None:
             tags["parent"] = parent_version
         for name, value in metrics.items():
             tags[_METRIC_TAG + name] = value
-        doc = Document(key=key, payload=ptr, label=version_id, tags=tags)
+        doc = Document(key=key, payload=state, label=version_id, tags=tags)
         self.store.apply_ops([PutOp(doc)] + [PutOp(self._event_doc(model_key, *event))
                                              for event in events])
         return self._version_from_doc(model_key, doc)
@@ -180,7 +193,7 @@ class ModelStore:
             model_key=model_key,
             version_id=doc.label,
             step=doc.tags["step"],
-            state=doc.payload,
+            state=None if doc.is_inline else doc.payload,
             metrics=metrics,
             parent_version=doc.tags.get("parent"),
             created_at=doc.tags["at"],
@@ -196,12 +209,20 @@ class ModelStore:
         return versions
 
     def load_state(self, model_key: str, selector: str = "latest") -> dict[str, np.ndarray]:
+        """The version's tensors. A cache miss counts as a ``blob_reads``
+        whether the state is read from its blob or from its inline
+        document."""
         version = self.get_version(model_key, selector)
         cached = self.cache.get((model_key, version.version_id))
         if cached is not None:
             return cached
         self.blob_reads += 1
-        tensors = decode_tensors(self.store.get_blob(version.state))
+        if version.state is None:  # inline in the version document
+            key = _version_key(model_key, version.step, version.version_id)
+            state = self.store.get(key).payload
+        else:
+            state = self.store.get_blob(version.state)
+        tensors = decode_tensors(state)
         self.cache.put((model_key, version.version_id), tensors)
         return tensors
 

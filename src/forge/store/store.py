@@ -384,12 +384,15 @@ class Store:
             raise NotFound(f"no store at {self.path}")
 
         self._acquire_lock()
-        index_names = self._read_manifest()
-        for name in index_names:
-            self._indexes[name] = _Index()
-        self.blobs = BlobStore(self.path / "blobs", fsync=fsync)
-        self._replay()
-        self._log = logio.LogWriter(self.path, fsync=fsync)
+        try:
+            for name in self._read_manifest():
+                self._indexes[name] = _Index()
+            self.blobs = BlobStore(self.path / "blobs", fsync=fsync)
+            self._replay()
+            self._log = logio.LogWriter(self.path, fsync=fsync)
+        except BaseException:
+            self._release_lock()
+            raise
 
     # -- lifecycle ----------------------------------------------------------
 
@@ -411,8 +414,11 @@ class Store:
                 return
             self._closed = True
             self._log.close()
-            fcntl.flock(self._lock_file.fileno(), fcntl.LOCK_UN)
-            self._lock_file.close()
+            self._release_lock()
+
+    def _release_lock(self) -> None:
+        fcntl.flock(self._lock_file.fileno(), fcntl.LOCK_UN)
+        self._lock_file.close()
 
     def __enter__(self):
         return self

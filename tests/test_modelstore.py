@@ -1,8 +1,12 @@
 """Model registry, versioned states, cache behavior, and the event log."""
 
+import contextlib
+
 import numpy as np
 import pytest
 
+from forge.clock import FakeClock
+from forge.engine import Forge
 from forge.errors import (
     DuplicateKey,
     InvalidArgument,
@@ -11,6 +15,10 @@ from forge.errors import (
     ShapeMismatch,
     VersionNotFound,
 )
+from forge.models import VERSION_PREFIX
+from forge.store import BlobPointer, Document, PutOp
+from forge.tensorio import encode_tensors
+from forge.wire import ForgeClient, ForgeServer
 
 MLP = {
     "input_dims": [3],
@@ -149,6 +157,106 @@ class TestVersions:
         reloaded = api.load_state("mlp", v1.version_id)
         for name, arr in tensors_for(1).items():
             assert reloaded[name].tobytes() == arr.tobytes()
+
+
+def _blob_files(engine) -> list:
+    return sorted((engine.store.path / "blobs").iterdir())
+
+
+def _log_bytes(engine) -> int:
+    return sum(p.stat().st_size for p in engine.store.path.glob("segment-*.log"))
+
+
+def _assert_loads(api, version_id, tensors):
+    loaded = api.load_state("mlp", version_id)
+    assert {name: arr.tobytes() for name, arr in loaded.items()} == \
+        {name: arr.tobytes() for name, arr in tensors.items()}
+
+
+@contextlib.contextmanager
+def _over_transport_of(api, engine):
+    """``engine`` reached the way ``api`` reaches its own: in-process, or
+    over TCP."""
+    if isinstance(api, Forge):
+        yield engine
+        return
+    server = ForgeServer(engine, port=0)
+    server.start()
+    client = ForgeClient(*server.address)
+    try:
+        yield client
+    finally:
+        client.close()
+        server.stop()
+
+
+class TestInlineStates:
+    """A state whose encoding fits the store's ``inline_threshold`` is the
+    payload of its version document; a larger one is a blob."""
+
+    def test_the_threshold_is_inclusive(self, api, engine):
+        api.register_model("mlp", MLP)
+        tensors = tensors_for(1)
+        size = len(encode_tensors(tensors))
+        engine.store.inline_threshold = size
+        inline = api.save_state("mlp", 1, tensors)
+        assert inline.state is None
+        assert _blob_files(engine) == []
+        engine.store.inline_threshold = size - 1
+        pointed = api.save_state("mlp", 2, tensors)
+        assert isinstance(pointed.state, BlobPointer)
+        assert pointed.state.total_size == size
+        assert len(_blob_files(engine)) == 1
+        assert [v.state for v in api.list_versions("mlp")] == [None, pointed.state]
+        assert inline.version_id.split("-")[1] == pointed.version_id.split("-")[1]
+        for version in (inline, pointed):
+            _assert_loads(api, version.version_id, tensors)
+        assert engine.model_cache_stats()["blob_reads"] == 2
+
+    def test_an_inline_state_loads_after_compaction_and_a_reopen(self, api, engine):
+        api.register_model("mlp", MLP)
+        version = api.save_state("mlp", 1, tensors_for(1))
+        assert version.state is None
+        engine.compact()
+        _assert_loads(api, version.version_id, tensors_for(1))
+        assert _blob_files(engine) == []
+        path = engine.store.path
+        engine.close()
+        with Forge(path, clock=FakeClock(), fsync=False) as reopened, \
+                _over_transport_of(api, reopened) as again:
+            assert [v.version_id for v in again.list_versions("mlp")] == [version.version_id]
+            _assert_loads(again, version.version_id, tensors_for(1))
+            assert reopened.model_cache_stats()["blob_reads"] == 1
+
+    def test_a_resave_writes_nothing(self, api, engine):
+        api.register_model("mlp", MLP)
+        events = [(0, "seed", 3.0), (1, "loss", 0.25)]
+        first = api.save_state("mlp", 1, tensors_for(1), events=events)
+        log_bytes = _log_bytes(engine)
+        again = api.save_state("mlp", 1, tensors_for(1), events=events)
+        assert again == first and again.state is None
+        assert _log_bytes(engine) == log_bytes
+        assert [(e.step, e.name, e.value) for e in api.query_events("mlp")] == events
+
+    def test_a_pointer_version_written_before_inline_states_loads(self, api, engine):
+        """A version as stores wrote every one before inline states: the
+        state put as a blob, then a version document whose payload is its
+        pointer."""
+        api.register_model("mlp", MLP)
+        tensors = tensors_for(2)
+        ptr = engine.put_blob(encode_tensors(tensors))
+        version_id = "s3-0a1b2c3d"
+        engine.store.apply_ops([PutOp(Document(
+            key=f"{VERSION_PREFIX}mlp/{3:012d}/{version_id}", payload=ptr,
+            label=version_id, tags={"step": 3, "at": 5}))])
+        inline = api.save_state("mlp", 4, tensors_for(1))
+        assert [(v.version_id, v.state) for v in api.list_versions("mlp")] == \
+            [(version_id, ptr), (inline.version_id, None)]
+        engine.compact()
+        assert [p.name for p in _blob_files(engine)] == [f"{ptr.blob_id}.0"]
+        assert [v.state for v in api.list_versions("mlp")] == [ptr, None]
+        _assert_loads(api, version_id, tensors)
+        _assert_loads(api, inline.version_id, tensors_for(1))
 
 
 class TestEvents:

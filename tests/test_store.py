@@ -7,6 +7,7 @@ import json
 import os
 import random
 import tracemalloc
+import warnings
 import zlib
 
 import pytest
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 from forge.clock import FakeClock
 from forge.errors import (
     ChecksumMismatch,
+    CorruptStore,
     DuplicateKey,
     EmptyBlob,
     InvalidArgument,
@@ -180,10 +182,8 @@ class TestDurability:
                     assert [s.get_meta(key)[0] for key in written] == [seq] * len(written)
                     assert s.get("__sys/task/t").payload == b"done"
 
-    def test_corrupt_middle_frame_detected(self, tmp_path):
-        from forge.errors import CorruptStore
-
-        path = tmp_path / "s"
+    @staticmethod
+    def _corrupt_middle_frame(path):
         with make_store(path, create=True) as s:
             for i in range(5):
                 s.put(doc(f"k{i}"))
@@ -196,8 +196,29 @@ class TestDurability:
         raw[frames[1][0] + 9] ^= 0xFF
         segment.write_bytes(bytes(raw))
         (path / "segment-00099.log").write_bytes(b"")  # make damaged one non-final
+
+    def test_corrupt_middle_frame_detected(self, tmp_path):
+        path = tmp_path / "s"
+        self._corrupt_middle_frame(path)
         with pytest.raises(CorruptStore):
             make_store(path)
+
+    def test_a_failed_open_releases_the_lock(self, tmp_path):
+        """An open that fails on a corrupt log unlocks and closes ``LOCK``:
+        while its error (and so the half-built store) is still referenced,
+        the next open fails on the log, not on the lock, and collecting it
+        leaves no file for the collector to close."""
+        path = tmp_path / "s"
+        self._corrupt_middle_frame(path)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            with pytest.raises(CorruptStore) as first:
+                make_store(path)
+            with pytest.raises(CorruptStore):
+                make_store(path)
+            del first
+            gc.collect()
+        assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
 
     def test_writer_lock_exclusive(self, tmp_path):
         path = tmp_path / "s"
