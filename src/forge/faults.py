@@ -1,9 +1,10 @@
 """Cooperative kill-point injection for crash-recovery tests.
 
-Agent and master loops call :func:`kill_point` at named boundaries. In normal
-operation every point is unarmed and the call is a no-op. Tests arm a point
-to raise :class:`KillPoint` on its nth hit, simulating a process dying there;
-the harness then restarts the component from persisted state.
+Agent and master loops, and the log's snapshot protocol, call
+:func:`kill_point` at named boundaries. In normal operation every point is
+unarmed and the call is a no-op. Tests arm a point to raise
+:class:`KillPoint` on its nth hit, simulating a process dying there; the
+harness then restarts the component from persisted state.
 """
 
 from __future__ import annotations

@@ -15,6 +15,15 @@ wrote with other settings (``CODEC_NONE`` chunks stored raw) still read.
 Blob ids are content-addressed (digest + chunking parameters), which makes
 re-uploads of identical content idempotent.
 
+Garbage collection (``collect_garbage``, run by compaction) deletes the
+chunks no live document references, but spares a chunk written within
+``GC_GRACE_S`` of now: a blob is put before the document that references it,
+and over the wire that gap is a whole round trip, so a compaction in between
+must not take the blob. A chunk file's mtime is its age, on the wall clock,
+not the store's clock (tests age a chunk with ``os.utime``). A put that
+finds its chunks already stored sets their mtime to now, so re-putting an
+old unreferenced blob makes it young again.
+
 A ``CODEC_ZLIB`` chunk is stored as one zlib stream whose level is chosen
 per chunk: the chunk's first ``PROBE`` bytes are compressed at level 1, and
 if that does not make them shorter the chunk is stored at level 0, otherwise
@@ -33,6 +42,7 @@ from __future__ import annotations
 import errno
 import os
 import re
+import time
 import zlib
 from pathlib import Path
 
@@ -49,6 +59,7 @@ from forge.store.types import (
 
 _BLOB_ID = re.compile(r"[0-9a-f]{32}")  # the form blob_id_for gives
 PROBE = 4096  # bytes of a chunk compressed at level 1 to choose its level
+GC_GRACE_S = 3600  # an unreferenced chunk younger than this survives collection
 
 
 def _deflate(raw: bytes) -> bytes:
@@ -107,8 +118,8 @@ class BlobStore:
             codec_id=CODEC_ZLIB,
             checksum=checksum,
         )
-        if self._complete(ptr):
-            return ptr  # identical content already stored
+        if self._refresh(ptr):
+            return ptr  # identical content already stored, now young again
         for index in range(ptr.chunk_count):
             raw = data[index * CHUNK_SIZE:(index + 1) * CHUNK_SIZE]
             self._write_chunk(ptr.blob_id, index, _deflate(raw))
@@ -124,8 +135,15 @@ class BlobStore:
         except FileNotFoundError:
             raise NotFound(f"blob chunk {blob_id}.{index} not found") from None
 
-    def _complete(self, ptr: BlobPointer) -> bool:
-        return all(self._chunk_path(ptr.blob_id, i).exists() for i in range(ptr.chunk_count))
+    def _refresh(self, ptr: BlobPointer) -> bool:
+        """Set each stored chunk of ``ptr`` to the current time, as if just
+        written; False when one is missing."""
+        try:
+            for index in range(ptr.chunk_count):
+                os.utime(self._chunk_path(ptr.blob_id, index))
+        except FileNotFoundError:
+            return False
+        return True
 
     def _write_chunk(self, blob_id: str, index: int, stored: bytes) -> None:
         path = self._chunk_path(blob_id, index)
@@ -143,11 +161,13 @@ class BlobStore:
             raise
 
     def collect_garbage(self, live_ids: set[str]) -> int:
-        """Delete chunk files of blobs not in ``live_ids``; returns files removed."""
+        """Delete the chunk files of blobs not in ``live_ids`` that are older
+        than GC_GRACE_S; returns files removed."""
         removed = 0
+        young = time.time() - GC_GRACE_S
         for path in self.root.iterdir():
             blob_id = path.name.split(".", 1)[0]
-            if blob_id not in live_ids:
+            if blob_id not in live_ids and path.stat().st_mtime < young:
                 path.unlink(missing_ok=True)
                 removed += 1
         return removed

@@ -1,10 +1,26 @@
-"""Append-only segment log.
+"""Append-only segment log: the one module that knows segment files.
 
-Each segment file is a sequence of frames: ``u32 length | u32 crc32 | body``
+The log owns the store directory's ``segment-NNNNNN.log`` files: their names
+and numbers, the framing and its CRCs, torn-tail recovery, which segment
+replay starts from, and the snapshot protocol compaction writes through. The
+store (store.py) owns what a body says and the state it builds in memory.
+
+Each segment is a sequence of frames: ``u32 length | u32 crc32 | body``
 (integers little-endian, crc over the body). A frame is the atomic unit of
 persistence: recovery replays frames in order and truncates a torn or
 corrupt tail of the newest segment, so an interrupted write leaves the store
-exactly as it was before the write began.
+exactly as it was before the write began. ``replay`` hands out each intact
+body as its bounds in its segment's bytes, CRC-checked through a memoryview,
+so no body is copied.
+
+A snapshot segment starts with an OP_SNAPSHOT marker. ``LogWriter.snapshot``
+writes it as ``segment-NNNNNN.log.tmp``, fsyncs it and renames it into place;
+only then does the log append to it and unlink the older segments. Replay
+starts at the newest snapshot segment and opens no older one, so a crash at
+any step replays the old segments or the whole snapshot: the next open
+removes a tmp segment, and the next snapshot unlinks what is left of the
+old ones. A snapshot that fails with an Exception removes its tmp segment,
+and the log goes on appending to its old segment.
 """
 
 from __future__ import annotations
@@ -13,77 +29,91 @@ import errno
 import os
 import struct
 import zlib
+from collections.abc import Iterable, Iterator
 from pathlib import Path
 
 from forge.errors import CorruptStore, StorageFull
+from forge.faults import kill_point
+from forge.store.records import OP_SNAPSHOT
 
 _HEADER = struct.Struct("<II")
 
-SEGMENT_GLOB = "segment-*.log"
 SEGMENT_ROLL_BYTES = 64 * 1024 * 1024
 
 
-def segment_path(root: Path, number: int) -> Path:
+def _segment_path(root: Path, number: int) -> Path:
     return root / f"segment-{number:06d}.log"
 
 
-def segment_number(path: Path) -> int:
+def _number(path: Path) -> int:
     return int(path.stem.split("-")[1])
 
 
 def list_segments(root: Path) -> list[Path]:
-    return sorted(root.glob(SEGMENT_GLOB), key=segment_number)
+    """The segment files under ``root``, oldest first."""
+    return sorted(root.glob("segment-*.log"), key=_number)
 
 
 def frame(body: bytes) -> bytes:
     return _HEADER.pack(len(body), zlib.crc32(body)) + body
 
 
-def iter_frames(path: Path, *, tolerate_torn_tail: bool):
-    """Yield ``(offset, body)`` per intact frame.
+def write_whole(path: Path, data: bytes) -> None:
+    """Replace ``path`` with ``data`` by one rename (the store's MANIFEST)."""
+    tmp = path.with_name(path.name + ".tmp")
+    tmp.write_bytes(data)
+    os.replace(tmp, path)
 
-    A damaged frame stops iteration: when ``tolerate_torn_tail`` the file is
-    truncated back to the last intact frame (crash recovery of the active
-    segment), otherwise CorruptStore is raised.
-    """
-    data = path.read_bytes()
-    off = 0
-    n = len(data)
-    good_end = 0
-    out = []
-    while off + _HEADER.size <= n:
-        length, crc = _HEADER.unpack_from(data, off)
-        body_start = off + _HEADER.size
-        body_end = body_start + length
-        if body_end > n:
-            break
-        body = data[body_start:body_end]
-        if zlib.crc32(body) != crc:
-            break
-        out.append((off, body))
-        off = body_end
-        good_end = off
-    if good_end != n:
-        if not tolerate_torn_tail:
-            raise CorruptStore(f"corrupt frame in {path.name} at byte {good_end}")
-        with open(path, "r+b") as f:
-            f.truncate(good_end)
-    return out
+
+def _is_snapshot(path: Path) -> bool:
+    with open(path, "rb") as f:  # the first frame's header and op byte
+        return f.read(_HEADER.size + 1)[_HEADER.size:] == bytes([OP_SNAPSHOT])
+
+
+def replay(root: Path) -> Iterator[tuple[bytes, int, int]]:
+    """Yield ``(data, start, end)`` for each intact record body, oldest
+    first: the body is ``data[start:end]``, where ``data`` holds its
+    segment's bytes.
+
+    Replay starts at the newest snapshot segment (the oldest segment when
+    there is none). A damaged frame ends the newest segment, which is then
+    truncated back to its last intact frame; in any other segment it raises
+    CorruptStore, after the bodies before it."""
+    segments = list_segments(root)
+    first = next((i for i in range(len(segments) - 1, 0, -1) if _is_snapshot(segments[i])), 0)
+    for i in range(first, len(segments)):
+        path = segments[i]
+        data = path.read_bytes()
+        size = len(data)
+        off = 0
+        with memoryview(data) as view:
+            while off + _HEADER.size <= size:
+                length, crc = _HEADER.unpack_from(data, off)
+                start = off + _HEADER.size
+                end = start + length
+                if end > size or zlib.crc32(view[start:end]) != crc:
+                    break
+                yield data, start, end
+                off = end
+        if off != size:
+            if i != len(segments) - 1:
+                raise CorruptStore(f"corrupt frame in {path.name} at byte {off}")
+            with open(path, "r+b") as f:
+                f.truncate(off)
 
 
 class LogWriter:
-    """Single appender over the active segment; rolls at SEGMENT_ROLL_BYTES."""
+    """Single appender over the active segment; rolls at SEGMENT_ROLL_BYTES
+    and writes snapshots."""
 
     def __init__(self, root: Path, *, fsync: bool):
         self.root = root
         self.fsync = fsync
+        for tmp in root.glob("segment-*.log.tmp"):  # a snapshot cut short by a crash
+            tmp.unlink()
         segments = list_segments(root)
-        if segments:
-            self.number = segment_number(segments[-1])
-            self._file = open(segments[-1], "ab")
-        else:
-            self.number = 1
-            self._file = open(segment_path(root, 1), "ab")
+        self.number = _number(segments[-1]) if segments else 1
+        self._file = open(_segment_path(root, self.number), "ab")
 
     def append(self, body: bytes) -> None:
         data = frame(body)
@@ -97,14 +127,38 @@ class LogWriter:
                 raise StorageFull("log device full") from exc
             raise
         if self._file.tell() >= SEGMENT_ROLL_BYTES:
-            self.roll()
+            self._switch(self.number + 1)
 
-    def roll(self) -> Path:
+    def snapshot(self, bodies: Iterable[bytes]) -> None:
+        """Write ``bodies``, an OP_SNAPSHOT marker's first, as the next
+        segment, which the log then appends to, and unlink the older ones
+        (the protocol in the module docstring). A device that fills up
+        raises StorageFull, as an append does."""
+        path = _segment_path(self.root, self.number + 1)
+        tmp = path.with_name(path.name + ".tmp")
+        try:
+            with open(tmp, "wb") as f:
+                f.writelines(map(frame, bodies))
+                f.flush()
+                os.fsync(f.fileno())
+        except Exception as exc:
+            tmp.unlink(missing_ok=True)
+            if isinstance(exc, OSError) and exc.errno == errno.ENOSPC:
+                raise StorageFull("log device full") from exc
+            raise
+        kill_point("log.after_snapshot_sync")
+        os.replace(tmp, path)
+        kill_point("log.after_snapshot_rename")
+        self._switch(self.number + 1)
+        for old in list_segments(self.root)[:-1]:
+            kill_point("log.before_segment_unlink")
+            old.unlink()
+
+    def _switch(self, number: int) -> None:
+        """Append to segment ``number`` from now on."""
         self._file.close()
-        self.number += 1
-        path = segment_path(self.root, self.number)
-        self._file = open(path, "ab")
-        return path
+        self.number = number
+        self._file = open(_segment_path(self.root, number), "ab")
 
     def close(self) -> None:
         if not self._file.closed:
@@ -112,31 +166,3 @@ class LogWriter:
             if self.fsync:
                 os.fsync(self._file.fileno())
             self._file.close()
-
-
-def replay(root: Path):
-    """Yield intact record bodies across all segments, oldest first.
-
-    Compaction writes a full snapshot into a fresh segment whose first frame
-    is an OP_SNAPSHOT marker; replay starts at the newest such segment, so
-    older segments become dead weight that is deleted lazily.
-    """
-    from forge.store.records import OP_SNAPSHOT
-
-    segments = list_segments(root)
-    if not segments:
-        return []
-    parsed: list[tuple[Path, list[tuple[int, bytes]]]] = []
-    for i, path in enumerate(segments):
-        frames = iter_frames(path, tolerate_torn_tail=(i == len(segments) - 1))
-        parsed.append((path, frames))
-    start = 0
-    for i in range(len(parsed) - 1, -1, -1):
-        frames = parsed[i][1]
-        if frames and frames[0][1][:1] == bytes([OP_SNAPSHOT]):
-            start = i
-            break
-    bodies = []
-    for _, frames in parsed[start:]:
-        bodies.extend(body for _, body in frames)
-    return bodies

@@ -39,13 +39,14 @@ encoding every document on its own.
 A body is decoded into calls on a sink, one per record and a batch's
 records in order (``decode_body``): a record is handed on once it is read
 whole, so replay installs it with no decoded-op object or op list between
-the bytes and the store. Nothing writes REPLACE or DELETE any more: every
-put is a PUT, and the store decides whether it may replace the key's
-current version. Both are decoded from logs that hold them: a REPLACE is
-handed on as a put, and the store replays a DELETE by emptying the key's
-slot. A decoder ignores bytes after a body it has read (a batch's
-sub-bodies included); every truncated or malformed input raises
-``CorruptStore``.
+the bytes and the store. A body is decoded at its bounds in a larger buffer
+(replay passes its segment's bytes), so no body is copied. Nothing writes
+REPLACE or DELETE any more: every put is a PUT, and the store decides
+whether it may replace the key's current version. Both are decoded from
+logs that hold them: a REPLACE is handed on as a put, and the store replays
+a DELETE by emptying the key's slot. A decoder ignores bytes after a body
+it has read (a batch's sub-bodies included); every truncated or malformed
+input raises ``CorruptStore``.
 """
 
 from __future__ import annotations
@@ -353,7 +354,10 @@ def decode_document(buf: bytes) -> Document:
 def _records_at(buf: bytes, off: int, end: int, sink) -> None:
     """Hand the records of the body at ``buf[off:end]`` to ``sink``, one
     call each, once each is read whole; bytes after the body are ignored, a
-    body that runs past ``end`` is corrupt."""
+    body that runs past ``end`` is corrupt. Every branch ends at an offset
+    past each byte it read, and checks that offset against ``end`` before
+    the sink sees its record, so what ``buf`` holds past ``end`` is never
+    taken for part of the body."""
     op = buf[off]
     if op == OP_PUT or op == OP_REPLACE:
         _, seq, arrived, has_group = _doc_op_at(buf, off)
@@ -378,6 +382,8 @@ def _records_at(buf: bytes, off: int, end: int, sink) -> None:
                 raise CorruptStore("truncated record")
             _records_at(buf, off, off + n, sink)
             off += n
+        if off > end:
+            raise CorruptStore("truncated record")
     elif op == OP_DELETE or op == OP_COMMIT_GROUP:
         _, seq, n = _seq_str_op_at(buf, off)
         off += 11 + n
@@ -397,13 +403,20 @@ def _records_at(buf: bytes, off: int, end: int, sink) -> None:
         raise CorruptStore(f"unknown log op {op}")
 
 
-def decode_body(body: bytes, sink) -> None:
-    """Decode a record body into one call on ``sink`` per record, a batch's
-    records in order: ``sink.put(seq, arrived_ms, group, doc)`` for a PUT or
-    a REPLACE, ``sink.delete(seq, key)``, ``sink.commit(seq, group)`` and
-    ``sink.snapshot(next_seq)``. A truncated or malformed body raises
+def decode_body(buf: bytes, sink, start: int = 0, end: int | None = None) -> None:
+    """Decode the record body at ``buf[start:end]`` (``end`` defaults to the
+    end of ``buf``) where it lies, into one call on ``sink`` per record, a
+    batch's records in order: ``sink.put(seq, arrived_ms, group, doc)`` for
+    a PUT or a REPLACE, ``sink.delete(seq, key)``, ``sink.commit(seq,
+    group)`` and ``sink.snapshot(next_seq)``.
+
+    The bounds are the body's: bytes before ``start`` or from ``end`` on are
+    never read as part of it, so a body that needs bytes past ``end`` is
+    truncated whatever ``buf`` holds there, and bytes between its last
+    record and ``end`` are ignored. No body is copied (a document's key,
+    payload and strings are). A truncated or malformed body raises
     ``CorruptStore``, after the calls for the records before the bad one."""
     try:
-        _records_at(body, 0, len(body), sink)
+        _records_at(buf, start, len(buf) if end is None else end, sink)
     except _MALFORMED as exc:
         raise CorruptStore(f"malformed record: {exc}") from exc

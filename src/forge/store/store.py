@@ -5,7 +5,14 @@ Layout of a store directory:
     MANIFEST            magic, format version, inline threshold, index list
     LOCK                flock'd by the single writable process
     segment-NNNNNN.log  append-only document log (see log.py)
-    blobs/              chunk files, <blob_id>.<chunk_index>
+    blobs/              chunk files, <blob_id>.<chunk_index> (see blob.py)
+
+Who owns what: the store owns records (what each body says, encoded and
+decoded by records.py) and the in-memory state they build. The log (log.py)
+owns the segment files: their names, framing and CRCs, torn-tail recovery,
+where replay starts, and the snapshot protocol compaction writes through.
+The store hands the log bodies, and takes each one back as its bounds in a
+segment's bytes; it names no segment file.
 
 Durability model: every mutation is one log frame (a batch of ops is one
 frame, hence atomic). In memory each key holds one version, its newest,
@@ -57,14 +64,15 @@ them, without a walk; the completion records exactly the outputs its commit
 shows.
 
 Replay decodes each log record straight into that state in one pass:
-``records.decode_body`` hands every record to ``_Replay``, which installs a
-put as ``apply_ops`` did, folds a commit and keeps the next seq. Index
-buckets are looked up through a memo that lives for the replay and keys
-each value with its class (``_BucketMemo``), so each distinct (tag, value)
-costs one ``sort_key``. Compaction writes every live version into a fresh
-segment and rebuilds memory from the same walk without decoding a record:
-the walk is in key order, so the store's and each bucket's keys become
-sorted lists as they are written.
+``records.decode_body`` decodes each body where it lies in its segment's
+bytes and hands every record to ``_Replay``, which installs a put as
+``apply_ops`` did, folds a commit and keeps the next seq. Index buckets are
+looked up through a memo that lives for the replay and keys each value with
+its class (``_BucketMemo``), so each distinct (tag, value) costs one
+``sort_key``. Compaction streams every live version to the log's snapshot
+and rebuilds memory from the same walk without decoding a record: the walk
+is in key order, so the store's and each bucket's keys become sorted lists
+as they are written.
 
 Read paths cost O(log n + keys visited). The store's keys, and each index
 bucket's, are one ``_SortedKeys``: a large sorted ``main`` list, a small
@@ -435,9 +443,7 @@ class Store:
         for name in indexes:
             raw = name.encode("utf-8")
             buf += struct.pack("<H", len(raw)) + raw
-        tmp = self.path / "MANIFEST.tmp"
-        tmp.write_bytes(bytes(buf))
-        os.replace(tmp, self.path / "MANIFEST")
+        logio.write_whole(self.path / "MANIFEST", bytes(buf))
 
     def _read_manifest(self) -> list[str]:
         raw = (self.path / "MANIFEST").read_bytes()
@@ -458,8 +464,8 @@ class Store:
 
     def _replay(self) -> None:
         replay = _Replay(self)
-        for body in logio.replay(self.path):
-            records.decode_body(body, replay)
+        for data, start, end in logio.replay(self.path):
+            records.decode_body(data, replay, start, end)
         self._next_seq = replay.next_seq
 
     # -- in-memory application ------------------------------------------------
@@ -516,10 +522,6 @@ class Store:
         """Public write path: immutable user documents, no system prefix."""
         if doc.key.startswith(SYSTEM_PREFIX):
             raise ReservedKey(f"keys under {SYSTEM_PREFIX!r} are reserved")
-        if doc.is_inline and len(doc.payload) > self.inline_threshold:
-            raise PayloadTooLarge(
-                f"inline payload of {len(doc.payload)} bytes exceeds the "
-                f"{self.inline_threshold}-byte threshold; use put_blob")
         self.apply_ops([PutOp(doc)])
         return doc.key
 
@@ -581,7 +583,9 @@ class Store:
         """The record that writes ``ops`` at ``now``, once they pass the
         write rule, which is checked per key in op order, as if each op were
         applied alone. A put to a reserved key replaces its current version,
-        and is never staged. Any other key is written once: an unstaged put
+        and is never staged; its payload is unbounded. Any other key holds a
+        user document, whose inline payload is at most ``inline_threshold``
+        bytes, and is written once: an unstaged put
         needs a key with no current version, a staged put one whose current
         version is still staged (not folded in by a commit, also one earlier
         in the batch), which is how an attempt reruns over what it or an
@@ -618,6 +622,10 @@ class Store:
                     if group is not None:
                         raise InvalidArgument(f"reserved key {key!r} cannot be staged")
                     continue
+                if doc.is_inline and len(doc.payload) > self.inline_threshold:
+                    raise PayloadTooLarge(
+                        f"inline payload of {len(doc.payload)} bytes exceeds the "
+                        f"{self.inline_threshold}-byte threshold; use put_blob")
                 if key in earlier:
                     exists, (current, since) = True, earlier[key]
                 else:
@@ -801,46 +809,40 @@ class Store:
     def compact(self) -> None:
         """Rewrite live state into a fresh snapshot segment.
 
-        Writes each key's one version as it is held, skipping keys an older
-        log deleted, and garbage-collects unreferenced blob chunks. Memory is
-        rebuilt from the same walk, with no record decoded: the walk's keys
-        come in ascending order, so they become the store's and each index
-        bucket's sorted ``main`` as they are written, which drops deleted
-        keys and stale index entries. The staged keys of each group stay as
-        they are. Open scan cursors from before the compaction stay valid
-        because every version keeps its sequence number, and a staged one its
-        group.
+        Streams each key's one version as it is held to the log's snapshot,
+        skipping keys an older log deleted, and garbage-collects unreferenced
+        blob chunks that are not young (blob.py). Memory is rebuilt from the
+        same walk, with no record decoded: the walk's keys come in ascending
+        order, so they become the store's and each index bucket's sorted
+        ``main`` as they are written, which drops deleted keys and stale
+        index entries. The staged keys of each group stay as they are. Open
+        scan cursors from before the compaction stay valid because every
+        version keeps its sequence number, and a staged one its group. A
+        snapshot that fails leaves the store as it was.
         """
         with self._lock:
-            self._log.close()
-            number = logio.segment_number(logio.list_segments(self.path)[-1]) + 1
-            tmp = self.path / f"segment-{number:06d}.log.tmp"
             live_blobs: set[str] = set()
             entries: dict[str, _State | None] = {}
             indexes = {name: _Index() for name in self._indexes}
             buckets = _BucketMemo(indexes, ascending=True)
-            with open(tmp, "wb") as f:
-                f.write(logio.frame(records.encode_snapshot_marker(self._next_seq)))
+
+            def bodies() -> Iterator[bytes]:
+                yield records.encode_snapshot_marker(self._next_seq)
                 for key in self._keys.walk(""):
                     state = self._entries[key]
                     if state is None:
                         continue
-                    body = records.encode_doc_op(records.OP_PUT, state.seq, state.arrived_ms,
-                                                 state.group, state.doc)
-                    f.write(logio.frame(body))
                     entries[key] = state
                     if not state.doc.is_inline:
                         live_blobs.add(state.doc.payload.blob_id)
                     if not key.startswith(SYSTEM_PREFIX):
                         buckets.add(key, state.doc.tags)
-                f.flush()
-                os.fsync(f.fileno())
-            os.replace(tmp, logio.segment_path(self.path, number))
-            for path in logio.list_segments(self.path)[:-1]:
-                path.unlink()
+                    yield records.encode_doc_op(records.OP_PUT, state.seq, state.arrived_ms,
+                                                state.group, state.doc)
+
+            self._log.snapshot(bodies())
             self._entries = entries
             self._keys = _SortedKeys()
             self._keys.main = list(entries)
             self._indexes = indexes
             self.blobs.collect_garbage(live_blobs)
-            self._log = logio.LogWriter(self.path, fsync=self.fsync)

@@ -72,6 +72,11 @@ class Records(list):
         self.append(("snapshot", next_seq))
 
 
+def log_bodies(path) -> list[bytes]:
+    """Each record body of a store's log, as ``replay`` bounds it."""
+    return [data[start:end] for data, start, end in replay(path)]
+
+
 def decoded(body: bytes) -> Records:
     out = Records()
     records.decode_body(body, out)
@@ -218,7 +223,7 @@ def test_golden_completion_frame(tmp_path, n, mixed):
          for i, doc in enumerate(outputs)]
         + [records.encode_doc_op(records.OP_PUT, seq + n, now, None, task),
            records.encode_commit_group(seq + n + 1, GROUP)])
-    single, body = replay(tmp_path / "s")
+    single, body = log_bodies(tmp_path / "s")
     assert single == records.encode_doc_op(
         records.OP_PUT, 1, now, None, Document(key="before", payload=b"x", tags={"dataset": "in"}))
     assert body == reference
@@ -302,6 +307,25 @@ def test_every_proper_prefix_of_a_body_is_corrupt(body):
         assert not whole or len(out) < len(whole)
 
 
+@given(_bodies, st.binary(max_size=24), st.binary(max_size=24), st.data())
+@settings(max_examples=200, deadline=None)
+def test_a_body_is_decoded_at_its_bounds(body, before, after, data):
+    """A body embedded between other bytes decodes by its bounds alone: whole,
+    to its records; cut short, to CorruptStore, though the bytes past the cut
+    are the rest of the body and would complete it."""
+    buf = before + body + after
+    start = len(before)
+    whole = Records()
+    records.decode_body(buf, whole, start, start + len(body))
+    assert whole == decoded(body)
+    cut = data.draw(st.integers(0, len(body) - 1), label="cut")
+    out = Records()
+    with pytest.raises(CorruptStore):
+        records.decode_body(buf, out, start, start + cut)
+    assert out == whole[:len(out)]
+    assert not whole or len(out) < len(whole)
+
+
 def _replace(hex_: str, old: str, new: str) -> bytes:
     assert hex_.count(old) == 1
     return bytes.fromhex(hex_.replace(old, new))
@@ -339,6 +363,10 @@ def test_document_with_bytes_left_over_is_corrupt():
 def test_malformed_body_is_corrupt(raw):
     with pytest.raises(CorruptStore):
         decoded(raw)
+    # decoded by its bounds with a well-formed body after it
+    buf = b"\x07" + raw + bytes.fromhex(COMMIT_HEX)
+    with pytest.raises(CorruptStore):
+        records.decode_body(buf, Records(), 1, 1 + len(raw))
 
 
 # --- tensor container ----------------------------------------------------------

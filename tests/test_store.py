@@ -1,11 +1,13 @@
 """Store engine internals: durability, crash atomicity, indexes, blobs,
 staging groups, snapshot pagination, compaction, and the writer lock."""
 
+import errno
 import gc
 import hashlib
 import json
 import os
 import random
+import time
 import tracemalloc
 import warnings
 import zlib
@@ -14,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from forge import faults
 from forge.clock import FakeClock
 from forge.errors import (
     ChecksumMismatch,
@@ -24,6 +27,7 @@ from forge.errors import (
     NotFound,
     PayloadTooLarge,
     ReservedKey,
+    StorageFull,
     StoreLocked,
 )
 from forge.query import MATCH_ALL, Predicate, TagQuery, parse, sort_key
@@ -39,14 +43,15 @@ from forge.store import (
     ScanCursor,
     Store,
 )
-from forge.store.blob import PROBE
+from forge.store import log as logio
 from forge.store import records
-from forge.store.log import frame, iter_frames, list_segments, replay
+from forge.store.blob import GC_GRACE_S, PROBE
+from forge.store.log import frame, list_segments, replay
 from forge.tensorio import encode_tensors
 
 from conftest import write_raw_blob
 from oracles import StoreModel, brute_force_filter
-from test_records import DELETE_HEX, decoded, delete_body
+from test_records import DELETE_HEX, decoded, delete_body, log_bodies
 
 
 def make_store(path, **kw):
@@ -111,6 +116,11 @@ class TestBasics:
                 s.put(doc("k", **{f"t{i}": i for i in range(65)}))
 
 
+def frame_starts(path) -> list[int]:
+    """Where each frame of a store's log starts in its segment."""
+    return [start - 8 for _, start, _ in replay(path)]
+
+
 class TestDurability:
     def test_reopen_preserves_documents(self, tmp_path):
         path = tmp_path / "s"
@@ -138,8 +148,7 @@ class TestDurability:
             s.put(doc("b"))
         segment = list_segments(path)[-1]
         intact = segment.read_bytes()
-        frames = iter_frames(segment, tolerate_torn_tail=False)
-        last_start = frames[-1][0]
+        last_start = frame_starts(path)[-1]
         # cut at every byte boundary inside the final frame
         for cut in range(last_start + 1, len(intact)):
             segment.write_bytes(intact[:cut])
@@ -166,8 +175,7 @@ class TestDurability:
                        if not d.key.startswith("__sys/")]
             segment = list_segments(path)[-1]
             intact = segment.read_bytes()
-            frames = iter_frames(segment, tolerate_torn_tail=False)
-            batch_start = frames[-1][0]
+            batch_start = frame_starts(path)[-1]
             for cut in range(batch_start, len(intact), 7):
                 segment.write_bytes(intact[:cut])
                 with make_store(path) as s:
@@ -189,11 +197,10 @@ class TestDurability:
                 s.put(doc(f"k{i}"))
         segment = list_segments(path)[-1]
         raw = bytearray(segment.read_bytes())
-        frames = iter_frames(segment, tolerate_torn_tail=False)
         # flip one byte inside the second frame's body; the tail after it is
         # then unreachable, which recovery must refuse to silently drop for
         # a non-final segment
-        raw[frames[1][0] + 9] ^= 0xFF
+        raw[frame_starts(path)[1] + 9] ^= 0xFF
         segment.write_bytes(bytes(raw))
         (path / "segment-00099.log").write_bytes(b"")  # make damaged one non-final
 
@@ -555,7 +562,7 @@ class TestSystemDocs:
             s.put_system(doc("__sys/x", b"2"))
             assert s.get("__sys/x").payload == b"2"
             seq = s.snapshot_seq() + 1
-        written = [rec[0] for body in replay(path) for rec in decoded(body)]
+        written = [rec[0] for body in log_bodies(path) for rec in decoded(body)]
         assert written == ["put", "put"]
         append_record(path, records.encode_batch([
             records.encode_doc_op(records.OP_REPLACE, seq, 0, None, doc("__sys/x", b"3")),
@@ -789,6 +796,46 @@ class TestBlobStoredForm:
                 s.get_blob(ptr)
 
 
+# the sha-256 of the snapshot segment compact() writes for _compaction_store
+SNAPSHOT_SHA256 = "7d880e5c7dde6d8fa4132fda3b01fbcf5ea73519d41876d827bd4b2053912565"
+
+
+def _compaction_store(path) -> Store:
+    """A FakeClock store holding plain puts (one of a blob pointer), a
+    replaced system doc, a staged group, a committed group and an index."""
+    clock = FakeClock()
+    s = make_store(path, create=True, clock=clock)
+    s.create_index("c")
+    ptr = s.put_blob(random.Random(3).randbytes(3000))
+    for i, key in enumerate(("k0", "k1", "k2")):
+        clock.advance(5)
+        payload = ptr if key == "k2" else bytes([i]) * 300
+        s.put(Document(key=key, payload=payload, label=f"l{i}",
+                       tags=dict(BATCH_TAG_MAPS[i + 1])))
+    s.put_system(doc("__sys/r0", b"1"))
+    s.put_system(doc("__sys/r0", b"2" * 300))
+    s.apply_ops([PutOp(doc("t/000000", c=1), doc("t/000001", b"y" * 300, c="a"), group="g0")])
+    clock.advance(5)
+    s.apply_ops([PutOp(doc("t/000002", c=True), group="g1"), PutOp(doc("__sys/r1")),
+                 CommitGroupOp("g1")])
+    return s
+
+
+def _abandon(s: Store) -> None:
+    """Close the files a store killed mid-operation left open, as its
+    process's death would, writing nothing."""
+    s._log._file.close()
+    s._lock_file.close()
+
+
+def _age_chunks(s: Store, *ptrs: BlobPointer) -> None:
+    """Set the chunk files of ``ptrs`` older than the collector's grace window."""
+    old = time.time() - GC_GRACE_S - 60
+    for ptr in ptrs:
+        for index in range(ptr.chunk_count):
+            os.utime(s.blobs._chunk_path(ptr.blob_id, index), (old, old))
+
+
 class TestCompaction:
     def test_compaction_drops_dead_versions_and_preserves_live(self, tmp_path):
         path = tmp_path / "s"
@@ -811,7 +858,8 @@ class TestCompaction:
         with make_store(path, create=True) as s:
             live = s.put_blob(b"live" * 100_000)
             s.put(Document(key="keeper", payload=live))
-            s.put_blob(b"orphan" * 100_000)
+            orphan = s.put_blob(b"orphan" * 100_000)
+            _age_chunks(s, live, orphan)
             assert len(os.listdir(path / "blobs")) > live.chunk_count
             s.compact()
             assert len(os.listdir(path / "blobs")) == live.chunk_count
@@ -845,6 +893,106 @@ class TestCompaction:
             assert page + s.scan(MATCH_ALL, cursor)[0] == ["a", "b"]
             assert s.scan(MATCH_ALL, ScanCursor(cursor.snapshot_seq, ""))[0] == ["a", "b"]
             assert s.scan(MATCH_ALL)[0] == ["a", "b", "t/out"]
+
+    def test_the_snapshot_segment_bytes_are_pinned(self, tmp_path):
+        """compact() writes, for a fixed store, the bytes it always wrote."""
+        path = tmp_path / "s"
+        with _compaction_store(path) as s:
+            s.compact()
+            [segment] = list_segments(path)
+            digest = hashlib.sha256(segment.read_bytes()).hexdigest()
+        assert digest == SNAPSHOT_SHA256
+
+    def test_a_failed_compaction_leaves_the_store_as_it_was(self, tmp_path, monkeypatch):
+        """A device that fills up part-way through the snapshot fails
+        compact() with StorageFull and leaves no tmp segment; the store keeps
+        appending to its old segment, and a reopen reads what it did."""
+        path = tmp_path / "s"
+        s = _compaction_store(path)
+        try:
+            before = _store_reads(s)
+            encode = records.encode_doc_op
+            calls = []
+
+            def full(*args):
+                calls.append(args)
+                if len(calls) == 5:
+                    raise OSError(errno.ENOSPC, "No space left on device")
+                return encode(*args)
+
+            with monkeypatch.context() as patched:
+                patched.setattr(records, "encode_doc_op", full)
+                with pytest.raises(StorageFull):
+                    s.compact()
+            assert len(calls) == 5
+            assert not list(path.glob("*.tmp"))
+            assert _store_reads(s) == before
+            s.put(doc("k9", c=1))
+            after = _store_reads(s)
+            assert after["exists"] == before["exists"] and s.exists("k9")
+        finally:
+            s.close()
+        with make_store(path) as s:
+            assert _store_reads(s) == after and s.exists("k9")
+
+    @pytest.mark.parametrize("point,hits", [
+        ("log.after_snapshot_sync", 1),
+        ("log.after_snapshot_rename", 1),
+        ("log.before_segment_unlink", 1),
+        ("log.before_segment_unlink", 2),
+    ])
+    def test_a_crash_inside_compaction_loses_nothing(self, tmp_path, monkeypatch, point, hits):
+        """A store killed at any step of writing its snapshot segment reopens
+        answering every read as before the compaction, staged groups and
+        indexed scans included; the next compact() leaves no tmp segment."""
+        path = tmp_path / "s"
+        monkeypatch.setattr(logio, "SEGMENT_ROLL_BYTES", 512)  # several segments to unlink
+        s = _compaction_store(path)
+        before = _store_reads(s)
+        assert len(list_segments(path)) > 2
+        faults.arm(point, hits)
+        with pytest.raises(faults.KillPoint):
+            s.compact()
+        _abandon(s)
+        with make_store(path) as s:
+            assert _store_reads(s) == before
+            s.compact()
+            assert not list(path.glob("*.tmp"))
+            assert _store_reads(s) == before
+        with make_store(path) as s:
+            assert _store_reads(s) == before
+
+    def test_a_damaged_segment_before_the_snapshot_is_never_read(self, tmp_path):
+        """Replay starts at the newest snapshot segment and opens no older
+        one, so damage in a segment the snapshot superseded does not stop
+        an open."""
+        path = tmp_path / "s"
+        with _compaction_store(path) as s:
+            s.compact()
+            before = _store_reads(s)
+        dead = frame(b"\x01" * 40)
+        damaged = dead[:8] + b"\xff" + dead[9:] + dead
+        (path / "segment-000001.log").write_bytes(damaged)
+        with make_store(path) as s:
+            assert _store_reads(s) == before
+        assert (path / "segment-000001.log").read_bytes() == damaged
+
+    def test_a_blob_put_just_before_compaction_survives_it(self, tmp_path):
+        """An unreferenced chunk younger than the grace window is spared;
+        put it again once it is older, and it is young again."""
+        data = random.Random(7).randbytes(5000)
+        with make_store(tmp_path / "s", create=True) as s:
+            ptr = s.put_blob(data)
+            s.compact()
+            assert s.get_blob(ptr) == data
+            _age_chunks(s, ptr)
+            assert s.put_blob(data) == ptr
+            s.compact()
+            assert s.get_blob(ptr) == data
+            _age_chunks(s, ptr)
+            s.compact()
+            with pytest.raises(NotFound):
+                s.get_blob(ptr)
 
     def test_delete_then_compact_removes_key(self, tmp_path):
         """A log that holds a DELETE record (the pinned DELETE_HEX body: seq

@@ -88,6 +88,15 @@ class TestScan:
 
 
 class TestBlobs:
+    def test_a_blob_put_just_before_compaction_survives_it(self, api, engine):
+        """A blob uploaded and not yet referenced outlives a compaction, so
+        the put that references it still finds its bytes."""
+        data = random.Random(5).randbytes(5000)
+        ptr = api.put_blob(data)
+        engine.compact()
+        api.put_document(Document(key="late", payload=ptr))
+        assert api.get_blob(api.get_document("late").payload) == data
+
     def test_round_trip(self, api):
         data = random.Random(3).randbytes(1_000_000)
         ptr = api.put_blob(data)

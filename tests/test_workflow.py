@@ -23,6 +23,7 @@ from forge.errors import (
     InvalidArgument,
     ModelNotFound,
     NotFound,
+    PayloadTooLarge,
     StaleLease,
     TaskNotFound,
     ViewNotFound,
@@ -544,6 +545,42 @@ class TestOutputs:
         task = api.get_task("t")
         assert task.status == DEAD
         assert "already exists" in task.last_error
+
+
+class TestInlineBound:
+    """A task output is a user document, so its inline payload is held to
+    the store's ``inline_threshold`` as a ``put_document`` is."""
+
+    def test_an_output_over_the_threshold_fails_its_attempt(self, api, engine):
+        size = engine.store.inline_threshold + 1
+        register_user_fn("big", lambda ctx: ctx.write_output(b"x" * size))
+        api.submit_task(kind="user_fn", task_id="t", params={"fn": "big"}, max_attempts=1)
+        run_agent(api, "agent", DEFAULT_HANDLERS, max_loops=1, poll_interval=0.0)
+        task = api.get_task("t")
+        assert task.status == DEAD and task.output_keys == ()
+        assert f"inline payload of {size} bytes" in task.last_error
+        assert engine.store.staged_keys("t#0.1") == [] and not engine.store.exists("t/000000")
+
+    def test_an_output_over_the_threshold_is_refused_and_stages_nothing(self, api, engine):
+        big = output_document("t", 0, b"x" * (engine.store.inline_threshold + 1), None, {})
+        api.submit_task(kind="user_fn", task_id="t")
+        api.lease_task("agent", TTL)
+        with pytest.raises(PayloadTooLarge):
+            api.write_outputs("t", "agent", [big])
+        with pytest.raises(PayloadTooLarge):
+            api.complete_task("t", "agent", "ok", outputs=[big])
+        assert engine.store.staged_keys("t#0.1") == []
+        task = api.get_task("t")
+        assert (task.status, task.output_keys) == ("leased", ())
+
+    def test_an_output_at_the_threshold_commits(self, api, engine):
+        payload = b"x" * engine.store.inline_threshold
+        register_user_fn("full", lambda ctx: ctx.write_output(payload, tags={"dataset": "o"}))
+        api.submit_task(kind="user_fn", task_id="t", params={"fn": "full"})
+        run_agent(api, "agent", DEFAULT_HANDLERS, max_loops=1, poll_interval=0.0)
+        task = api.get_task("t")
+        assert task.status == COMPLETED, task.last_error
+        assert api.get_document("t/000000").payload == payload
 
 
 def test_completion_and_its_outputs_are_one_frame(engine, monkeypatch):
