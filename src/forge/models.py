@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 from collections import OrderedDict
 from dataclasses import dataclass
 
@@ -44,6 +45,9 @@ EVENT_PREFIX = "__sys/event/"
 
 CACHE_BYTES = 256 * 1024 * 1024  # decoded states kept for load_state
 _METRIC_TAG = "m."
+# a version id as save_state makes it; its step names the version's key
+_VERSION_ID = re.compile(r"s(0|[1-9][0-9]*)-[0-9a-f]{8}")
+_MAX_STEP = 10**12 - 1  # a version key's 12 step digits sort as numbers
 
 
 def _version_key(model_key: str, step: int, version_id: str) -> str:
@@ -163,8 +167,8 @@ class ModelStore:
         store's ``inline_threshold`` is that frame's version payload; a
         larger one is put as a blob first."""
         record = self.get_model(model_key)
-        if step < 0:
-            raise InvalidArgument("step must be >= 0")
+        if not 0 <= step <= _MAX_STEP:
+            raise InvalidArgument(f"step must be in [0, {_MAX_STEP}]")
         metrics = metrics or {}
         validate_tags(metrics)
         nnet.check_tensors(nnlayers.spec_from_dict(record.spec), tensors)
@@ -227,14 +231,26 @@ class ModelStore:
         return tensors
 
     def get_version(self, model_key: str, selector: str = "latest") -> ModelVersion:
-        versions = self.list_versions(model_key)
+        """The version ``selector`` names, read alone: ``latest`` is the
+        newest save at the highest step (the same as ``list_versions``'s
+        last), any other selector a version id, whose step names its key."""
         if selector == "latest":
-            if not versions:
-                raise VersionNotFound(f"model {model_key!r} has no saved versions")
-            return versions[-1]
-        for version in versions:
-            if version.version_id == selector:
-                return version
+            keys = self.store.keys_with_prefix(f"{VERSION_PREFIX}{model_key}/")
+            if keys:  # key order is step order; the top step's keys end the list
+                top_step = keys[-1][:keys[-1].rindex("/") + 1]
+                key = max(self.store.keys_with_prefix(top_step),
+                          key=lambda k: self.store.get_meta(k)[0])
+                return self._version_from_doc(model_key, self.store.get(key))
+            self.get_model(model_key)  # an unknown model raises ModelNotFound
+            raise VersionNotFound(f"model {model_key!r} has no saved versions")
+        found = _VERSION_ID.fullmatch(selector) if isinstance(selector, str) else None
+        if found is not None:
+            try:
+                doc = self.store.get(_version_key(model_key, int(found[1]), selector))
+                return self._version_from_doc(model_key, doc)
+            except NotFound:
+                pass
+        self.get_model(model_key)
         raise VersionNotFound(f"model {model_key!r} has no version {selector!r}")
 
     def cache_stats(self) -> dict:

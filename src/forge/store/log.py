@@ -14,8 +14,10 @@ body as its bounds in its segment's bytes, CRC-checked through a memoryview,
 so no body is copied.
 
 A snapshot segment starts with an OP_SNAPSHOT marker. ``LogWriter.snapshot``
-writes it as ``segment-NNNNNN.log.tmp``, fsyncs it and renames it into place;
-only then does the log append to it and unlink the older segments. Replay
+writes it as ``segment-NNNNNN.log.tmp``, fsyncs it, renames it into place and
+fsyncs the directory; only then does the log append to it and unlink the
+older segments (without the directory fsync, a crash could persist an
+unlink and lose the rename; Pillai et al., OSDI 2014). Replay
 starts at the newest snapshot segment and opens no older one, so a crash at
 any step replays the old segments or the whole snapshot: the next open
 removes a tmp segment, and the next snapshot unlinks what is left of the
@@ -58,11 +60,25 @@ def frame(body: bytes) -> bytes:
     return _HEADER.pack(len(body), zlib.crc32(body)) + body
 
 
+def _sync_dir(root: Path) -> None:
+    """Make the renames and unlinks done in ``root`` so far durable."""
+    fd = os.open(root, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
+
+
 def write_whole(path: Path, data: bytes) -> None:
-    """Replace ``path`` with ``data`` by one rename (the store's MANIFEST)."""
+    """Replace ``path`` with ``data`` by one rename (the store's MANIFEST):
+    the data is fsynced before the rename, and the directory after it."""
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_bytes(data)
+    with open(tmp, "wb") as f:
+        f.write(data)
+        f.flush()
+        os.fsync(f.fileno())
     os.replace(tmp, path)
+    _sync_dir(path.parent)
 
 
 def _is_snapshot(path: Path) -> bool:
@@ -148,6 +164,7 @@ class LogWriter:
             raise
         kill_point("log.after_snapshot_sync")
         os.replace(tmp, path)
+        _sync_dir(self.root)  # the rename is durable before an old segment goes
         kill_point("log.after_snapshot_rename")
         self._switch(self.number + 1)
         for old in list_segments(self.root)[:-1]:

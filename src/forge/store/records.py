@@ -44,7 +44,7 @@ the bytes and the store. A body is decoded at its bounds in a larger buffer
 REPLACE or DELETE any more: every put is a PUT, and the store decides
 whether it may replace the key's current version. Both are decoded from
 logs that hold them: a REPLACE is handed on as a put, and the store replays
-a DELETE by emptying the key's slot. A decoder ignores bytes after a body
+a DELETE by dropping the key. A decoder ignores bytes after a body
 it has read (a batch's sub-bodies included); every truncated or malformed
 input raises ``CorruptStore``.
 """

@@ -34,9 +34,9 @@ at any snapshot:
   folds it.
 
 User documents are otherwise immutable after write, and nothing deletes a
-key (a DELETE record in an older log still replays, emptying the key's
-slot), so index maintenance is add-only between compactions and scans
-re-verify candidates against the snapshot.
+key (a DELETE record in an older log still replays, dropping the key), so
+index maintenance is add-only between compactions and scans re-verify
+candidates against the snapshot.
 
 Write path: ``apply_ops`` takes ops in order, where one ``PutOp`` carries any
 number of documents (a single ``put`` is a put of one; a task's outputs are
@@ -46,8 +46,8 @@ document would be. In one pass the ops are checked against the write rule,
 per key and in order, and encoded into the frame with one join; nothing is
 installed unless every op passes and the frame is appended. A memo that
 lives for the call keys each distinct tag map by its values and their types
-(``records.tags_key``): the map is checked and encoded once, and each index
-bucket it names is looked up once for all the keys put with it.
+(``records.tags_key``), so the map is checked and encoded once. The frame's
+records are then installed as replay installs them (below).
 
 Staged writes: a document put with a staging ``group`` stays invisible to
 readers until the group is committed (one op, usually inside the same batch
@@ -63,16 +63,19 @@ earlier group's set, and a set left empty is dropped with its group. So
 them, without a walk; the completion records exactly the outputs its commit
 shows.
 
-Replay decodes each log record straight into that state in one pass:
+A write and a replay install through one sink: ``apply_ops`` hands each
+record of the frame it appended to a ``_Sink``, and on reopen
 ``records.decode_body`` decodes each body where it lies in its segment's
-bytes and hands every record to ``_Replay``, which installs a put as
-``apply_ops`` did, folds a commit and keeps the next seq. Index buckets are
-looked up through a memo that lives for the replay and keys each value with
-its class (``_BucketMemo``), so each distinct (tag, value) costs one
-``sort_key``. Compaction streams every live version to the log's snapshot
-and rebuilds memory from the same walk without decoding a record: the walk
-is in key order, so the store's and each bucket's keys become sorted lists
-as they are written.
+bytes and hands every record to one, with the same ``put`` and ``commit``
+calls. The sink makes a put its key's version, folds a commit and keeps the
+next seq, so the state after a write is the state a reopen rebuilds. Index
+buckets are looked up through a memo that lives as long as the sink and keys
+each value with its class (``_BucketMemo``), so each distinct (tag, value)
+costs one ``sort_key``; the memo's ``add`` is the only way a key joins a
+bucket, here, in ``create_index`` and in compaction. Compaction streams
+every live version to the log's snapshot and rebuilds memory from the same
+walk without decoding a record: the walk is in key order, so the store's
+and each bucket's keys become sorted lists as they are written.
 
 Read paths cost O(log n + keys visited). The store's keys, and each index
 bucket's, are one ``_SortedKeys``: a large sorted ``main`` list, a small
@@ -127,6 +130,10 @@ from forge.store.types import (
 
 MANIFEST_MAGIC = b"FGMF"
 FORMAT_VERSION = 1
+# magic, format version, inline threshold, index count; each index name
+# follows as ``u16 len | name``
+_MANIFEST_HEAD = struct.Struct("<4sIQH")
+_U16 = struct.Struct("<H")
 
 
 class PutOp:
@@ -183,19 +190,18 @@ class _SortedKeys:
     """A set of distinct keys that grows by ``add`` and is read in ascending
     order by ``walk`` (see the module docstring)."""
 
-    __slots__ = ("main", "run", "_arrivals")
+    __slots__ = ("main", "run", "_arrivals", "add")
 
     def __init__(self):
         self.main: list[str] = []
         self.run: list[str] = []
         self._arrivals: list[str] = []
+        # add(key) adds a key not yet present, in O(1): a list append, which
+        # the hot paths call with no Python frame between
+        self.add = self._arrivals.append
 
     def __len__(self) -> int:
         return len(self.main) + len(self.run) + len(self._arrivals)
-
-    def add(self, key: str) -> None:
-        """Add a key not yet present; O(1)."""
-        self._arrivals.append(key)
 
     def _settle(self) -> None:
         """Sort the arrivals into ``run``, or ``run`` and the arrivals into
@@ -244,11 +250,6 @@ class _Bucket:
         self.keys: set[str] = set()
         self.sorted = _SortedKeys()
 
-    def add(self, key: str) -> None:
-        if key not in self.keys:
-            self.keys.add(key)
-            self.sorted.add(key)
-
 
 class _Index:
     """Secondary index for one tag: (variant, value) -> bucket of keys.
@@ -281,26 +282,13 @@ class _Index:
         return self._sorted
 
 
-class _TagMap:
-    """What one ``apply_ops`` call works out once per distinct tag map: the
-    map, checked, its encoded section, and the user keys put with it, which
-    join each of its index buckets after one lookup."""
-
-    __slots__ = ("tags", "section", "keys")
-
-    def __init__(self, tags: dict, section: bytes):
-        self.tags = tags
-        self.section = section
-        self.keys: list[str] = []
-
-
 class _BucketMemo:
-    """Each indexed (tag, value) resolved to its bucket once for one replay
-    or compaction, where ``index.bucket`` would build a ``sort_key`` for
-    every tag of every document. A hit needs the value's class as well as
-    an equal value: 1, True and 1.0 are equal in Python but are three
-    buckets; -0.0 and 0.0, both floats, get the one bucket ``by_value``
-    holds for both."""
+    """Each indexed (tag, value) resolved to its bucket once for one sink,
+    compaction or index build, where ``index.bucket`` would build a
+    ``sort_key`` for every tag of every document; ``add`` is the one way a
+    key joins a bucket. A hit needs the value's class as well as an equal
+    value: 1, True and 1.0 are equal in Python but are three buckets; -0.0
+    and 0.0, both floats, get the one bucket ``by_value`` holds for both."""
 
     __slots__ = ("_memos", "_ascending")
 
@@ -326,42 +314,72 @@ class _BucketMemo:
                 hit[2](key)
 
 
-class _Replay:
-    """What ``records.decode_body`` hands each replayed record to: the
-    record goes straight into the store's state, as the write that made it
-    left that state."""
+class _Sink:
+    """The one way a record goes into the store's state: ``apply_ops`` hands
+    it each record of a batch it has logged, and ``records.decode_body``
+    each record replay reads, with the same calls, so a write leaves the
+    state that a reopen rebuilds. ``next_seq`` follows the records."""
 
-    __slots__ = ("_store", "_buckets", "next_seq")
+    __slots__ = ("_entries", "_keys", "_staged", "_buckets", "next_seq", "deleted")
 
     def __init__(self, store: Store):
-        self._store = store
+        self._entries = store._entries
+        self._keys = store._keys
+        self._staged = store._staged
         self._buckets = _BucketMemo(store._indexes) if store._indexes else None
         self.next_seq = store._next_seq
+        self.deleted = False  # an older log's DELETE left its key in ``_keys``
 
     def put(self, seq: int, arrived_ms: int, group: str | None, doc: Document) -> None:
-        self._store._install(doc, group, arrived_ms, seq)
+        """Make ``doc`` its key's one version. A staged version it replaces
+        leaves its group's set of keys, so ``_staged`` holds exactly the
+        keys staged under each group."""
+        key = doc.key
+        old = self._entries.get(key)
+        if old is None:
+            self._keys.add(key)
+        elif old.group is not None and old.group != group:
+            self._unstage(key, old.group)
+        self._entries[key] = _State(doc, group, arrived_ms, seq)
+        if group is not None:
+            staged = self._staged.get(group)
+            if staged is None:
+                staged = self._staged[group] = set()
+            staged.add(key)
         if seq >= self.next_seq:
             self.next_seq = seq + 1
-        if self._buckets is not None and not doc.key.startswith(SYSTEM_PREFIX):
-            self._buckets.add(doc.key, doc.tags)
+        if self._buckets is not None and not key.startswith(SYSTEM_PREFIX):
+            self._buckets.add(key, doc.tags)
 
     def delete(self, seq: int, key: str) -> None:  # only older logs hold one
-        entries = self._store._entries
-        state = entries.get(key)
-        if state is not None:
-            if state.group is not None:
-                self._store._unstage(key, state.group)
-            entries[key] = None  # the key stays in ``_keys``
+        state = self._entries.pop(key, None)
+        if state is not None and state.group is not None:
+            self._unstage(key, state.group)
+        self.deleted = True
         if seq >= self.next_seq:
             self.next_seq = seq + 1
 
     def commit(self, seq: int, group: str) -> None:
-        self._store._fold(group, seq)
+        """Each key staged under ``group`` becomes a plain version of
+        ``seq``, and the store forgets the group."""
+        entries = self._entries
+        for key in self._staged.pop(group, ()):
+            state = entries[key]
+            state.group = None
+            state.seq = seq
         if seq >= self.next_seq:
             self.next_seq = seq + 1
 
     def snapshot(self, next_seq: int) -> None:
         self.next_seq = max(self.next_seq, next_seq)
+
+    def _unstage(self, key: str, group: str) -> None:
+        """Take ``key`` out of ``group``'s staged keys; a group left with
+        none is forgotten."""
+        staged = self._staged[group]
+        staged.discard(key)
+        if not staged:
+            del self._staged[group]
 
 
 class Store:
@@ -374,7 +392,7 @@ class Store:
         self.clock = clock or SystemClock()
         self.fsync = fsync
         self._lock = threading.RLock()
-        self._entries: dict[str, _State | None] = {}  # None: deleted by an older log
+        self._entries: dict[str, _State] = {}
         self._indexes: dict[str, _Index] = {}
         self._staged: dict[str, set[str]] = {}  # group -> keys whose version is staged under it
         self._next_seq = 1
@@ -435,74 +453,49 @@ class Store:
         self.close()
 
     def _write_manifest(self, indexes: list[str]) -> None:
-        buf = bytearray()
-        buf += MANIFEST_MAGIC
-        buf += struct.pack("<I", FORMAT_VERSION)
-        buf += struct.pack("<Q", self.inline_threshold)
-        buf += struct.pack("<H", len(indexes))
+        parts = [_MANIFEST_HEAD.pack(MANIFEST_MAGIC, FORMAT_VERSION, self.inline_threshold,
+                                     len(indexes))]
         for name in indexes:
             raw = name.encode("utf-8")
-            buf += struct.pack("<H", len(raw)) + raw
-        logio.write_whole(self.path / "MANIFEST", bytes(buf))
+            parts += (_U16.pack(len(raw)), raw)
+        logio.write_whole(self.path / "MANIFEST", b"".join(parts))
 
     def _read_manifest(self) -> list[str]:
+        """The index names. A MANIFEST cut short, with bytes after its last
+        name, or with a name that is empty, repeated or not UTF-8 raises
+        CorruptStore."""
         raw = (self.path / "MANIFEST").read_bytes()
-        if raw[:4] != MANIFEST_MAGIC:
-            raise CorruptStore("bad manifest magic")
-        version = struct.unpack_from("<I", raw, 4)[0]
-        if version != FORMAT_VERSION:
-            raise CorruptStore(f"unsupported format version {version}")
-        self.inline_threshold = struct.unpack_from("<Q", raw, 8)[0]
-        count = struct.unpack_from("<H", raw, 16)[0]
-        names, off = [], 18
-        for _ in range(count):
-            n = struct.unpack_from("<H", raw, off)[0]
-            off += 2
-            names.append(raw[off:off + n].decode("utf-8"))
-            off += n
+        try:
+            magic, version, threshold, count = _MANIFEST_HEAD.unpack_from(raw)
+            if magic != MANIFEST_MAGIC:
+                raise CorruptStore("bad manifest magic")
+            if version != FORMAT_VERSION:
+                raise CorruptStore(f"unsupported format version {version}")
+            names, off = [], _MANIFEST_HEAD.size
+            for _ in range(count):
+                (n,) = _U16.unpack_from(raw, off)
+                off += 2 + n
+                if off > len(raw):
+                    raise CorruptStore("manifest cut short")
+                name = raw[off - n:off].decode("utf-8")
+                if not name or name in names:
+                    raise CorruptStore(f"bad index name {name!r} in the manifest")
+                names.append(name)
+        except (struct.error, UnicodeDecodeError) as exc:
+            raise CorruptStore(f"manifest cut short or malformed: {exc}") from exc
+        if off != len(raw):
+            raise CorruptStore(f"{len(raw) - off} bytes after the manifest")
+        self.inline_threshold = threshold
         return names
 
     def _replay(self) -> None:
-        replay = _Replay(self)
+        sink = _Sink(self)
         for data, start, end in logio.replay(self.path):
-            records.decode_body(data, replay, start, end)
-        self._next_seq = replay.next_seq
-
-    # -- in-memory application ------------------------------------------------
-
-    def _install(self, doc: Document, group: str | None, arrived_ms: int, seq: int) -> None:
-        """Make ``doc`` its key's one version. A staged version it replaces
-        leaves its group's set of keys, so ``_staged`` holds exactly the
-        keys staged under each group."""
-        key = doc.key
-        entries = self._entries
-        if key not in entries:
-            self._keys.add(key)
-        elif (old := entries[key]) is not None and old.group is not None and old.group != group:
-            self._unstage(key, old.group)
-        entries[key] = _State(doc, group, arrived_ms, seq)
-        if group is not None:
-            staged = self._staged.get(group)
-            if staged is None:
-                staged = self._staged[group] = set()
-            staged.add(key)
-
-    def _unstage(self, key: str, group: str) -> None:
-        """Take ``key`` out of ``group``'s staged keys; a group left with
-        none is forgotten."""
-        staged = self._staged[group]
-        staged.discard(key)
-        if not staged:
-            del self._staged[group]
-
-    def _fold(self, group: str, seq: int) -> None:
-        """Commit ``group`` at ``seq``: each key staged under it becomes a
-        plain version of that seq, and the store forgets the group."""
-        entries = self._entries
-        for key in self._staged.pop(group, ()):
-            state = entries[key]
-            state.group = None
-            state.seq = seq
+            records.decode_body(data, sink, start, end)
+        self._next_seq = sink.next_seq
+        if sink.deleted:  # ``_keys`` kept each deleted key, twice if put again
+            self._keys = _SortedKeys()
+            self._keys.main = sorted(self._entries)
 
     # -- visibility -----------------------------------------------------------
 
@@ -534,17 +527,17 @@ class Store:
     def apply_ops(self, ops: list[StoreOp]) -> None:
         """Validate and apply a list of ops as one atomic, durable record.
 
-        Each document is checked, encoded and installed on its own, but each
-        distinct tag map among them is checked, encoded and resolved to its
-        index buckets once, through a memo that lives for this call. More
-        than ``records.MAX_BATCH_RECORDS`` records do not fit one frame and
-        are refused."""
+        Each document is checked and encoded on its own, but each distinct
+        tag map among them is checked and encoded once. Once the frame is
+        appended, each record goes to a ``_Sink`` as replay hands it on, so
+        each distinct indexed value is resolved to its bucket once per call.
+        More than ``records.MAX_BATCH_RECORDS`` records do not fit one frame
+        and are refused."""
         with self._lock:
             if self._closed:
                 raise InvalidArgument("store is closed")
             now = self.clock.now_ms()
-            memo: dict = {}
-            writer = self._validate_ops(ops, now, memo)
+            writer = self._validate_ops(ops, now)
             if not writer.count:
                 return  # no op, or only puts of no documents
             if writer.count > records.MAX_BATCH_RECORDS:
@@ -552,34 +545,20 @@ class Store:
                     f"{writer.count} records do not fit one frame; "
                     f"the most is {records.MAX_BATCH_RECORDS}")
             self._log.append(writer.body())
+            sink = _Sink(self)
             seq = self._next_seq
             for op in ops:
                 if isinstance(op, PutOp):
-                    seq = self._put(op, seq, now)
+                    put, group = sink.put, op.group
+                    for doc in op.docs:
+                        put(seq, now, group, doc)
+                        seq += 1
                 else:
-                    self._fold(op.group, seq)
+                    sink.commit(seq, op.group)
                     seq += 1
             self._next_seq = seq
-            for tag_map in memo.values():
-                if tag_map.keys and self._indexes:
-                    for name, value in tag_map.tags.items():
-                        index = self._indexes.get(name)
-                        if index is not None:
-                            bucket = index.bucket(value)
-                            for key in tag_map.keys:
-                                bucket.add(key)
 
-    def _put(self, op: PutOp, seq: int, now: int) -> int:
-        """Install a validated put whose first document takes ``seq``;
-        returns the next seq."""
-        install, group = self._install, op.group
-        for doc in op.docs:
-            install(doc, group, now, seq)
-            seq += 1
-        return seq
-
-    def _validate_ops(self, ops: list[StoreOp], now: int,
-                      memo: dict) -> records.BodyWriter:
+    def _validate_ops(self, ops: list[StoreOp], now: int) -> records.BodyWriter:
         """The record that writes ``ops`` at ``now``, once they pass the
         write rule, which is checked per key in op order, as if each op were
         applied alone. A put to a reserved key replaces its current version,
@@ -592,10 +571,10 @@ class Store:
         earlier one staged. Either way the version replaced is one no
         reader can see at any snapshot, so the store keeps only the new one.
 
-        Each distinct tag map is checked and encoded once, into ``memo``
-        (keyed by ``records.tags_key``), which also collects the user keys
-        put with it, for the index."""
+        Each distinct tag map is checked and encoded once, into a memo
+        keyed by ``records.tags_key``."""
         writer = records.BodyWriter()
+        sections: dict = {}
         earlier: dict[str, tuple] = {}  # user key -> (group, seq a commit folds it from)
         committed: dict[str, int] = {}  # group -> seq of its newest commit in this batch
         seq = first = self._next_seq
@@ -611,11 +590,11 @@ class Store:
             for doc in op.docs:
                 validate_document(doc)
                 tags = doc.tags
-                tag_map = memo.get(memo_key := records.tags_key(tags))
-                if tag_map is None:
+                section = sections.get(memo_key := records.tags_key(tags))
+                if section is None:
                     validate_tags(tags)
-                    tag_map = memo[memo_key] = _TagMap(tags, records.encode_tags(tags))
-                writer.put(seq, now, group, doc, tag_map.section)
+                    section = sections[memo_key] = records.encode_tags(tags)
+                writer.put(seq, now, group, doc, section)
                 seq += 1
                 key = doc.key
                 if key.startswith(SYSTEM_PREFIX):
@@ -636,7 +615,6 @@ class Store:
                                or committed.get(current, 0) >= since):
                     raise DuplicateKey(f"document key {key!r} already exists")
                 earlier[key] = (group, seq)
-                tag_map.keys.append(key)
         return writer
 
     # -- reads ----------------------------------------------------------------
@@ -689,10 +667,10 @@ class Store:
             if tag_name in self._indexes:
                 return
             index = _Index()
+            buckets = _BucketMemo({tag_name: index})
             for key, state in self._entries.items():
-                if (state is not None and tag_name in state.doc.tags
-                        and not key.startswith(SYSTEM_PREFIX)):
-                    index.bucket(state.doc.tags[tag_name]).add(key)
+                if not key.startswith(SYSTEM_PREFIX):
+                    buckets.add(key, state.doc.tags)
             self._indexes[tag_name] = index
             self._write_manifest(sorted(self._indexes))
 
@@ -810,19 +788,20 @@ class Store:
         """Rewrite live state into a fresh snapshot segment.
 
         Streams each key's one version as it is held to the log's snapshot,
-        skipping keys an older log deleted, and garbage-collects unreferenced
-        blob chunks that are not young (blob.py). Memory is rebuilt from the
-        same walk, with no record decoded: the walk's keys come in ascending
-        order, so they become the store's and each index bucket's sorted
-        ``main`` as they are written, which drops deleted keys and stale
-        index entries. The staged keys of each group stay as they are. Open
-        scan cursors from before the compaction stay valid because every
-        version keeps its sequence number, and a staged one its group. A
-        snapshot that fails leaves the store as it was.
+        and garbage-collects unreferenced blob chunks that are not young
+        (blob.py). Memory is rebuilt from the same walk, with no record
+        decoded: the walk's keys come in ascending order, so they become the
+        store's and each index bucket's sorted ``main`` as they are written,
+        which drops stale index entries (a replaced staged version's, or a
+        key an older log deleted). The versions and the staged keys of each
+        group stay as they are. Open scan cursors from before the compaction
+        stay valid because every version keeps its sequence number, and a
+        staged one its group. A snapshot that fails leaves the store as it
+        was.
         """
         with self._lock:
             live_blobs: set[str] = set()
-            entries: dict[str, _State | None] = {}
+            keys: list[str] = []
             indexes = {name: _Index() for name in self._indexes}
             buckets = _BucketMemo(indexes, ascending=True)
 
@@ -830,9 +809,7 @@ class Store:
                 yield records.encode_snapshot_marker(self._next_seq)
                 for key in self._keys.walk(""):
                     state = self._entries[key]
-                    if state is None:
-                        continue
-                    entries[key] = state
+                    keys.append(key)
                     if not state.doc.is_inline:
                         live_blobs.add(state.doc.payload.blob_id)
                     if not key.startswith(SYSTEM_PREFIX):
@@ -841,8 +818,7 @@ class Store:
                                                 state.group, state.doc)
 
             self._log.snapshot(bodies())
-            self._entries = entries
             self._keys = _SortedKeys()
-            self._keys.main = list(entries)
+            self._keys.main = keys
             self._indexes = indexes
             self.blobs.collect_garbage(live_blobs)

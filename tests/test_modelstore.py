@@ -85,6 +85,13 @@ class TestVersions:
         with pytest.raises(ShapeMismatch):
             api.save_state("mlp", 0, bad)
 
+    def test_a_step_past_twelve_digits_is_refused(self, api):
+        api.register_model("mlp", MLP)
+        api.save_state("mlp", 10**12 - 1, tensors_for())
+        for step in (-1, 10**12):
+            with pytest.raises(InvalidArgument):
+                api.save_state("mlp", step, tensors_for())
+
     def test_missing_tensor_rejected(self, api):
         api.register_model("mlp", MLP)
         bad = tensors_for()
@@ -123,6 +130,60 @@ class TestVersions:
         got = api.get_version("mlp", b.version_id)
         assert got.metrics == {"acc": 0.75}
         assert got.parent_version == a.version_id
+
+    def test_latest_is_the_later_save_at_the_top_step(self, api):
+        """Of two versions at the highest step, ``latest`` is the one saved
+        later, whichever digest sorts first; a lower step saved after them
+        does not change it."""
+        for model, seeds in (("a", (1, 2)), ("b", (2, 1))):
+            api.register_model(model, MLP)
+            api.save_state(model, 3, tensors_for(7))
+            saved = [api.save_state(model, 5, tensors_for(seed)) for seed in seeds]
+            api.save_state(model, 4, tensors_for(8))
+            assert api.get_version(model, "latest").version_id == saved[1].version_id
+            assert api.get_version(model).version_id == api.list_versions(model)[-1].version_id
+            assert api.get_version(model, saved[0].version_id) == saved[0]
+
+    def test_an_unknown_or_malformed_version_id_is_not_found(self, api):
+        api.register_model("mlp", MLP)
+        version = api.save_state("mlp", 1, tensors_for(1))
+        digest = version.version_id.split("-")[1]
+        for selector in ("x", "s", "s1", "s1-", f"s01-{digest}", f"s1-{digest}0",
+                         f"s1-{digest.upper()}", f"s2-{digest}", "s1-00000000", "v999"):
+            with pytest.raises(VersionNotFound):
+                api.get_version("mlp", selector)
+        with pytest.raises(ModelNotFound):
+            api.get_version("ghost", version.version_id)
+        with pytest.raises(ModelNotFound):
+            api.get_version("ghost")
+
+    def test_get_version_reads_one_version(self, api, engine, monkeypatch):
+        """``get_version`` makes as many ``store.get`` calls at 200 versions
+        as at 2, by id and for ``latest``."""
+        api.register_model("mlp", MLP)
+        calls = []
+        real_get = engine.store.get
+
+        def counting_get(key):
+            calls.append(key)
+            return real_get(key)
+
+        def gets(selector):
+            calls.clear()
+            version = api.get_version("mlp", selector)
+            return version.version_id, len(calls)
+
+        counts = []
+        for size in (2, 200):
+            saved = [api.save_state("mlp", step, tensors_for(0))
+                     for step in range(len(counts) and 2, size)]
+            with monkeypatch.context() as patched:
+                patched.setattr(engine.store, "get", counting_get)
+                first, by_id = gets(saved[0].version_id)
+                last, latest = gets("latest")
+            assert (first, last) == (saved[0].version_id, saved[-1].version_id)
+            counts.append((by_id, latest))
+        assert counts[0] == counts[1] == (1, 1)
 
     def test_load_unknown_version(self, api):
         api.register_model("mlp", MLP)

@@ -7,10 +7,12 @@ import hashlib
 import json
 import os
 import random
+import stat
 import time
 import tracemalloc
 import warnings
 import zlib
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -226,6 +228,58 @@ class TestDurability:
             del first
             gc.collect()
         assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
+
+    def test_a_cut_long_or_malformed_manifest_fails_to_open(self, tmp_path):
+        """Every strict prefix of a two-index MANIFEST, the MANIFEST with one
+        byte more, and one with an index name that is not UTF-8 or repeated
+        fail to open with CorruptStore and free ``LOCK`` (the next open would
+        fail on the lock otherwise); the intact MANIFEST then opens."""
+        path = tmp_path / "s"
+        with make_store(path, create=True) as s:
+            s.create_index("cls")
+            s.create_index("split")
+        manifest = path / "MANIFEST"
+        intact = manifest.read_bytes()
+        assert intact.endswith(b"\x03\x00cls\x05\x00split")
+        bad = [intact[:cut] for cut in range(len(intact))]
+        bad += [intact + b"\x00", intact.replace(b"cls", b"\xffls"),
+                intact.replace(b"\x05\x00split", b"\x03\x00cls")]
+        for raw in bad:
+            manifest.write_bytes(raw)
+            with pytest.raises(CorruptStore):
+                make_store(path)
+        manifest.write_bytes(intact)
+        with make_store(path) as s:
+            assert s.indexes() == ["cls", "split"]
+
+    def test_a_rename_is_durable_before_what_follows_it(self, tmp_path, monkeypatch):
+        """The MANIFEST's tmp file is fsynced before its rename and the
+        directory after it; a snapshot segment is fsynced before its rename,
+        and the directory after it and before the first old segment is
+        unlinked. Files and directories are told apart by ``os.fstat``."""
+        path = tmp_path / "s"
+        calls = []
+
+        def recording(name, real, label):
+            def call(*args, **kwargs):
+                calls.append(label(*args))
+                return real(*args, **kwargs)
+            monkeypatch.setattr(os, name, call)
+
+        def fsync_label(fd):
+            return "fsync dir" if stat.S_ISDIR(os.fstat(fd).st_mode) else "fsync file"
+
+        with make_store(path, create=True) as s:  # no fsync on append
+            s.put(doc("a"))
+            recording("fsync", os.fsync, fsync_label)
+            recording("replace", os.replace, lambda src, dst: f"replace {Path(dst).name}")
+            recording("unlink", os.unlink, lambda p: f"unlink {Path(p).name}")
+            s.create_index("c")
+            assert calls == ["fsync file", "replace MANIFEST", "fsync dir"]
+            calls.clear()
+            s.compact()
+            assert calls == ["fsync file", "replace segment-000002.log", "fsync dir",
+                             "unlink segment-000001.log"]
 
     def test_writer_lock_exclusive(self, tmp_path):
         path = tmp_path / "s"
@@ -1223,6 +1277,23 @@ def _store_reads(s: Store) -> dict:
             "seq": s.snapshot_seq(), "scans": scans}
 
 
+def _bucket_keys(s: Store) -> dict:
+    """Each index bucket's keys, checked to walk in order as its set holds
+    them and to include every user key whose version, staged or not,
+    carries the bucket's value. Other keys may be there too, stale (a
+    replaced staged version's, or a key an older log deleted), until a
+    compaction."""
+    held = {}
+    for name, index in s._indexes.items():
+        for vk, bucket in index.by_value.items():
+            assert list(bucket.sorted.walk("")) == sorted(bucket.keys), (name, vk)
+            held[name, vk] = set(bucket.keys)
+        for key, state in s._entries.items():
+            if name in state.doc.tags and not key.startswith("__sys/"):
+                assert key in held.get((name, sort_key(state.doc.tags[name])), ()), (name, key)
+    return held
+
+
 def _model_reads(m: StoreModel) -> dict:
     visible = [key for key in BATCH_KEYS if m.visible(key) is not None]
     return {"get": {key: _strict(m.visible(key)[0]) for key in visible},
@@ -1236,6 +1307,7 @@ def _model_reads(m: StoreModel) -> dict:
 _replay_steps = st.one_of(
     st.tuples(st.just("batch"), st.lists(_batch_ops, min_size=1, max_size=4)),
     st.tuples(st.just("compact")),
+    st.tuples(st.just("index")),
     st.tuples(st.just("reopen")),
     # records as older stores wrote them, appended to the log while it is closed
     st.tuples(st.just("replace"), st.sampled_from(BATCH_KEYS),
@@ -1248,10 +1320,12 @@ _replay_steps = st.one_of(
 @given(st.lists(_replay_steps, min_size=1, max_size=12))
 @settings(max_examples=80, deadline=None)
 def test_replay_answers_as_the_store_did_and_as_the_model(tmp_path_factory, steps):
-    """Any mix of puts, restages, commits, compactions, reopens, older REPLACE
-    and DELETE records and a torn tail: after every step the store answers
-    every read as the model does, and a reopen (with or without a torn tail)
-    answers as the store did before it closed."""
+    """Any mix of puts, restages, commits, compactions, an index built
+    midway, reopens, older REPLACE and DELETE records and a torn tail: after
+    every step the store answers every read as the model does and each index
+    bucket holds every key whose version carries its value, and a reopen
+    (with or without a torn tail) answers as the store did before it closed,
+    with each bucket still holding every key it held."""
     path = tmp_path_factory.mktemp("replay") / "s"
     clock = FakeClock()
     model = StoreModel()
@@ -1272,8 +1346,11 @@ def test_replay_answers_as_the_store_did_and_as_the_model(tmp_path_factory, step
                         s.apply_ops(ops)
             elif kind == "compact":
                 s.compact()
+            elif kind == "index":
+                s.create_index("d")
             else:
                 before = _store_reads(s)
+                held = _bucket_keys(s)
                 s.close()
                 seq = model.seq + 1
                 if kind == "replace":
@@ -1293,7 +1370,12 @@ def test_replay_answers_as_the_store_did_and_as_the_model(tmp_path_factory, step
                 s = make_store(path, clock=clock)
                 if kind in ("reopen", "torn"):
                     assert _store_reads(s) == before
+                    # replay also reads back the stale keys of versions an
+                    # index built midway never saw, so a bucket may gain keys
+                    now = _bucket_keys(s)
+                    assert all(keys <= now[b] for b, keys in held.items())
             assert _store_reads(s) == _model_reads(model), (step, kind)
+            _bucket_keys(s)
     finally:
         s.close()
 
