@@ -274,7 +274,7 @@ def agent_run(ctx, agent_id, kinds, lease_ttl, poll, run_for):
 
 @main.group()
 def master():
-    """The scheduling master."""
+    """The master, which polls the stream controllers."""
 
 
 @master.command("run")

@@ -5,9 +5,9 @@ copies documents. Batch cursors walk a view in key order and persist their
 position so a restarted consumer resumes without duplicates. A stream
 controller watches a view for documents beyond its watermark and asks for a
 training task once the backlog is significant (count >= B, or the oldest
-pending document is older than T); the engine commits the task and the
-watermark advance in one atomic batch, which is what makes dispatch
-exactly-once across crashes.
+pending document is older than T). This module decides; the workflow's
+``poll_stream`` commits the task and the watermark advance in one atomic
+batch, which is what makes dispatch exactly-once across crashes.
 """
 
 from __future__ import annotations

@@ -11,10 +11,11 @@ Two locks. ``Store._lock`` makes each store call atomic. ``Forge._lock``
 ones need it, because they read, then write, across store calls or keep
 state in memory beside the store:
 
-- ``poll_stream`` and ``master_step``: read the stream controllers, plans
-  and task table, then commit what they decide. The engine lock is what
-  keeps two masters from firing one trigger twice; neither call takes a
-  lease.
+- ``poll_stream`` and ``master_step`` (a poll of every controller): read a
+  stream controller and the documents past its watermark, then commit the
+  watermark advance with the train task it enqueues. The engine lock is
+  what keeps two masters from firing one trigger twice; neither call takes
+  a lease.
 - the task and plan calls (``submit_task``, ``submit_plan``, ``lease_task``,
   ``heartbeat``, ``write_output(s)``, ``complete_task``, ``replay_task``):
   check task leases or the workflow's in-memory tables, commit, then update
@@ -71,10 +72,8 @@ class Forge:
                            inline_threshold=inline_threshold)
         self.datasets = DatasetManager(self.store)
         self.models = ModelStore(self.store)
-        self.workflow = WorkflowManager(
-            self.store, self.clock,
-            view_exists=self.datasets.has_view,
-            model_exists=self.models.has_model)
+        self.workflow = WorkflowManager(self.store, self.clock, self.datasets,
+                                        model_exists=self.models.has_model)
         self._lock = threading.RLock()
 
     def close(self) -> None:
@@ -163,22 +162,8 @@ class Forge:
                                                model_key, output_dataset)
 
     def poll_stream(self, view_key: str) -> Task | None:
-        """Fire the controller's trigger if significant: advance the watermark
-        and enqueue the covering train task in one atomic batch. The trigger is
-        evaluated under the engine lock. None, and nothing written, when the
-        stream is quiet."""
         with self._lock:
-            ctl = self.datasets.get_controller(view_key)
-            trigger = self.datasets.evaluate_trigger(ctl)
-            if trigger is None:
-                return None
-            params = {"from_key": trigger.from_key, "upto_key": trigger.upto_key}
-            task, task_ops = self.workflow.stream_task_ops(
-                trigger.task_id, ctl.view_key, ctl.model_key, ctl.output_dataset, params)
-            self.store.apply_ops([self.datasets.advance_op(ctl, trigger)] + task_ops)
-            if task is not None:
-                self.workflow.register_task(task)
-            return task
+            return self.workflow.poll_stream(view_key)
 
     # -- models -----------------------------------------------------------------
 
@@ -276,15 +261,8 @@ class Forge:
             self.workflow.replay_task(task_id)
 
     def master_step(self, master_id: str) -> dict:
-        """One master cycle: complete or fail the plans whose tasks changed
-        status, then poll every stream controller. The engine does not read
-        ``master_id``: the engine lock keeps concurrent masters apart."""
+        """One master cycle: poll every stream controller. The engine does
+        not read ``master_id``: the engine lock keeps concurrent masters
+        apart."""
         with self._lock:
-            actions = self.workflow.master_step()
-            stream_tasks = []
-            for view_key in self.datasets.list_controllers():
-                task = self.poll_stream(view_key)
-                if task is not None:
-                    stream_tasks.append(task.task_id)
-            actions["stream_tasks"] = stream_tasks
-            return actions
+            return self.workflow.master_step()

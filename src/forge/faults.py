@@ -1,8 +1,9 @@
 """Cooperative kill-point injection for crash-recovery tests.
 
-Agent and master loops, and the log's snapshot protocol, call
-:func:`kill_point` at named boundaries. In normal operation every point is
-unarmed and the call is a no-op. Tests arm a point to raise
+The agent loop, the train handler, the master's step and each stream
+poll's commit, and the log's snapshot protocol call :func:`kill_point` at
+named boundaries; every name has a test that arms it. In normal operation
+every point is unarmed and the call is a no-op. Tests arm a point to raise
 :class:`KillPoint` on its nth hit, simulating a process dying there; the
 harness then restarts the component from persisted state.
 """

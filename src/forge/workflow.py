@@ -5,12 +5,14 @@ plus an explicit id, queued durably in the store, and pulled by agents under
 time-bounded leases; an expired lease makes the task claimable again, so a
 dead agent's work is replayed automatically. Leases are for tasks only. A
 lease reads from the task table whether a plan task's dependencies have all
-completed, so it starts once the last one does. The master completes and
-fails plans and holds no lease: it recomputes their state from the task
-table, so a step is idempotent, the engine lock keeps concurrent masters
-apart, and a crash-restarted master simply steps again. In memory the
-manager keeps the set of plans whose tasks changed status since the last
-step (every plan after open) and visits only those.
+completed, so it starts once the last one does. A plan's record holds only
+its task ids, written once at submit: its status is worked out from its
+tasks' statuses whenever it is read, so a plan completes or fails in the
+frame that completes or kills its last task. The master polls the stream
+controllers and holds no lease: a poll that fires commits the watermark
+advance and the train task it enqueues as one batch, so a crash-restarted
+master simply steps again, and the engine lock keeps concurrent masters
+apart.
 
 Task outputs are staged documents committed atomically with the completion
 record (see store docs), which keeps at-least-once execution observationally
@@ -40,6 +42,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 
 from forge.clock import Clock
+from forge.dataset import DatasetManager
 from forge.errors import (
     ConnectionLost,
     CycleDetected,
@@ -144,13 +147,6 @@ class Task:
         return cls(**d)
 
 
-@dataclass(frozen=True)
-class Plan:
-    plan_id: str
-    task_ids: tuple[str, ...]
-    status: str = PLAN_RUNNING
-
-
 def output_document(task_id: str, index: int, payload, label: str | None = None,
                     tags: dict | None = None) -> Document:
     """A task's ``index``-th output, under the key ``{task_id}/{index:06d}``."""
@@ -174,40 +170,33 @@ class WorkflowManager:
     rebuilt from the store on open, so they are a cache, never the truth.
     """
 
-    def __init__(self, store: Store, clock: Clock, view_exists, model_exists):
+    def __init__(self, store: Store, clock: Clock, datasets: DatasetManager, model_exists):
         self.store = store
         self.clock = clock
-        self._view_exists = view_exists
+        self.datasets = datasets
         self._model_exists = model_exists
         self.tasks: dict[str, Task] = {}
-        self.plans: dict[str, Plan] = {}
+        self.plans: dict[str, tuple[str, ...]] = {}  # plan id -> its task ids
         self._live: set[str] = set()  # ids of pending and leased tasks
-        self._dirty: set[str] = set()  # plans with a task status change since the last step
         self._rebuild()
 
     def _rebuild(self) -> None:
         for key in self.store.keys_with_prefix(TASK_PREFIX):
             self._track(Task.from_dict(json.loads(self.store.get(key).payload.decode())))
         for key in self.store.keys_with_prefix(PLAN_PREFIX):
+            # older versions also kept a status and a submitted_at here
             meta = json.loads(self.store.get(key).payload.decode())
-            self.plans[meta["plan_id"]] = Plan(plan_id=meta["plan_id"],
-                                               task_ids=tuple(meta["task_ids"]),
-                                               status=meta["status"])
-        self._dirty = set(self.plans)
+            self.plans[meta["plan_id"]] = tuple(meta["task_ids"])
 
     # -- helpers ----------------------------------------------------------
 
     def _track(self, task: Task) -> None:
-        """Install a task's new state in the table, the live set and the
-        dirty plans."""
-        old = self.tasks.get(task.task_id)
+        """Install a task's new state in the table and the live set."""
         self.tasks[task.task_id] = task
         if task.status in (PENDING, LEASED):
             self._live.add(task.task_id)
         else:
             self._live.discard(task.task_id)
-        if task.plan_id is not None and (old is None or old.status != task.status):
-            self._dirty.add(task.plan_id)
 
     def _commit(self, ops: list, tasks: Sequence[Task] = ()) -> None:
         self.store.apply_ops(ops)
@@ -216,11 +205,6 @@ class WorkflowManager:
 
     def _task_op(self, task: Task) -> PutOp:
         return PutOp(json_doc(TASK_PREFIX + task.task_id, task.to_dict()))
-
-    def _plan_op(self, plan: Plan) -> PutOp:
-        payload = {"plan_id": plan.plan_id, "task_ids": list(plan.task_ids),
-                   "status": plan.status}
-        return PutOp(json_doc(PLAN_PREFIX + plan.plan_id, payload))
 
     # -- submission ------------------------------------------------------
 
@@ -253,7 +237,7 @@ class WorkflowManager:
         params = dict(fields.get("params", {}))
         validate_tags(params)
         input_dataset = fields.get("input_dataset", "")
-        if input_dataset and not self._view_exists(input_dataset):
+        if input_dataset and not self.datasets.has_view(input_dataset):
             raise ViewNotFound(f"input dataset view {input_dataset!r} does not exist")
         model_key = fields.get("model", fields.get("model_key", ""))
         if model_key and not self._model_exists(model_key):
@@ -282,19 +266,6 @@ class WorkflowManager:
         import uuid
 
         return "t-" + uuid.uuid4().hex[:16]
-
-    def stream_task_ops(self, task_id: str, view_key: str, model_key: str,
-                        output_dataset: str, params: dict) -> tuple[Task | None, list[PutOp]]:
-        """Ops for a stream-emitted task; None if the id is already queued."""
-        if task_id in self.tasks:
-            return None, []
-        task = self.build_task("", {"task_id": task_id, "kind": KIND_TRAIN,
-                                    "input_dataset": view_key, "model_key": model_key,
-                                    "output_dataset": output_dataset, "params": params})
-        return task, [self._task_op(task)]
-
-    def register_task(self, task: Task) -> None:
-        self._track(task)
 
     # -- leases ----------------------------------------------------------------
 
@@ -421,11 +392,12 @@ class WorkflowManager:
         for task in tasks:
             if task.task_id in self.tasks:
                 raise DuplicateKey(f"task id {task.task_id!r} already exists in the queue")
-        plan = Plan(plan_id=plan_id, task_ids=tuple(t.task_id for t in tasks))
-        ops = [self._plan_op(plan)]
+        task_ids = tuple(t.task_id for t in tasks)
+        ops = [PutOp(json_doc(PLAN_PREFIX + plan_id,
+                              {"plan_id": plan_id, "task_ids": list(task_ids)}))]
         ops.extend(self._task_op(t) for t in tasks)
         self._commit(ops, tasks)
-        self.plans[plan_id] = plan
+        self.plans[plan_id] = task_ids
         return plan_id
 
     def _parse_plan(self, doc: dict) -> tuple[str, list[Task]]:
@@ -479,14 +451,21 @@ class WorkflowManager:
         return tasks
 
     def plan_status(self, plan_id: str) -> dict:
-        plan = self.plans.get(plan_id)
-        if plan is None:
+        """The status of each of the plan's tasks, and the plan's status
+        worked out from them: failed while a task is dead, completed once
+        all are, running otherwise."""
+        task_ids = self.plans.get(plan_id)
+        if task_ids is None:
             raise PlanNotFound(f"plan {plan_id!r} not found")
-        return {
-            "plan_id": plan.plan_id,
-            "status": plan.status,
-            "tasks": {tid: self.tasks[tid].status for tid in plan.task_ids},
-        }
+        tasks = {tid: self.tasks[tid].status for tid in task_ids}
+        statuses = set(tasks.values())
+        if DEAD in statuses:
+            status = PLAN_FAILED
+        elif statuses == {COMPLETED}:
+            status = PLAN_COMPLETED
+        else:
+            status = PLAN_RUNNING
+        return {"plan_id": plan_id, "status": status, "tasks": tasks}
 
     def replay_task(self, task_id: str) -> None:
         """Operator override: resurrect a dead task with a fresh attempt budget."""
@@ -495,56 +474,39 @@ class WorkflowManager:
             raise InvalidArgument(f"task {task_id!r} is {task.status}, not dead")
         revived = replace(task, status=PENDING, attempts=0, lease_holder=None,
                           lease_until=0, last_error=None, replays=task.replays + 1)
-        ops = [self._task_op(revived)]
-        plan = self.plans.get(task.plan_id) if task.plan_id else None
-        revived_plan = None
-        if plan is not None and plan.status == PLAN_FAILED:
-            others_dead = any(self.tasks[tid].status == DEAD for tid in plan.task_ids
-                              if tid != task_id)
-            if not others_dead:
-                revived_plan = replace(plan, status=PLAN_RUNNING)
-                ops.append(self._plan_op(revived_plan))
-        self._commit(ops, [revived])
-        if revived_plan is not None:
-            self.plans[plan.plan_id] = revived_plan
+        self._commit([self._task_op(revived)], [revived])
 
     # -- master --------------------------------------------------------------
 
-    def master_step(self) -> dict:
-        """One pass over the plans whose tasks changed status since the last
-        step: a running plan with a dead task fails, and one whose tasks all
-        completed completes. Both commit in one atomic batch, and a step
-        with neither writes nothing. Returns the plans it completed or
-        failed."""
-        kill_point("master.before_step")
-        ops: list = []
-        actions = {"plans_completed": [], "plans_failed": []}
-        new_plans: dict[str, Plan] = {}
-
-        # plan status is recomputed from the task table, which makes the
-        # step idempotent under replay after a crash
-        for plan_id in sorted(self._dirty):
-            plan = self.plans[plan_id]
-            if plan.status != PLAN_RUNNING:
-                continue
-            statuses = [self.tasks[tid].status for tid in plan.task_ids]
-            if DEAD in statuses:
-                failed = replace(plan, status=PLAN_FAILED)
-                ops.append(self._plan_op(failed))
-                new_plans[plan.plan_id] = failed
-                actions["plans_failed"].append(plan.plan_id)
-            elif all(s == COMPLETED for s in statuses):
-                done = replace(plan, status=PLAN_COMPLETED)
-                ops.append(self._plan_op(done))
-                new_plans[plan.plan_id] = done
-                actions["plans_completed"].append(plan.plan_id)
-
+    def poll_stream(self, view_key: str) -> Task | None:
+        """Fire the controller's trigger if significant: advance the
+        watermark and enqueue the covering train task in one atomic batch.
+        None, and nothing written, when the stream is quiet; None too when
+        the trigger's task id is already queued, and only the watermark
+        advances."""
+        ctl = self.datasets.get_controller(view_key)
+        trigger = self.datasets.evaluate_trigger(ctl)
+        if trigger is None:
+            return None
+        ops = [self.datasets.advance_op(ctl, trigger)]
+        task = None
+        if trigger.task_id not in self.tasks:
+            task = self.build_task("", {
+                "task_id": trigger.task_id, "kind": KIND_TRAIN, "input_dataset": view_key,
+                "model_key": ctl.model_key, "output_dataset": ctl.output_dataset,
+                "params": {"from_key": trigger.from_key, "upto_key": trigger.upto_key}})
+            ops.append(self._task_op(task))
         kill_point("master.before_apply")
-        self._commit(ops)
-        self.plans.update(new_plans)
-        self._dirty.clear()
+        self._commit(ops, [task] if task is not None else [])
         kill_point("master.after_apply")
-        return actions
+        return task
+
+    def master_step(self) -> dict:
+        """One pass over the stream controllers, polling each. Returns the
+        ids of the tasks the polls enqueued."""
+        kill_point("master.before_step")
+        tasks = [self.poll_stream(view_key) for view_key in self.datasets.list_controllers()]
+        return {"stream_tasks": [task.task_id for task in tasks if task is not None]}
 
 
 # --- long-running loops --------------------------------------------------------

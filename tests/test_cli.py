@@ -228,16 +228,21 @@ def test_serve_stops_on_sigterm_and_releases_the_store(tmp_path):
         engine.close()
 
 
-def test_master_run_completes_a_plan_whose_task_is_done(served):
+def test_master_run_fires_a_stream_trigger(served):
     engine, addr = served
-    engine.submit_plan({"plan_id": "p", "tasks": [{"task_id": "t", "kind": "user_fn"}]})
-    engine.lease_task("a", 5_000)
-    engine.complete_task("t", "a", "ok")
-    assert engine.plan_status("p")["status"] == "running"
+    engine.register_model("m", MLP)
+    engine.define_view("live", 'dataset = "live"')
+    engine.attach_stream("live", 2, 1_000, "m", "out")
+    for i in range(2):
+        engine.put_document(Document(key=f"s{i}", payload=b"x", tags={"dataset": "live"}))
+    assert engine.list_tasks() == []
     status, err = _run_cli("--addr", addr, "master", "run", "--id", "m",
                            "--run-for", "1", "--interval", "0.05")
     assert status == 0, err
-    assert engine.plan_status("p")["status"] == "completed"
+    [task] = engine.list_tasks()
+    assert (task.kind, task.input_dataset, task.model_key) == ("train", "live", "m")
+    assert task.params == {"from_key": "", "upto_key": "s1"}
+    assert engine.datasets.get_controller("live").watermark == "s1"
 
 
 def test_agent_run_trains_a_queued_task(served):

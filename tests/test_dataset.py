@@ -7,7 +7,9 @@ import time
 
 import pytest
 
+from forge import faults
 from forge.clock import FakeClock
+from forge.dataset import stream_task_id
 from forge.engine import Forge
 from forge.errors import AlreadyAttached, DuplicateKey, ViewNotFound
 from forge.store import Document
@@ -234,22 +236,74 @@ class TestStreamController:
         assert set(owners.values()) == {1}
 
     def test_crash_between_trigger_and_dispatch_is_exactly_once(self, tmp_path):
-        """The watermark advance and the task enqueue are one atomic batch, so
-        a crash leaves either both or neither; replays re-derive the same id."""
+        """A poll killed after its trigger fired and before its commit writes
+        nothing; after a reopen the next poll fires the same trigger, under
+        the same task id, once."""
         clock = FakeClock()
         path = tmp_path / "s"
         eng = Forge(path, create=True, clock=clock, fsync=False)
         self._setup(eng, threshold=5)
         fill(eng, 7)
-        task = eng.poll_stream("v")
-        assert task is not None
-        eng.close()  # crash after dispatch
+        seq = eng.store.snapshot_seq()
+        faults.arm("master.before_apply")
+        with pytest.raises(faults.KillPoint):
+            eng.poll_stream("v")
+        assert eng.store.snapshot_seq() == seq
+        eng.close()
 
         eng = Forge(path, clock=clock, fsync=False)
-        assert eng.poll_stream("v") is None  # nothing re-emitted
-        ids = {t.task_id for t in eng.list_tasks()}
-        assert ids == {task.task_id}
+        try:
+            task = eng.poll_stream("v")
+            assert task.task_id == stream_task_id("v", "", "d0006")
+            assert task.params == {"from_key": "", "upto_key": "d0006"}
+            assert eng.poll_stream("v") is None
+            assert [t.task_id for t in eng.list_tasks()] == [task.task_id]
+        finally:
+            eng.close()
+
+    @pytest.mark.parametrize("point,hits", [
+        ("master.before_apply", 1), ("master.before_apply", 2),
+        ("master.after_apply", 1), ("master.after_apply", 2),
+    ])
+    def test_killed_master_dispatches_once(self, tmp_path, harness, point, hits):
+        """A master loop drives the stream while documents arrive and dies on
+        one side of a poll's commit. After a reopen and a drain, every
+        document lies in exactly one task's range and no task id repeats."""
+        clock = FakeClock()
+        path = tmp_path / "s"
+        eng = Forge(path, create=True, clock=clock, fsync=False)
+        self._setup(eng, threshold=5, max_age=1000)
+        faults.arm(point, hits)
+        harness.spawn(run_master, eng, "m1", interval=0.001)
+        count = 0
+        while not harness.errors and count < 2000:
+            fill(eng, 5, start=count)
+            count += 5
+            time.sleep(0.002)
+        harness.shutdown()
+        assert [type(e).__name__ for e in harness.errors] == ["KillPoint"]
+        assert not any(thread.is_alive() for thread in harness.threads)
+        fill(eng, 3, start=count)  # arrivals while no master runs
+        count += 3
         eng.close()
+
+        eng = Forge(path, clock=clock, fsync=False)
+        try:
+            clock.advance(1000)  # the tail below the threshold ages out
+            eng.master_step("m2")
+            assert eng.datasets.get_controller("v").watermark == f"d{count - 1:04d}"
+            tasks = eng.list_tasks()
+        finally:
+            eng.close()
+        ids = [t.task_id for t in tasks]
+        assert len(ids) == len(set(ids))
+        ranges = [(t.params["from_key"], t.params["upto_key"]) for t in tasks]
+        assert ids == [stream_task_id("v", lo, hi) for lo, hi in ranges]
+        owners = {f"d{i:04d}": 0 for i in range(count)}
+        for lo, hi in ranges:
+            for key in owners:
+                owners[key] += lo < key <= hi
+        assert set(owners.values()) == {1}
 
 
 class TestExactlyOnceRandomized:

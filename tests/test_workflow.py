@@ -131,24 +131,38 @@ class TestLeases:
         assert api.lease_task("agent", TTL, ["user_fn"]).task_id == "u"
 
 
-IDLE_STEP = {"plans_completed": [], "plans_failed": [], "stream_tasks": []}
+IDLE_STEP = {"stream_tasks": []}
+
+
+def _frames(engine, monkeypatch) -> list[bytes]:
+    """The bodies the engine's log appends from now on, one per frame."""
+    bodies: list[bytes] = []
+    log = engine.store._log
+    append = log.append
+
+    def recording(body):
+        bodies.append(bytes(body))
+        append(body)
+
+    monkeypatch.setattr(log, "append", recording)
+    return bodies
 
 
 class TestPlans:
-    def test_dependents_start_without_a_step_then_the_master_completes(self, api):
+    """A plan's status is read from its tasks' statuses, so it changes with
+    no master step."""
+
+    def test_dependents_start_and_the_plan_completes_without_a_step(self, api):
         api.submit_plan(_plan("p"))
         assert api.lease_task("agent", TTL).task_id == "p-root"
         assert api.lease_task("agent", TTL) is None  # the children wait for the root
         api.complete_task("p-root", "agent", "ok")
-        assert sorted([_finish_next(api), _finish_next(api)]) == ["p-c0", "p-c1"]
+        first = _finish_next(api)
         assert api.plan_status("p")["status"] == "running"
-
-        step = api.master_step("m")
-        assert step == {**IDLE_STEP, "plans_completed": ["p"]}
+        assert sorted([first, _finish_next(api)]) == ["p-c0", "p-c1"]
         assert api.plan_status("p") == {"plan_id": "p", "status": "completed",
                                         "tasks": dict.fromkeys(
                                             ["p-root", "p-c0", "p-c1"], COMPLETED)}
-        assert api.master_step("m") == IDLE_STEP
 
     def test_a_task_starts_when_its_last_dependency_completes(self, api, engine, clock):
         """No step runs here: readiness is read from the task table at lease
@@ -175,33 +189,40 @@ class TestPlans:
         finally:
             reopened.close()
 
-    def test_a_step_writes_only_plan_status_changes(self, api, engine):
+    def test_a_plan_completes_in_one_frame_and_steps_write_nothing(self, api, engine,
+                                                                  monkeypatch):
+        """Each completion, the last one included, appends one frame, and a
+        step over a store with no stream controllers appends none."""
         api.submit_plan(_plan("p"))
-        for finished in ("p-root", "p-c0"):
-            assert _finish_next(api) == finished
-            size, seq = _log_bytes(engine), engine.store.snapshot_seq()
+        frames = _frames(engine, monkeypatch)
+        for finished in ("p-root", "p-c0", "p-c1"):
+            assert api.lease_task("agent", TTL).task_id == finished
+            frames.clear()
+            api.complete_task(finished, "agent", "ok")
+            assert len(frames) == 1
             assert api.master_step("m") == IDLE_STEP
-            assert (_log_bytes(engine), engine.store.snapshot_seq()) == (size, seq)
-        assert _finish_next(api) == "p-c1"
-        seq = engine.store.snapshot_seq()
-        assert api.master_step("m")["plans_completed"] == ["p"]
-        assert engine.store.snapshot_seq() == seq + 1
+            assert len(frames) == 1
+        assert api.plan_status("p")["status"] == "completed"
+        assert len(frames) == 1
 
     def test_dead_task_fails_plan_and_replay_revives_it(self, api):
-        api.submit_plan(_plan("p", max_attempts=1))
-        _finish_next(api, "error")
-        step = api.master_step("m")
-        assert step["plans_failed"] == ["p"]
-        status = api.plan_status("p")
-        assert status["status"] == "failed"
-        assert status["tasks"] == {"p-root": DEAD, "p-c0": PENDING, "p-c1": PENDING}
+        """The plan fails with the frame that kills a task, and runs again
+        with the replay that leaves none of its tasks dead."""
+        api.submit_plan({"plan_id": "p", "tasks": [
+            _entry("a", max_attempts=1), _entry("b", max_attempts=1),
+            _entry("c", depends_on=["a", "b"])]})
+        assert _finish_next(api, "error") == "a"
+        assert api.plan_status("p") == {"plan_id": "p", "status": "failed",
+                                        "tasks": {"a": DEAD, "b": PENDING, "c": PENDING}}
+        assert _finish_next(api, "error") == "b"
 
-        api.replay_task("p-root")
+        api.replay_task("a")
+        assert api.plan_status("p")["status"] == "failed"  # b is still dead
+        assert api.get_task("a").attempts == 0
+        api.replay_task("b")
         assert api.plan_status("p")["status"] == "running"
-        assert api.get_task("p-root").attempts == 0
-        assert _finish_next(api) == "p-root"
-        assert sorted([_finish_next(api), _finish_next(api)]) == ["p-c0", "p-c1"]
-        assert api.master_step("m")["plans_completed"] == ["p"]
+        assert [_finish_next(api) for _ in range(3)] == ["a", "b", "c"]
+        assert api.plan_status("p")["status"] == "completed"
 
     def test_same_outcome_after_reopen(self, api, engine, clock):
         api.submit_plan(_plan("done"))
@@ -211,20 +232,20 @@ class TestPlans:
         assert roots == ["done-root", "fails-root", "open-root"]
         for task_id in roots:
             api.complete_task(task_id, "agent", "error" if task_id == "fails-root" else "ok")
-        assert api.master_step("m") == {**IDLE_STEP, "plans_failed": ["fails"]}
         assert _finish_next(api) == "done-c0"
-        assert _finish_next(api) == "done-c1"  # the master has not seen them finish
+        assert _finish_next(api) == "done-c1"
         before = {pid: api.plan_status(pid) for pid in ("done", "fails", "open")}
+        assert [status["status"] for status in before.values()] == [
+            "completed", "failed", "running"]
 
         reopened = _reopen(engine, clock)
         try:
             assert {pid: reopened.plan_status(pid)
                     for pid in ("done", "fails", "open")} == before
-            assert reopened.master_step("m") == {**IDLE_STEP, "plans_completed": ["done"]}
-            assert reopened.plan_status("fails")["status"] == "failed"
             while (task := reopened.lease_task("agent", TTL)) is not None:
                 reopened.complete_task(task.task_id, "agent", "ok")
-            assert reopened.master_step("m")["plans_completed"] == ["open"]
+            assert reopened.plan_status("open")["status"] == "completed"
+            assert reopened.plan_status("fails")["status"] == "failed"
         finally:
             reopened.close()
 
@@ -244,30 +265,59 @@ class TestPlans:
         try:
             assert reopened.master_step("m") == IDLE_STEP
             assert _finish_next(reopened) == "p-c0"
-            assert reopened.master_step("m")["plans_completed"] == ["p"]
+            assert reopened.plan_status("p")["status"] == "completed"
             assert len(reopened.store.keys_with_prefix("__sys/notify/")) == 3
         finally:
             reopened.close()
 
 
+def _rewrite_doc(engine, key: str, fields: dict) -> None:
+    """Put back the system doc ``key`` with ``fields`` set, as an older
+    version would have written it."""
+    doc = json.loads(engine.get_document(key).payload)
+    engine.store.put_system(Document(key=key, payload=json.dumps({**doc, **fields}).encode()))
+
+
 def test_task_docs_with_an_unblocked_flag_are_leased_without_a_step(engine, clock):
     """Older versions kept an ``unblocked`` flag in each task doc, which only
-    a step set, and a ``submitted_at`` in each plan doc. A store holding
-    them opens, and a task whose dependencies have completed is leased
-    whatever its flag says."""
+    a step set. A store holding them opens, and a task whose dependencies
+    have completed is leased whatever its flag says."""
     engine.submit_plan(_plan("p", children=1))
     _finish_next(engine)
-    for key, old in [("__sys/task/p-c0", {"unblocked": False}),
-                     ("__sys/task/p-root", {"unblocked": True}),
-                     ("__sys/plan/p", {"submitted_at": 0})]:
-        doc = json.loads(engine.get_document(key).payload)
-        engine.store.put_system(Document(key=key, payload=json.dumps({**doc, **old}).encode()))
+    _rewrite_doc(engine, "__sys/task/p-c0", {"unblocked": False})
+    _rewrite_doc(engine, "__sys/task/p-root", {"unblocked": True})
 
     reopened = _reopen(engine, clock)
     try:
         assert reopened.lease_task("agent", TTL).task_id == "p-c0"
         reopened.complete_task("p-c0", "agent", "ok")
-        assert reopened.master_step("m")["plans_completed"] == ["p"]
+        assert reopened.plan_status("p")["status"] == "completed"
+    finally:
+        reopened.close()
+
+
+def test_plan_docs_with_a_stored_status_read_the_derived_one(engine, clock):
+    """Older versions kept a ``status`` and a ``submitted_at`` in each plan
+    doc, and only a step brought the status up to date. A store holding
+    them opens; each plan reads the status its tasks give, even where the
+    stored one lags behind, and the doc is not written again."""
+    for pid, outcome in [("lags", "ok"), ("failed", "error"), ("open", None)]:
+        engine.submit_plan(_plan(pid, children=0, max_attempts=1))
+        if outcome is not None:
+            _finish_next(engine, outcome)
+        stored = "failed" if outcome == "error" else "running"
+        _rewrite_doc(engine, f"__sys/plan/{pid}", {"status": stored, "submitted_at": 0})
+    docs = {pid: engine.get_document(f"__sys/plan/{pid}") for pid in ("lags", "failed", "open")}
+
+    reopened = _reopen(engine, clock)
+    try:
+        assert {pid: reopened.plan_status(pid)["status"] for pid in docs} == {
+            "lags": "completed", "failed": "failed", "open": "running"}
+        assert _finish_next(reopened) == "open-root"
+        reopened.replay_task("failed-root")
+        assert {pid: reopened.plan_status(pid)["status"] for pid in docs} == {
+            "lags": "completed", "failed": "running", "open": "completed"}
+        assert {pid: reopened.get_document(f"__sys/plan/{pid}") for pid in docs} == docs
     finally:
         reopened.close()
 
@@ -280,21 +330,17 @@ def test_store_with_old_lease_docs_steps_and_fires(engine, clock):
     engine.define_view("v", 'dataset = "v"')
     engine.attach_stream("v", 2, 1_000, MODEL, "v-out")
     lease = {"holder": "old-master", "until": clock.now_ms() + 10**9}
-    ctl = json.loads(engine.get_document("__sys/stream/v").payload)
-    engine.store.put_system(Document(key="__sys/stream/v", payload=json.dumps(
-        {**ctl, "lease_holder": "old-master", "lease_until": lease["until"]}).encode()))
+    _rewrite_doc(engine, "__sys/stream/v",
+                 {"lease_holder": "old-master", "lease_until": lease["until"]})
     engine.store.put_system(Document(key="__sys/master", payload=json.dumps(lease).encode()))
-    engine.submit_plan(_plan("p", children=0))
-    _finish_next(engine)
 
     reopened = _reopen(engine, clock)
     try:
         assert reopened.datasets.get_controller("v").watermark == ""
+        assert reopened.master_step("m") == IDLE_STEP
         for i in range(2):
             reopened.put_document(Document(key=f"d{i}", payload=b"x", tags={"dataset": "v"}))
-        step = reopened.master_step("m")
-        assert step["plans_completed"] == ["p"]
-        [task_id] = step["stream_tasks"]
+        [task_id] = reopened.master_step("m")["stream_tasks"]
         assert reopened.get_task(task_id).params == {"from_key": "", "upto_key": "d1"}
         assert reopened.datasets.get_controller("v").watermark == "d1"
         assert json.loads(reopened.get_document("__sys/master").payload) == lease
@@ -303,14 +349,15 @@ def test_store_with_old_lease_docs_steps_and_fires(engine, clock):
 
 
 def test_an_idle_engine_writes_nothing_as_time_passes(api, engine, clock):
-    """Steps from two masters, with an idle stream attached, leave the log,
-    the sequence and the seq of every system key's version as they were."""
+    """Steps from two masters, with an idle stream attached and a finished
+    plan, leave the log, the sequence and the seq of every system key's
+    version as they were."""
     engine.register_model(MODEL, SPEC)
     engine.define_view("v", 'dataset = "v"')
     engine.attach_stream("v", 4, 1_000, MODEL, "v-out")
     engine.submit_plan(_plan("p", children=0))
     _finish_next(engine)
-    assert api.master_step("m1")["plans_completed"] == ["p"]
+    assert api.plan_status("p")["status"] == "completed"
 
     def seqs():
         return {key: state.seq for key, state in engine.store._entries.items()
@@ -319,7 +366,7 @@ def test_an_idle_engine_writes_nothing_as_time_passes(api, engine, clock):
     size, seq, before = _log_bytes(engine), engine.store.snapshot_seq(), seqs()
     for i in range(1000):
         clock.advance(100)
-        api.master_step(f"m{i % 2 + 1}")
+        assert api.master_step(f"m{i % 2 + 1}") == IDLE_STEP
     assert (_log_bytes(engine), engine.store.snapshot_seq(), seqs()) == (size, seq, before)
 
 
@@ -972,10 +1019,6 @@ def _kill(tmp_path, harness, point, hits) -> tuple[dict, FakeClock]:
     ("agent.after_complete", 1),  # the train task is committed; its dependents are ready
     ("agent.after_complete", 2),
     ("master.before_step", 2),
-    ("master.before_apply", 1),
-    ("master.before_apply", 3),
-    ("master.after_apply", 1),
-    ("master.after_apply", 2),
 ])
 def test_kill_then_restart_is_exactly_once(tmp_path, harness, point, hits):
     plan, clock = _kill(tmp_path, harness, point, hits)
