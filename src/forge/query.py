@@ -28,7 +28,9 @@ and int vs float is deliberately no match rather than a silent coercion.
 tag absent from the tag map, or holding another variant than the
 predicate's literal, is false for that document. Scans use it, so a scan
 returns the same keys with or without a tag index (an index only ever
-holds candidates of the literal's variant).
+holds candidates of the literal's variant); a scan of one ``=`` predicate
+that an index bucket serves needs no check, because the bucket holds
+exactly the keys whose tag has that variant and value.
 
 ``parse(render(q)) == q`` holds for every valid query.
 """

@@ -34,9 +34,15 @@ at any snapshot:
   folds it.
 
 User documents are otherwise immutable after write, and nothing deletes a
-key (a DELETE record in an older log still replays, dropping the key), so
-index maintenance is add-only between compactions and scans re-verify
-candidates against the snapshot.
+key (a DELETE record in an older log still replays, dropping the key).
+
+Indexes are exact: an index bucket holds exactly the user keys whose
+current version, staged or not, carries the bucket's value, live, after a
+reopen and after a compaction. A key that holds a version changes buckets
+only when that version is replaced (a restage, or an older log's REPLACE or
+DELETE on replay), so only those paths take a key out of a bucket. A scan
+with one ``=`` predicate that a bucket serves therefore checks only
+visibility; every other scan re-checks its candidates with ``matches``.
 
 Write path: ``apply_ops`` takes ops in order, where one ``PutOp`` carries any
 number of documents (a single ``put`` is a put of one; a task's outputs are
@@ -67,15 +73,15 @@ A write and a replay install through one sink: ``apply_ops`` hands each
 record of the frame it appended to a ``_Sink``, and on reopen
 ``records.decode_body`` decodes each body where it lies in its segment's
 bytes and hands every record to one, with the same ``put`` and ``commit``
-calls. The sink makes a put its key's version, folds a commit and keeps the
-next seq, so the state after a write is the state a reopen rebuilds. Index
-buckets are looked up through a memo that lives as long as the sink and keys
-each value with its class (``_BucketMemo``), so each distinct (tag, value)
-costs one ``sort_key``; the memo's ``add`` is the only way a key joins a
-bucket, here, in ``create_index`` and in compaction. Compaction streams
-every live version to the log's snapshot and rebuilds memory from the same
-walk without decoding a record: the walk is in key order, so the store's
-and each bucket's keys become sorted lists as they are written.
+calls. The sink makes a put its key's version, moves the key from the
+buckets of a replaced version's tag values to those of the new one's, folds
+a commit and keeps the next seq, so the state after a write is the state a
+reopen rebuilds. A bucket is found by ``(variant, value)``, the tuple
+``sort_key`` builds, so 1, True and 1.0 are three buckets and -0.0 and 0.0
+one, on a write and on a replay alike. Compaction streams every live
+version to the log's snapshot without decoding a record and keeps the
+indexes it has; its walk is in key order, so the store's keys become one
+sorted list as they are written.
 
 Read paths cost O(log n + keys visited). The store's keys, and each index
 bucket's, are one ``_SortedKeys``: a large sorted ``main`` list, a small
@@ -89,8 +95,8 @@ and walks them as one ascending sequence, a slice of ``main`` at a time with
 the ``run`` keys that fall inside it; a prefix walk (``keys_with_prefix``)
 starts the same way at the prefix. A one-bucket ``=`` lookup hands the
 bucket's own keys to the scan without a copy. Replay adds every key to the
-arrivals, so the first read after it sorts everything once; compaction
-leaves every structure sorted.
+arrivals, so the first read after it sorts everything once. A key leaves
+by ``discard``, which settles the arrivals and deletes it from its level.
 """
 
 from __future__ import annotations
@@ -114,7 +120,7 @@ from forge.errors import (
     ReservedKey,
     StoreLocked,
 )
-from forge.query import TagQuery, matches, sort_key
+from forge.query import TagQuery, _variant, matches, sort_key
 from forge.store import log as logio
 from forge.store import records
 from forge.store.blob import BlobStore
@@ -125,6 +131,7 @@ from forge.store.types import (
     Document,
     ScanCursor,
     validate_document,
+    validate_tag_name,
     validate_tags,
 )
 
@@ -187,8 +194,8 @@ _CHUNK = 256
 
 
 class _SortedKeys:
-    """A set of distinct keys that grows by ``add`` and is read in ascending
-    order by ``walk`` (see the module docstring)."""
+    """A set of distinct keys that changes by ``add`` and ``discard`` and is
+    read in ascending order by ``walk`` (see the module docstring)."""
 
     __slots__ = ("main", "run", "_arrivals", "add")
 
@@ -218,6 +225,15 @@ class _SortedKeys:
         arrivals.clear()
         level.sort()
 
+    def discard(self, key: str) -> None:
+        """Remove ``key`` if it is present."""
+        self._settle()
+        for level in (self.run, self.main):
+            i = bisect.bisect_left(level, key)
+            if i < len(level) and level[i] == key:
+                del level[i]
+                return
+
     def walk(self, start: str, *, after: bool = False) -> Iterator[str]:
         """The keys from ``start`` on (or past it, when ``after``), ascending.
 
@@ -241,37 +257,29 @@ class _SortedKeys:
                 return
 
 
-class _Bucket:
-    """The keys indexed under one value, as a set and as sorted keys."""
-
-    __slots__ = ("keys", "sorted")
-
-    def __init__(self):
-        self.keys: set[str] = set()
-        self.sorted = _SortedKeys()
-
-
 class _Index:
-    """Secondary index for one tag: (variant, value) -> bucket of keys.
+    """Secondary index for one tag: (variant, value) -> the bucket of the
+    user keys whose current version carries that value. A key is in one
+    bucket at most, so buckets need no set to tell whether they hold it.
 
-    Entries are added when a document carrying the tag is written and only
-    dropped at compaction; scans re-verify candidates, so stale entries can
-    produce false positives but never false negatives.
+    A bucket that a replaced version leaves empty stays in ``by_value``
+    (``sorted_values`` changes only when a value is first indexed); empty
+    ones are bounded by the distinct values indexed since the open.
     """
 
     __slots__ = ("by_value", "_sorted", "_dirty")
 
     def __init__(self):
-        self.by_value: dict[tuple, _Bucket] = {}
+        self.by_value: dict[tuple, _SortedKeys] = {}
         self._sorted: list[tuple] = []
         self._dirty = False
 
-    def bucket(self, value) -> _Bucket:
+    def bucket(self, value) -> _SortedKeys:
         """The bucket of ``value``, created empty if there is none."""
-        vk = sort_key(value)
+        vk = (_variant(value), value)  # sort_key's tuple, by exact type first
         bucket = self.by_value.get(vk)
         if bucket is None:
-            bucket = self.by_value[vk] = _Bucket()
+            bucket = self.by_value[vk] = _SortedKeys()
             self._dirty = True
         return bucket
 
@@ -282,58 +290,26 @@ class _Index:
         return self._sorted
 
 
-class _BucketMemo:
-    """Each indexed (tag, value) resolved to its bucket once for one sink,
-    compaction or index build, where ``index.bucket`` would build a
-    ``sort_key`` for every tag of every document; ``add`` is the one way a
-    key joins a bucket. A hit needs the value's class as well as an equal
-    value: 1, True and 1.0 are equal in Python but are three buckets; -0.0
-    and 0.0, both floats, get the one bucket ``by_value`` holds for both."""
-
-    __slots__ = ("_memos", "_ascending")
-
-    def __init__(self, indexes: dict[str, _Index], *, ascending: bool = False):
-        self._memos = [(name, index, {}) for name, index in indexes.items()]
-        # keys come each once and in ascending order (compaction's walk), so
-        # they go straight onto the end of each bucket's sorted ``main``
-        self._ascending = ascending
-
-    def add(self, key: str, tags: dict) -> None:
-        for name, index, memo in self._memos:
-            value = tags.get(name)
-            if value is None:
-                continue
-            hit = memo.get(value)  # (class, the bucket's key set, its sorted keys' add)
-            if hit is None or hit[0] is not value.__class__:
-                bucket = index.bucket(value)
-                hit = memo[value] = (value.__class__, bucket.keys, bucket.sorted.main.append
-                                     if self._ascending else bucket.sorted.add)
-            keys = hit[1]
-            if key not in keys:
-                keys.add(key)
-                hit[2](key)
-
-
 class _Sink:
     """The one way a record goes into the store's state: ``apply_ops`` hands
     it each record of a batch it has logged, and ``records.decode_body``
     each record replay reads, with the same calls, so a write leaves the
     state that a reopen rebuilds. ``next_seq`` follows the records."""
 
-    __slots__ = ("_entries", "_keys", "_staged", "_buckets", "next_seq", "deleted")
+    __slots__ = ("_entries", "_keys", "_staged", "_indexes", "next_seq")
 
     def __init__(self, store: Store):
         self._entries = store._entries
         self._keys = store._keys
         self._staged = store._staged
-        self._buckets = _BucketMemo(store._indexes) if store._indexes else None
+        self._indexes = store._indexes
         self.next_seq = store._next_seq
-        self.deleted = False  # an older log's DELETE left its key in ``_keys``
 
     def put(self, seq: int, arrived_ms: int, group: str | None, doc: Document) -> None:
         """Make ``doc`` its key's one version. A staged version it replaces
         leaves its group's set of keys, so ``_staged`` holds exactly the
-        keys staged under each group."""
+        keys staged under each group, and the key moves to the buckets of
+        the new version's tag values."""
         key = doc.key
         old = self._entries.get(key)
         if old is None:
@@ -348,14 +324,17 @@ class _Sink:
             staged.add(key)
         if seq >= self.next_seq:
             self.next_seq = seq + 1
-        if self._buckets is not None and not key.startswith(SYSTEM_PREFIX):
-            self._buckets.add(key, doc.tags)
+        if self._indexes and not key.startswith(SYSTEM_PREFIX):
+            self._reindex(key, {} if old is None else old.doc.tags, doc.tags)
 
     def delete(self, seq: int, key: str) -> None:  # only older logs hold one
         state = self._entries.pop(key, None)
-        if state is not None and state.group is not None:
-            self._unstage(key, state.group)
-        self.deleted = True
+        if state is not None:
+            self._keys.discard(key)
+            if state.group is not None:
+                self._unstage(key, state.group)
+            if self._indexes and not key.startswith(SYSTEM_PREFIX):
+                self._reindex(key, state.doc.tags, {})
         if seq >= self.next_seq:
             self.next_seq = seq + 1
 
@@ -380,6 +359,20 @@ class _Sink:
         staged.discard(key)
         if not staged:
             del self._staged[group]
+
+    def _reindex(self, key: str, old: dict, new: dict) -> None:
+        """Move ``key`` out of the bucket of each indexed value in ``old``
+        (its replaced version's tags) that ``new`` does not carry, and into
+        the bucket of each one in ``new`` that ``old`` did not."""
+        for name, index in self._indexes.items():
+            was, value = old.get(name), new.get(name)
+            left = None if was is None else index.bucket(was)
+            joined = None if value is None else index.bucket(value)
+            if left is not joined:
+                if left is not None:
+                    left.discard(key)
+                if joined is not None:
+                    joined.add(key)
 
 
 class Store:
@@ -493,9 +486,6 @@ class Store:
         for data, start, end in logio.replay(self.path):
             records.decode_body(data, sink, start, end)
         self._next_seq = sink.next_seq
-        if sink.deleted:  # ``_keys`` kept each deleted key, twice if put again
-            self._keys = _SortedKeys()
-            self._keys.main = sorted(self._entries)
 
     # -- visibility -----------------------------------------------------------
 
@@ -529,8 +519,7 @@ class Store:
 
         Each document is checked and encoded on its own, but each distinct
         tag map among them is checked and encoded once. Once the frame is
-        appended, each record goes to a ``_Sink`` as replay hands it on, so
-        each distinct indexed value is resolved to its bucket once per call.
+        appended, each record goes to a ``_Sink`` as replay hands it on.
         More than ``records.MAX_BATCH_RECORDS`` records do not fit one frame
         and are refused."""
         with self._lock:
@@ -660,17 +649,17 @@ class Store:
     # -- index management -------------------------------------------------
 
     def create_index(self, tag_name: str) -> None:
-        """Build (or no-op re-build) the secondary index for one tag."""
-        if not tag_name or not isinstance(tag_name, str):
-            raise InvalidArgument("tag name must be a non-empty string")
+        """Build (or no-op re-build) the secondary index for one tag. A name
+        no tag can carry is refused before the MANIFEST is written."""
+        validate_tag_name(tag_name)
         with self._lock:
             if tag_name in self._indexes:
                 return
             index = _Index()
-            buckets = _BucketMemo({tag_name: index})
             for key, state in self._entries.items():
-                if not key.startswith(SYSTEM_PREFIX):
-                    buckets.add(key, state.doc.tags)
+                value = state.doc.tags.get(tag_name)
+                if value is not None and not key.startswith(SYSTEM_PREFIX):
+                    index.bucket(value).add(key)
             self._indexes[tag_name] = index
             self._write_manifest(sorted(self._indexes))
 
@@ -686,7 +675,11 @@ class Store:
 
         Pages taken with the returned cursor all read at the snapshot of the
         first call; their concatenation equals a single unbounded scan at
-        that snapshot. System keys never appear.
+        that snapshot. System keys never appear. The candidates, every key
+        or those of the best covering index, are checked for visibility at
+        the snapshot and against the query with ``matches``, except when the
+        query is one ``=`` predicate served by its bucket, which holds
+        exactly the keys whose version carries the value.
         """
         if limit is not None and limit < 1:
             raise InvalidArgument("limit must be positive")
@@ -703,7 +696,9 @@ class Store:
             out: list[str] = []
             last = after
             exhausted = True
-            match_all = query.is_match_all
+            preds = query.predicates
+            check = not (query.is_match_all or candidates is not None
+                         and len(preds) == 1 and preds[0].op == "=")
             state_at = self._state_at
             for key in keys.walk(after, after=True):
                 if key.startswith(SYSTEM_PREFIX):
@@ -711,7 +706,7 @@ class Store:
                 state = state_at(key, snap)
                 if state is None:
                     continue
-                if not match_all and not matches(query, state.doc.tags):
+                if check and not matches(query, state.doc.tags):
                     continue
                 if limit is not None and len(out) >= limit:
                     exhausted = False
@@ -725,23 +720,23 @@ class Store:
     def _candidates(self, query: TagQuery) -> _SortedKeys | None:
         """Keys from the best covering index; None = no usable index.
 
-        A one-bucket ``=`` lookup returns the bucket's own keys, which the
-        caller must not change; IN and range lookups return a sorted list as
-        the ``main`` of a new structure."""
-        best: _SortedKeys | set[str] | None = None
+        A one-bucket ``=`` lookup returns the bucket itself, which the
+        caller must not change; IN and range lookups join their buckets,
+        which share no key, and return them sorted as the ``main`` of a new
+        structure."""
+        best: _SortedKeys | list[str] | None = None
         for pred in query.predicates:
             index = self._indexes.get(pred.tag)
             if index is None or pred.op == "!=":
                 continue
             if pred.op == "=":
-                bucket = index.by_value.get(sort_key(pred.value))
-                found = bucket.sorted if bucket is not None else set()
+                found = index.by_value.get(sort_key(pred.value)) or []
             elif pred.op == "IN":
-                found = set()
+                found = []
                 for v in pred.values:
                     bucket = index.by_value.get(sort_key(v))
                     if bucket is not None:
-                        found |= bucket.keys
+                        found += bucket.walk("")
             else:
                 found = self._range_lookup(index, pred)
             if best is None or len(found) < len(best):
@@ -755,7 +750,7 @@ class Store:
         return keys
 
     @staticmethod
-    def _range_lookup(index: _Index, pred) -> set[str]:
+    def _range_lookup(index: _Index, pred) -> list[str]:
         variant = pred.variant
         values = index.sorted_values()
         lo = bisect.bisect_left(values, (variant,))
@@ -769,9 +764,9 @@ class Store:
             lo = max(lo, bisect.bisect_right(values, vk, lo, hi))
         elif pred.op == ">=":
             lo = max(lo, bisect.bisect_left(values, vk, lo, hi))
-        found: set[str] = set()
+        found: list[str] = []
         for i in range(lo, hi):
-            found |= index.by_value[values[i]].keys
+            found += index.by_value[values[i]].walk("")
         return found
 
     # -- blobs ----------------------------------------------------------------
@@ -789,21 +784,17 @@ class Store:
 
         Streams each key's one version as it is held to the log's snapshot,
         and garbage-collects unreferenced blob chunks that are not young
-        (blob.py). Memory is rebuilt from the same walk, with no record
-        decoded: the walk's keys come in ascending order, so they become the
-        store's and each index bucket's sorted ``main`` as they are written,
-        which drops stale index entries (a replaced staged version's, or a
-        key an older log deleted). The versions and the staged keys of each
-        group stay as they are. Open scan cursors from before the compaction
-        stay valid because every version keeps its sequence number, and a
-        staged one its group. A snapshot that fails leaves the store as it
-        was.
+        (blob.py), with no record decoded. The walk's keys come in
+        ascending order, so they become the store's sorted ``main`` as they
+        are written. The versions, the staged keys of each group and the
+        indexes, which are exact already, stay as they are. Open scan
+        cursors from before the compaction stay valid because every version
+        keeps its sequence number, and a staged one its group. A snapshot
+        that fails leaves the store as it was.
         """
         with self._lock:
             live_blobs: set[str] = set()
             keys: list[str] = []
-            indexes = {name: _Index() for name in self._indexes}
-            buckets = _BucketMemo(indexes, ascending=True)
 
             def bodies() -> Iterator[bytes]:
                 yield records.encode_snapshot_marker(self._next_seq)
@@ -812,13 +803,10 @@ class Store:
                     keys.append(key)
                     if not state.doc.is_inline:
                         live_blobs.add(state.doc.payload.blob_id)
-                    if not key.startswith(SYSTEM_PREFIX):
-                        buckets.add(key, state.doc.tags)
                     yield records.encode_doc_op(records.OP_PUT, state.seq, state.arrived_ms,
                                                 state.group, state.doc)
 
             self._log.snapshot(bodies())
             self._keys = _SortedKeys()
             self._keys.main = keys
-            self._indexes = indexes
             self.blobs.collect_garbage(live_blobs)

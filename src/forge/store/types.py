@@ -122,16 +122,22 @@ def validate_key(key: str) -> None:
         raise InvalidArgument(f"document key exceeds {MAX_KEY_BYTES} bytes")
 
 
+def validate_tag_name(name: str) -> None:
+    """A tag name, as a tag map and an index take it: a non-empty string of
+    printable ASCII without whitespace (bytes 33..126)."""
+    if not isinstance(name, str) or not name:
+        raise InvalidArgument("tag names must be non-empty strings")
+    if not (name.isascii() and name.isprintable()) or " " in name:
+        raise InvalidArgument(f"tag name {name!r} must be ASCII without whitespace")
+
+
 def validate_tags(tags: dict[str, TagScalar]) -> None:
     if not isinstance(tags, dict):
         raise InvalidArgument(f"a tag map must be a dict, got {type(tags).__name__}")
     if len(tags) > MAX_TAGS:
         raise InvalidArgument(f"tag map has {len(tags)} entries; limit is {MAX_TAGS}")
     for name, value in tags.items():
-        if not isinstance(name, str) or not name:
-            raise InvalidArgument("tag names must be non-empty strings")
-        if not (name.isascii() and name.isprintable()) or " " in name:  # 33..126
-            raise InvalidArgument(f"tag name {name!r} must be ASCII without whitespace")
+        validate_tag_name(name)
         check_tag_value(value)
 
 

@@ -118,6 +118,12 @@ class TestBasics:
                 s.put(doc("k", **{f"t{i}": i for i in range(65)}))
 
 
+def _bucket(s: Store, name: str, value) -> list[str]:
+    """The keys of index ``name``'s bucket for ``value`` as it walks them."""
+    bucket = s._indexes[name].by_value.get(sort_key(value))
+    return [] if bucket is None else list(bucket.walk(""))
+
+
 def frame_starts(path) -> list[int]:
     """Where each frame of a store's log starts in its segment."""
     return [start - 8 for _, start, _ in replay(path)]
@@ -338,6 +344,51 @@ class TestIndexes:
                 assert s.scan(parse("n > 0"), use_index=use_index) == (["k1", "k3"], None)
                 assert s.scan(parse("n = 2 AND m = 3"), use_index=use_index) == ([], None)
                 assert s.scan(parse('m = "x"'), use_index=use_index) == (["k3"], None)
+
+    def test_a_restaged_key_leaves_the_bucket_of_its_old_value(self, tmp_path):
+        """Stage ``k0`` with ``d = 2``, restage it with no tags, then index
+        ``d``: bucket ``d = 2`` is empty live, after a reopen and after
+        compact(), and once the group commits a ``d = 2`` scan, which its
+        bucket alone serves, finds nothing."""
+        path = tmp_path / "s"
+        with make_store(path, create=True) as s:
+            s.apply_ops([PutOp(doc("k0", d=2), group="g")])
+            s.apply_ops([PutOp(doc("k0"), group="g")])
+            s.create_index("d")
+            assert _bucket(s, "d", 2) == []
+        with make_store(path) as s:
+            assert _bucket(s, "d", 2) == []
+            s.compact()
+            assert _bucket(s, "d", 2) == []
+            s.apply_ops([CommitGroupOp("g")])
+            assert s.scan(parse("d = 2")) == ([], None)
+            assert s.scan(MATCH_ALL) == (["k0"], None)
+        with make_store(path) as s:
+            assert _bucket(s, "d", 2) == []
+
+    def test_a_deleted_key_leaves_its_bucket_and_the_keys(self, tmp_path):
+        """An older log's DELETE takes its key out of its bucket and out of
+        the store's keys; put again, the key is in its new bucket and listed
+        once, live, after compact() and after a reopen."""
+        path = tmp_path / "s"
+        with make_store(path, create=True) as s:
+            s.create_index("d")
+            s.put(doc("k0", d=2))
+            s.put(doc("k1", d=2))
+            seq = s.snapshot_seq() + 1
+        append_record(path, delete_body(seq, "k0"))
+        with make_store(path) as s:
+            assert _bucket(s, "d", 2) == ["k1"]
+            assert list(s._keys.walk("")) == ["k1"]
+            s.put(doc("k0", d=3))
+
+            def check(s):
+                assert _bucket(s, "d", 2) == ["k1"] and _bucket(s, "d", 3) == ["k0"]
+                assert list(s._keys.walk("")) == ["k0", "k1"]
+                assert s.keys_with_prefix("k") == ["k0", "k1"]
+                assert s.scan(parse("d = 2")) == (["k1"], None)
+
+            _check_live_compacted_reopened(s, check)
 
     @given(st.data())
     @settings(max_examples=60, deadline=None)
@@ -633,9 +684,9 @@ class TestSystemDocs:
             assert s.snapshot_seq() == seq
 
     def test_a_key_put_again_after_a_delete_is_listed_once(self, tmp_path):
-        """An older log's DELETE empties a key's slot but keeps the key, so a
-        PUT of it after the DELETE, live or replayed, lists it once, also
-        after compaction and a reopen."""
+        """An older log's DELETE drops a key, so a PUT of it after the
+        DELETE, live or replayed, lists it once, also after compaction and a
+        reopen."""
         path = tmp_path / "s"
         with make_store(path, create=True) as s:
             s.put_system(doc("__sys/x", b"1"))
@@ -1277,20 +1328,19 @@ def _store_reads(s: Store) -> dict:
             "seq": s.snapshot_seq(), "scans": scans}
 
 
-def _bucket_keys(s: Store) -> dict:
-    """Each index bucket's keys, checked to walk in order as its set holds
-    them and to include every user key whose version, staged or not,
-    carries the bucket's value. Other keys may be there too, stale (a
-    replaced staged version's, or a key an older log deleted), until a
-    compaction."""
-    held = {}
+def _bucket_keys(s: Store, m: StoreModel) -> dict:
+    """Each non-empty index bucket's keys as it walks them, checked to be
+    exactly the user keys, ascending, whose version in the model, staged or
+    not, carries the bucket's value."""
+    held, expected = {}, {}
     for name, index in s._indexes.items():
         for vk, bucket in index.by_value.items():
-            assert list(bucket.sorted.walk("")) == sorted(bucket.keys), (name, vk)
-            held[name, vk] = set(bucket.keys)
-        for key, state in s._entries.items():
-            if name in state.doc.tags and not key.startswith("__sys/"):
-                assert key in held.get((name, sort_key(state.doc.tags[name])), ()), (name, key)
+            if bucket:
+                held[name, vk] = list(bucket.walk(""))
+        for key, version in sorted(m.versions.items()):
+            if version is not None and name in version[0].tags and not key.startswith(m.RESERVED):
+                expected.setdefault((name, sort_key(version[0].tags[name])), []).append(key)
+    assert held == expected
     return held
 
 
@@ -1323,9 +1373,9 @@ def test_replay_answers_as_the_store_did_and_as_the_model(tmp_path_factory, step
     """Any mix of puts, restages, commits, compactions, an index built
     midway, reopens, older REPLACE and DELETE records and a torn tail: after
     every step the store answers every read as the model does and each index
-    bucket holds every key whose version carries its value, and a reopen
-    (with or without a torn tail) answers as the store did before it closed,
-    with each bucket still holding every key it held."""
+    bucket holds exactly the keys whose version carries its value, and a
+    reopen (with or without a torn tail) answers as the store did before it
+    closed, with each bucket holding the keys it held."""
     path = tmp_path_factory.mktemp("replay") / "s"
     clock = FakeClock()
     model = StoreModel()
@@ -1350,7 +1400,7 @@ def test_replay_answers_as_the_store_did_and_as_the_model(tmp_path_factory, step
                 s.create_index("d")
             else:
                 before = _store_reads(s)
-                held = _bucket_keys(s)
+                held = _bucket_keys(s, model)
                 s.close()
                 seq = model.seq + 1
                 if kind == "replace":
@@ -1370,21 +1420,18 @@ def test_replay_answers_as_the_store_did_and_as_the_model(tmp_path_factory, step
                 s = make_store(path, clock=clock)
                 if kind in ("reopen", "torn"):
                     assert _store_reads(s) == before
-                    # replay also reads back the stale keys of versions an
-                    # index built midway never saw, so a bucket may gain keys
-                    now = _bucket_keys(s)
-                    assert all(keys <= now[b] for b, keys in held.items())
+                    assert _bucket_keys(s, model) == held
             assert _store_reads(s) == _model_reads(model), (step, kind)
-            _bucket_keys(s)
+            _bucket_keys(s, model)
     finally:
         s.close()
 
 
 def test_compaction_decodes_no_record(tmp_path, monkeypatch):
-    """compact() rebuilds memory from the versions it walks and writes: with
-    the record decoder refusing every call, it still answers every read as
-    before, leaves each index bucket holding exactly the keys whose version
-    carries its value, and a reopen answers the same."""
+    """compact() writes the versions it walks without decoding a record:
+    with the record decoder refusing every call, it still answers every
+    read as before, leaves each index bucket holding exactly the keys whose
+    version carries its value, and a reopen answers the same."""
     path = tmp_path / "s"
     clock = FakeClock()
     with make_store(path, create=True, clock=clock) as s:
@@ -1413,7 +1460,7 @@ def test_compaction_decodes_no_record(tmp_path, monkeypatch):
             s.compact()
             assert _store_reads(s) == before
         assert "k1" not in s._entries
-        buckets = {name: {vk: sorted(b.keys) for vk, b in index.by_value.items() if b.keys}
+        buckets = {name: {vk: list(b.walk("")) for vk, b in index.by_value.items() if b}
                    for name, index in s._indexes.items()}
         expected = {name: {} for name in ("c", "d")}
         for key, state in sorted(s._entries.items()):

@@ -6,7 +6,13 @@ import random
 import pytest
 from conftest import write_raw_blob
 
-from forge.errors import ChecksumMismatch, DuplicateKey, NotFound, PayloadTooLarge
+from forge.errors import (
+    ChecksumMismatch,
+    DuplicateKey,
+    InvalidArgument,
+    NotFound,
+    PayloadTooLarge,
+)
 from forge.store import CODEC_NONE, Document
 from forge.store.types import BlobPointer
 
@@ -85,6 +91,18 @@ class TestScan:
     def test_create_index_visible_in_info(self, api):
         api.create_index("split")
         assert "split" in api.list_indexes()
+
+    @pytest.mark.parametrize("name", ["a b", "x\n", "", "é"])
+    def test_an_index_name_no_tag_can_carry_is_refused(self, api, engine, name):
+        """The name rule of a tag map: refused before the MANIFEST is written."""
+        api.create_index("split")
+        manifest = engine.store.path / "MANIFEST"
+        before = manifest.read_bytes()
+        with pytest.raises(InvalidArgument) as refused:
+            api.create_index(name)
+        assert refused.value.code == "invalid_argument"
+        assert api.list_indexes() == ["split"]
+        assert manifest.read_bytes() == before
 
 
 class TestBlobs:

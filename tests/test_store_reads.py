@@ -13,7 +13,7 @@ from forge.clock import FakeClock
 from forge.errors import DuplicateKey
 from forge.query import MATCH_ALL, parse
 from forge.store import CommitGroupOp, Document, PutOp, ScanCursor, Store
-from forge.store.store import _CHUNK, _RUN_RATIO
+from forge.store.store import _CHUNK, _RUN_RATIO, _SortedKeys
 
 from oracles import VersionChain, brute_force_scan
 
@@ -360,3 +360,42 @@ def test_walks_across_levels_and_chunks_match_the_oracle(tmp_path, seed):
         assert levels == {False, True}
     finally:
         s.close()
+
+
+_SET_KEYS = [f"k{i:05d}" for i in range(0, 12_000, 2)]  # a walk may start between them
+_SET_SIZES = st.sampled_from([0, 1, 3, 16, 64, 256, 1024])
+
+
+@given(st.integers(0, 2**32 - 1),
+       st.lists(st.tuples(_SET_SIZES, st.booleans(), _SET_SIZES, st.booleans()),
+                min_size=1, max_size=12))
+@settings(max_examples=60, deadline=None)
+def test_sorted_keys_read_as_a_sorted_set(seed, rounds):
+    """Rounds of adds, discards (of the keys just added or of any keys) and
+    walks from any start, past it or not, read as a sorted set does. Small
+    and large batches come next to each other and a discard may come before
+    or after a walk settles the adds, so keys leave the arrivals and both
+    levels, ``run`` merges into ``main``, and walks cross its slices."""
+    rng = random.Random(seed)
+    keys, oracle = _SortedKeys(), set()
+
+    def check():
+        start = rng.choice(["", f"k{rng.randrange(12_000):05d}", *sorted(oracle)[-1:]])
+        after = rng.random() < 0.5
+        assert list(keys.walk(start, after=after)) == sorted(
+            k for k in oracle if (k > start if after else k >= start))
+        assert len(keys) == len(oracle)
+
+    for added, walk, discarded, recent in rounds:
+        new = [key for key in rng.sample(_SET_KEYS, added) if key not in oracle]
+        for key in new:
+            keys.add(key)
+            oracle.add(key)
+        if walk:
+            check()
+        pool = new if recent else _SET_KEYS
+        for key in rng.sample(pool, min(discarded, len(pool))):
+            keys.discard(key)
+            oracle.discard(key)
+        check()
+    assert list(keys.walk("")) == sorted(oracle)

@@ -767,9 +767,10 @@ def test_a_completion_with_one_bad_output_writes_nothing(api, engine, bad, error
 
 
 def test_per_tag_map_work_is_bounded_by_the_distinct_maps(api, engine, monkeypatch):
-    """A 256-output completion whose outputs share one tag map checks,
-    encodes and indexes that map a bounded number of times, not once per
-    output; the calls are counted, never timed."""
+    """A 256-output completion whose outputs share one tag map checks and
+    encodes that map a bounded number of times, not once per output, and
+    finds each fresh output's index bucket without a ``sort_key``; the
+    calls are counted, never timed."""
     from forge.store import records
     from forge.store import store as store_module
 
@@ -794,9 +795,10 @@ def test_per_tag_map_work_is_bounded_by_the_distinct_maps(api, engine, monkeypat
     calls.update(dict.fromkeys(calls, 0))
     api.complete_task("t", "agent", "ok", outputs=outputs)
     # two distinct maps, the outputs' and the task record's empty one; the
-    # client encodes the outputs' once more to send them
+    # client encodes the outputs' once more to send them. A bucket is found
+    # by (variant, value), which takes no sort_key
     assert calls == {"validate_tags": 2, "encode_tags": 3 if api is not engine else 2,
-                     "sort_key": 1}
+                     "sort_key": 0}
     assert len(_visible(api, "out")) == 256
 
 
