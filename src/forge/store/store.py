@@ -15,10 +15,13 @@ The store hands the log bodies, and takes each one back as its bounds in a
 segment's bytes; it names no segment file.
 
 Durability model: every mutation is one log frame (a batch of ops is one
-frame, hence atomic). In memory each key holds one version, its newest,
-tagged with a monotonically increasing sequence number; a read at a snapshot
-sees that version only when it is not staged and its seq is at or before the
-snapshot, which gives snapshot reads for paged scans. A group's commit folds
+frame, hence atomic), durable when ``apply_ops`` returns if the store syncs:
+the log writes the frame over zeros it keeps ahead of its end and
+fdatasyncs it, so the sync commits no new file size (see log.py). In memory
+each key holds one version, its newest, tagged with a monotonically
+increasing sequence number; a read at a snapshot sees that version only
+when it is not staged and its seq is at or before the snapshot, which gives
+snapshot reads for paged scans. A group's commit folds
 the versions still staged under it into plain ones that take the commit's
 seq, so a snapshot shows exactly what was committed at or before it, and no
 later op changes that. One version per key is enough because the write rule

@@ -1,6 +1,8 @@
 import hashlib
+import struct
 import sys
 import threading
+import zlib
 from pathlib import Path
 
 import pytest
@@ -11,6 +13,7 @@ from forge.clock import FakeClock
 from forge.engine import Forge
 from forge.nn import clear_lambdas
 from forge.store import CODEC_NONE, BlobPointer
+from forge.store.log import list_segments
 from forge.store.types import blob_id_for
 from forge.wire import ForgeClient, ForgeServer
 
@@ -65,6 +68,24 @@ def api(request, engine):
 
 def make_engine(path, clock=None):
     return Forge(path, create=True, clock=clock or FakeClock(), fsync=False)
+
+
+def log_bytes(path) -> int:
+    """The bytes of the intact frames in the segments of the store at
+    ``path``. A live log keeps zeros ahead of its end, so its file sizes
+    count more than were appended; this walks each segment's frames, as
+    replay does, and cuts nothing."""
+    total = 0
+    for segment in list_segments(Path(path)):
+        data, off = segment.read_bytes(), 0
+        while off + 8 <= len(data):
+            length, crc = struct.unpack_from("<II", data, off)
+            end = off + 8 + length
+            if not length or end > len(data) or zlib.crc32(data[off + 8:end]) != crc:
+                break
+            off = end
+        total += off
+    return total
 
 
 def write_raw_blob(blobs: Path, data: bytes, chunk_size: int = 4096) -> BlobPointer:

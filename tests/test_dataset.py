@@ -15,6 +15,8 @@ from forge.errors import AlreadyAttached, DuplicateKey, ViewNotFound
 from forge.store import Document
 from forge.workflow import run_master
 
+from conftest import log_bytes
+
 
 def doc(key, payload=b"x", label=None, **tags):
     return Document(key=key, payload=payload, label=label, tags=tags)
@@ -24,10 +26,6 @@ def fill(api, n, start=0, **tags):
     tags = tags or {"split": "train"}
     for i in range(start, start + n):
         api.put_document(doc(f"d{i:04d}", **tags))
-
-
-def _log_bytes(engine) -> int:
-    return sum(p.stat().st_size for p in engine.store.path.glob("segment-*.log"))
 
 
 class TestViews:
@@ -124,11 +122,11 @@ class TestBatchCursor:
         api.define_view("v", 'split = "train"')
         _, cursor, end = api.read_batch(api.open_cursor("v", batch_size=4, cursor_id="c"))
         assert end
-        size, seq = _log_bytes(engine), engine.store.snapshot_seq()
+        size, seq = log_bytes(engine.store.path), engine.store.snapshot_seq()
         for _ in range(100):
             docs, cursor, end = api.read_batch(cursor)
             assert (docs, cursor.position, end) == ([], "d0003", True)
-        assert (_log_bytes(engine), engine.store.snapshot_seq()) == (size, seq)
+        assert (log_bytes(engine.store.path), engine.store.snapshot_seq()) == (size, seq)
         assert json.loads(engine.store.get("__sys/cursor/v/c").payload) == {"position": "d0003"}
 
     def test_blob_payloads_resolved_transparently(self, api):

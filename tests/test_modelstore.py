@@ -20,6 +20,8 @@ from forge.store import BlobPointer, Document, PutOp
 from forge.tensorio import encode_tensors
 from forge.wire import ForgeClient, ForgeServer
 
+from conftest import log_bytes
+
 MLP = {
     "input_dims": [3],
     "layers": [
@@ -224,10 +226,6 @@ def _blob_files(engine) -> list:
     return sorted((engine.store.path / "blobs").iterdir())
 
 
-def _log_bytes(engine) -> int:
-    return sum(p.stat().st_size for p in engine.store.path.glob("segment-*.log"))
-
-
 def _assert_loads(api, version_id, tensors):
     loaded = api.load_state("mlp", version_id)
     assert {name: arr.tobytes() for name, arr in loaded.items()} == \
@@ -293,10 +291,10 @@ class TestInlineStates:
         api.register_model("mlp", MLP)
         events = [(0, "seed", 3.0), (1, "loss", 0.25)]
         first = api.save_state("mlp", 1, tensors_for(1), events=events)
-        log_bytes = _log_bytes(engine)
+        size = log_bytes(engine.store.path)
         again = api.save_state("mlp", 1, tensors_for(1), events=events)
         assert again == first and again.state is None
-        assert _log_bytes(engine) == log_bytes
+        assert log_bytes(engine.store.path) == size
         assert [(e.step, e.name, e.value) for e in api.query_events("mlp")] == events
 
     def test_a_pointer_version_written_before_inline_states_loads(self, api, engine):

@@ -51,7 +51,7 @@ from forge.store.blob import GC_GRACE_S, PROBE
 from forge.store.log import frame, list_segments, replay
 from forge.tensorio import encode_tensors
 
-from conftest import write_raw_blob
+from conftest import log_bytes, write_raw_blob
 from oracles import StoreModel, brute_force_filter
 from test_records import DELETE_HEX, decoded, delete_body, log_bodies
 
@@ -149,7 +149,11 @@ class TestDurability:
             assert s.scan(parse('split = "train"'))[0] == ["a"]
 
     def test_torn_tail_write_rolls_back(self, tmp_path):
-        """A write interrupted mid-frame leaves the store as before the write."""
+        """A write interrupted mid-frame leaves the store as before the write,
+        also with the zeros a live log keeps ahead of its end after the torn
+        frame: the open cuts both. In an older segment a zero header is
+        damage, even with bytes after it. (A frame whose missing bytes are
+        zeros is whole again with the padding, and replays.)"""
         path = tmp_path / "s"
         with make_store(path, create=True) as s:
             s.put(doc("a"))
@@ -159,10 +163,118 @@ class TestDurability:
         last_start = frame_starts(path)[-1]
         # cut at every byte boundary inside the final frame
         for cut in range(last_start + 1, len(intact)):
-            segment.write_bytes(intact[:cut])
-            with make_store(path) as s:
-                assert s.scan(MATCH_ALL)[0] == ["a"], f"cut at {cut}"
+            for zeros in (0, 100):
+                segment.write_bytes(intact[:cut] + bytes(zeros))
+                whole = zeros and not intact[cut:].strip(b"\0")
+                with make_store(path) as s:
+                    assert s.scan(MATCH_ALL)[0] == (["a", "b"] if whole else ["a"]), \
+                        f"cut at {cut}"
+                assert segment.read_bytes() == (intact if whole else intact[:last_start])
             segment.write_bytes(intact)
+        segment.write_bytes(intact + bytes(8) + frame(b"\x01" * 40))
+        (path / "segment-000002.log").write_bytes(b"")
+        with pytest.raises(CorruptStore):
+            make_store(path)
+
+    def test_a_crash_with_zeros_ahead_of_the_log_end_loses_nothing(self, tmp_path):
+        """A store abandoned without close() leaves zeros after its last
+        frame. The next open cuts them, so its puts follow the first ones,
+        and a store abandoned again replays all of them."""
+        path = tmp_path / "s"
+        s = make_store(path, create=True)
+        for i in range(5):
+            s.put(doc(f"a{i}"))
+        assert list_segments(path)[-1].stat().st_size > log_bytes(path)
+        _abandon(s)
+        s = make_store(path)
+        for i in range(3):
+            s.put(doc(f"b{i}"))
+        _abandon(s)
+        with make_store(path) as s:
+            assert s.scan(MATCH_ALL)[0] == ([f"a{i}" for i in range(5)]
+                                            + [f"b{i}" for i in range(3)])
+
+    def test_a_roll_is_durable(self, tmp_path, monkeypatch):
+        """A roll cuts the old segment to its last frame and fsyncs it, then
+        creates the next segment and fsyncs the directory. A store abandoned
+        right after a roll replays every put, and no segment holds zeros."""
+        monkeypatch.setattr(logio, "SEGMENT_ROLL_BYTES", 512)
+        path = tmp_path / "s"
+        s = make_store(path, create=True, fsync=True)
+        calls = []
+
+        def recording(name, label):
+            real = getattr(os, name)
+
+            def call(*args, **kwargs):
+                calls.append(label(*args))
+                return real(*args, **kwargs)
+            monkeypatch.setattr(os, name, call)
+
+        recording("fsync", lambda fd: "fsync dir" if stat.S_ISDIR(os.fstat(fd).st_mode)
+                  else "fsync file")
+        recording("ftruncate", lambda fd, size: "cut")
+        recording("open", lambda p, *a: f"open {Path(p).name}")
+        keys = []
+        while len(list_segments(path)) == 1:
+            keys.append(f"k{len(keys):03d}")
+            s.put(doc(keys[-1], b"x" * 100))
+        assert calls == ["cut", "fsync file", "open segment-000002.log", "open s", "fsync dir"]
+        _abandon(s)
+        assert log_bytes(path) == sum(p.stat().st_size for p in list_segments(path))
+        with make_store(path) as s:
+            assert s.scan(MATCH_ALL)[0] == keys
+
+    @pytest.mark.parametrize("written", [0, 30], ids=["at-once", "short-write"])
+    def test_a_full_device_while_the_log_extends_installs_nothing(self, tmp_path, monkeypatch,
+                                                                   written):
+        """A frame that extends the log onto a full device raises
+        StorageFull, also after a short write, and leaves no byte of it in
+        the log; the next append, with space back, succeeds."""
+        path = tmp_path / "s"
+        real = os.pwrite
+        calls = []
+
+        def full_once(fd, data, offset):
+            calls.append(len(data))
+            if len(calls) == 1 and written:
+                return real(fd, data[:written], offset)
+            if len(calls) == (2 if written else 1):
+                raise OSError(errno.ENOSPC, "No space left on device")
+            return real(fd, data, offset)
+
+        with make_store(path, create=True) as s:
+            s.put(doc("a"))
+            size = log_bytes(path)
+            monkeypatch.setattr(os, "pwrite", full_once)
+            with pytest.raises(StorageFull):  # passes the 64 KiB of zeros the first put made
+                s.put_system(doc("__sys/big", b"y" * 70_000))
+            assert log_bytes(path) == list_segments(path)[-1].stat().st_size == size
+            assert not s.exists("__sys/big")
+            s.put(doc("c"))
+        with make_store(path) as s:
+            assert s.scan(MATCH_ALL)[0] == ["a", "c"] and not s.exists("__sys/big")
+
+    def test_a_closed_log_is_its_frames(self, tmp_path, monkeypatch):
+        """A closed store's segments hold the frame of each body appended and
+        nothing else, as before the log kept zeros ahead of its end: across
+        a reopen and a roll."""
+        monkeypatch.setattr(logio, "SEGMENT_ROLL_BYTES", 4096)
+        bodies = []
+        append = logio.LogWriter.append
+
+        def recording(self, body):
+            bodies.append(body)
+            append(self, body)
+        monkeypatch.setattr(logio.LogWriter, "append", recording)
+        path = tmp_path / "s"
+        for n in range(2):
+            with make_store(path, create=not n) as s:
+                for i in range(30):
+                    s.put(doc(f"k{n}-{i:02d}", b"x" * 100))
+            assert b"".join(p.read_bytes() for p in list_segments(path)) == \
+                b"".join(map(frame, bodies))
+        assert len(list_segments(path)) > 1
 
     def test_batch_is_all_or_nothing_at_any_cut(self, tmp_path):
         """Three puts, and a frame shaped like a task's completion: its
@@ -929,7 +1041,7 @@ def _compaction_store(path) -> Store:
 def _abandon(s: Store) -> None:
     """Close the files a store killed mid-operation left open, as its
     process's death would, writing nothing."""
-    s._log._file.close()
+    os.close(s._log._fd)
     s._lock_file.close()
 
 
@@ -949,9 +1061,9 @@ class TestCompaction:
                 s.put(doc(f"d{i:02d}", step=i))
             for i in range(50):
                 s.put_system(doc("__sys/churn", payload=str(i).encode()))
-            before_segments = sum(p.stat().st_size for p in list_segments(path))
+            before_segments = log_bytes(path)
             s.compact()
-            after_segments = sum(p.stat().st_size for p in list_segments(path))
+            after_segments = log_bytes(path)
             assert after_segments < before_segments
             assert s.scan(MATCH_ALL)[0] == [f"d{i:02d}" for i in range(20)]
             assert s.get("__sys/churn").payload == b"49"
@@ -1203,10 +1315,6 @@ def _every_read(s: Store) -> dict:
             "seq": s.snapshot_seq()}
 
 
-def _log_bytes(path) -> int:
-    return sum(p.stat().st_size for p in list_segments(path))
-
-
 class TestBatches:
     @given(st.lists(st.lists(_batch_ops, min_size=1, max_size=4), min_size=1, max_size=8))
     @settings(max_examples=60, deadline=None)
@@ -1230,10 +1338,10 @@ class TestBatches:
                             b.apply_ops([single])
                     assert _every_read(a) == _every_read(b)
                 else:
-                    before, size = _every_read(a), _log_bytes(root / "a")
+                    before, size = _every_read(a), log_bytes(root / "a")
                     with pytest.raises((DuplicateKey, InvalidArgument)):
                         a.apply_ops(ops)
-                    assert _every_read(a) == before and _log_bytes(root / "a") == size
+                    assert _every_read(a) == before and log_bytes(root / "a") == size
             expected = _every_read(b)
             a.compact()
             assert _every_read(a) == expected
@@ -1253,13 +1361,13 @@ class TestBatches:
             s.create_index("c")
             s.put(doc("k0"))
             s.put_system(doc("__sys/r0"))
-            before, size = _every_read(s), _log_bytes(path)
+            before, size = _every_read(s), log_bytes(path)
             outputs = [doc(f"t/{i:06d}", c=1) for i in range(3)]
             ops = [PutOp(*outputs[:1], group="g0"), CommitGroupOp("g0"),
                    PutOp(*outputs[1:], bad, group="g1"), CommitGroupOp("g1")]
             with pytest.raises(error):
                 s.apply_ops(ops)
-            assert _every_read(s) == before and _log_bytes(path) == size
+            assert _every_read(s) == before and log_bytes(path) == size
         with make_store(path) as s:
             assert _every_read(s) == before
 
@@ -1271,7 +1379,7 @@ class TestBatches:
                 s.apply_ops([PutOp(doc("k0", b"1"), doc("k0", b"2"))])
             with pytest.raises(DuplicateKey):
                 s.apply_ops([PutOp(doc("k0", b"1")), PutOp(doc("k0", b"2"), group="g")])
-            assert _log_bytes(path) == 0
+            assert log_bytes(path) == 0
             s.apply_ops([PutOp(doc("t/0", b"1"), doc("t/0", b"2"), group="g"),
                          CommitGroupOp("g")])
             assert s.get("t/0").payload == b"2"
@@ -1288,7 +1396,7 @@ class TestBatches:
         with make_store(path, create=True) as s:
             with pytest.raises(InvalidArgument):
                 s.apply_ops([PutOp(*(doc(f"d{i:05d}", b"") for i in range(65_536)))])
-            assert _log_bytes(path) == 0 and s.snapshot_seq() == 0
+            assert log_bytes(path) == 0 and s.snapshot_seq() == 0
             assert s.scan(MATCH_ALL) == ([], None)
             s.apply_ops([PutOp(*(doc(f"d{i:05d}", b"") for i in range(65_534)), group="g"),
                          CommitGroupOp("g")])
@@ -1300,7 +1408,7 @@ class TestBatches:
         with make_store(path, create=True) as s:
             s.apply_ops([PutOp(group="g"), PutOp()])
             s.apply_ops([])
-            assert _log_bytes(path) == 0 and s.snapshot_seq() == 0
+            assert log_bytes(path) == 0 and s.snapshot_seq() == 0
 
 
 # -- replay and compaction against a model of the store's reads --------------------

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import click
 import pytest
-from conftest import make_engine, write_raw_blob
+from conftest import log_bytes, make_engine, write_raw_blob
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -36,8 +36,8 @@ from forge.errors import (
 )
 from forge.query import parse
 from forge.dataset import BatchCursor, DatasetView
-from forge.store import CHUNK_SIZE, Document, ScanCursor
-from forge.store.records import encode_document
+from forge.store import CHUNK_SIZE, Document, ScanCursor, records
+from forge.store.log import frame
 from forge.store.types import checksum_of
 from forge.wire import ForgeClient, ForgeServer, default_address
 from forge.wire import protocol as P
@@ -179,6 +179,38 @@ def test_heartbeat(api, clock):
     assert api.lease_task("other", TTL) is None  # the heartbeat kept the lease
     with pytest.raises(StaleLease):
         api.heartbeat("t", "other", TTL)
+
+
+@pytest.mark.parametrize("transport", ["local", "wire"])
+def test_a_log_of_bare_frames_opens_and_appends_after_them(tmp_path, transport):
+    """A log that holds its frames and nothing after them, as a closed
+    store's log does and as every log did before the log kept zeros ahead
+    of its end, opens over both transports; closed again, it holds those
+    bytes and then the frame of the put made through it."""
+    path = tmp_path / "store"
+    make_engine(path).close()
+    segment = path / "segment-000001.log"
+    old = b"".join(frame(records.encode_doc_op(records.OP_PUT, seq, 0, None,
+                                              Document(key=f"k{seq}", payload=b"v")))
+                   for seq in (1, 2))
+    segment.write_bytes(old)
+    engine = Forge(path, clock=FakeClock(), fsync=False)
+    server = ForgeServer(engine, port=0) if transport == "wire" else None
+    if server:
+        server.start()
+    api = ForgeClient(*server.address) if server else engine
+    try:
+        assert [api.get_document(f"k{seq}").payload for seq in (1, 2)] == [b"v", b"v"]
+        api.put_document(Document(key="k3", payload=b"w"))
+    finally:
+        if server:
+            api.close()
+            server.stop()
+        engine.close()
+    data = segment.read_bytes()
+    assert data.startswith(old) and log_bytes(path) == len(data) > len(old)
+    with Forge(path, clock=FakeClock(), fsync=False) as engine:
+        assert engine.get_document("k3").payload == b"w"
 
 
 # --- protocol errors ----------------------------------------------------------------
@@ -463,7 +495,7 @@ def test_docs_slot_must_end_where_its_document_ends(wire_pair):
     engine.submit_task(kind="user_fn", task_id="t")
     engine.lease_task("agent", TTL)
     head = {"task_id": "t", "agent_id": "agent"}
-    raw = encode_document(output_document("t", 0, b"x"))
+    raw = records.encode_document(output_document("t", 0, b"x"))
     for tail in (struct.pack("<I", len(raw) + 5) + raw + b"JUNK!",
                  struct.pack("<I", len(raw) - 1) + raw,
                  struct.pack("<I", len(raw)) + raw + b"\x01\x00"):
@@ -573,7 +605,7 @@ def garbage(draw):
         return _frame(P.BLOB_PUT_BEGIN, {name: draw(JSON) for name in names}), True
     if kind == "docs_slot":  # a document slot longer or shorter than its document
         op = draw(st.sampled_from(DOCS_TAIL_OPS))
-        raw = encode_document(draw(DOCS))
+        raw = records.encode_document(draw(DOCS))
         extra = draw(st.integers(-len(raw), 8).filter(bool))
         tail = (P.pack_documents(draw(st.lists(DOCS, max_size=2)))
                 + struct.pack("<I", len(raw) + extra) + raw

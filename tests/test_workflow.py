@@ -10,7 +10,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import AgentHarness, make_engine
+from conftest import AgentHarness, log_bytes, make_engine
 
 from forge import faults
 from forge.clock import FakeClock
@@ -51,10 +51,6 @@ TTL = 5_000
 def _visible(api, dataset: str) -> list[str]:
     keys, _ = api.scan(f'dataset = "{dataset}"')
     return keys
-
-
-def _log_bytes(engine) -> int:
-    return sum(p.stat().st_size for p in engine.store.path.glob("segment-*.log"))
 
 
 def _plan(pid: str, children: int = 2, **root_fields) -> dict:
@@ -363,11 +359,12 @@ def test_an_idle_engine_writes_nothing_as_time_passes(api, engine, clock):
         return {key: state.seq for key, state in engine.store._entries.items()
                 if key.startswith("__sys/")}
 
-    size, seq, before = _log_bytes(engine), engine.store.snapshot_seq(), seqs()
+    size, seq, before = log_bytes(engine.store.path), engine.store.snapshot_seq(), seqs()
     for i in range(1000):
         clock.advance(100)
         assert api.master_step(f"m{i % 2 + 1}") == IDLE_STEP
-    assert (_log_bytes(engine), engine.store.snapshot_seq(), seqs()) == (size, seq, before)
+    after = log_bytes(engine.store.path), engine.store.snapshot_seq(), seqs()
+    assert after == (size, seq, before)
 
 
 class TestMasterLease:
@@ -377,16 +374,16 @@ class TestMasterLease:
     def test_idle_steps_write_nothing_and_the_lease_still_holds(self, api, engine, clock):
         api.submit_task(kind="user_fn", task_id="t")
         assert api.lease_task("agent", TTL).task_id == "t"
-        size = _log_bytes(engine)
+        size = log_bytes(engine.store.path)
         for _ in range(100):
             clock.advance(TTL // 200)
             assert api.master_step("m1") == IDLE_STEP
-        assert _log_bytes(engine) == size
+        assert log_bytes(engine.store.path) == size
         assert api.lease_task("agent2", TTL) is None
         assert api.get_task("t").lease_holder == "agent"
 
         api.heartbeat("t", "agent", TTL)  # half the lease has passed: renew it
-        assert _log_bytes(engine) > size
+        assert log_bytes(engine.store.path) > size
         clock.advance(TTL // 2 + 1)  # past the first lease, inside the renewed one
         api.master_step("m2")
         assert api.lease_task("agent2", TTL) is None
@@ -406,10 +403,10 @@ class TestMasterLease:
     def test_idle_steps_with_a_stream_write_nothing(self, engine):
         """A quiet stream poll writes nothing."""
         self._with_idle_stream(engine)
-        size = _log_bytes(engine)
+        size = log_bytes(engine.store.path)
         for _ in range(1000):
             assert engine.master_step("m1")["stream_tasks"] == []
-        assert _log_bytes(engine) == size
+        assert log_bytes(engine.store.path) == size
 
     def test_idle_writes_are_lease_renewals(self, engine, clock):
         """With an idle stream and an agent renewing its task lease at half
@@ -756,11 +753,11 @@ def test_a_completion_with_one_bad_output_writes_nothing(api, engine, bad, error
                                      for i in range(2)])
     sent = [output_document("t", i, b"sent", None, {"dataset": "out"}) for i in (2, 3)]
     keys = [f"t/{i:06d}" for i in range(10)] + [bad.key]
-    before, size = _output_reads(engine, keys), _log_bytes(engine)
+    before, size = _output_reads(engine, keys), log_bytes(engine.store.path)
     group = "t#0.1"
     with pytest.raises(error):
         api.complete_task("t", "agent", "ok", outputs=[*sent, bad])
-    assert _output_reads(engine, keys) == before and _log_bytes(engine) == size
+    assert _output_reads(engine, keys) == before and log_bytes(engine.store.path) == size
     assert engine.store.staged_keys(group) == ["t/000000", "t/000001"]
     api.complete_task("t", "agent", "ok", outputs=sent)
     assert api.get_task("t").output_keys == tuple(f"t/{i:06d}" for i in range(4))
