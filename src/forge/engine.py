@@ -29,9 +29,11 @@ state in memory beside the store:
   The store replaces a reserved key's current version on every put, so
   these existence checks, and ``submit_plan``'s, are the only ones: the
   engine lock keeps two calls from both passing them.
-- ``put_blob`` and ``compact``: chunk files are written outside
+- ``put_blob`` and ``compact``: blob frames are appended outside
   ``Store._lock``, so only the engine lock keeps a blob write, in-process
   or over the wire, from interleaving with compaction's garbage collection.
+  ``get_blob`` takes no engine lock: the blob store's own lock keeps a read
+  apart from the segments a collection unlinks.
 
 The wire server hosts a ``Forge``. Each row of the op table in
 ``forge.wire.protocol`` names one of these methods: the server calls it with

@@ -4,6 +4,10 @@ The log owns the store directory's ``segment-NNNNNN.log`` files: their names
 and numbers, the framing and its CRCs, torn-tail recovery, which segment
 replay starts from, and the snapshot protocol compaction writes through. The
 store (store.py) owns what a body says and the state it builds in memory.
+The blob store (blob.py) keeps its chunks in a log of the same segments
+under ``blobs/``, appended through the same ``LogWriter``; it reads them
+back one frame at a time (``read_frame``) and, at open, by a walk over the
+frame headers (``walk``), never through ``replay``.
 
 Each segment is a sequence of frames: ``u32 length | u32 crc32 | body``
 (integers little-endian, crc over the body). A frame is the atomic unit of
@@ -30,14 +34,15 @@ offset) and ``os.fdatasync`` commits the frame without a new file size
 (with fsync off, the same write without the sync). A frame that would pass
 the zeros extends the file by whole steps of EXTEND_BYTES, the frame and the
 zeros in one write and one sync; nothing allocates before the first append
-that needs it. No frame has an empty body, so replay reads a zero length as
-a damaged frame: at the end of the newest segment the padding is cut with a
-torn tail, and anywhere else it raises CorruptStore. So no segment replay
-reads ends in zeros unless it is the newest: ``close`` cuts its file back
-to its last frame, and a roll cuts and fsyncs the old segment before it
-creates the next one and fsyncs the directory (the segments a snapshot
-supersedes are never read again). A closed log holds its frames and
-nothing else.
+that needs it. One append may carry several frames (a blob put's chunks),
+still in one write and one sync. No frame has an empty body, so replay
+reads a zero length as a damaged frame: at the end of the newest segment
+the padding is cut with a torn tail, and anywhere else it raises
+CorruptStore. So no segment replay reads ends in zeros unless it is the
+newest: ``close`` cuts its file back to its last frame, and a roll cuts and
+fsyncs the old segment before it creates the next one and fsyncs the
+directory (the segments a snapshot supersedes are never read again). A
+closed log holds its frames and nothing else.
 """
 
 from __future__ import annotations
@@ -55,12 +60,13 @@ from forge.faults import kill_point
 from forge.store.records import OP_SNAPSHOT
 
 _HEADER = struct.Struct("<II")
+FRAME_HEADER_BYTES = _HEADER.size
 
 SEGMENT_ROLL_BYTES = 64 * 1024 * 1024
 EXTEND_BYTES = 64 * 1024  # zeros a segment grows by at a time: one 150-byte put in ~430
 
 
-def _segment_path(root: Path, number: int) -> Path:
+def segment_path(root: Path, number: int) -> Path:
     return root / f"segment-{number:06d}.log"
 
 
@@ -77,7 +83,7 @@ def frame(body: bytes) -> bytes:
     return _HEADER.pack(len(body), zlib.crc32(body)) + body
 
 
-def _sync_dir(root: Path) -> None:
+def sync_dir(root: Path) -> None:
     """Make the renames and unlinks done in ``root`` so far durable."""
     fd = os.open(root, os.O_RDONLY)
     try:
@@ -95,7 +101,7 @@ def write_whole(path: Path, data: bytes) -> None:
         f.flush()
         os.fsync(f.fileno())
     os.replace(tmp, path)
-    _sync_dir(path.parent)
+    sync_dir(path.parent)
 
 
 def _is_snapshot(path: Path) -> bool:
@@ -136,6 +142,50 @@ def replay(root: Path) -> Iterator[tuple[bytes, int, int]]:
                 f.truncate(off)
 
 
+def walk(root: Path, head: int) -> Iterator[tuple[int, int, int, bytes]]:
+    """Yield ``(number, offset, size, first)`` for each frame in the segments
+    under ``root``, oldest first: the frame is the ``size`` bytes at
+    ``offset`` in segment ``number``, and ``first`` is the first ``head``
+    bytes of its body. Only those bytes and the frame's header are read, and
+    no CRC is checked. A zero length, a body shorter than ``head`` or a frame
+    that runs past its file is damage, handled as ``replay`` handles it: it
+    ends the newest segment, which is truncated there, and raises
+    CorruptStore in any other."""
+    segments = list_segments(root)
+    for i, path in enumerate(segments):
+        number = _number(path)
+        fd = os.open(path, os.O_RDONLY)
+        try:
+            size = os.fstat(fd).st_size
+            off = 0
+            while off + _HEADER.size + head <= size:
+                data = os.pread(fd, _HEADER.size + head, off)
+                length = _HEADER.unpack_from(data)[0]
+                end = off + _HEADER.size + length
+                if not length or length < head or end > size:
+                    break
+                yield number, off, end - off, data[_HEADER.size:]
+                off = end
+        finally:
+            os.close(fd)
+        if off != size:
+            if i != len(segments) - 1:
+                raise CorruptStore(f"damaged frame in {path.name} at byte {off}")
+            os.truncate(path, off)
+
+
+def read_frame(fd: int, offset: int, size: int) -> memoryview | None:
+    """The body of the ``size``-byte frame at ``offset`` in the file ``fd``,
+    read in one ``pread``, or None when the frame's length or CRC does not
+    check."""
+    data = os.pread(fd, size, offset)
+    if len(data) < _HEADER.size:
+        return None
+    length, crc = _HEADER.unpack_from(data)
+    body = memoryview(data)[_HEADER.size:]
+    return body if length == len(body) and zlib.crc32(body) == crc else None
+
+
 def _pwrite_all(fd: int, data: bytes, offset: int) -> None:
     """Write all of ``data`` at ``offset``, from where a short write stopped."""
     done = os.pwrite(fd, data, offset)
@@ -156,45 +206,56 @@ class LogWriter:
         segments = list_segments(root)
         self._switch(_number(segments[-1]) if segments else 1)
         if not segments:
-            _sync_dir(root)  # the first segment's name is durable before its first frame
+            sync_dir(root)  # the first segment's name is durable before its first frame
 
-    def append(self, body: bytes) -> None:
-        data = frame(body)
-        end = self._end + len(data)
+    def append(self, *bodies: bytes) -> tuple[int, int]:
+        """Frame ``bodies`` and append them in one write and, with fsync on,
+        one sync. Returns the segment number and the offset of the first
+        frame; the others follow it in the same segment."""
+        data = b"".join(map(frame, bodies))
+        start = self._end
+        end = start + len(data)
         try:
             if end <= self._allocated:
-                _pwrite_all(self._fd, data, self._end)
+                _pwrite_all(self._fd, data, start)
             else:
                 steps = -(-(end - self._allocated) // EXTEND_BYTES)
                 allocated = self._allocated + steps * EXTEND_BYTES
-                _pwrite_all(self._fd, data + bytes(allocated - end), self._end)
+                _pwrite_all(self._fd, data + bytes(allocated - end), start)
                 self._allocated = allocated
             if self.fsync:
                 os.fdatasync(self._fd)
         except OSError as exc:
-            # the frame is not the store's: cut it and the zeros away, so no
-            # reopen replays it and the next append starts here again
+            # the frames are not the store's: cut them and the zeros away, so
+            # no reopen replays them and the next append starts here again
             with contextlib.suppress(OSError):
-                os.ftruncate(self._fd, self._end)
-            self._allocated = self._end
+                os.ftruncate(self._fd, start)
+            self._allocated = start
             if exc.errno == errno.ENOSPC:
                 raise StorageFull("log device full") from exc
             raise
         self._end = end
+        number = self.number
         if end >= SEGMENT_ROLL_BYTES:
-            # the old segment ends at its last frame, durably, before the next exists
-            self._cut()
-            os.fsync(self._fd)
-            os.close(self._fd)
-            self._switch(self.number + 1)
-            _sync_dir(self.root)
+            self.roll()
+        return number, start
+
+    def roll(self) -> None:
+        """Append to a new segment from now on. The old one ends at its last
+        frame, durably, before the next exists, and the next one's name is
+        durable before its first frame."""
+        self._cut()
+        os.fsync(self._fd)
+        os.close(self._fd)
+        self._switch(self.number + 1)
+        sync_dir(self.root)
 
     def snapshot(self, bodies: Iterable[bytes]) -> None:
         """Write ``bodies``, an OP_SNAPSHOT marker's first, as the next
         segment, which the log then appends to, and unlink the older ones
         (the protocol in the module docstring). A device that fills up
         raises StorageFull, as an append does."""
-        path = _segment_path(self.root, self.number + 1)
+        path = segment_path(self.root, self.number + 1)
         tmp = path.with_name(path.name + ".tmp")
         try:
             with open(tmp, "wb") as f:
@@ -208,7 +269,7 @@ class LogWriter:
             raise
         kill_point("log.after_snapshot_sync")
         os.replace(tmp, path)
-        _sync_dir(self.root)  # the rename is durable before an old segment goes
+        sync_dir(self.root)  # the rename is durable before an old segment goes
         kill_point("log.after_snapshot_rename")
         os.close(self._fd)  # replay no longer reads the old segments
         self._switch(self.number + 1)
@@ -226,7 +287,7 @@ class LogWriter:
         """Append to segment ``number``, created if it does not exist, from
         now on."""
         self.number = number
-        self._fd = os.open(_segment_path(self.root, number), os.O_WRONLY | os.O_CREAT, 0o666)
+        self._fd = os.open(segment_path(self.root, number), os.O_WRONLY | os.O_CREAT, 0o666)
         self._end = self._allocated = os.fstat(self._fd).st_size
 
     def close(self) -> None:

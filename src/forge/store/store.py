@@ -5,7 +5,8 @@ Layout of a store directory:
     MANIFEST            magic, format version, inline threshold, index list
     LOCK                flock'd by the single writable process
     segment-NNNNNN.log  append-only document log (see log.py)
-    blobs/              chunk files, <blob_id>.<chunk_index> (see blob.py)
+    blobs/              the blob log: segment-NNNNNN.log files whose frames are
+                        blob chunks, made by the first blob put (see blob.py)
 
 Who owns what: the store owns records (what each body says, encoded and
 decoded by records.py) and the in-memory state they build. The log (log.py)
@@ -436,6 +437,7 @@ class Store:
                 return
             self._closed = True
             self._log.close()
+            self.blobs.close()
             self._release_lock()
 
     def _release_lock(self) -> None:

@@ -1,3 +1,4 @@
+import contextlib
 import hashlib
 import struct
 import sys
@@ -70,36 +71,79 @@ def make_engine(path, clock=None):
     return Forge(path, create=True, clock=clock or FakeClock(), fsync=False)
 
 
+def _frames(segment: Path):
+    """``(offset, body)`` of each intact frame of ``segment``, as replay
+    walks them, up to the first damaged one; cuts nothing."""
+    data, off = segment.read_bytes(), 0
+    while off + 8 <= len(data):
+        length, crc = struct.unpack_from("<II", data, off)
+        end = off + 8 + length
+        if not length or end > len(data) or zlib.crc32(data[off + 8:end]) != crc:
+            break
+        yield off, data[off + 8:end]
+        off = end
+
+
 def log_bytes(path) -> int:
     """The bytes of the intact frames in the segments of the store at
     ``path``. A live log keeps zeros ahead of its end, so its file sizes
     count more than were appended; this walks each segment's frames, as
     replay does, and cuts nothing."""
-    total = 0
-    for segment in list_segments(Path(path)):
-        data, off = segment.read_bytes(), 0
-        while off + 8 <= len(data):
-            length, crc = struct.unpack_from("<II", data, off)
-            end = off + 8 + length
-            if not length or end > len(data) or zlib.crc32(data[off + 8:end]) != crc:
-                break
-            off = end
-        total += off
-    return total
+    return sum(8 + len(body) for segment in list_segments(Path(path))
+               for _, body in _frames(segment))
+
+
+def stored_chunks(path) -> list[tuple[str, int]]:
+    """``(blob_id, index)`` of each intact frame in the blob log of the store
+    at ``path``, sorted; a chunk stored twice shows twice."""
+    return sorted((body[:16].hex(), int.from_bytes(body[16:20], "little"))
+                  for segment in list_segments(Path(path) / "blobs")
+                  for _, body in _frames(segment))
+
+
+def flip_stored_byte(store, blob_id: str, index: int, at: int) -> None:
+    """Flip one bit of byte ``at`` of chunk ``index``'s stored bytes, where
+    its frame lies in the blob log of the open ``store``."""
+    number, offset, _, _ = store.blobs._chunks[blob_id, index]
+    with open(store.path / "blobs" / f"segment-{number:06d}.log", "r+b") as f:
+        f.seek(offset + 8 + 28 + at)
+        byte = f.read(1)[0]
+        f.seek(-1, 1)
+        f.write(bytes([byte ^ 0x01]))
 
 
 def write_raw_blob(blobs: Path, data: bytes, chunk_size: int = 4096) -> BlobPointer:
-    """Write by hand, into a store's ``blobs/`` directory, the chunk files of
-    a ``CODEC_NONE`` blob (chunks stored raw) with ``chunk_size`` chunks, as
-    stores wrote them before every put used ``CODEC_ZLIB`` and one chunk size."""
+    """Write by hand, into the ``blobs/`` directory of a closed store, the
+    chunk files of a ``CODEC_NONE`` blob (chunks stored raw) with
+    ``chunk_size`` chunks, as stores wrote them before every put used
+    ``CODEC_ZLIB`` and one chunk size, one file per chunk; the next open
+    migrates them into the blob log."""
     checksum = hashlib.sha256(data).digest()
     ptr = BlobPointer(blob_id=blob_id_for(checksum, chunk_size, CODEC_NONE),
                       total_size=len(data), chunk_count=-(-len(data) // chunk_size),
                       chunk_size=chunk_size, codec_id=CODEC_NONE, checksum=checksum)
+    blobs.mkdir(exist_ok=True)
     for index in range(ptr.chunk_count):
         (blobs / f"{ptr.blob_id}.{index}").write_bytes(
             data[index * chunk_size:(index + 1) * chunk_size])
     return ptr
+
+
+@contextlib.contextmanager
+def over_transport_of(api, engine):
+    """``engine`` reached the way ``api`` reaches its own: in-process, or
+    over TCP."""
+    if isinstance(api, Forge):
+        yield engine
+        return
+    server = ForgeServer(engine, port=0)
+    server.start()
+    client = ForgeClient(*server.address)
+    try:
+        yield client
+    finally:
+        client.close()
+        server.stop()
 
 
 class AgentHarness:

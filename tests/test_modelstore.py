@@ -1,7 +1,5 @@
 """Model registry, versioned states, cache behavior, and the event log."""
 
-import contextlib
-
 import numpy as np
 import pytest
 
@@ -18,9 +16,8 @@ from forge.errors import (
 from forge.models import VERSION_PREFIX
 from forge.store import BlobPointer, Document, PutOp
 from forge.tensorio import encode_tensors
-from forge.wire import ForgeClient, ForgeServer
 
-from conftest import log_bytes
+from conftest import log_bytes, over_transport_of, stored_chunks
 
 MLP = {
     "input_dims": [3],
@@ -222,31 +219,10 @@ class TestVersions:
             assert reloaded[name].tobytes() == arr.tobytes()
 
 
-def _blob_files(engine) -> list:
-    return sorted((engine.store.path / "blobs").iterdir())
-
-
 def _assert_loads(api, version_id, tensors):
     loaded = api.load_state("mlp", version_id)
     assert {name: arr.tobytes() for name, arr in loaded.items()} == \
         {name: arr.tobytes() for name, arr in tensors.items()}
-
-
-@contextlib.contextmanager
-def _over_transport_of(api, engine):
-    """``engine`` reached the way ``api`` reaches its own: in-process, or
-    over TCP."""
-    if isinstance(api, Forge):
-        yield engine
-        return
-    server = ForgeServer(engine, port=0)
-    server.start()
-    client = ForgeClient(*server.address)
-    try:
-        yield client
-    finally:
-        client.close()
-        server.stop()
 
 
 class TestInlineStates:
@@ -260,12 +236,12 @@ class TestInlineStates:
         engine.store.inline_threshold = size
         inline = api.save_state("mlp", 1, tensors)
         assert inline.state is None
-        assert _blob_files(engine) == []
+        assert stored_chunks(engine.store.path) == []
         engine.store.inline_threshold = size - 1
         pointed = api.save_state("mlp", 2, tensors)
         assert isinstance(pointed.state, BlobPointer)
         assert pointed.state.total_size == size
-        assert len(_blob_files(engine)) == 1
+        assert len(stored_chunks(engine.store.path)) == 1
         assert [v.state for v in api.list_versions("mlp")] == [None, pointed.state]
         assert inline.version_id.split("-")[1] == pointed.version_id.split("-")[1]
         for version in (inline, pointed):
@@ -278,11 +254,11 @@ class TestInlineStates:
         assert version.state is None
         engine.compact()
         _assert_loads(api, version.version_id, tensors_for(1))
-        assert _blob_files(engine) == []
+        assert stored_chunks(engine.store.path) == []
         path = engine.store.path
         engine.close()
         with Forge(path, clock=FakeClock(), fsync=False) as reopened, \
-                _over_transport_of(api, reopened) as again:
+                over_transport_of(api, reopened) as again:
             assert [v.version_id for v in again.list_versions("mlp")] == [version.version_id]
             _assert_loads(again, version.version_id, tensors_for(1))
             assert reopened.model_cache_stats()["blob_reads"] == 1
@@ -312,7 +288,7 @@ class TestInlineStates:
         assert [(v.version_id, v.state) for v in api.list_versions("mlp")] == \
             [(version_id, ptr), (inline.version_id, None)]
         engine.compact()
-        assert [p.name for p in _blob_files(engine)] == [f"{ptr.blob_id}.0"]
+        assert stored_chunks(engine.store.path) == [(ptr.blob_id, 0)]
         assert [v.state for v in api.list_versions("mlp")] == [ptr, None]
         _assert_loads(api, version_id, tensors)
         _assert_loads(api, inline.version_id, tensors_for(1))

@@ -47,11 +47,12 @@ from forge.store import (
 )
 from forge.store import log as logio
 from forge.store import records
-from forge.store.blob import GC_GRACE_S, PROBE
+from forge.store.blob import GC_GRACE_S, PROBE, BlobStore
 from forge.store.log import frame, list_segments, replay
+from forge.store.types import blob_id_for
 from forge.tensorio import encode_tensors
 
-from conftest import log_bytes, write_raw_blob
+from conftest import flip_stored_byte, log_bytes, stored_chunks, write_raw_blob
 from oracles import StoreModel, brute_force_filter
 from test_records import DELETE_HEX, decoded, delete_body, log_bodies
 
@@ -884,7 +885,7 @@ class TestBlobs:
                     s.put_blob(b"x", *args)
             ptr = s.put_blob(b"x" * (CHUNK_SIZE + 1))
             assert (ptr.chunk_size, ptr.chunk_count, ptr.codec_id) == (CHUNK_SIZE, 2, CODEC_ZLIB)
-            assert sorted(os.listdir(s.blobs.root)) == [f"{ptr.blob_id}.0", f"{ptr.blob_id}.1"]
+            assert stored_chunks(s.path) == [(ptr.blob_id, 0), (ptr.blob_id, 1)]
 
     def test_unknown_blob_id(self, tmp_path):
         with make_store(tmp_path / "s", create=True) as s:
@@ -906,7 +907,7 @@ class TestBlobs:
             assert ptr == BlobPointer(blob_id=blob_id, total_size=len(data), chunk_count=3,
                                       chunk_size=256 * 1024, codec_id=CODEC_ZLIB,
                                       checksum=bytes.fromhex(checksum))
-            assert sorted(os.listdir(s.blobs.root)) == [f"{blob_id}.{i}" for i in range(3)]
+            assert stored_chunks(s.path) == [(blob_id, i) for i in range(3)]
             assert [hashlib.sha256(s.blobs.read_chunk(blob_id, i)).hexdigest()
                     for i in range(3)] == chunks
             assert s.get_blob(ptr) == data
@@ -918,14 +919,16 @@ class TestBlobs:
         (codec 0, 4 KiB chunks)."""
         rng = random.Random(13)
         data = rng.randbytes(600_000 if codec else 50_000)
-        with make_store(tmp_path / "s", create=True) as s:
-            ptr = s.put_blob(data) if codec else write_raw_blob(s.blobs.root, data)
+        path = tmp_path / "s"
+        make_store(path, create=True).close()
+        ptr = None if codec else write_raw_blob(path / "blobs", data)
+        with make_store(path) as s:
+            ptr = ptr or s.put_blob(data)
             assert ptr.codec_id == codec and ptr.chunk_count > 1
             assert s.get_blob(ptr) == data
-            chunk_path = s.blobs._chunk_path(ptr.blob_id, rng.randrange(ptr.chunk_count))
-            raw = bytearray(chunk_path.read_bytes())
-            raw[rng.randrange(len(raw))] ^= 0x01
-            chunk_path.write_bytes(bytes(raw))
+            index = rng.randrange(ptr.chunk_count)
+            size = len(s.blobs.read_chunk(ptr.blob_id, index))
+            flip_stored_byte(s, ptr.blob_id, index, rng.randrange(size))
             with pytest.raises(ChecksumMismatch):
                 s.get_blob(ptr)
 
@@ -980,11 +983,13 @@ class TestBlobStoredForm:
 
     def test_random_chunks_are_stored_blocks_and_parent_chunks_still_read(self, tmp_path):
         data = random.Random(21).randbytes(2 * self.CHUNK + 100)
-        with make_store(tmp_path / "s", create=True) as s:
+        path = tmp_path / "s"
+        with make_store(path, create=True) as s:
             ptr, stored = self._stored(s, data)
             assert stored == self._want(data, 0, 0, 0)
-            for index, raw in enumerate(self._want(data, 6, 6, 6)):  # as level 6 always wrote
-                s.blobs._chunk_path(ptr.blob_id, index).write_bytes(raw)
+        for index, raw in enumerate(self._want(data, 6, 6, 6)):  # as level 6 always wrote
+            (path / "blobs" / f"{ptr.blob_id}.{index}").write_bytes(raw)
+        with make_store(path) as s:
             assert s.get_blob(ptr) == data
 
     @pytest.mark.parametrize("tail,level", [(bytes(1000), 6), (b"\x07", 0)],
@@ -1005,10 +1010,13 @@ class TestBlobStoredForm:
     ], ids=["payload", "len", "nlen", "trailer", "block"])
     def test_a_damaged_stored_block_raises_checksum_mismatch(self, tmp_path, damage):
         data = random.Random(23).randbytes(8192)  # one chunk, short of CHUNK
-        with make_store(tmp_path / "s", create=True) as s:
+        path = tmp_path / "s"
+        with make_store(path, create=True) as s:
             ptr, [stored] = self._stored(s, data)
             assert stored[2] == 0x01  # one final stored block: LEN, NLEN, then the bytes
-            s.blobs._chunk_path(ptr.blob_id, 0).write_bytes(damage(stored))
+        # written damaged, as a chunk file the next open migrates: its frame's CRC checks
+        (path / "blobs" / f"{ptr.blob_id}.0").write_bytes(damage(stored))
+        with make_store(path) as s:
             with pytest.raises(ChecksumMismatch):
                 s.get_blob(ptr)
 
@@ -1042,15 +1050,20 @@ def _abandon(s: Store) -> None:
     """Close the files a store killed mid-operation left open, as its
     process's death would, writing nothing."""
     os.close(s._log._fd)
+    if s.blobs._log is not None:
+        os.close(s.blobs._log._fd)
+    for fd in s.blobs._readers.values():
+        os.close(fd)
     s._lock_file.close()
 
 
 def _age_chunks(s: Store, *ptrs: BlobPointer) -> None:
-    """Set the chunk files of ``ptrs`` older than the collector's grace window."""
+    """Set the chunks of ``ptrs`` older than the collector's grace window."""
     old = time.time() - GC_GRACE_S - 60
     for ptr in ptrs:
         for index in range(ptr.chunk_count):
-            os.utime(s.blobs._chunk_path(ptr.blob_id, index), (old, old))
+            key = (ptr.blob_id, index)
+            s.blobs._chunks[key] = s.blobs._chunks[key][:3] + (old,)
 
 
 class TestCompaction:
@@ -1077,9 +1090,9 @@ class TestCompaction:
             s.put(Document(key="keeper", payload=live))
             orphan = s.put_blob(b"orphan" * 100_000)
             _age_chunks(s, live, orphan)
-            assert len(os.listdir(path / "blobs")) > live.chunk_count
+            assert len(stored_chunks(path)) > live.chunk_count
             s.compact()
-            assert len(os.listdir(path / "blobs")) == live.chunk_count
+            assert len(stored_chunks(path)) == live.chunk_count
             assert s.get_blob(live) == b"live" * 100_000
 
     def test_compaction_preserves_uncommitted_stage(self, tmp_path):
@@ -1252,6 +1265,321 @@ _batch_docs = st.lists(st.tuples(st.sampled_from(BATCH_KEYS),
 _batch_ops = st.one_of(
     st.tuples(st.just("put"), _batch_docs, st.sampled_from([None, *BATCH_GROUPS])),
     st.tuples(st.just("commit"), st.sampled_from(BATCH_GROUPS)))
+
+
+class _Crash(BaseException):
+    """Stands for the death of the process at the step that raises it."""
+
+
+def _crash_on_unlink(monkeypatch, nth: int) -> None:
+    """Make the ``nth`` ``Path.unlink`` in a ``blobs/`` directory from now
+    on raise _Crash."""
+    real, calls = Path.unlink, []
+
+    def unlink(self, *args, **kwargs):
+        if self.parent.name == "blobs":
+            calls.append(self.name)
+            if len(calls) == nth:
+                raise _Crash(self.name)
+        return real(self, *args, **kwargs)
+    monkeypatch.setattr(Path, "unlink", unlink)
+
+
+def _zlib_chunk_file(blobs: Path, data: bytes) -> BlobPointer:
+    """Write by hand the one chunk file of a ``CODEC_ZLIB`` blob, as a store
+    wrote it before the blob log."""
+    checksum = hashlib.sha256(data).digest()
+    ptr = BlobPointer(blob_id=blob_id_for(checksum, CHUNK_SIZE, CODEC_ZLIB),
+                      total_size=len(data), chunk_count=1, chunk_size=CHUNK_SIZE,
+                      codec_id=CODEC_ZLIB, checksum=checksum)
+    (blobs / f"{ptr.blob_id}.0").write_bytes(zlib.compress(data, 6))
+    return ptr
+
+
+class TestBlobLog:
+    """Blob chunks are frames of an append-only log under ``blobs/``."""
+
+    def test_a_store_without_blobs_does_nothing_new_at_open(self, tmp_path, monkeypatch):
+        """No blob log exists before the first blob put, and opening a store
+        that holds no blob walks and writes nothing in ``blobs/``: with no
+        such directory, and with the empty one older stores made."""
+        path = tmp_path / "s"
+        with make_store(path, create=True) as s:
+            s.put(doc("a"))
+            s.compact()
+        assert not (path / "blobs").exists()
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the blob log was touched")
+        monkeypatch.setattr(logio, "walk", forbidden)
+        monkeypatch.setattr(BlobStore, "_migrate", forbidden)
+        monkeypatch.setattr(BlobStore, "_writer", forbidden)
+        for _ in range(2):
+            with make_store(path) as s:
+                assert s.exists("a")
+            (path / "blobs").mkdir(exist_ok=True)
+        assert os.listdir(path / "blobs") == []
+
+    def test_a_blob_put_is_one_write_and_one_sync(self, tmp_path, monkeypatch):
+        """A put appends the frames of all its chunks in one write and one
+        fdatasync. The directory is fsynced only when a blob segment is
+        created or removed: the first put fsyncs the store directory (for
+        ``blobs/``) and ``blobs/`` (for its segment), a later put neither."""
+        path = tmp_path / "s"
+        calls = []
+
+        def recording(name, label):
+            real = getattr(os, name)
+
+            def call(*args, **kwargs):
+                calls.append(label(*args))
+                return real(*args, **kwargs)
+            monkeypatch.setattr(os, name, call)
+
+        with make_store(path, create=True, fsync=True) as s:
+            recording("fsync", lambda fd: "fsync " + (
+                Path(os.readlink(f"/proc/self/fd/{fd}")).name
+                if stat.S_ISDIR(os.fstat(fd).st_mode) else "file"))
+            recording("fdatasync", lambda fd: "fdatasync")
+            recording("pwrite", lambda fd, data, offset: "pwrite")
+            recording("write", lambda fd, data: "write")
+            first = s.put_blob(b"first")
+            assert calls == ["fsync s", "fsync blobs", "pwrite", "fdatasync"]
+            calls.clear()
+            data = random.Random(38).randbytes(3 * CHUNK_SIZE + 10)
+            ptr = s.put_blob(data)
+            assert ptr.chunk_count == 4 and calls == ["pwrite", "fdatasync"]
+            calls.clear()
+            assert s.put_blob(data) == ptr and calls == []  # a dedupe hit writes nothing
+            assert s.get_blob(ptr) == data and s.get_blob(first) == b"first"
+
+    def test_an_acknowledged_blob_survives_an_abandoned_store(self, tmp_path):
+        path = tmp_path / "s"
+        data = random.Random(31).randbytes(40_000)
+        s = make_store(path, create=True, fsync=True)
+        ptr = s.put_blob(data)
+        s.put(Document(key="d", payload=ptr))
+        _abandon(s)
+        with make_store(path) as s:
+            assert s.get_blob(s.get("d").payload) == data
+
+    @pytest.mark.parametrize("tail", ["mid-frame", "zero-header"])
+    def test_a_torn_blob_tail_is_cut_and_the_blob_puts_again(self, tmp_path, tail):
+        """The newest blob segment cut inside its last frame, or ending in a
+        zero header, is cut back at open; the blobs before read, and the
+        torn one is stored again by its next put. The same damage in an
+        older segment raises CorruptStore."""
+        path = tmp_path / "s"
+        first, torn = (random.Random(seed).randbytes(40_000) for seed in (32, 33))
+        with make_store(path, create=True) as s:
+            a = s.put_blob(first)
+        [segment] = list_segments(path / "blobs")
+        size = segment.stat().st_size
+        with make_store(path) as s:
+            b = s.put_blob(torn)
+        intact = segment.read_bytes()
+        damaged = intact[:size + 100] if tail == "mid-frame" else intact[:size] + bytes(100)
+        segment.write_bytes(damaged)
+        with make_store(path) as s:
+            assert segment.stat().st_size == size
+            assert s.get_blob(a) == first
+            with pytest.raises(NotFound):
+                s.get_blob(b)
+            assert s.put_blob(torn) == b and s.get_blob(b) == torn
+        with make_store(path) as s:
+            assert s.get_blob(a) == first and s.get_blob(b) == torn
+        segment.write_bytes(damaged)
+        (path / "blobs" / "segment-000002.log").write_bytes(b"")
+        with pytest.raises(CorruptStore):
+            make_store(path)
+
+    def test_a_put_over_a_damaged_chunk_writes_it_again(self, tmp_path):
+        """A dedupe hit checks the stored frames: a put of a blob whose
+        stored chunk is damaged writes that chunk again, and only that one."""
+        data = random.Random(36).randbytes(CHUNK_SIZE + 5000)
+        path = tmp_path / "s"
+        with make_store(path, create=True) as s:
+            ptr = s.put_blob(data)
+            flip_stored_byte(s, ptr.blob_id, 1, 10)
+            with pytest.raises(ChecksumMismatch):
+                s.get_blob(ptr)
+            before = sum(s.blobs._chunks[ptr.blob_id, i][2] for i in range(2))
+            assert s.put_blob(data) == ptr
+            assert s.get_blob(ptr) == data
+        with make_store(path) as s:
+            assert s.get_blob(ptr) == data
+            [segment] = list_segments(path / "blobs")
+            assert segment.stat().st_size == before + s.blobs._chunks[ptr.blob_id, 1][2]
+
+    @pytest.mark.parametrize("written", [0, 30], ids=["at-once", "short-write"])
+    def test_a_full_device_during_a_blob_put_stores_nothing(self, tmp_path, monkeypatch,
+                                                           written):
+        """A blob put onto a full device raises StorageFull, also after a
+        short write, and leaves no byte of its frames; the next put, with
+        space back, succeeds and reads back."""
+        path = tmp_path / "s"
+        real = os.pwrite
+        calls = []
+
+        def full_once(fd, data, offset):
+            calls.append(len(data))
+            if len(calls) == 1 and written:
+                return real(fd, data[:written], offset)
+            if len(calls) == (2 if written else 1):
+                raise OSError(errno.ENOSPC, "No space left on device")
+            return real(fd, data, offset)
+
+        first = random.Random(34).randbytes(40_000)
+        big = random.Random(35).randbytes(CHUNK_SIZE + 1000)  # two chunks, one write
+        with make_store(path, create=True) as s:
+            a = s.put_blob(first)
+            size = log_bytes(path / "blobs")
+            monkeypatch.setattr(os, "pwrite", full_once)
+            with pytest.raises(StorageFull):
+                s.put_blob(big)
+            assert log_bytes(path / "blobs") == list_segments(path / "blobs")[-1].stat().st_size \
+                == size
+            assert stored_chunks(path) == [(a.blob_id, 0)]
+            ptr = s.put_blob(big)
+            assert s.get_blob(ptr) == big
+        with make_store(path) as s:
+            assert s.get_blob(a) == first and s.get_blob(ptr) == big
+            assert stored_chunks(path) == sorted([(a.blob_id, 0), (ptr.blob_id, 0),
+                                                  (ptr.blob_id, 1)])
+
+    def test_chunk_files_of_the_old_layout_migrate_at_open(self, tmp_path):
+        """A CODEC_ZLIB chunk file, a CODEC_NONE blob of 4 KiB chunks and a
+        stray ``.tmp``, written into a closed store, are frames after the
+        open, and no file of theirs remains. A migrated chunk is as old as
+        its file was: an unreferenced old one goes at the next compaction,
+        a young one stays. A second open migrates nothing."""
+        path = tmp_path / "s"
+        make_store(path, create=True).close()
+        blobs = path / "blobs"
+        blobs.mkdir()
+        zdata, raw = _compressible_payload()[:100_000], random.Random(37).randbytes(10_000)
+        zptr = _zlib_chunk_file(blobs, zdata)
+        rptr = write_raw_blob(blobs, raw)
+        (blobs / f"{zptr.blob_id}.1.tmp").write_bytes(b"half a chunk")
+        old_orphan = write_raw_blob(blobs, b"old" * 3000)
+        young_orphan = write_raw_blob(blobs, b"young" * 3000)
+        old = time.time() - GC_GRACE_S - 60
+        for index in range(old_orphan.chunk_count):
+            os.utime(blobs / f"{old_orphan.blob_id}.{index}", (old, old))
+        with make_store(path) as s:
+            assert os.listdir(blobs) == ["segment-000001.log"]
+            assert s.get_blob(zptr) == zdata and s.get_blob(rptr) == raw
+            assert s.blobs.read_chunk(zptr.blob_id, 0) == zlib.compress(zdata, 6)
+            s.put(Document(key="z", payload=zptr))
+            s.put(Document(key="r", payload=rptr))
+        migrated = (blobs / "segment-000001.log").read_bytes()
+        with make_store(path) as s:
+            assert os.listdir(blobs) == ["segment-000001.log"]
+            assert (blobs / "segment-000001.log").read_bytes() == migrated
+            s.compact()
+            assert s.get_blob(zptr) == zdata and s.get_blob(rptr) == raw
+            assert s.get_blob(young_orphan) == b"young" * 3000
+            with pytest.raises(NotFound):
+                s.get_blob(old_orphan)
+
+    @pytest.mark.parametrize("nth", [1, 2, 4])
+    def test_a_crash_during_migration_reopens_cleanly(self, tmp_path, monkeypatch, nth):
+        """An open killed after the migrated frames are synced, before or
+        among the unlinks of the chunk files, leaves a store whose next open
+        migrates what is left; its duplicate frames resolve to the newest."""
+        path = tmp_path / "s"
+        make_store(path, create=True).close()
+        data = random.Random(39).randbytes(12_000)
+        ptr = write_raw_blob(path / "blobs", data)
+        (path / "blobs" / f"{ptr.blob_id}.0.tmp").write_bytes(b"x")
+        with monkeypatch.context() as patched:
+            _crash_on_unlink(patched, nth)
+            with pytest.raises(_Crash):
+                make_store(path)
+        with make_store(path) as s:
+            assert s.get_blob(ptr) == data
+            assert [p.name for p in (path / "blobs").iterdir()] == ["segment-000001.log"]
+            stored = stored_chunks(path)
+            assert set(stored) == {(ptr.blob_id, i) for i in range(ptr.chunk_count)}
+            assert len(stored) <= 2 * ptr.chunk_count
+
+    def test_a_cleaned_segment_goes_and_compaction_copies_no_more_than_it_frees(self,
+                                                                              tmp_path):
+        """A segment whose garbage is at least half its bytes has its kept
+        frames appended to a new active segment and is unlinked; one with
+        less garbage stays as it is."""
+        path = tmp_path / "s"
+        keep = random.Random(40).randbytes(100_000)
+        with make_store(path, create=True) as s:
+            live = s.put_blob(keep)
+            s.put(Document(key="live", payload=live))
+            small = s.put_blob(random.Random(41).randbytes(90_000))
+            _age_chunks(s, small)
+            s.compact()  # garbage under half: nothing moves
+            assert [p.name for p in list_segments(path / "blobs")] == ["segment-000001.log"]
+            assert stored_chunks(path) == sorted([(live.blob_id, 0), (small.blob_id, 0)])
+            big = s.put_blob(random.Random(42).randbytes(200_000))
+            _age_chunks(s, big)
+            s.compact()
+            assert [p.name for p in list_segments(path / "blobs")] == ["segment-000002.log"]
+            assert stored_chunks(path) == [(live.blob_id, 0)]
+            assert log_bytes(path / "blobs") == 8 + 28 + len(s.blobs.read_chunk(live.blob_id, 0))
+            assert s.get_blob(live) == keep
+            with pytest.raises(NotFound):
+                s.get_blob(small)
+        with make_store(path) as s:
+            assert s.get_blob(live) == keep
+
+    def test_a_crash_inside_a_cleaning_loses_nothing(self, tmp_path, monkeypatch):
+        """A compaction killed after the kept frames are copied and before
+        their old segment goes reopens with every kept blob, and the next
+        compaction finishes the cleaning."""
+        path = tmp_path / "s"
+        keep = random.Random(43).randbytes(50_000)
+        s = make_store(path, create=True)
+        live = s.put_blob(keep)
+        s.put(Document(key="live", payload=live))
+        orphan = s.put_blob(random.Random(44).randbytes(80_000))
+        _age_chunks(s, orphan)
+        with monkeypatch.context() as patched:
+            _crash_on_unlink(patched, 1)
+            with pytest.raises(_Crash):
+                s.compact()
+        _abandon(s)
+        assert len(list_segments(path / "blobs")) == 2
+        with make_store(path) as s:
+            assert s.get_blob(live) == keep
+            assert s.blobs._chunks[live.blob_id, 0][0] == 2  # the copy is the newest
+            _age_chunks(s, orphan)
+            s.compact()
+            assert stored_chunks(path) == [(live.blob_id, 0)]
+            assert s.get_blob(live) == keep
+
+    def test_a_refresh_survives_a_cleaning_but_not_a_restart(self, tmp_path):
+        """A re-put makes an old unreferenced chunk young in memory; a
+        cleaning that copies it keeps it young, and a reopen reads the
+        written time its frame holds."""
+        path = tmp_path / "s"
+        data = random.Random(45).randbytes(20_000)
+        with make_store(path, create=True) as s:
+            ptr = s.put_blob(data)
+            _age_chunks(s, ptr)
+            assert s.put_blob(data) == ptr  # young again, in memory
+            gone = s.put_blob(random.Random(46).randbytes(60_000))
+            _age_chunks(s, gone)
+            s.compact()  # the segment is cleaned and the young chunk copied
+            assert s.get_blob(ptr) == data
+        with make_store(path) as s:
+            s.compact()
+            assert s.get_blob(ptr) == data  # the copy carries the refreshed time
+            _age_chunks(s, ptr)
+        with make_store(path) as s:
+            s.compact()
+            assert s.get_blob(ptr) == data  # the age set in memory did not persist
+            _age_chunks(s, ptr)
+            s.compact()
+            with pytest.raises(NotFound):
+                s.get_blob(ptr)
 
 
 def _batch(spec, step: int) -> list:

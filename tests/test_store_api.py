@@ -4,8 +4,10 @@ fixture runs every test here against the local engine and the TCP client)."""
 import random
 
 import pytest
-from conftest import write_raw_blob
+from conftest import make_engine, over_transport_of, write_raw_blob
 
+from forge.clock import FakeClock
+from forge.engine import Forge
 from forge.errors import (
     ChecksumMismatch,
     DuplicateKey,
@@ -132,14 +134,19 @@ class TestBlobs:
         with pytest.raises((NotFound, ChecksumMismatch)):
             api.get_blob(ghost)
 
-    def test_a_raw_blob_an_older_store_wrote_still_reads(self, api, engine):
+    def test_a_raw_blob_an_older_store_wrote_still_reads(self, api, tmp_path):
         """Chunk files of a CODEC_NONE blob with 4 KiB chunks, written by
-        hand, and a document that points to them read back in full."""
+        hand into a closed store, and a document that points to them read
+        back in full."""
         data = random.Random(4).randbytes(10_000)
-        ptr = write_raw_blob(engine.store.blobs.root, data)
+        path = tmp_path / "old"
+        make_engine(path).close()
+        ptr = write_raw_blob(path / "blobs", data)
         assert (ptr.codec_id, ptr.chunk_size, ptr.chunk_count) == (CODEC_NONE, 4096, 3)
-        api.put_document(doc("old", ptr))
-        assert api.get_blob(api.get_document("old").payload) == data
+        with Forge(path, clock=FakeClock(), fsync=False) as old, \
+                over_transport_of(api, old) as again:
+            again.put_document(doc("old", ptr))
+            assert again.get_blob(again.get_document("old").payload) == data
 
     def test_identical_content_dedupes(self, api):
         a = api.put_blob(b"same" * 1000)

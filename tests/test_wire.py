@@ -18,7 +18,7 @@ from pathlib import Path
 
 import click
 import pytest
-from conftest import log_bytes, make_engine, write_raw_blob
+from conftest import flip_stored_byte, log_bytes, make_engine, stored_chunks, write_raw_blob
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -249,7 +249,7 @@ def test_put_blob_chunk_size_bounds(api, engine, chunk_size):
     for args, kwargs in [((chunk_size,), {}), ((), {"chunk_size": chunk_size})]:
         with pytest.raises(TypeError):
             api.put_blob(b"x" * 100, *args, **kwargs)
-    assert list(engine.store.blobs.root.iterdir()) == []
+    assert stored_chunks(engine.store.path) == []
 
 
 @pytest.mark.parametrize("seed", [0, 1])
@@ -257,26 +257,31 @@ def test_wire_and_local_put_blob_store_the_same_blob(wire_pair, seed):
     engine, _, client = wire_pair
     data = random.Random(seed).randbytes(5 * 256 * 1024 + 17)  # 6 chunks
     remote = client.put_blob(data)
-    chunks = sorted(p.name for p in engine.store.blobs.root.iterdir())
+    chunks = stored_chunks(engine.store.path)
     assert remote == engine.put_blob(data)
     assert remote.chunk_count == 6 and len(chunks) == 6
-    assert sorted(p.name for p in engine.store.blobs.root.iterdir()) == chunks
+    assert stored_chunks(engine.store.path) == chunks
     assert client.get_blob(remote) == engine.get_blob(remote) == data
 
 
-def test_corrupted_chunk_read_over_the_wire_raises(wire_pair):
+def test_corrupted_chunk_read_over_the_wire_raises(tmp_path):
     """A flipped byte in a raw chunk that an older store wrote surfaces as
     ChecksumMismatch over the wire too."""
-    engine, _, client = wire_pair
+    path = tmp_path / "store"
+    make_engine(path).close()
     data = random.Random(5).randbytes(50_000)
-    ptr = write_raw_blob(engine.store.blobs.root, data)
-    assert client.get_blob(ptr) == data
-    path = engine.store.blobs._chunk_path(ptr.blob_id, 3)
-    raw = bytearray(path.read_bytes())
-    raw[100] ^= 0x01
-    path.write_bytes(bytes(raw))
-    with pytest.raises(ChecksumMismatch):
-        client.get_blob(ptr)
+    ptr = write_raw_blob(path / "blobs", data)
+    with Forge(path, clock=FakeClock(), fsync=False) as engine:
+        server = ForgeServer(engine, port=0)
+        server.start()
+        try:
+            with ForgeClient(*server.address) as client:
+                assert client.get_blob(ptr) == data
+                flip_stored_byte(engine.store, ptr.blob_id, 3, 100)
+                with pytest.raises(ChecksumMismatch):
+                    client.get_blob(ptr)
+        finally:
+            server.stop()
 
 
 def test_wire_blob_write_waits_for_the_engine_lock(wire_pair):
@@ -289,10 +294,55 @@ def test_wire_blob_write_waits_for_the_engine_lock(wire_pair):
                                                   done.set()))
         thread.start()
         assert not done.wait(0.5)
-        assert list(engine.store.blobs.root.iterdir()) == []
+        assert stored_chunks(engine.store.path) == []
     thread.join(10)
     assert done.is_set() and not thread.is_alive()
-    assert len(list(engine.store.blobs.root.iterdir())) == 3
+    assert len(stored_chunks(engine.store.path)) == 3
+
+
+def test_blob_reads_run_beside_compactions_that_clean_their_segment(wire_pair):
+    """One thread reads a live blob in-process, another over the wire
+    (``BLOB_GET_CHUNK``), neither under the engine lock, while each
+    compaction cleans the segment that holds it: every read returns the
+    blob's bytes."""
+    engine, _, client = wire_pair
+    data = random.Random(50).randbytes(300_000)  # two chunks
+    ptr = engine.put_blob(data)
+    engine.put_document(Document(key="keeper", payload=ptr))
+    stop, errors, reads = threading.Event(), [], [0, 0]
+
+    def reader(slot, get_blob):
+        try:
+            while not stop.is_set():
+                assert get_blob(ptr) == data
+                reads[slot] += 1
+        except BaseException as exc:  # noqa: BLE001 - collected for the assert
+            errors.append(exc)
+
+    threads = [threading.Thread(target=reader, args=(0, engine.get_blob)),
+               threading.Thread(target=reader, args=(1, client.get_blob))]
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    for thread in threads:
+        thread.start()
+    homes = set()
+    try:
+        for i in range(30):
+            orphan = engine.put_blob(random.Random(100 + i).randbytes(400_000))
+            chunks = engine.store.blobs._chunks
+            for index in range(orphan.chunk_count):
+                chunks[orphan.blob_id, index] = chunks[orphan.blob_id, index][:3] + (0.0,)
+            engine.compact()
+            homes.add(chunks[ptr.blob_id, 0][0])
+    finally:
+        stop.set()
+        for thread in threads:
+            thread.join(10)
+        sys.setswitchinterval(switch)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == [] and min(reads) > 0
+    assert len(homes) == 30  # every compaction moved the blob to a new segment
+    assert stored_chunks(engine.store.path) == [(ptr.blob_id, 0), (ptr.blob_id, 1)]
 
 
 def test_uploads_end_with_their_connection(wire_pair):
@@ -358,7 +408,7 @@ def test_put_blob_rejects_an_unknown_codec(api, engine, codec_id):
     for args, kwargs in [((4096, codec_id), {}), ((), {"codec_id": codec_id})]:
         with pytest.raises(TypeError):
             api.put_blob(b"x" * 100, *args, **kwargs)
-    assert list(engine.store.blobs.root.iterdir()) == []
+    assert stored_chunks(engine.store.path) == []
 
 
 # --- typed head arguments --------------------------------------------------------
