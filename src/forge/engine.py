@@ -46,8 +46,8 @@ the same arguments and callers cannot tell them apart. ``compact`` and
 from __future__ import annotations
 
 import threading
-
-import numpy as np
+from collections.abc import Mapping
+from typing import TYPE_CHECKING
 
 from forge.clock import Clock, SystemClock
 from forge.dataset import BatchCursor, DatasetManager, StreamController
@@ -64,6 +64,11 @@ from forge.store import (
 )
 from forge.store.store import FORMAT_VERSION
 from forge.workflow import DEFAULT_MAX_ATTEMPTS, Task, WorkflowManager
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from forge.tensorio import Tensors
 
 
 class Forge:
@@ -179,14 +184,16 @@ class Forge:
     def list_models(self) -> list[str]:
         return self.models.list_models()
 
-    def save_state(self, model_key: str, step: int, tensors: dict[str, np.ndarray],
+    def save_state(self, model_key: str, step: int, tensors: Mapping[str, np.ndarray],
                    metrics: dict | None = None, parent_version: str | None = None, *,
                    events: list[tuple[int, str, float]] = ()):
         with self._lock:
             return self.models.save_state(model_key, step, tensors, metrics,
                                           parent_version, events=events)
 
-    def load_state(self, model_key: str, selector: str = "latest"):
+    def load_state(self, model_key: str, selector: str = "latest") -> Tensors:
+        """The version's state as a read-only mapping over its stored bytes:
+        each array is decoded on its first read, ``raw`` is the bytes."""
         return self.models.load_state(model_key, selector)
 
     def list_versions(self, model_key: str):

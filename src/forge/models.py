@@ -1,9 +1,13 @@
 """Model registry: immutable architecture specs, versioned parameter states,
 and the append-only event log.
 
-A version's state is its ``tensorio`` encoding. When the encoding is no
-longer than the store's ``inline_threshold``, it is the version document's
-payload, so a save is one durable log frame. A larger state goes to the blob
+A version's state is its ``tensorio`` encoding, stored as received: a
+``Tensors`` container passes through ``save_state`` unchanged once its
+header is checked and its names and shapes match the model's spec, and
+``load_state`` returns a container over the stored bytes, so neither
+decodes an array. When the encoding is no longer than the store's
+``inline_threshold``, it is the version document's payload, so a save is
+one durable log frame. A larger state goes to the blob
 store and the payload is its pointer, so compaction's pointer-occurrence
 refcounting keeps state blobs alive for free. An inline state stays in memory
 with its document, as every inline payload does: at most ``inline_threshold``
@@ -21,9 +25,9 @@ import hashlib
 import json
 import re
 from collections import OrderedDict
+from collections.abc import Mapping
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from forge.errors import (
     DuplicateKey,
@@ -33,17 +37,19 @@ from forge.errors import (
     VersionNotFound,
 )
 from forge.nn import layers as nnlayers
-from forge.nn import network as nnet
 from forge.query import TagScalar
 from forge.store import BlobPointer, Document, PutOp, Store
 from forge.store.types import validate_tags
-from forge.tensorio import decode_tensors, encode_tensors
+from forge.tensorio import Tensors, decode_tensors, encode_tensors
+
+if TYPE_CHECKING:
+    import numpy as np
 
 MODEL_PREFIX = "__sys/model/"
 VERSION_PREFIX = "__sys/modelver/"
 EVENT_PREFIX = "__sys/event/"
 
-CACHE_BYTES = 256 * 1024 * 1024  # decoded states kept for load_state
+CACHE_BYTES = 256 * 1024 * 1024  # encoded states kept for load_state
 _METRIC_TAG = "m."
 # a version id as save_state makes it; its step names the version's key
 _VERSION_ID = re.compile(r"s(0|[1-9][0-9]*)-[0-9a-f]{8}")
@@ -82,39 +88,34 @@ class ModelEvent:
 
 
 class _TensorCache:
-    """Bounded LRU over deserialized states, sized by tensor bytes."""
+    """Bounded LRU over encoded states, sized by their bytes. Each load gets
+    a fresh container over the kept bytes, so no caller sees another's
+    decoded arrays."""
 
     def __init__(self, capacity_bytes: int):
         self.capacity = capacity_bytes
-        self.entries: OrderedDict[tuple[str, str], dict[str, np.ndarray]] = OrderedDict()
+        self.entries: OrderedDict[tuple[str, str], bytes] = OrderedDict()
         self.bytes = 0
         self.hits = 0
         self.misses = 0
 
-    @staticmethod
-    def _size(tensors: dict[str, np.ndarray]) -> int:
-        return sum(t.nbytes for t in tensors.values())
-
-    def get(self, key):
-        entry = self.entries.get(key)
-        if entry is None:
+    def get(self, key) -> Tensors | None:
+        raw = self.entries.get(key)
+        if raw is None:
             self.misses += 1
             return None
         self.hits += 1
         self.entries.move_to_end(key)
-        return {name: arr.copy() for name, arr in entry.items()}
+        return decode_tensors(raw)
 
-    def put(self, key, tensors) -> None:
-        size = self._size(tensors)
-        if size > self.capacity:
+    def put(self, key, raw: bytes) -> None:
+        if len(raw) > self.capacity or key in self.entries:
             return
-        if key in self.entries:
-            return
-        self.entries[key] = {name: arr.copy() for name, arr in tensors.items()}
-        self.bytes += size
+        self.entries[key] = raw
+        self.bytes += len(raw)
         while self.bytes > self.capacity and self.entries:
             _, evicted = self.entries.popitem(last=False)
-            self.bytes -= self._size(evicted)
+            self.bytes -= len(evicted)
 
 
 class ModelStore:
@@ -157,22 +158,25 @@ class ModelStore:
 
     # -- versioned states ----------------------------------------------------
 
-    def save_state(self, model_key: str, step: int, tensors: dict[str, np.ndarray],
+    def save_state(self, model_key: str, step: int, tensors: Mapping[str, np.ndarray],
                    metrics: dict[str, TagScalar] | None = None,
                    parent_version: str | None = None, *,
                    events: list[tuple[int, str, float]] = ()) -> ModelVersion:
         """Save a version; ``events`` are (step, name, value) triples recorded
         in the same log frame, and only when the version is new, so a
-        replayed save records them once. A state whose encoding fits the
-        store's ``inline_threshold`` is that frame's version payload; a
-        larger one is put as a blob first."""
+        replayed save records them once. ``tensors`` is encoded once (a
+        ``Tensors`` is its bytes), and the names and shapes in the
+        encoding's header must be the spec's parameters. A state whose
+        encoding fits the store's ``inline_threshold`` is that frame's
+        version payload; a larger one is put as a blob first."""
         record = self.get_model(model_key)
         if not 0 <= step <= _MAX_STEP:
             raise InvalidArgument(f"step must be in [0, {_MAX_STEP}]")
         metrics = metrics or {}
         validate_tags(metrics)
-        nnet.check_tensors(nnlayers.spec_from_dict(record.spec), tensors)
         state = encode_tensors(tensors)
+        nnlayers.check_shapes(nnlayers.spec_from_dict(record.spec),
+                              decode_tensors(state).shapes)
         version_id = f"s{step}-{hashlib.sha256(state).hexdigest()[:8]}"
         key = _version_key(model_key, step, version_id)
         if self.store.exists(key):
@@ -212,10 +216,10 @@ class ModelStore:
         versions.sort(key=lambda v: v.step)  # stable: step, then insertion
         return versions
 
-    def load_state(self, model_key: str, selector: str = "latest") -> dict[str, np.ndarray]:
-        """The version's tensors. A cache miss counts as a ``blob_reads``
-        whether the state is read from its blob or from its inline
-        document."""
+    def load_state(self, model_key: str, selector: str = "latest") -> Tensors:
+        """The version's tensors, as a container over its stored bytes. A
+        cache miss counts as a ``blob_reads`` whether the state is read from
+        its blob or from its inline document."""
         version = self.get_version(model_key, selector)
         cached = self.cache.get((model_key, version.version_id))
         if cached is not None:
@@ -227,7 +231,7 @@ class ModelStore:
         else:
             state = self.store.get_blob(version.state)
         tensors = decode_tensors(state)
-        self.cache.put((model_key, version.version_id), tensors)
+        self.cache.put((model_key, version.version_id), state)
         return tensors
 
     def get_version(self, model_key: str, selector: str = "latest") -> ModelVersion:

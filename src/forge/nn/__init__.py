@@ -1,3 +1,8 @@
+"""The reference network: layer specs and shape rules (``layers``, no numpy),
+the trainer (``network``) and its random streams (``rng``). Only the specs
+are re-exported here, so reading a spec or checking a state's shapes does
+not import numpy."""
+
 from forge.nn.layers import (
     DENSE,
     DROPOUT,
@@ -7,6 +12,7 @@ from forge.nn.layers import (
     TANH,
     LayerSpec,
     NetworkSpec,
+    check_shapes,
     clear_lambdas,
     infer_shapes,
     lambda_impl,
@@ -18,19 +24,3 @@ from forge.nn.layers import (
     spec_to_json,
     validate_spec,
 )
-from forge.nn.network import (
-    EVAL,
-    LOSSES,
-    TRAIN,
-    NetworkState,
-    backward,
-    build_network,
-    forward,
-    mse_loss,
-    sgd_step,
-    softmax_xent_loss,
-    state_from_tensors,
-    state_tensors,
-    train_epochs,
-)
-from forge.nn.rng import XorShift64, derive_seed

@@ -11,12 +11,14 @@ from __future__ import annotations
 
 import json
 import threading
+from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
-import numpy as np
+from forge.errors import DuplicateName, InvalidSpec, MissingBackward, ShapeMismatch
 
-from forge.errors import DuplicateName, InvalidSpec, MissingBackward
+if TYPE_CHECKING:
+    import numpy as np
 
 DENSE = "dense"
 RELU = "relu"
@@ -144,6 +146,20 @@ def param_shapes(spec: NetworkSpec) -> dict[str, dict[str, tuple[int, ...]]]:
             shapes[key] = want
         dims = out_dims
     return shapes
+
+
+def check_shapes(spec: NetworkSpec, shapes: Mapping[str, tuple[int, ...]]) -> None:
+    """ShapeMismatch unless ``shapes`` names exactly the parameters of
+    ``spec``, ``<share key>.weight`` and ``<share key>.bias``, with their
+    shapes."""
+    expect = {f"{key}.{part}": shape for key, parts in param_shapes(spec).items()
+              for part, shape in parts.items()}
+    if set(shapes) != set(expect):
+        raise ShapeMismatch(
+            f"tensor names {sorted(shapes)} do not match spec parameters {sorted(expect)}")
+    for name, shape in shapes.items():
+        if shape != expect[name]:
+            raise ShapeMismatch(f"tensor {name!r}: shape {shape} != spec {expect[name]}")
 
 
 def validate_spec(spec: NetworkSpec) -> None:

@@ -9,6 +9,7 @@ are the sum over all sites. Production arithmetic is f32; pass
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
@@ -222,22 +223,9 @@ def state_tensors(state: NetworkState) -> dict[str, np.ndarray]:
     return out
 
 
-def check_tensors(spec: L.NetworkSpec, tensors: dict[str, np.ndarray]) -> None:
-    """ShapeMismatch unless ``tensors`` holds exactly the parameters of
-    ``spec``, ``<share key>.weight`` and ``<share key>.bias``, in its shapes."""
-    expect = {f"{key}.{part}": shape for key, shapes in L.param_shapes(spec).items()
-              for part, shape in shapes.items()}
-    if set(tensors) != set(expect):
-        raise ShapeMismatch(
-            f"tensor names {sorted(tensors)} do not match spec parameters {sorted(expect)}")
-    for name, arr in tensors.items():
-        if np.shape(arr) != expect[name]:
-            raise ShapeMismatch(f"tensor {name!r}: shape {np.shape(arr)} != spec {expect[name]}")
-
-
-def state_from_tensors(spec: L.NetworkSpec, tensors: dict[str, np.ndarray],
+def state_from_tensors(spec: L.NetworkSpec, tensors: Mapping[str, np.ndarray],
                        seed: int, step: int = 0) -> NetworkState:
-    check_tensors(spec, tensors)
+    L.check_shapes(spec, {name: np.shape(arr) for name, arr in tensors.items()})
     params = {key: {part: np.array(tensors[f"{key}.{part}"], dtype=np.float32)
                     for part in shapes}
               for key, shapes in L.param_shapes(spec).items()}

@@ -27,7 +27,12 @@ with a ``"$type"`` key (``to_wire``). At most one value per op rides in the
 tail instead of the head: a document, a document list (each one prefixed by
 its u32 length) or a tensor container, in the byte layouts of
 ``forge.store.records`` and ``forge.tensorio``. A document must fill its tail
-or its slot exactly; leftover bytes are ``invalid_argument``. A document
+or its slot exactly; leftover bytes are ``invalid_argument``. A ``tensors``
+tail crosses the server as it came, both ways: ``save_state`` gets it as a
+``Tensors`` container whose header is checked, and the bytes it stores are
+the bytes ``load_state`` sends back, so the server decodes no array. A
+container that is not in canonical form (names out of order or repeated,
+bytes after its last tensor) is ``invalid_argument``. A document
 list's codec encodes and decodes a tag section that repeats within the list
 once (a task's outputs, a view's slice), without changing a byte; each
 decoded document still gets its own tags dict. An error head

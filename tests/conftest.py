@@ -1,5 +1,6 @@
 import contextlib
 import hashlib
+import math
 import struct
 import sys
 import threading
@@ -110,6 +111,19 @@ def flip_stored_byte(store, blob_id: str, index: int, at: int) -> None:
         byte = f.read(1)[0]
         f.seek(-1, 1)
         f.write(bytes([byte ^ 0x01]))
+
+
+def tensor_container(entries, trailing: bytes = b"") -> bytes:
+    """A tensor container built by hand, without numpy: one ``(name, dims)``
+    entry per tensor, written in the order given, each holding the values
+    0, 1, 2, ... as f32, then ``trailing``."""
+    parts = [b"FGTS", struct.pack("<BI", 1, len(entries))]
+    for name, dims in entries:
+        raw_name, count = name.encode(), math.prod(dims)
+        parts += [struct.pack("<H", len(raw_name)), raw_name,
+                  struct.pack(f"<BB{len(dims)}I", 0, len(dims), *dims),
+                  struct.pack(f"<{count}f", *range(count))]
+    return b"".join(parts) + trailing
 
 
 def write_raw_blob(blobs: Path, data: bytes, chunk_size: int = 4096) -> BlobPointer:

@@ -8,17 +8,9 @@ import numpy as np
 import pytest
 from oracles import finite_difference_grads, rel_err
 
-from forge.nn import (
-    EVAL,
-    LOSSES,
-    TRAIN,
-    XorShift64,
-    backward,
-    build_network,
-    forward,
-    spec_from_dict,
-)
-from forge.nn import rng
+from forge.nn import rng, spec_from_dict
+from forge.nn.network import EVAL, LOSSES, TRAIN, backward, build_network, forward
+from forge.nn.rng import XorShift64
 
 DENSE_RELU = {"input_dims": [32], "layers": [
     {"name": "h", "kind": "dense", "out_units": 64},

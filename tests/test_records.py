@@ -15,6 +15,8 @@ from forge.store.types import BlobPointer, Document, json_doc
 from forge.wire.protocol import pack_documents, unpack_documents
 from forge.tensorio import decode_tensors, encode_tensors
 
+from conftest import tensor_container
+
 _tag_values = st.one_of(
     st.integers(min_value=-(2**63), max_value=2**63 - 1),
     st.floats(allow_nan=False, allow_infinity=False, width=64),
@@ -417,3 +419,50 @@ def test_tensor_container_layout():
 def test_tensor_container_rejects_f64():
     with pytest.raises(InvalidArgument):
         encode_tensors({"x": np.zeros(2, np.float64)})
+
+
+@given(_named_tensors())
+@settings(max_examples=200, deadline=None)
+def test_encoder_output_is_its_own_canonical_form(tensors):
+    """Encoder output decodes to a container whose encoding is those same
+    bytes, and so is the encoding of the arrays it decodes to."""
+    raw = encode_tensors(tensors)
+    container = decode_tensors(raw)
+    assert encode_tensors(container) is container.raw == raw
+    assert container.shapes == {name: arr.shape for name, arr in sorted(tensors.items())}
+    assert encode_tensors(dict(container)) == raw
+
+
+def test_a_hand_built_container_is_the_encoding_of_its_arrays():
+    raw = tensor_container([("a", (2,)), ("b", (1, 3)), ("c", ())])
+    assert raw == encode_tensors({"a": np.arange(2, dtype=np.float32),
+                                  "b": np.arange(3, dtype=np.float32).reshape(1, 3),
+                                  "c": np.zeros((), np.float32)})
+
+
+NON_CANONICAL = {
+    "trailing bytes": tensor_container([("a", (2,))], trailing=b"junk"),
+    "a repeated name": tensor_container([("a", (2,)), ("a", (2,)), ("b", (1,))]),
+    "names out of order": tensor_container([("z", (1,)), ("a", (2,))]),
+}
+
+
+@pytest.mark.parametrize("raw", NON_CANONICAL.values(), ids=NON_CANONICAL.keys())
+def test_a_non_canonical_container_is_refused(raw):
+    with pytest.raises(CorruptStore):
+        decode_tensors(raw)
+
+
+@pytest.mark.parametrize("cut", [1, 4, 9, 12, 20])
+def test_a_truncated_container_is_refused(cut):
+    raw = tensor_container([("a", (2, 2)), ("b", (3,))])
+    with pytest.raises(CorruptStore):
+        decode_tensors(raw[:-cut])
+
+
+@pytest.mark.parametrize("at,value", [(0, b"X"), (4, b"\x02"), (13, b"\x01")])
+def test_a_container_with_a_bad_magic_version_or_dtype_is_refused(at, value):
+    raw = bytearray(tensor_container([("ab", (2,))]))  # the dtype byte is at 13
+    raw[at:at + 1] = value
+    with pytest.raises(CorruptStore):
+        decode_tensors(bytes(raw))

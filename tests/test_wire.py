@@ -5,10 +5,12 @@ garbage frames thrown at a live server."""
 import errno
 import inspect
 import json
+import os
 import random
 import re
 import socket
 import struct
+import subprocess
 import sys
 import threading
 import time
@@ -17,8 +19,16 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import click
+import numpy as np
 import pytest
-from conftest import flip_stored_byte, log_bytes, make_engine, stored_chunks, write_raw_blob
+from conftest import (
+    flip_stored_byte,
+    log_bytes,
+    make_engine,
+    stored_chunks,
+    tensor_container,
+    write_raw_blob,
+)
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -39,6 +49,7 @@ from forge.dataset import BatchCursor, DatasetView
 from forge.store import CHUNK_SIZE, Document, ScanCursor, records
 from forge.store.log import frame
 from forge.store.types import checksum_of
+from forge.tensorio import decode_tensors, encode_tensors
 from forge.wire import ForgeClient, ForgeServer, default_address
 from forge.wire import protocol as P
 from forge.wire.server import _HANDLERS
@@ -554,6 +565,78 @@ def test_docs_slot_must_end_where_its_document_ends(wire_pair):
     assert engine.scan("")[0] == []
     reply, _ = client._call(WRITE_OUTPUTS.code, head, struct.pack("<I", len(raw)) + raw)
     assert reply == {"result": ["t/000000"]}
+
+
+# --- model states cross the wire as the bytes the caller encoded ---------------------
+
+SAVE_STATE = next(op for op in P.OPS if op.name == "save_state")
+OUT = {"input_dims": [2], "layers": [{"name": "h", "kind": "dense", "out_units": 1}]}
+
+
+@pytest.mark.parametrize("entries,trailing", [
+    ([("h.bias", (1,)), ("h.weight", (2, 1))], b"junk"),
+    ([("h.bias", (1,)), ("h.bias", (1,)), ("h.weight", (2, 1))], b""),
+    ([("h.weight", (2, 1)), ("h.bias", (1,))], b""),
+], ids=["trailing bytes", "a repeated name", "names out of order"])
+def test_a_non_canonical_tensors_tail_is_refused_and_writes_nothing(wire_pair, entries,
+                                                                    trailing):
+    engine, _, client = wire_pair
+    client.register_model("m", OUT)
+    size = log_bytes(engine.store.path)
+    head = {"model_key": "m", "step": 1}
+    with pytest.raises(InvalidArgument, match="malformed tail"):
+        client._call(SAVE_STATE.code, head, tensor_container(entries, trailing))
+    assert log_bytes(engine.store.path) == size
+    assert engine.list_versions("m") == []
+    canonical = tensor_container([("h.bias", (1,)), ("h.weight", (2, 1))])
+    reply, _ = client._call(SAVE_STATE.code, head, canonical)
+    assert reply["result"].step == 1
+
+
+def test_load_state_returns_the_bytes_save_state_sent(wire_pair):
+    engine, _, client = wire_pair
+    client.register_model("m", OUT)
+    raw = tensor_container([("h.bias", (1,)), ("h.weight", (2, 1))])
+    version = client.save_state("m", 1, decode_tensors(raw))
+    assert client.load_state("m", version.version_id).raw == raw
+    assert engine.load_state("m", version.version_id).raw == raw
+    arrays = {"h.bias": np.ones(1, np.float32), "h.weight": np.full((2, 1), 0.5, np.float32)}
+    version = client.save_state("m", 2, arrays)
+    assert client.load_state("m").raw == encode_tensors(arrays)
+    assert version == engine.get_version("m")
+
+
+def test_serving_model_states_never_imports_numpy(tmp_path):
+    """A process that hosts an engine and its wire server, and has served
+    register_model, save_state, load_state and get_version, in-process and
+    over TCP, has not imported numpy."""
+    raw = tensor_container([("h.bias", (1,)), ("h.weight", (2, 1))])
+    code = (
+        "import sys\n"
+        "import forge.cli\n"
+        "from forge.engine import Forge\n"
+        "from forge.tensorio import decode_tensors\n"
+        "from forge.wire import ForgeClient, ForgeServer\n"
+        f"raw = bytes.fromhex({raw.hex()!r})\n"
+        f"with Forge({str(tmp_path / 'store')!r}, create=True, fsync=False) as engine:\n"
+        "    server = ForgeServer(engine, port=0)\n"
+        "    server.start()\n"
+        "    client = ForgeClient(*server.address)\n"
+        f"    client.register_model('m', {OUT!r})\n"
+        "    version = client.save_state('m', 1, decode_tensors(raw))\n"
+        "    assert client.load_state('m').raw == raw\n"
+        "    assert client.get_version('m') == version\n"
+        "    local = engine.save_state('m', 2, decode_tensors(raw))\n"
+        "    assert engine.load_state('m', local.version_id).raw == raw\n"
+        "    assert engine.get_version('m') == local\n"
+        "    client.close()\n"
+        "    server.stop()\n"
+        "assert 'numpy' not in sys.modules, sorted(m for m in sys.modules if 'numpy' in m)\n"
+    )
+    src = str(Path(inspect.getfile(Forge)).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    subprocess.run([sys.executable, "-c", code], check=True, env=env, timeout=60)
 
 
 # --- one address parser -------------------------------------------------------------
