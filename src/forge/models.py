@@ -165,7 +165,8 @@ class ModelStore:
         """Save a version; ``events`` are (step, name, value) triples recorded
         in the same log frame, and only when the version is new, so a
         replayed save records them once. ``tensors`` is encoded once (a
-        ``Tensors`` is its bytes), and the names and shapes in the
+        ``Tensors`` whose arrays are unread is its bytes, and its header is
+        not parsed again), and the names and shapes in the
         encoding's header must be the spec's parameters. A state whose
         encoding fits the store's ``inline_threshold`` is that frame's
         version payload; a larger one is put as a blob first."""
@@ -175,8 +176,9 @@ class ModelStore:
         metrics = metrics or {}
         validate_tags(metrics)
         state = encode_tensors(tensors)
-        nnlayers.check_shapes(nnlayers.spec_from_dict(record.spec),
-                              decode_tensors(state).shapes)
+        header = (tensors if isinstance(tensors, Tensors) and tensors.raw is state
+                  else decode_tensors(state))
+        nnlayers.check_shapes(nnlayers.spec_from_dict(record.spec), header.shapes)
         version_id = f"s{step}-{hashlib.sha256(state).hexdigest()[:8]}"
         key = _version_key(model_key, step, version_id)
         if self.store.exists(key):

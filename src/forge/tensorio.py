@@ -15,7 +15,9 @@ A decoded container is a ``Tensors``: a read-only mapping over its encoded
 bytes. Building one checks the whole header and reads no payload, so it
 carries each tensor's shape and its bytes (``raw``) without numpy. An array
 is decoded, and numpy imported, only when it is first read; the engine and
-its wire server pass states through as bytes and never do.
+its wire server pass states through as bytes and never do. A container
+whose arrays have been read is encoded from those arrays, so an edit made
+to one in place is saved.
 """
 
 from __future__ import annotations
@@ -104,8 +106,10 @@ class Tensors(Mapping):
 
 
 def encode_tensors(tensors: Mapping[str, np.ndarray]) -> bytes:
-    """The canonical container of ``tensors``; a ``Tensors`` is its ``raw``."""
-    if isinstance(tensors, Tensors):
+    """The canonical container of ``tensors``. A ``Tensors`` none of whose
+    arrays has been read is its ``raw``; once one has been, the arrays are
+    encoded, since the reader may have written to them."""
+    if isinstance(tensors, Tensors) and not tensors._arrays:
         return tensors.raw
     import numpy as np
 

@@ -1,5 +1,7 @@
 """Model registry, versioned states, cache behavior, and the event log."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -209,6 +211,17 @@ class TestVersions:
         first["h.weight"][:] = 999.0
         again = engine.load_state("mlp")
         assert not np.array_equal(again["h.weight"], first["h.weight"])
+
+    def test_an_array_edited_in_place_is_saved(self, api):
+        api.register_model("mlp", MLP)
+        api.save_state("mlp", 1, tensors_for(1))
+        loaded = api.load_state("mlp")
+        loaded["h.weight"][:] += 1.0
+        edited = {name: arr.copy() for name, arr in loaded.items()}
+        version = api.save_state("mlp", 2, loaded)
+        digest = hashlib.sha256(encode_tensors(edited)).hexdigest()[:8]
+        assert version.version_id == f"s2-{digest}"
+        _assert_loads(api, version.version_id, edited)
 
     def test_version_state_immutable_across_saves(self, api):
         api.register_model("mlp", MLP)

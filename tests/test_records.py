@@ -433,6 +433,19 @@ def test_encoder_output_is_its_own_canonical_form(tensors):
     assert encode_tensors(dict(container)) == raw
 
 
+def test_a_container_whose_arrays_were_read_is_encoded_from_them():
+    """Its arrays are the reader's to write to, so once one is read the
+    container's encoding is that of its arrays, not its ``raw``."""
+    raw = encode_tensors({"a": np.zeros(2, np.float32), "b": np.ones(3, np.float32)})
+    container = decode_tensors(raw)
+    container["a"]
+    assert encode_tensors(container) == raw
+    container["a"][:] += 1.0
+    assert encode_tensors(container) == encode_tensors(
+        {"a": np.ones(2, np.float32), "b": np.ones(3, np.float32)})
+    assert container.raw == raw
+
+
 def test_a_hand_built_container_is_the_encoding_of_its_arrays():
     raw = tensor_container([("a", (2,)), ("b", (1, 3)), ("c", ())])
     assert raw == encode_tensors({"a": np.arange(2, dtype=np.float32),
