@@ -78,6 +78,9 @@ def stream_task_id(view_key: str, watermark: str, upto_key: str) -> str:
 class DatasetManager:
     def __init__(self, store: Store):
         self.store = store
+        # A view is written once and never rewritten or deleted, so each is
+        # read and parsed once: on its first ``get_view``
+        self._views: dict[str, DatasetView] = {}
 
     # -- views ---------------------------------------------------------------
 
@@ -92,13 +95,17 @@ class DatasetManager:
         return DatasetView(view_key=view_key, query=query, created_at=created)
 
     def get_view(self, view_key: str) -> DatasetView:
+        view = self._views.get(view_key)
+        if view is not None:
+            return view
         try:
             doc = self.store.get(VIEW_PREFIX + view_key)
         except NotFound:
             raise ViewNotFound(f"view {view_key!r} not found") from None
         meta = _payload_json(doc)
-        return DatasetView(view_key=view_key, query=parse(meta["query"]),
-                           created_at=meta["created_at"])
+        view = self._views[view_key] = DatasetView(
+            view_key=view_key, query=parse(meta["query"]), created_at=meta["created_at"])
+        return view
 
     def has_view(self, view_key: str) -> bool:
         return self.store.exists(VIEW_PREFIX + view_key)

@@ -24,13 +24,15 @@ The empty query matches every document. Tag values come in four scalar
 variants (string, int, float, bool); values never compare across variants,
 and int vs float is deliberately no match rather than a silent coercion.
 
-:func:`matches` is the one rule for a document's tags: a predicate over a
-tag absent from the tag map, or holding another variant than the
-predicate's literal, is false for that document. Scans use it, so a scan
-returns the same keys with or without a tag index (an index only ever
-holds candidates of the literal's variant); a scan of one ``=`` predicate
-that an index bucket serves needs no check, because the bucket holds
-exactly the keys whose tag has that variant and value.
+There is one rule for a document's tags: a predicate over a tag absent
+from the tag map, or holding another variant than the predicate's literal,
+is false for that document. :func:`compile_predicates` builds it once per
+scan as one test of a tag map, and :func:`matches` is defined through it,
+so a scan returns the same keys with or without a tag index (an index only
+ever holds candidates of the literal's variant). A scan whose candidates
+come from an index bucket, or the buckets of an IN set or a range, does not
+test the predicate that chose them, because those buckets hold exactly the
+keys whose tag has such a value; it tests only the others.
 
 ``parse(render(q)) == q`` holds for every valid query.
 """
@@ -40,7 +42,9 @@ from __future__ import annotations
 import math
 import operator
 import re
+from collections.abc import Callable
 from dataclasses import dataclass, field
+from functools import partial, reduce
 
 from forge.errors import InvalidArgument, MixedVariantSet, QuerySyntaxError
 
@@ -57,7 +61,8 @@ OPERATORS = ("=", "!=", "<", "<=", ">", ">=")
 _IDENT = r"[A-Za-z_][A-Za-z0-9_./:-]*"
 _IDENT_RE = re.compile(_IDENT)
 
-_TYPE_VARIANTS = {str: V_STRING, int: V_INT, float: V_FLOAT, bool: V_BOOL}
+_VARIANT_TYPES = (str, int, float, bool)  # by variant code
+_TYPE_VARIANTS = {cls: code for code, cls in enumerate(_VARIANT_TYPES)}
 
 
 def variant_of(value: TagScalar) -> int:
@@ -155,15 +160,10 @@ class TagQuery:
 MATCH_ALL = TagQuery()
 
 
-_COMPARE = {"=": operator.eq, "!=": operator.ne, "<": operator.lt, "<=": operator.le,
-            ">": operator.gt, ">=": operator.ge}
-
-
-def _holds(pred: Predicate, value: TagScalar) -> bool:
-    """The predicate over a value of its own variant."""
-    if pred.op == "IN":
-        return value in pred.values
-    return _COMPARE[pred.op](value, pred.value)
+# ``value op literal`` as ``_COMPARE[op](literal, value)``: the literal is
+# bound first, so each operator maps to its mirror
+_COMPARE = {"=": operator.eq, "!=": operator.ne, "<": operator.gt, "<=": operator.ge,
+            ">": operator.lt, ">=": operator.le}
 
 
 def _variant(value: TagScalar) -> int:
@@ -172,14 +172,42 @@ def _variant(value: TagScalar) -> int:
     return variant_of(value) if code is None else code
 
 
+def _compile(pred: Predicate) -> Callable[[dict[str, TagScalar]], bool]:
+    """The test of one predicate: the tag is present, of the literal's
+    variant, and holds. A value of the variant's exact class passes the
+    variant check at once; ``None`` (absent) and any other class, a
+    subclass such as ``np.float64`` included, go through ``_variant``."""
+    tag, variant, cls = pred.tag, pred.variant, _VARIANT_TYPES[pred.variant]
+    if pred.op == "IN":
+        holds = frozenset(pred.values).__contains__
+    else:
+        holds = partial(_COMPARE[pred.op], pred.value)
+
+    def test(tags):
+        value = tags.get(tag)
+        return ((value.__class__ is cls or value is not None and _variant(value) == variant)
+                and holds(value))
+
+    return test
+
+
+def _both(first, second):
+    return lambda tags: first(tags) and second(tags)
+
+
+def compile_predicates(
+        predicates: tuple[Predicate, ...]) -> Callable[[dict[str, TagScalar]], bool] | None:
+    """One test of a tag map against every predicate, built once per scan:
+    the AND of one closure per predicate, each specialised to its operator.
+    None when there is no predicate, so every tag map matches."""
+    return reduce(_both, map(_compile, predicates)) if predicates else None
+
+
 def matches(query: TagQuery, tags: dict[str, TagScalar]) -> bool:
     """The scan rule: every predicate's tag is present, holds a value of the
     literal's variant, and satisfies the predicate. Never raises."""
-    for pred in query.predicates:
-        value = tags.get(pred.tag)  # tag values are never None
-        if value is None or _variant(value) != pred.variant or not _holds(pred, value):
-            return False
-    return True
+    test = compile_predicates(query.predicates)
+    return test is None or bool(test(tags))
 
 
 # ---------------------------------------------------------------------------

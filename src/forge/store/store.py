@@ -45,8 +45,9 @@ current version, staged or not, carries the bucket's value, live, after a
 reopen and after a compaction. A key that holds a version changes buckets
 only when that version is replaced (a restage, or an older log's REPLACE or
 DELETE on replay), so only those paths take a key out of a bucket. A scan
-with one ``=`` predicate that a bucket serves therefore checks only
-visibility; every other scan re-checks its candidates with ``matches``.
+whose candidates come from an index (one ``=`` bucket, or the buckets of an
+IN set or a range) therefore never re-checks the predicate that chose them:
+it checks visibility and the query's other predicates only.
 
 Write path: ``apply_ops`` takes ops in order, where one ``PutOp`` carries any
 number of documents (a single ``put`` is a put of one; a task's outputs are
@@ -95,12 +96,16 @@ it sorts only the arrivals into ``run``; ``run`` is merged into ``main`` once
 it outgrows a fixed fraction of ``main``, so that O(n) merge is paid once per
 many puts, not on every read (the two-level scheme of O'Neil et al., "The
 Log-Structured Merge-Tree", 1996). A scan bisects both levels at its cursor
-and walks them as one ascending sequence, a slice of ``main`` at a time with
-the ``run`` keys that fall inside it; a prefix walk (``keys_with_prefix``)
-starts the same way at the prefix. A one-bucket ``=`` lookup hands the
-bucket's own keys to the scan without a copy. Replay adds every key to the
-arrivals, so the first read after it sorts everything once. A key leaves
-by ``discard``, which settles the arrivals and deletes it from its level.
+and walks them as one ascending sequence of lists, each a slice of ``main``
+merged with the ``run`` keys that fall inside it; a prefix walk
+(``keys_with_prefix``) starts the same way at the prefix. The scan loops
+over each list in turn: it drops reserved keys only from a list whose ends
+straddle their range, and spends per key one lookup of its version and at
+most one call of the query's test, compiled once per scan. A one-bucket
+``=`` lookup hands the bucket's own keys to the scan without a copy. Replay
+adds every key to the arrivals, so the first read after it sorts everything
+once. A key leaves by ``discard``, which settles the arrivals and deletes it
+from its level.
 """
 
 from __future__ import annotations
@@ -124,7 +129,7 @@ from forge.errors import (
     ReservedKey,
     StoreLocked,
 )
-from forge.query import TagQuery, _variant, matches, sort_key
+from forge.query import Predicate, TagQuery, _variant, compile_predicates, sort_key
 from forge.store import log as logio
 from forge.store import records
 from forge.store.blob import BlobStore
@@ -195,6 +200,9 @@ _RUN_RATIO = 8
 # little it does not use, and a long walk pays the sort's fixed cost rarely.
 _FIRST_CHUNK = 32
 _CHUNK = 256
+# Reserved keys sort in [SYSTEM_PREFIX, _SYSTEM_END): the prefix with its
+# last character's successor
+_SYSTEM_END = SYSTEM_PREFIX[:-1] + chr(ord(SYSTEM_PREFIX[-1]) + 1)
 
 
 class _SortedKeys:
@@ -238,8 +246,9 @@ class _SortedKeys:
                 del level[i]
                 return
 
-    def walk(self, start: str, *, after: bool = False) -> Iterator[str]:
-        """The keys from ``start`` on (or past it, when ``after``), ascending.
+    def walk(self, start: str, *, after: bool = False) -> Iterator[list[str]]:
+        """The keys from ``start`` on (or past it, when ``after``), ascending,
+        as consecutive non-empty lists, each a new one.
 
         Nothing may be added while the walk is in use."""
         self._settle()
@@ -256,9 +265,20 @@ class _SortedKeys:
                 chunk += run[j:k]
                 chunk.sort()
                 j = k
-            yield from chunk
+            if chunk:
+                yield chunk
             if i >= len(main):
                 return
+
+
+def _joined(buckets) -> list[str]:
+    """Every key of ``buckets``, in no order; a ``None`` bucket holds none."""
+    found: list[str] = []
+    for bucket in buckets:
+        if bucket is not None:
+            for chunk in bucket.walk(""):
+                found += chunk
+    return found
 
 
 class _Index:
@@ -644,11 +664,12 @@ class Store:
         with self._lock:
             snap = self._next_seq - 1
             out = []
-            for key in self._keys.walk(prefix):
-                if not key.startswith(prefix):
-                    break
-                if self._state_at(key, snap) is not None:
-                    out.append(key)
+            for chunk in self._keys.walk(prefix):
+                for key in chunk:
+                    if not key.startswith(prefix):
+                        return out
+                    if self._state_at(key, snap) is not None:
+                        out.append(key)
             return out
 
     # -- index management -------------------------------------------------
@@ -681,10 +702,12 @@ class Store:
         Pages taken with the returned cursor all read at the snapshot of the
         first call; their concatenation equals a single unbounded scan at
         that snapshot. System keys never appear. The candidates, every key
-        or those of the best covering index, are checked for visibility at
-        the snapshot and against the query with ``matches``, except when the
-        query is one ``=`` predicate served by its bucket, which holds
-        exactly the keys whose version carries the value.
+        or those of the best covering index, are walked a list at a time;
+        each costs one lookup of its version, checked for visibility at the
+        snapshot, and at most one call of the query's test, compiled once
+        per scan (``compile_predicates``) from every predicate but the one
+        whose index chose the candidates: its buckets hold exactly the keys
+        whose version carries a value it accepts.
         """
         if limit is not None and limit < 1:
             raise InvalidArgument("limit must be positive")
@@ -695,41 +718,37 @@ class Store:
             else:
                 snap = cursor.snapshot_seq
                 after = cursor.last_key
-            candidates = self._candidates(query) if use_index else None
-            keys = candidates if candidates is not None else self._keys
-
+            candidates, chosen = self._candidates(query) if use_index else (None, None)
+            keys = self._keys if candidates is None else candidates
+            test = compile_predicates(tuple(p for p in query.predicates if p is not chosen))
+            entries = self._entries
             out: list[str] = []
-            last = after
-            exhausted = True
-            preds = query.predicates
-            check = not (query.is_match_all or candidates is not None
-                         and len(preds) == 1 and preds[0].op == "=")
-            state_at = self._state_at
-            for key in keys.walk(after, after=True):
-                if key.startswith(SYSTEM_PREFIX):
-                    continue
-                state = state_at(key, snap)
-                if state is None:
-                    continue
-                if check and not matches(query, state.doc.tags):
-                    continue
-                if limit is not None and len(out) >= limit:
-                    exhausted = False
-                    break
-                out.append(key)
-                last = key
-            if exhausted:
-                return out, None
-            return out, ScanCursor(snapshot_seq=snap, last_key=last)
+            for chunk in keys.walk(after, after=True):
+                if chunk[0] < _SYSTEM_END and chunk[-1] >= SYSTEM_PREFIX:
+                    chunk = [key for key in chunk if not key.startswith(SYSTEM_PREFIX)]
+                for key in chunk:
+                    state = entries.get(key)
+                    if state is None or state.seq > snap or state.group is not None:
+                        continue
+                    if test is not None and not test(state.doc.tags):
+                        continue
+                    if len(out) == limit:
+                        return out, ScanCursor(snapshot_seq=snap, last_key=out[-1])
+                    out.append(key)
+            return out, None
 
-    def _candidates(self, query: TagQuery) -> _SortedKeys | None:
-        """Keys from the best covering index; None = no usable index.
+    def _candidates(self, query: TagQuery) -> tuple[_SortedKeys | None, Predicate | None]:
+        """Keys from the best covering index and the predicate whose index
+        gave them; (None, None) when no index serves the query.
 
-        A one-bucket ``=`` lookup returns the bucket itself, which the
-        caller must not change; IN and range lookups join their buckets,
-        which share no key, and return them sorted as the ``main`` of a new
-        structure."""
+        The keys are exactly those whose current version satisfies that
+        predicate, since a bucket holds exactly the keys whose version
+        carries its value. A one-bucket ``=`` lookup returns the bucket
+        itself, which the caller must not change; IN and range lookups join
+        their buckets, which share no key, and return them sorted as the
+        ``main`` of a new structure."""
         best: _SortedKeys | list[str] | None = None
+        chosen = None
         for pred in query.predicates:
             index = self._indexes.get(pred.tag)
             if index is None or pred.op == "!=":
@@ -737,22 +756,18 @@ class Store:
             if pred.op == "=":
                 found = index.by_value.get(sort_key(pred.value)) or []
             elif pred.op == "IN":
-                found = []
-                for v in pred.values:
-                    bucket = index.by_value.get(sort_key(v))
-                    if bucket is not None:
-                        found += bucket.walk("")
+                found = _joined(index.by_value.get(sort_key(v)) for v in pred.values)
             else:
                 found = self._range_lookup(index, pred)
             if best is None or len(found) < len(best):
-                best = found
+                best, chosen = found, pred
             if not best:
                 break
         if best is None or isinstance(best, _SortedKeys):
-            return best
+            return best, chosen
         keys = _SortedKeys()
         keys.main = sorted(best)
-        return keys
+        return keys, chosen
 
     @staticmethod
     def _range_lookup(index: _Index, pred) -> list[str]:
@@ -769,10 +784,7 @@ class Store:
             lo = max(lo, bisect.bisect_right(values, vk, lo, hi))
         elif pred.op == ">=":
             lo = max(lo, bisect.bisect_left(values, vk, lo, hi))
-        found: list[str] = []
-        for i in range(lo, hi):
-            found += index.by_value[values[i]].walk("")
-        return found
+        return _joined(index.by_value[values[i]] for i in range(lo, hi))
 
     # -- blobs ----------------------------------------------------------------
 
@@ -803,13 +815,14 @@ class Store:
 
             def bodies() -> Iterator[bytes]:
                 yield records.encode_snapshot_marker(self._next_seq)
-                for key in self._keys.walk(""):
-                    state = self._entries[key]
-                    keys.append(key)
-                    if not state.doc.is_inline:
-                        live_blobs.add(state.doc.payload.blob_id)
-                    yield records.encode_doc_op(records.OP_PUT, state.seq, state.arrived_ms,
-                                                state.group, state.doc)
+                for chunk in self._keys.walk(""):
+                    keys.extend(chunk)
+                    for key in chunk:
+                        state = self._entries[key]
+                        if not state.doc.is_inline:
+                            live_blobs.add(state.doc.payload.blob_id)
+                        yield records.encode_doc_op(records.OP_PUT, state.seq, state.arrived_ms,
+                                                    state.group, state.doc)
 
             self._log.snapshot(bodies())
             self._keys = _SortedKeys()

@@ -1,17 +1,20 @@
 """Views, batch cursors, and stream-controller semantics."""
 
+import errno
 import json
+import os
 import random
 import sys
 import time
 
 import pytest
 
-from forge import faults
+from forge import dataset, faults
 from forge.clock import FakeClock
 from forge.dataset import stream_task_id
 from forge.engine import Forge
-from forge.errors import AlreadyAttached, DuplicateKey, ViewNotFound
+from forge.errors import AlreadyAttached, DuplicateKey, StorageFull, ViewNotFound
+from forge.query import parse
 from forge.store import Document
 from forge.workflow import run_master
 
@@ -60,6 +63,54 @@ class TestViews:
             api.view_slice("ghost")
         with pytest.raises(ViewNotFound):
             api.open_cursor("ghost", 4)
+
+    def test_a_view_is_parsed_once_per_open(self, tmp_path, monkeypatch):
+        """Reads of a view parse its query text on the first read only, also
+        across a compaction; a reopened store reads it again."""
+        texts = []
+
+        def counted(text):
+            texts.append(text)
+            return parse(text)
+
+        monkeypatch.setattr(dataset, "parse", counted)
+        path = tmp_path / "s"
+        with Forge(path, create=True, clock=FakeClock(), fsync=False) as eng:
+            fill(eng, 10)
+            eng.define_view("v", 'split = "train"')
+            cursor = eng.open_cursor("v", batch_size=2)
+            for _ in range(4):
+                _, cursor, _ = eng.read_batch(cursor)
+            eng.compact()
+            docs, cursor, _ = eng.read_batch(cursor)
+            assert [d.key for d in docs] == ["d0008", "d0009"]
+            assert len(eng.view_slice("v")) == 10
+            assert texts == ['split = "train"']
+        with Forge(path, clock=FakeClock(), fsync=False) as eng:
+            assert len(eng.view_slice("v")) == 10
+            eng.read_batch(eng.open_cursor("v", batch_size=2))
+            assert texts == ['split = "train"'] * 2
+
+    def test_a_failed_definition_leaves_no_view(self, engine, monkeypatch):
+        """A definition the log refuses (a full device) leaves no view to
+        read, and the same key can be defined once there is room."""
+        fill(engine, 3)
+        real = os.pwrite
+
+        def full(fd, data, offset):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(os, "pwrite", full)
+        with pytest.raises(StorageFull):
+            engine.define_view("v", 'split = "train"')
+        monkeypatch.setattr(os, "pwrite", real)
+        with pytest.raises(ViewNotFound):
+            engine.get_view("v")
+        with pytest.raises(ViewNotFound):
+            engine.view_slice("v")
+        engine.define_view("v", 'split = "test"')
+        assert engine.get_view("v").query == parse('split = "test"')
+        assert engine.view_slice("v") == []
 
 
 class TestBatchCursor:

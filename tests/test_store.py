@@ -12,6 +12,7 @@ import time
 import tracemalloc
 import warnings
 import zlib
+from itertools import chain
 from pathlib import Path
 
 import pytest
@@ -122,7 +123,7 @@ class TestBasics:
 def _bucket(s: Store, name: str, value) -> list[str]:
     """The keys of index ``name``'s bucket for ``value`` as it walks them."""
     bucket = s._indexes[name].by_value.get(sort_key(value))
-    return [] if bucket is None else list(bucket.walk(""))
+    return [] if bucket is None else list(chain.from_iterable(bucket.walk("")))
 
 
 def frame_starts(path) -> list[int]:
@@ -492,12 +493,12 @@ class TestIndexes:
         append_record(path, delete_body(seq, "k0"))
         with make_store(path) as s:
             assert _bucket(s, "d", 2) == ["k1"]
-            assert list(s._keys.walk("")) == ["k1"]
+            assert list(chain.from_iterable(s._keys.walk(""))) == ["k1"]
             s.put(doc("k0", d=3))
 
             def check(s):
                 assert _bucket(s, "d", 2) == ["k1"] and _bucket(s, "d", 3) == ["k0"]
-                assert list(s._keys.walk("")) == ["k0", "k1"]
+                assert list(chain.from_iterable(s._keys.walk(""))) == ["k0", "k1"]
                 assert s.keys_with_prefix("k") == ["k0", "k1"]
                 assert s.scan(parse("d = 2")) == (["k1"], None)
 
@@ -1772,7 +1773,7 @@ def _bucket_keys(s: Store, m: StoreModel) -> dict:
     for name, index in s._indexes.items():
         for vk, bucket in index.by_value.items():
             if bucket:
-                held[name, vk] = list(bucket.walk(""))
+                held[name, vk] = list(chain.from_iterable(bucket.walk("")))
         for key, version in sorted(m.versions.items()):
             if version is not None and name in version[0].tags and not key.startswith(m.RESERVED):
                 expected.setdefault((name, sort_key(version[0].tags[name])), []).append(key)
@@ -1896,7 +1897,7 @@ def test_compaction_decodes_no_record(tmp_path, monkeypatch):
             s.compact()
             assert _store_reads(s) == before
         assert "k1" not in s._entries
-        buckets = {name: {vk: list(b.walk("")) for vk, b in index.by_value.items() if b}
+        buckets = {name: {vk: list(chain.from_iterable(b.walk(""))) for vk, b in index.by_value.items() if b}
                    for name, index in s._indexes.items()}
         expected = {name: {} for name in ("c", "d")}
         for key, state in sorted(s._entries.items()):

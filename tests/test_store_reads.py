@@ -4,7 +4,9 @@ under interleaved puts, staged groups, system-key churn and compaction, and
 walks across the two levels and the chunks of the sorted keys."""
 
 import random
+from itertools import chain
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -51,18 +53,19 @@ class _CountedKey(str):
         return str.startswith(self, *args)
 
 
-@pytest.fixture
-def state_reads(monkeypatch):
-    """Counts the version-chain lookups reads make, one per key they check."""
-    calls = [0]
-    original = Store._state_at
+class _CountedEntries(dict):
+    """A store's key -> version map that counts the lookups reads make, one
+    per key they check."""
 
-    def counted(self, key, snapshot_seq):
-        calls[0] += 1
-        return original(self, key, snapshot_seq)
+    reads = 0
 
-    monkeypatch.setattr(Store, "_state_at", counted)
-    return calls
+    def get(self, key, default=None):
+        self.reads += 1
+        return dict.get(self, key, default)
+
+    def __getitem__(self, key):
+        self.reads += 1
+        return dict.__getitem__(self, key)
 
 
 def _counted_store(path, keys, **tags):
@@ -71,19 +74,20 @@ def _counted_store(path, keys, **tags):
     for i, key in enumerate(keys):
         s.put(Document(key=_CountedKey(key), payload=b"", tags={**tags, "w": i}))
     s.keys_with_prefix("")  # the first read after the puts merges them in
+    s._entries = _CountedEntries(s._entries)
     return s
 
 
 @pytest.mark.parametrize("query,use_index", [('split = "train"', True),
                                              ("w >= 0", False)])
 def test_full_paged_walk_touches_each_key_a_bounded_number_of_times(
-        tmp_path, state_reads, query, use_index):
+        tmp_path, query, use_index):
     n, page = 2000, 50
     rng = random.Random(3)
     keys = [f"d{rng.randrange(10**9):09d}" for _ in range(n)]
     with _counted_store(tmp_path / "s", keys, split="train") as s:
         s.scan(parse(query), limit=1, use_index=use_index)  # merges the index too
-        state_reads[0] = _CountedKey.touches = 0
+        s._entries.reads = _CountedKey.touches = 0
         walked, cursor = [], None
         while True:
             got, cursor = s.scan(parse(query), cursor, limit=page, use_index=use_index)
@@ -91,17 +95,17 @@ def test_full_paged_walk_touches_each_key_a_bounded_number_of_times(
             if cursor is None:
                 break
         assert walked == sorted(set(keys))
-        assert n <= state_reads[0] <= 3 * n
+        assert n <= s._entries.reads <= 3 * n
         # a skip-walk from the first key on every page touches ~n * pages / 2
         assert _CountedKey.touches <= 3 * n
 
 
-def test_prefix_walk_touches_only_its_range(tmp_path, state_reads):
+def test_prefix_walk_touches_only_its_range(tmp_path):
     keys = [f"a{i:05d}" for i in range(4997)] + ["m1", "m2", "m3"]
     with _counted_store(tmp_path / "s", keys) as s:
-        state_reads[0] = _CountedKey.touches = 0
+        s._entries.reads = _CountedKey.touches = 0
         assert s.keys_with_prefix("m") == ["m1", "m2", "m3"]
-        assert state_reads[0] == 3
+        assert s._entries.reads == 3
         # two binary searches plus the three matches and the first non-match
         assert _CountedKey.touches <= 4 + 2 * (len(keys) - 1).bit_length()
 
@@ -125,11 +129,30 @@ def test_a_read_after_a_few_puts_sorts_only_them(tmp_path, query, use_index):
         assert _CountedKey.touches <= 4 * k * k.bit_length() + 2 * _CHUNK + 4 * n.bit_length()
 
 
+@pytest.mark.parametrize("indexed", [False, True], ids=["linear", "indexed"])
+def test_a_float_subclass_tag_is_a_float(tmp_path, indexed):
+    """A document put in-process with an ``np.float64`` tag is found by a
+    float range, with and without an index on the tag, and after a reopen."""
+    path = tmp_path / "s"
+    with make_store(path) as s:
+        if indexed:
+            s.create_index("w")
+        for key, w in (("a", np.float64(0.25)), ("b", np.float64(0.75)), ("c", 0), ("d", 0.125)):
+            s.put(Document(key=key, payload=b"", tags={"w": w}))
+        for use_index in (True, False):
+            assert s.scan(parse("w < 0.5"), use_index=use_index) == (["a", "d"], None)
+    with Store(path, clock=FakeClock(), fsync=False) as s:
+        assert s.scan(parse("w < 0.5")) == (["a", "d"], None)
+
+
 # -- property test against a brute-force oracle -------------------------------------
 
 QUERIES = [
     "", "n = 1", "n > 0", "n IN {1, 2}", 'n = "one"', "n != 1", 'c = "a"',
     'c < "b" AND n >= 1', "n = 2 AND m = 3", "f <= 1.5", "n = true",
+    # the predicate an index chose comes with others, on its tag or another
+    "n > 0 AND n < 2", "n IN {1, 2} AND f <= 1.5", 'c = "a" AND n != 1',
+    "f > 0.5 AND f <= 2.5", "f > 0.5 AND f < 2.5",
 ]
 TAG_VALUES = {"n": [0, 1, 2, "one", 1.5, True], "c": ["a", "b", 1], "m": [3, "x"],
               "f": [0.5, 1.5, 2.5, 1]}
@@ -382,7 +405,7 @@ def test_sorted_keys_read_as_a_sorted_set(seed, rounds):
     def check():
         start = rng.choice(["", f"k{rng.randrange(12_000):05d}", *sorted(oracle)[-1:]])
         after = rng.random() < 0.5
-        assert list(keys.walk(start, after=after)) == sorted(
+        assert list(chain.from_iterable(keys.walk(start, after=after))) == sorted(
             k for k in oracle if (k > start if after else k >= start))
         assert len(keys) == len(oracle)
 
@@ -398,4 +421,4 @@ def test_sorted_keys_read_as_a_sorted_set(seed, rounds):
             keys.discard(key)
             oracle.discard(key)
         check()
-    assert list(keys.walk("")) == sorted(oracle)
+    assert list(chain.from_iterable(keys.walk(""))) == sorted(oracle)

@@ -1,5 +1,6 @@
 """Query language: parsing, evaluation vs an independent oracle, rendering."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -166,6 +167,40 @@ def _tag_maps(draw):
 @settings(max_examples=400, deadline=None)
 def test_evaluate_agrees_with_oracle(query, tags):
     """``matches`` is the scan rule: a tag of another variant is no match."""
+    preds = [(p.tag, p.op, p.values if p.op == "IN" else p.value)
+             for p in query.predicates]
+    assert matches(query, tags) == (brute_force_scan({"doc": tags}, preds) == ["doc"])
+
+
+class _Int(int):
+    pass
+
+
+class _Float(float):
+    pass
+
+
+class _Str(str):
+    pass
+
+
+# values of the variants' subclasses (np.float64 is a float), bools where an
+# int may be asked for, and tag names no predicate may find
+_subclassed_tag_maps = st.dictionaries(
+    _tag_names,
+    st.one_of(st.integers(min_value=-100, max_value=100).map(_Int),
+              st.floats(allow_nan=False, allow_infinity=False, width=32).map(_Float),
+              st.floats(allow_nan=False, allow_infinity=False, width=32).map(np.float64),
+              st.text(max_size=5).map(_Str), st.booleans(),
+              st.integers(min_value=-100, max_value=100)),
+    max_size=5)
+
+
+@given(_queries(), _subclassed_tag_maps)
+@settings(max_examples=400, deadline=None)
+def test_evaluate_agrees_with_oracle_on_subclassed_values(query, tags):
+    """A value of a variant's subclass is of that variant; only the exact
+    classes take the fast path to it."""
     preds = [(p.tag, p.op, p.values if p.op == "IN" else p.value)
              for p in query.predicates]
     assert matches(query, tags) == (brute_force_scan({"doc": tags}, preds) == ["doc"])
